@@ -3,13 +3,13 @@
 Every run reads one scenario file (or the built-in defaults), computes in
 memory, then writes all outputs plus a run_record.json manifest from a
 single writer. Exit codes: 0 success, 2 scenario/validation failure, 3 a
-solver flagged a point (non-bracketable) and --allow-flags was not given.
+solver flagged a point (non-bracketable or non-converged) and --allow-flags
+was not given.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -133,9 +133,7 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
     return files, [], text
 
 
-def _run_stability_sweep(
-    scenario: Scenario, threads: int
-) -> tuple[dict[str, str], list[str], str]:
+def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
     spec = SweepSpec(
         family=scenario.sweep_family,
         sizes=scenario.sweep_sizes,
@@ -146,7 +144,7 @@ def _run_stability_sweep(
         consts=scenario.consts_obj(),
         layer_spacing=scenario.layer_spacing(),
     )
-    points = sweep(spec, threads=threads)
+    points = sweep(spec)
     rows = [
         [
             point.family,
@@ -279,19 +277,6 @@ def _load_scenario(path: str | None) -> tuple[Scenario, str]:
     return parse_scenario(text), text
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GRAVCLOCK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ScenarioError(f"GRAVCLOCK_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ScenarioError(f"GRAVCLOCK_THREADS must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gravclock",
@@ -309,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--allow-flags",
         action="store_true",
-        help="exit 0 even when a solver flags non-bracketable points",
+        help="exit 0 even when a solver flags non-bracketable or non-converged points",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("threshold", parents=[common], help="critical lattice sizes")
@@ -326,14 +311,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.convention is not None:
             scenario = replace(scenario, convention=Convention.from_wire(args.convention))
             scenario_text = serialize_scenario(scenario)
-        threads = _thread_count()
 
         if args.command == "threshold":
             files, flags, text = _run_threshold(scenario)
         elif args.command == "dephase-curve":
             files, flags, text = _run_dephase_curve(scenario)
         elif args.command == "stability-sweep":
-            files, flags, text = _run_stability_sweep(scenario, threads)
+            files, flags, text = _run_stability_sweep(scenario)
         else:
             files, flags, text = _run_budget(scenario)
     except (ScenarioError, OSError, ValueError) as exc:

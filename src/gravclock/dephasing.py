@@ -3,7 +3,9 @@
 Each layer k carries a unit Bloch vector that precesses at phi_l + k*phi_g'.
 Summing the layers shortens the total vector (contrast loss) and makes the
 arcsine phase estimate phi_eff = asin(S_y / m) systematically underestimate
-the true accumulated laser phase phi_l * t.
+the true accumulated laser phase phi_l * t. The layer sum is evaluated in
+closed form by the range-reduced Dirichlet kernel; the explicit summation
+over layers is kept only in the tests, as the oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+
+# pi = _PI_HI + _PI_LO to ~1e-26, with j * _PI_HI exact for |j| < 2**20.
+_PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
+_PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
 
 
 class Convention(enum.Enum):
@@ -84,46 +90,65 @@ class BlochSummary:
     ratio: Optional[float]
 
 
-def _symmetric_offsets(layer_count: int) -> np.ndarray:
-    # k = -(m-1)/2 ... (m-1)/2 in unit steps: integers for odd m,
-    # half-integers for even m, preserving the k <-> -k cancellation.
-    return np.arange(layer_count, dtype=float) - 0.5 * (layer_count - 1)
+def dirichlet(m: int, theta: float) -> float:
+    """D_m(theta) = sin(m theta/2) / sin(theta/2): the sum of cos(k theta) over
+    the m symmetric layer offsets k = -(m-1)/2 ... (m-1)/2, in O(1).
+
+    With j = round(theta / 2 pi) and x = theta/2 - pi j (exact to rounding
+    for theta below ~6.6e6 rad), D = (-1)^((m-1) j) sin(m x) / sin(x), and
+    +-m where sin(x) == 0. Unlike the unreduced form, whose sines both lose
+    their leading digits there, this stays accurate where the layers
+    rephase (theta near 2 pi j).
+    """
+    if not math.isfinite(theta):
+        raise ValueError(f"layer phase spread phi_g' t must be finite, got {theta!r}")
+    theta = abs(theta)
+    j = round(theta / math.tau)
+    x = (0.5 * theta - j * _PI_HI) - j * _PI_LO
+    s = math.sin(x)
+    d = float(m) if s == 0.0 else math.sin(m * x) / s
+    return -d if m % 2 == 0 and j % 2 else d
+
+
+def dirichlet_array(m: int, theta: np.ndarray) -> np.ndarray:
+    """dirichlet() over an array of theta, with the same arithmetic step by step."""
+    theta = np.abs(theta)
+    j = np.round(theta / math.tau)
+    x = (0.5 * theta - j * _PI_HI) - j * _PI_LO
+    s = np.sin(x)
+    d = np.divide(np.sin(m * x), s, out=np.full_like(s, float(m)), where=s != 0.0)
+    if m % 2 == 0:
+        d = np.where(np.fmod(j, 2.0) == 1.0, -d, d)
+    return d
+
 
 def bloch_sum(inp: DephasingInput) -> BlochSummary:
     """Sum the per-layer Bloch vectors at time t.
 
     S_x = sum_k cos((phi_l + k phi_g') t), S_y likewise with sin, k running
-    over layer_count symmetric offsets centered on 0. phi_eff is
-    asin(S_y / layer_count). Summation is ascending in k with compensated
-    (exact) accumulation, so results are platform-independent.
+    over layer_count symmetric offsets centered on 0. The k <-> -k symmetry
+    factors the sum exactly into S_x = cos(phi_l t) D, S_y = sin(phi_l t) D
+    with D = dirichlet(m, phi_g' t), so each evaluation is O(1) in the layer
+    count. phi_eff is asin(S_y / layer_count).
     """
     m = inp.layer_count
     rate = effective_phase_rate(inp.phi_g, m, inp.convention)
-    phases = (inp.phi_l + _symmetric_offsets(m) * rate) * inp.t
-    s_x = math.fsum(np.cos(phases).tolist())
-    s_y = math.fsum(np.sin(phases).tolist())
-    length = math.hypot(s_x, s_y)
-    phi_eff = math.asin(max(-1.0, min(1.0, s_y / m)))
     nominal = inp.phi_l * inp.t
+    d = dirichlet(m, rate * inp.t)
+    s_x, s_y = math.cos(nominal) * d, math.sin(nominal) * d
+    phi_eff = math.asin(max(-1.0, min(1.0, s_y / m)))
     ratio = phi_eff / nominal if nominal != 0.0 else None
-    return BlochSummary(s_x=s_x, s_y=s_y, length=length, phi_eff=phi_eff, ratio=ratio)
+    return BlochSummary(s_x=s_x, s_y=s_y, length=abs(d), phi_eff=phi_eff, ratio=ratio)
 
 
 def contrast_closed_form(phi_g_eff: float, layer_count: int, t: float) -> float:
-    """Dirichlet-kernel contrast |sin(m theta/2) / (m sin(theta/2))|, theta = phi_g'*t.
+    """Normalized length |D_m(theta)| / m of layer_count phasors, theta = phi_g'*t.
 
-    Closed form for the normalized length of layer_count equally spaced unit
-    phasors; equals bloch_sum length / layer_count. Returns 1 at theta = 0
-    (and wherever the layers rephase, theta = 2 pi j).
+    Equals bloch_sum length / layer_count; 1 wherever theta = 2 pi j.
     """
     if layer_count < 1:
         raise ValueError(f"layer_count must be >= 1, got {layer_count}")
-    theta = phi_g_eff * t
-    half = 0.5 * theta
-    denom = math.sin(half)
-    if abs(denom) < 1e-12:
-        return 1.0
-    return abs(math.sin(layer_count * half) / (layer_count * denom))
+    return abs(dirichlet(layer_count, phi_g_eff * t)) / layer_count
 
 
 def dephase_curve(

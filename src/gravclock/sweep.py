@@ -11,16 +11,16 @@ laser-limited branch scale as 1/size for cubes and stay flat for slabs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
 from .dephasing import Convention
-from .thresholds import TAU_CAP_S, TauMaxProblem, solve_tau_max
+from .thresholds import TauMaxProblem, solve_tau_max
 
 FLAG_NON_BRACKETABLE = "non-bracketable"
+FLAG_NON_CONVERGED = "non-converged"
 
 DEFAULT_PHI_L_GRID: tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 DEFAULT_SLAB_ATOMS_PER_LAYER = 10_000
@@ -85,12 +85,13 @@ def best_stability_at_1s(
     species: ClockSpecies = YB,
     consts: PhysicalConstants = PhysicalConstants(),
     layer_spacing: float | None = None,
-    tau_cap: float = TAU_CAP_S,
 ) -> StabilityPoint:
     """Stability of one (size, phi_l) cell, converted to 1 s integration.
 
     A non-bracketable tau search (laser never limits) yields a flagged point
-    evaluated at the tau cap instead of aborting.
+    evaluated at the tau cap instead of aborting. A bracketed search whose
+    bisection ran out of iterations before meeting its tolerances is
+    flagged non-converged.
     """
     spacing = species.default_layer_spacing if layer_spacing is None else layer_spacing
     phi_g = per_layer_phase_rate(consts, species, spacing)
@@ -101,7 +102,10 @@ def best_stability_at_1s(
     else:
         raise ValueError(f"family must be 'cubic' or 'slab', got {family!r}")
 
-    result = solve_tau_max(problem, tau_cap=tau_cap)
+    result = solve_tau_max(problem)
+    flag = "" if result.converged else (
+        FLAG_NON_CONVERGED if result.bracketed else FLAG_NON_BRACKETABLE
+    )
     tau = result.tau_s
     sigma_at_tau = 1.0 / (species.omega0 * tau * math.sqrt(problem.atoms_per_layer))
     return StabilityPoint(
@@ -112,21 +116,14 @@ def best_stability_at_1s(
         tau_max_s=tau,
         sigma_at_tau=sigma_at_tau,
         sigma_at_1s=sigma_at_tau * math.sqrt(tau),
-        flag="" if result.bracketed else FLAG_NON_BRACKETABLE,
+        flag=flag,
     )
 
 
-def sweep(spec: SweepSpec, threads: int = 1) -> list[StabilityPoint]:
-    """Cartesian product of the grids, size-major row order.
-
-    Cells are independent; with threads > 1 they are evaluated in a thread
-    pool and reassembled in grid order, so the output is identical either way.
-    """
-    cells = [(size, phi_l) for size in spec.sizes for phi_l in spec.phi_l_grid]
-
-    def evaluate(cell: tuple[int, float]) -> StabilityPoint:
-        size, phi_l = cell
-        return best_stability_at_1s(
+def sweep(spec: SweepSpec) -> list[StabilityPoint]:
+    """Cartesian product of the grids, size-major row order."""
+    return [
+        best_stability_at_1s(
             size,
             phi_l,
             family=spec.family,
@@ -136,11 +133,9 @@ def sweep(spec: SweepSpec, threads: int = 1) -> list[StabilityPoint]:
             consts=spec.consts,
             layer_spacing=spec.layer_spacing,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(evaluate, cells))
-    return [evaluate(cell) for cell in cells]
+        for size in spec.sizes
+        for phi_l in spec.phi_l_grid
+    ]
 
 
 def split_at_minimum(

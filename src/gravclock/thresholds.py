@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
-from .dephasing import Convention, _symmetric_offsets, effective_phase_rate
+from .dephasing import Convention, dirichlet, dirichlet_array, effective_phase_rate
 
 TAU_CAP_S = 1e9
-_SCAN_POINTS_PER_DECADE = 32
+_SCAN_GRID = np.geomspace(1e-6, TAU_CAP_S, 32 * 15 + 1)  # 32 points per decade
 _BISECT_MAX_ITER = 200
 _BISECT_REL_TOL = 1e-6
 _RESIDUAL_REL_TOL = 1e-4
@@ -197,106 +197,100 @@ class TauMaxResult:
     """Outcome of the tau_max search.
 
     bracketed is False when the error never reaches the threshold within
-    (0, tau_cap]: the laser-dominated regime with unbounded tau. tau_s then
-    holds the cap. criterion records whether the phase-ratio error or the
-    phi_l = 0 contrast fallback was used.
+    (0, TAU_CAP_S]: the laser-dominated regime with unbounded tau. tau_s then
+    holds the cap. converged is True only when the bisection met both its
+    tau and residual tolerances; it is False for an unbracketed search and
+    for one that ran out of iterations. criterion records whether the
+    phase-ratio error or the phi_l = 0 contrast fallback was used.
     """
 
     tau_s: float
     error_at_tau: float
     threshold: float
     bracketed: bool
+    converged: bool
     criterion: str
     convention: Convention
 
 
 def _error_function(problem: TauMaxProblem):
-    """Dephasing error at time t, relative to the nominal phase.
+    """(error, errors, criterion): the dephasing error at one t (math) and at
+    an array of t (numpy), relative to the nominal phase.
 
-    For phi_l > 0: |1 - phi_eff / (phi_l t)| with phi_eff = asin(S_y / m).
-    For phi_l = 0 the nominal phase vanishes and phi_eff is identically zero
-    by the k <-> -k symmetry, so the criterion degrades continuously to the
-    contrast loss 1 - |S| / m (the phi_l -> 0 limit of the ratio form).
+    For phi_l > 0: |1 - phi_eff / (phi_l t)| with phi_eff = asin(S_y / m),
+    S_y = sin(phi_l t) D_m(phi_g' t). For phi_l = 0 the nominal phase vanishes
+    and phi_eff is identically zero by the k <-> -k symmetry, so the criterion
+    degrades continuously to the contrast loss 1 - |D_m| / m (the phi_l -> 0
+    limit of the ratio form).
     """
     m = problem.layer_count
-    offsets = _symmetric_offsets(m)
     rate = effective_phase_rate(problem.phi_g, m, problem.convention)
-
-    if problem.phi_l == 0.0:
-        def error(t: float) -> float:
-            phases = offsets * (rate * t)
-            s_x = math.fsum(np.cos(phases).tolist())
-            s_y = math.fsum(np.sin(phases).tolist())
-            return 1.0 - math.hypot(s_x, s_y) / m
-
-        return error, "contrast"
+    phi_l = problem.phi_l
 
     def error(t: float) -> float:
-        phases = (problem.phi_l + offsets * rate) * t
-        s_y = math.fsum(np.sin(phases).tolist())
-        phi_eff = math.asin(max(-1.0, min(1.0, s_y / m)))
-        return abs(1.0 - phi_eff / (problem.phi_l * t))
+        d = dirichlet(m, rate * t)
+        if phi_l == 0.0:
+            return 1.0 - abs(d) / m
+        s_y = math.sin(phi_l * t) * d
+        return abs(1.0 - math.asin(max(-1.0, min(1.0, s_y / m))) / (phi_l * t))
 
-    return error, "phase-ratio"
+    def errors(t: np.ndarray) -> np.ndarray:
+        d = dirichlet_array(m, rate * t)
+        if phi_l == 0.0:
+            return 1.0 - np.abs(d) / m
+        s_y = np.sin(phi_l * t) * d
+        return np.abs(1.0 - np.arcsin(np.clip(s_y / m, -1.0, 1.0)) / (phi_l * t))
+
+    return error, errors, "contrast" if phi_l == 0.0 else "phase-ratio"
 
 
-def solve_tau_max(problem: TauMaxProblem, tau_cap: float = TAU_CAP_S) -> TauMaxResult:
+def _first_crossing(errors: np.ndarray, thr: float) -> int | None:
+    """First i with errors[i-1] <= thr < errors[i]; 0 if errors[0] > thr; else None."""
+    if errors[0] > thr:
+        return 0
+    crossing = np.flatnonzero((errors[:-1] <= thr) & (errors[1:] > thr))
+    return int(crossing[0]) + 1 if crossing.size else None
+
+
+def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     """Largest tau with dephasing error at or below the per-layer SQL.
 
-    Scans a fixed geometric grid from 1e-6 s to tau_cap for the first
-    bracket where the error crosses the threshold, then bisects to a
-    relative tau tolerance of 1e-6 (at most 200 iterations, tightening until
-    the error residual is within 1e-4 of the threshold). Deterministic:
-    fixed grid, fixed iteration policy, no randomness.
+    Evaluates the error on a fixed geometric grid from 1e-6 s to TAU_CAP_S
+    in one array pass, takes the first bracket where it crosses the
+    threshold, then bisects to a relative tau tolerance of 1e-6 (at most
+    200 iterations, tightening until the error residual is within 1e-4 of
+    the threshold). Deterministic: fixed grid, fixed iteration policy, no
+    randomness.
     """
-    error, criterion = _error_function(problem)
+    error, errors, criterion = _error_function(problem)
     thr = problem.threshold
-
-    tau_lo = 1e-6
-    n_points = int(_SCAN_POINTS_PER_DECADE * math.log10(tau_cap / tau_lo)) + 1
-    grid = np.geomspace(tau_lo, tau_cap, n_points)
-
-    lo = grid[0]
-    e_lo = error(lo)
-    if e_lo > thr:
-        # Pathological: already past threshold at the scan floor; bisection
-        # below starts from lo = 0 (the error vanishes with t).
-        lo, hi = 0.0, grid[0]
-    else:
-        hi = None
-        for t in grid[1:]:
-            e_t = error(t)
-            if e_lo <= thr < e_t:
-                hi = t
-                break
-            lo, e_lo = t, e_t
-        if hi is None:
-            return TauMaxResult(
-                tau_s=tau_cap,
-                error_at_tau=error(tau_cap),
-                threshold=thr,
-                bracketed=False,
-                criterion=criterion,
-                convention=problem.convention,
+    i = _first_crossing(errors(_SCAN_GRID), thr)
+    tau, converged = TAU_CAP_S, False
+    if i is not None:
+        # i == 0 is pathological: already past threshold at the scan floor,
+        # so bisection starts from lo = 0 (the error vanishes with t).
+        lo, hi = (float(_SCAN_GRID[i - 1]) if i else 0.0), float(_SCAN_GRID[i])
+        tau = 0.5 * (lo + hi)
+        e_tau = error(tau)
+        for _ in range(_BISECT_MAX_ITER):
+            if e_tau > thr:
+                hi = tau
+            else:
+                lo = tau
+            tau = 0.5 * (lo + hi)
+            e_tau = error(tau)
+            converged = (
+                hi - lo <= _BISECT_REL_TOL * max(lo, 1e-300)
+                and abs(e_tau - thr) <= _RESIDUAL_REL_TOL * thr
             )
-
-    mid = 0.5 * (lo + hi)
-    e_mid = error(mid)
-    for _ in range(_BISECT_MAX_ITER):
-        if e_mid > thr:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-        e_mid = error(mid)
-        converged = (hi - lo) <= _BISECT_REL_TOL * max(lo, 1e-300)
-        if converged and abs(e_mid - thr) <= _RESIDUAL_REL_TOL * thr:
-            break
+            if converged:
+                break
     return TauMaxResult(
-        tau_s=mid,
-        error_at_tau=e_mid,
+        tau_s=tau,
+        error_at_tau=error(tau),
         threshold=thr,
-        bracketed=True,
+        bracketed=i is not None,
+        converged=converged,
         criterion=criterion,
         convention=problem.convention,
     )

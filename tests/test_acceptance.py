@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from layer_sum_oracle import explicit_layer_sum
 
 from gravclock.cli import main
 from gravclock.core import (
@@ -211,16 +212,19 @@ def test_criterion_6_systematics_anchors():
 
 
 def test_criterion_7_property_suites(tmp_path, capsys):
-    # Dirichlet closed form against direct summation on a randomized grid.
+    # Dirichlet closed form against the explicit layer sum on a randomized grid.
     rng = np.random.default_rng(2024)
     for _ in range(500):
         m = int(rng.integers(1, 2001))
         theta = float(rng.uniform(0.0, math.pi * (1 - 1e-9)))
-        oracle = contrast_closed_form(theta, m, 1.0)
+        s_x, s_y = explicit_layer_sum(0.0, theta, m, 1.0)
+        oracle = math.hypot(s_x, s_y) / m
+        assert contrast_closed_form(theta, m, 1.0) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
         direct = bloch_sum(DephasingInput(phi_l=0.0, phi_g=theta, layer_count=m, t=1.0))
         assert direct.length / m == pytest.approx(oracle, rel=1e-9, abs=1e-9)
-        # phi_l = 0 keeps S_y at zero up to compensated-summation tolerance.
-        assert abs(direct.s_y) <= 1e-12 * m
+        # phi_l = 0 keeps S_y at zero, in the closed form and in the oracle.
+        assert direct.s_y == 0.0
+        assert abs(s_y) <= 1e-12 * m
 
     # Stationarity of the numeric intensity-ratio extremum.
     beam = GaussianBeam(waist=170e-6, wavelength=YB.magic_wavelength)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from gravclock import thresholds
 from gravclock.cli import main
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -53,7 +54,7 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     assert read_tree(out_a) == read_tree(out_b)
 
 
-def test_sweep_rerun_and_thread_determinism(tmp_path, capsys, monkeypatch):
+def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
     scenario = tmp_path / "tiny.cfg"
     scenario.write_text(
         "convention = paper-figure\n"
@@ -61,22 +62,12 @@ def test_sweep_rerun_and_thread_determinism(tmp_path, capsys, monkeypatch):
         "sweep.sizes = 10,100\n"
         "sweep.phi_l = 1e-4,1e-2\n"
     )
-    out_serial = tmp_path / "serial"
-    out_threaded = tmp_path / "threaded"
-    assert main(["stability-sweep", "--scenario", str(scenario), "--out", str(out_serial)]) == 0
-    monkeypatch.setenv("GRAVCLOCK_THREADS", "4")
-    assert (
-        main(["stability-sweep", "--scenario", str(scenario), "--out", str(out_threaded)])
-        == 0
-    )
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    assert main(["stability-sweep", "--scenario", str(scenario), "--out", str(out_a)]) == 0
+    assert main(["stability-sweep", "--scenario", str(scenario), "--out", str(out_b)]) == 0
     capsys.readouterr()
-    assert read_tree(out_serial) == read_tree(out_threaded)
-
-
-def test_bad_thread_count_is_validation_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GRAVCLOCK_THREADS", "many")
-    assert main(["threshold", "--out", str(tmp_path / "o")]) == 2
-    assert "GRAVCLOCK_THREADS" in capsys.readouterr().err
+    assert read_tree(out_a) == read_tree(out_b)
 
 
 def test_invalid_scenario_exits_2(tmp_path, capsys):
@@ -124,6 +115,19 @@ def test_flagged_sweep_exits_3_unless_allowed(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 0
+
+
+def test_non_converged_sweep_exits_3_unless_allowed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(thresholds, "_BISECT_MAX_ITER", 1)
+    scenario = tmp_path / "cell.cfg"
+    scenario.write_text(
+        "convention = paper-figure\nsweep.family = cubic\nsweep.sizes = 200\nsweep.phi_l = 1e-2\n"
+    )
+    args = ["stability-sweep", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    assert "non-converged" in capsys.readouterr().err
+    assert main(args + ["--allow-flags"]) == 0
+    capsys.readouterr()
 
 
 def test_convention_override_flag(tmp_path, capsys):

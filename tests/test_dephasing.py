@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from layer_sum_oracle import explicit_dirichlet, explicit_layer_sum
 
 from gravclock.core import PhysicalConstants, YB, per_layer_phase_rate
 from gravclock.dephasing import (
@@ -14,6 +16,8 @@ from gravclock.dephasing import (
     bloch_sum,
     contrast_closed_form,
     dephase_curve,
+    dirichlet,
+    dirichlet_array,
     effective_phase_rate,
 )
 
@@ -66,8 +70,8 @@ def test_fig1_point_under_physical_convention():
 
 
 def test_ratio_even_in_phi_g():
-    # Sign flip of phi_g mirrors the layer stack; fsum makes the sums
-    # order-independent, so the results match exactly.
+    # Sign flip of phi_g mirrors the layer stack; the kernel takes |theta|,
+    # so the results match exactly.
     for convention in Convention:
         a = bloch_sum(make_input(3e-4, PHI_G, 77, 55.0, convention))
         b = bloch_sum(make_input(3e-4, -PHI_G, 77, 55.0, convention))
@@ -121,9 +125,10 @@ def test_closed_form_matches_bloch_sum_randomized():
         m = int(rng.integers(1, 2001))
         theta = float(rng.uniform(0.0, math.pi * (1 - 1e-9)))
         rate, t = theta, 1.0
-        oracle = contrast_closed_form(rate, m, t)
+        oracle = math.hypot(*explicit_layer_sum(0.0, rate, m, t)) / m
         direct = bloch_sum(make_input(0.0, rate, m, t)).length / m
         assert direct == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+        assert contrast_closed_form(rate, m, t) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
 def test_small_spread_quadratic_expansion():
@@ -136,7 +141,7 @@ def test_small_spread_quadratic_expansion():
 
 
 def test_brute_force_small_layer_counts():
-    # Term-by-term reference summation; equality up to libm rounding.
+    # Term-by-term oracle summation; equality up to libm rounding.
     rng = np.random.default_rng(3)
     for _ in range(50):
         m = int(rng.integers(1, 8))
@@ -144,15 +149,50 @@ def test_brute_force_small_layer_counts():
         phi_g = rng.integers(0, 10) / rng.integers(1, 10)
         t = rng.integers(0, 5) / max(1, rng.integers(1, 4))
         inp = make_input(float(phi_l), float(phi_g), m, float(t))
-        s_x = math.fsum(
-            math.cos((phi_l + (k - (m - 1) / 2) * phi_g) * t) for k in range(m)
-        )
-        s_y = math.fsum(
-            math.sin((phi_l + (k - (m - 1) / 2) * phi_g) * t) for k in range(m)
-        )
+        s_x, s_y = explicit_layer_sum(float(phi_l), float(phi_g), m, float(t))
         result = bloch_sum(inp)
         assert result.s_x == pytest.approx(s_x, rel=1e-14, abs=1e-14)
         assert result.s_y == pytest.approx(s_y, rel=1e-14, abs=1e-14)
+
+
+@settings(max_examples=300)
+@given(
+    m=st.integers(1, 3001),
+    j=st.integers(0, 1000),
+    log_delta=st.floats(-15.0, 0.5),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+# Regression points where the unreduced sin(m theta/2)/sin(theta/2) gave
+# -4.04 m and 0.999994 m.
+@example(m=101, j=30000, log_delta=-11.0, sign=1.0)
+@example(m=3, j=1, log_delta=-10.0, sign=1.0)
+@example(m=8, j=7, log_delta=-math.inf, sign=1.0)
+@example(m=9, j=7, log_delta=-math.inf, sign=1.0)
+def test_dirichlet_matches_explicit_sum_near_rephasing(m, j, log_delta, sign):
+    # theta = 2 pi j +- delta, delta from 1e-15 to ~3 (0 for the -inf examples),
+    # both parities of m: the range-reduced kernel against the explicit sum.
+    theta = 2.0 * math.pi * j + sign * 10.0**log_delta
+    assert abs(dirichlet(m, theta) - explicit_dirichlet(m, theta)) <= 1e-9 * m
+
+
+_THETAS = st.one_of(
+    st.floats(-1e9, 1e9),
+    st.builds(
+        lambda j, delta: 2.0 * math.pi * j + delta,
+        st.integers(-1000, 1000),
+        st.floats(-1e-6, 1e-6),
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(m=st.integers(1, 3001), thetas=st.lists(_THETAS, min_size=1, max_size=40))
+def test_dirichlet_array_is_bit_identical_to_scalar(m, thetas):
+    # The tau_max scan uses the array twin and the bisection the scalar
+    # kernel; they must agree bit for bit (numpy's float64 sin is the
+    # platform libm's sin on the supported platforms).
+    array = dirichlet_array(m, np.array(thetas)).tolist()
+    assert [v.hex() for v in array] == [dirichlet(m, t).hex() for t in thetas]
 
 
 def test_even_layer_count_uses_half_integer_offsets():
@@ -171,6 +211,8 @@ def test_input_validation():
         make_input(0.0, 0.0, 0, 1.0)
     with pytest.raises(ValueError):
         make_input(0.0, 0.0, 5, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        bloch_sum(make_input(0.0, 1e300, 5, 1e300))  # phi_g' t overflows
 
 
 def test_dephase_curve_rows():

@@ -113,11 +113,6 @@ def test_single_cell_sweep():
     assert points[0].size == 100
 
 
-def test_threaded_sweep_matches_serial():
-    spec = SweepSpec(family="cubic", sizes=(5, 50, 500), phi_l_grid=(1e-4, 1e-2), convention=PF)
-    assert sweep(spec, threads=4) == sweep(spec, threads=1)
-
-
 def test_flagged_point_capped_at_tau_limit():
     # A single slab layer with a silent laser never dephases.
     point = best_stability_at_1s(1, 0.0, family="slab", atoms_per_layer=100, convention=PF)

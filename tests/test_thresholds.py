@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from layer_sum_oracle import explicit_layer_sum
 from scipy.optimize import brentq
 
+from gravclock import thresholds
 from gravclock.core import PhysicalConstants, YB, per_layer_phase_rate
-from gravclock.dephasing import Convention
+from gravclock.dephasing import Convention, effective_phase_rate
 from gravclock.thresholds import (
     Partition,
     TauMaxProblem,
@@ -120,6 +124,7 @@ def test_tau_max_no_error_sources_is_non_bracketable():
     )
     result = solve_tau_max(problem)
     assert not result.bracketed
+    assert not result.converged
     assert result.tau_s == 1e9
 
 
@@ -128,20 +133,108 @@ def test_tau_max_zero_phi_l_uses_contrast_criterion():
     result = solve_tau_max(problem)
     assert result.criterion == "contrast"
     assert result.bracketed
-    # At the returned time, the contrast loss equals the per-layer SQL.
-    from gravclock.dephasing import DephasingInput, bloch_sum
-
-    summary = bloch_sum(
-        DephasingInput(
-            phi_l=0.0,
-            phi_g=problem.phi_g,
-            layer_count=problem.layer_count,
-            t=result.tau_s,
-            convention=problem.convention,
-        )
-    )
-    loss = 1.0 - summary.length / problem.layer_count
+    # At the returned time, the contrast loss of the explicit layer sum
+    # equals the per-layer SQL.
+    m = problem.layer_count
+    rate = effective_phase_rate(problem.phi_g, m, problem.convention)
+    loss = 1.0 - math.hypot(*explicit_layer_sum(0.0, rate, m, result.tau_s)) / m
     assert loss == pytest.approx(problem.threshold, rel=1e-3)
+
+
+def test_bisection_out_of_iterations_is_not_converged(monkeypatch):
+    problem = TauMaxProblem.cubic(200, 1e-2, Convention.PAPER_FIGURE)
+    assert solve_tau_max(problem).converged
+    monkeypatch.setattr(thresholds, "_BISECT_MAX_ITER", 1)
+    result = solve_tau_max(problem)
+    assert result.bracketed
+    assert not result.converged
+
+
+def _reference_bracket(errors, thr):
+    # The scalar scan loop solve_tau_max ran before the scan was vectorised.
+    if errors[0] > thr:
+        return 0
+    for i in range(1, len(errors)):
+        if errors[i - 1] <= thr < errors[i]:
+            return i
+    return None
+
+
+@settings(max_examples=300)
+@given(
+    errors=st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)), min_size=2, max_size=30),
+    thr=st.sampled_from((0.5, 1.0, 1.5)),
+)
+def test_first_crossing_matches_scalar_loop_with_ties(errors, thr):
+    assert thresholds._first_crossing(np.array(errors), thr) == _reference_bracket(errors, thr)
+
+
+_PROBLEMS = st.builds(
+    TauMaxProblem,
+    layer_count=st.integers(1, 3001),
+    atoms_per_layer=st.integers(1, 10**6),
+    phi_l=st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e)),
+    phi_g=st.just(PHI_G),
+    convention=st.sampled_from(Convention),
+)
+
+
+@settings(max_examples=100)
+@given(problem=_PROBLEMS)
+def test_vectorised_scan_picks_scalar_loop_bracket(problem):
+    error, errors, _ = thresholds._error_function(problem)
+    grid = thresholds._SCAN_GRID
+    scalar = [error(t) for t in grid.tolist()]
+    assert thresholds._first_crossing(errors(grid), problem.threshold) == _reference_bracket(
+        scalar, problem.threshold
+    )
+
+
+_PHI_L = st.one_of(st.just(0.0), st.floats(-7.0, -1.0).map(lambda e: 10.0**e))
+
+
+def _family_tau(family, size, phi_l, convention, atoms_per_layer):
+    if family == "cubic":
+        problem = TauMaxProblem.cubic(size, phi_l, convention)
+    else:
+        problem = TauMaxProblem.slab(size, atoms_per_layer, phi_l, convention)
+    return solve_tau_max(problem).tau_s
+
+
+@settings(max_examples=100)
+@given(
+    family=st.sampled_from(("cubic", "slab")),
+    size=st.integers(1, 1500),
+    step=st.integers(1, 300),
+    phi_l=_PHI_L,
+    convention=st.sampled_from(Convention),
+    atoms_per_layer=st.integers(1, 10**5),
+)
+def test_tau_max_monotone_in_size_property(
+    family, size, step, phi_l, convention, atoms_per_layer
+):
+    small = _family_tau(family, size, phi_l, convention, atoms_per_layer)
+    large = _family_tau(family, size + step, phi_l, convention, atoms_per_layer)
+    assert large <= small * (1 + 1e-9)
+
+
+@settings(max_examples=100)
+@given(
+    family=st.sampled_from(("cubic", "slab")),
+    size=st.integers(1, 1500),
+    phi_l=_PHI_L,
+    decades=st.floats(0.0, 2.0),
+    convention=st.sampled_from(Convention),
+    atoms_per_layer=st.integers(1, 10**5),
+)
+def test_tau_max_monotone_in_phi_l_property(
+    family, size, phi_l, decades, convention, atoms_per_layer
+):
+    # Any drift is faster than none.
+    faster = phi_l * 10.0**decades if phi_l else 1e-3 * 10.0**-decades
+    slow = _family_tau(family, size, phi_l, convention, atoms_per_layer)
+    fast = _family_tau(family, size, faster, convention, atoms_per_layer)
+    assert fast <= slow * (1 + 1e-9)
 
 
 def test_tau_max_contrast_limit_continuity():
