@@ -320,12 +320,13 @@ def main(argv: list[str] | None = None) -> int:
             files, flags, text = _run_stability_sweep(scenario)
         else:
             files, flags, text = _run_budget(scenario)
+
+        files["run_record.json"] = json_text(run_record(scenario_text, __version__, files))
+        write_outputs(Path(args.out), files)
     except (ScenarioError, OSError, ValueError) as exc:
         print(f"gravclock: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    files["run_record.json"] = json_text(run_record(scenario_text, __version__, files))
-    write_outputs(Path(args.out), files)
     sys.stdout.write(text)
 
     if flags and not args.allow_flags:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -165,4 +165,7 @@ def dephase_curve(
             raise ValueError(f"t_grid[{i}] must be >= 0 and finite, got {t!r}")
         if i > 0 and not t > grid[i - 1]:
             raise ValueError(f"t_grid must be strictly increasing at index {i}")
-    return [(t, bloch_sum(replace(template, t=t))) for t in grid]
+    phi_l, phi_g, m, convention = (
+        template.phi_l, template.phi_g, template.layer_count, template.convention
+    )
+    return [(t, bloch_sum(DephasingInput(phi_l, phi_g, m, t, convention))) for t in grid]

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-from scipy.optimize import brentq
+from typing import Callable
 
 from .core import ClockSpecies, PhysicalConstants, YB, relative_redshift
 
@@ -223,6 +222,33 @@ def _area_ratio_excess(u: float, delta: float) -> float:
     return -(2.0 * u + delta) / (1.0 + (u + delta) * (u + delta))
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
+    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign.
+
+    Halves the bracket until it is no wider than xtol or its midpoint rounds
+    onto an endpoint, and returns a point of the final bracket.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: f = {f_lo!r}, {f_hi!r}")
+    while hi - lo > xtol:
+        mid = lo + 0.5 * (hi - lo)
+        if mid == lo or mid == hi:
+            break
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return lo + 0.5 * (hi - lo)
+
+
 def _excess_slope(u: float, delta: float, h: float = 1e-5) -> float:
     # Centered difference of the change profile; its analytic simplification
     # is the stationarity oracle u^2 + u*delta - 1 = 0 and stays out of the
@@ -244,8 +270,8 @@ def lattice_intensity_ratio(beam: GaussianBeam, separation: float) -> IntensityR
     z_r = beam.rayleigh_range
     delta = separation / z_r
 
-    u_pos = brentq(_excess_slope, 1e-12, 2.0, args=(delta,), xtol=1e-13, rtol=1e-15)
-    u_neg = brentq(_excess_slope, -delta - 2.0, -1.0, args=(delta,), xtol=1e-13, rtol=1e-15)
+    u_pos = _bisect(lambda u: _excess_slope(u, delta), 1e-12, 2.0, xtol=1e-13)
+    u_neg = _bisect(lambda u: _excess_slope(u, delta), -delta - 2.0, -1.0, xtol=1e-13)
 
     u_closed = math.sqrt(delta * delta + 4.0) / 2.0
     closed = (u_closed, -u_closed)
@@ -357,9 +383,13 @@ def bbr_temperature_limit(
     """Wall temperature difference [K] at which the BBR differential equals
     the redshift signal; inf when even a large imbalance cannot reach it."""
 
+    t1 = geom.t1
+    omega_near = geom.solid_angle(geom.wall_distance - geom.ensemble_extent)
+    omega_far = geom.solid_angle(geom.wall_distance + geom.ensemble_extent)
+
     def excess_shift(delta_t: float) -> float:
-        probe = replace(geom, t2=geom.t1 + delta_t)
-        return bbr_differential(probe, coeffs).shift_fractional - signal.fractional
+        ratio = bbr_field_ratio(t1, t1 + delta_t, omega_near, omega_far)
+        return coeffs.bbr_fractional * (ratio - 1.0) - signal.fractional
 
     hi = 1e-3
     while excess_shift(hi) < 0:
@@ -367,7 +397,7 @@ def bbr_temperature_limit(
         if hi > 1e6:
             return math.inf
     # excess_shift(0) = -signal.fractional <= 0, so [0, hi] always brackets.
-    return brentq(excess_shift, 0.0, hi, xtol=1e-12, rtol=1e-14)
+    return _bisect(excess_shift, 0.0, hi, xtol=1e-12)
 
 
 @dataclass(frozen=True)

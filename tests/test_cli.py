@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,8 @@ import pytest
 from gravclock import thresholds
 from gravclock.cli import main
 
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ROOT / "presets"
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -82,6 +86,30 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["threshold", "--scenario", str(missing), "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("keep\n")
+    assert main(["budget", "--out", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("gravclock: error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert blocker.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["not_a_dir"]
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys, gravclock.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_flagged_sweep_exits_3_unless_allowed(tmp_path, capsys):

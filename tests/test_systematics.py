@@ -4,9 +4,12 @@ import math
 from dataclasses import replace
 
 import pytest
+from scipy.optimize import brentq
 
 from gravclock.core import YB
 from gravclock.systematics import (
+    _bisect,
+    _excess_slope,
     DEFAULT_BBR_DISK_RADIUS,
     P2_NATURAL_LINEWIDTH_HZ,
     YB_COEFFICIENTS,
@@ -175,6 +178,34 @@ def test_intensity_ratio_change_matches_direct_quotient():
         assert change == pytest.approx(direct, rel=1e-9)
 
 
+def test_bisect_stops_at_xtol_and_at_float_resolution():
+    root = math.sqrt(2.0)
+    assert abs(_bisect(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-6) - root) <= 0.5e-6
+    # xtol = 0 ends only when the midpoint rounds onto an endpoint.
+    assert _bisect(lambda x: x * x - 2.0, 0.0, 2.0, xtol=0.0) == pytest.approx(root, rel=1e-15)
+    assert _bisect(lambda x: x - 0.5, 0.0, 0.5, xtol=1e-13) == 0.5
+
+
+def test_bisect_rejects_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="no sign change"):
+        _bisect(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+    with pytest.raises(ValueError, match="no sign change"):
+        _bisect(lambda x: math.nan, 0.0, 1.0, xtol=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 6.35e-4, 1e-2, 0.1, 0.3, 1.0, 3.0])
+def test_bisect_matches_brentq_on_excess_slope(delta):
+    # The slope is a centred difference with h = 1e-5, so its rounding noise
+    # (~eps/h ~ 2e-11) blurs the sign change over ~1e-11 in u; the two
+    # finders may pick different crossings inside that band, not within xtol.
+    for lo, hi in ((1e-12, 2.0), (-delta - 2.0, -1.0)):
+        ours = _bisect(lambda u: _excess_slope(u, delta), lo, hi, xtol=1e-13)
+        oracle = brentq(_excess_slope, lo, hi, args=(delta,), xtol=1e-13, rtol=1e-15)
+        assert lo <= ours <= hi
+        assert abs(ours - oracle) <= 1e-10
+        assert abs(ours * ours + ours * delta - 1.0) <= 1e-9
+
+
 def test_ac_stark_anchor_exact():
     entry = ac_stark_entry(0.10, SIGNAL_100)
     assert entry.fractional == 1e-19
@@ -228,6 +259,36 @@ def test_bbr_temperature_limit_linearity():
         fractional=0.5 * SIGNAL_100.fractional,
     )
     assert bbr_temperature_limit(geom, half_signal) == pytest.approx(0.5 * limit, rel=1e-3)
+
+
+@pytest.mark.parametrize("wall_distance", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("base_temperature", [4.0, 77.0, 293.0, 400.0])
+def test_bbr_temperature_limit_matches_brentq(wall_distance, base_temperature):
+    for n_site in (1, 100, 1000):
+        signal = gravitational_signal(n_site)
+        geom = BbrGeometry(
+            wall_distance=wall_distance,
+            t1=base_temperature,
+            t2=base_temperature + 1.0,
+            ensemble_extent=signal.delta_z,
+        )
+
+        def excess(delta_t):
+            probe = replace(geom, t2=geom.t1 + delta_t)
+            return bbr_differential(probe).shift_fractional - signal.fractional
+
+        oracle = brentq(excess, 0.0, 1e6, xtol=1e-12, rtol=1e-14)
+        # Each finder stops within xtol = 1e-12 of a sign change.
+        assert abs(bbr_temperature_limit(geom, signal) - oracle) <= 2e-12
+
+
+def test_bbr_temperature_limit_unreachable_signal_is_inf():
+    geom = BbrGeometry(
+        wall_distance=0.05, t1=293.0, t2=294.0, ensemble_extent=SIGNAL_100.delta_z
+    )
+    # The field ratio saturates at W+/W- as t2 grows, far below this signal.
+    huge = replace(SIGNAL_100, fractional=1e-10)
+    assert bbr_temperature_limit(geom, huge) == math.inf
 
 
 def test_bbr_geometry_validation():
