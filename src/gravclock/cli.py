@@ -10,6 +10,7 @@ was not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .core import InterrogationParams, per_layer_phase_rate, per_layer_sql, qpn_stability
 from .dephasing import Convention, DephasingInput, dephase_curve
-from .emit import csv_text, fmt_float, json_text, run_record, write_outputs
+from .emit import RUN_RECORD_NAME, csv_text, fmt_float, json_text, run_record, write_outputs
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
 from .sweep import SweepSpec, sweep
 from .systematics import BudgetAssumptions, assemble_budget
@@ -277,7 +278,9 @@ def _load_scenario(path: str | None) -> tuple[Scenario, str]:
     return parse_scenario(text), text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main()."""
     parser = argparse.ArgumentParser(
         prog="gravclock",
         description="Gravitational-redshift dephasing toolkit for optical lattice clocks",
@@ -321,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             files, flags, text = _run_budget(scenario)
 
-        files["run_record.json"] = json_text(run_record(scenario_text, __version__, files))
+        files[RUN_RECORD_NAME] = json_text(run_record(scenario_text, __version__, files))
         write_outputs(Path(args.out), files)
     except (ScenarioError, OSError, ValueError) as exc:
         print(f"gravclock: error: {exc}", file=sys.stderr)

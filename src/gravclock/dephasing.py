@@ -13,9 +13,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # pi = _PI_HI + _PI_LO to ~1e-26, with j * _PI_HI exact for |j| < 2**20.
 _PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
@@ -111,7 +112,13 @@ def dirichlet(m: int, theta: float) -> float:
 
 
 def dirichlet_array(m: int, theta: np.ndarray) -> np.ndarray:
-    """dirichlet() over an array of theta, with the same arithmetic step by step."""
+    """dirichlet() over an array of theta, with the same arithmetic step by step.
+
+    numpy is imported here, not at module level, so that only the tau_max
+    scan pays for it.
+    """
+    import numpy as np
+
     theta = np.abs(theta)
     j = np.round(theta / math.tau)
     x = (0.5 * theta - j * _PI_HI) - j * _PI_LO

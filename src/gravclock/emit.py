@@ -7,9 +7,13 @@ order and no environment-dependent content.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from pathlib import Path
+
+RUN_RECORD_NAME = "run_record.json"
 
 
 def fmt_float(value: float) -> str:
@@ -66,11 +70,34 @@ def sha256_hex(text: str) -> str:
 
 
 def write_outputs(out_dir: Path, files: dict[str, str]) -> None:
-    """Single-writer emission of pre-rendered texts, LF regardless of platform."""
+    """Single-writer emission of pre-rendered texts, LF regardless of platform.
+
+    Refuses, before writing anything, a target that exists and is not a
+    regular file. Every text goes to a temporary file inside out_dir first;
+    the temporaries then replace their targets, RUN_RECORD_NAME last, so a
+    manifest is only ever written after every file it lists. On any failure
+    the temporary files are removed.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+    for name in files:
+        target = out_dir / name
+        if os.path.lexists(target) and not target.is_file():
+            raise FileExistsError(f"{target} exists and is not a regular file")
+    order = sorted(files, key=lambda name: name == RUN_RECORD_NAME)
+    pending: dict[str, Path] = {}
+    try:
+        for name in order:
+            temporary = out_dir / f".gravclock-{os.urandom(8).hex()}.tmp"
+            with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
+                pending[name] = temporary
+                handle.write(files[name])
+        for name in order:
+            os.replace(pending[name], out_dir / name)
+            del pending[name]
+    finally:
+        for temporary in pending.values():
+            with contextlib.suppress(OSError):
+                temporary.unlink(missing_ok=True)
 
 
 def run_record(scenario_text: str, version: str, files: dict[str, str]) -> dict:

@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-import numpy as np
-
 from .core import ClockSpecies, PhysicalConstants, species_by_name
 from .dephasing import Convention
-from .emit import fmt_float, sha256_hex
-from .sweep import DEFAULT_PHI_L_GRID, DEFAULT_SLAB_ATOMS_PER_LAYER, default_size_grid
+from .emit import RUN_RECORD_NAME, fmt_float, sha256_hex
+from .sweep import (
+    DEFAULT_PHI_L_GRID,
+    DEFAULT_SLAB_ATOMS_PER_LAYER,
+    default_size_grid,
+    linspace,
+)
 from .systematics import DEFAULT_BBR_DISK_RADIUS, P2_NATURAL_LINEWIDTH_HZ
 
 
@@ -32,7 +35,7 @@ class ScenarioError(ValueError):
 
 
 def _default_t_grid() -> tuple[float, ...]:
-    return tuple(np.linspace(0.0, 200.0, 201).tolist())
+    return linspace(0.0, 200.0, 201)
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,13 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
         if n < 1:
             raise ValueError(f"grid needs at least 1 point, got {n}")
         if parts[0] == "linspace":
-            return tuple(np.linspace(a, b, n).tolist())
+            return linspace(a, b, n)
         if a <= 0 or b <= 0:
             raise ValueError("logspace endpoints must be positive")
+        # numpy's float64 log10/power need not match math's to the last bit,
+        # so the float logspace keeps numpy to keep its grids' bytes.
+        import numpy as np
+
         return tuple(np.geomspace(a, b, n).tolist())
     return tuple(_parse_float(v.strip()) for v in text.split(","))
 
@@ -209,6 +216,15 @@ def _positive_int(value: int) -> int:
     if value < 1:
         raise ValueError(f"must be >= 1, got {value}")
     return value
+
+
+def _file_name(text: str) -> str:
+    """An output name: a plain file name, so every output lands inside --out."""
+    if text in ("", ".", "..") or "/" in text or "\\" in text:
+        raise ValueError(f"must be a plain file name without a directory, got {text!r}")
+    if text == RUN_RECORD_NAME:
+        raise ValueError(f"{RUN_RECORD_NAME!r} is reserved for the run manifest")
+    return text
 
 
 def _family(text: str) -> str:
@@ -276,12 +292,13 @@ _KEY_HANDLERS: dict[str, Callable[[Scenario, str], Scenario]] = {
     "budget.p2_linewidth": lambda s, v: replace(
         s, budget_p2_linewidth=_positive(_parse_float(v))
     ),
-    "output.threshold": lambda s, v: replace(s, output_threshold=v),
-    "output.dephase_curve": lambda s, v: replace(s, output_dephase_curve=v),
-    "output.stability_sweep": lambda s, v: replace(s, output_stability_sweep=v),
-    "output.budget_json": lambda s, v: replace(s, output_budget_json=v),
-    "output.budget_text": lambda s, v: replace(s, output_budget_text=v),
+    "output.threshold": lambda s, v: replace(s, output_threshold=_file_name(v)),
+    "output.dephase_curve": lambda s, v: replace(s, output_dephase_curve=_file_name(v)),
+    "output.stability_sweep": lambda s, v: replace(s, output_stability_sweep=_file_name(v)),
+    "output.budget_json": lambda s, v: replace(s, output_budget_json=_file_name(v)),
+    "output.budget_text": lambda s, v: replace(s, output_budget_text=_file_name(v)),
 }
+_OUTPUT_KEYS = tuple(key for key in _KEY_HANDLERS if key.startswith("output."))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -311,8 +328,23 @@ def parse_scenario(text: str) -> Scenario:
             scenario = handler(scenario, value)
         except ValueError as exc:
             raise ScenarioError(f"invalid value for {key!r}: {exc}", lineno) from None
+    _check_distinct_outputs(scenario, seen)
     _validate(scenario)
     return scenario
+
+
+def _check_distinct_outputs(scenario: Scenario, seen: dict[str, int]) -> None:
+    """Each output key names its own file; a clash is reported at the later line
+    (defaults count as line 0)."""
+    owners: dict[str, str] = {}
+    for key in sorted(_OUTPUT_KEYS, key=lambda k: seen.get(k, 0)):
+        name = getattr(scenario, key.replace(".", "_"))
+        if name in owners:
+            raise ScenarioError(
+                f"invalid value for {key!r}: {name!r} is already the name of {owners[name]!r}",
+                seen.get(key),
+            )
+        owners[name] = key
 
 
 def _validate(scenario: Scenario) -> None:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
 from .dephasing import Convention
 from .thresholds import TauMaxProblem, solve_tau_max
@@ -26,12 +24,42 @@ DEFAULT_PHI_L_GRID: tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 DEFAULT_SLAB_ATOMS_PER_LAYER = 10_000
 
 
+def linspace(a: float, b: float, n: int) -> tuple[float, ...]:
+    """n evenly spaced floats from a to b, with np.linspace's arithmetic.
+
+    y_i = i*step + a with step = (b - a)/(n - 1), the last point set to b;
+    where step underflows to zero, y_i = i/(n - 1)*(b - a) + a. n = 1 gives
+    0*(b - a) + a. Every operation is one correctly rounded IEEE operation,
+    so the result is bit-identical to numpy's without importing it.
+    """
+    if n < 1:
+        raise ValueError(f"grid needs at least 1 point, got {n}")
+    delta = b - a
+    if n == 1:
+        return (0.0 * delta + a,)
+    div = n - 1
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + a for i in range(n)]
+    else:
+        points = [i * step + a for i in range(n)]
+    points[-1] = b
+    return tuple(points)
+
+
 def default_size_grid(lo: int = 2, hi: int = 1000, points: int = 40) -> tuple[int, ...]:
-    """Log-spaced integer sizes, deduplicated and ascending."""
+    """Log-spaced integer sizes, deduplicated and ascending.
+
+    Follows np.geomspace step by step (log10 of both ends, linspace, 10**y,
+    exact endpoints), then rounds half to even like np.round.
+    """
     if lo < 1 or hi < lo or points < 1:
         raise ValueError(f"invalid size grid bounds ({lo}, {hi}, {points})")
-    raw = np.geomspace(lo, hi, points)
-    return tuple(int(v) for v in np.unique(np.round(raw)).astype(int))
+    raw = [10.0**y for y in linspace(math.log10(lo), math.log10(hi), points)]
+    raw[0] = float(lo)
+    if points > 1:
+        raw[-1] = float(hi)
+    return tuple(sorted({round(v) for v in raw}))
 
 
 @dataclass(frozen=True)
@@ -169,6 +197,8 @@ def scaling_exponent(points: list[StabilityPoint], regime: str) -> float:
         raise ValueError("regime slice contains flagged points")
     if len(slice_) < 3:
         raise ValueError(f"need >= 3 points in the {regime} regime, got {len(slice_)}")
+    import numpy as np
+
     x = np.log([p.size for p in slice_])
     y = np.log([p.sigma_at_1s for p in slice_])
     return float(np.polyfit(x, y, 1)[0])

@@ -11,19 +11,35 @@ bisection on the layer-sum model).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
 from .dephasing import Convention, dirichlet, dirichlet_array, effective_phase_rate
 
 TAU_CAP_S = 1e9
-_SCAN_GRID = np.geomspace(1e-6, TAU_CAP_S, 32 * 15 + 1)  # 32 points per decade
 _BISECT_MAX_ITER = 200
 _BISECT_REL_TOL = 1e-6
 _RESIDUAL_REL_TOL = 1e-4
+
+
+@functools.cache
+def _scan_grid() -> np.ndarray:
+    """The tau_max scan grid, 1e-6 s to TAU_CAP_S at 32 points per decade.
+
+    Built on first use, so that commands without a tau_max search never
+    import numpy. Read-only, because every caller shares the one array.
+    """
+    import numpy as np
+
+    grid = np.geomspace(1e-6, TAU_CAP_S, 32 * 15 + 1)
+    grid.flags.writeable = False
+    return grid
 
 
 class Partition(enum.Enum):
@@ -235,6 +251,8 @@ def _error_function(problem: TauMaxProblem):
         return abs(1.0 - math.asin(max(-1.0, min(1.0, s_y / m))) / (phi_l * t))
 
     def errors(t: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         d = dirichlet_array(m, rate * t)
         if phi_l == 0.0:
             return 1.0 - np.abs(d) / m
@@ -248,7 +266,7 @@ def _first_crossing(errors: np.ndarray, thr: float) -> int | None:
     """First i with errors[i-1] <= thr < errors[i]; 0 if errors[0] > thr; else None."""
     if errors[0] > thr:
         return 0
-    crossing = np.flatnonzero((errors[:-1] <= thr) & (errors[1:] > thr))
+    crossing = ((errors[:-1] <= thr) & (errors[1:] > thr)).nonzero()[0]
     return int(crossing[0]) + 1 if crossing.size else None
 
 
@@ -264,12 +282,13 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     """
     error, errors, criterion = _error_function(problem)
     thr = problem.threshold
-    i = _first_crossing(errors(_SCAN_GRID), thr)
+    grid = _scan_grid()
+    i = _first_crossing(errors(grid), thr)
     tau, converged = TAU_CAP_S, False
     if i is not None:
         # i == 0 is pathological: already past threshold at the scan floor,
         # so bisection starts from lo = 0 (the error vanishes with t).
-        lo, hi = (float(_SCAN_GRID[i - 1]) if i else 0.0), float(_SCAN_GRID[i])
+        lo, hi = (float(grid[i - 1]) if i else 0.0), float(grid[i])
         tau = 0.5 * (lo + hi)
         e_tau = error(tau)
         for _ in range(_BISECT_MAX_ITER):

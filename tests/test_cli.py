@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gravclock import thresholds
+from gravclock import emit, thresholds
 from gravclock.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,16 +100,57 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["not_a_dir"]
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = (
-        "import sys, gravclock.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # Only the stability-sweep tau_max scan needs numpy: importing the CLI and
+    # running the other commands on their presets loads neither numpy nor scipy.
+    report = "\nprint(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    runs = [("import sys, gravclock.cli", ())]
+    for command in ("threshold", "budget", "dephase-curve"):
+        preset = PRESETS / f"{command.replace('-', '_')}.cfg"
+        argv = (command, "--scenario", str(preset), "--out", str(tmp_path))
+        runs.append(("import sys\nfrom gravclock.cli import main\nmain()", argv))
+    for code, argv in runs:
+        result = _fresh_python(code + report, *argv)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]", argv
+
+
+def _separate_run(argv: list[str], out: Path) -> tuple[int, str, dict[str, bytes]]:
+    """One fresh-interpreter CLI run: exit code, stdout, written files."""
+    code = "import sys\nfrom gravclock.cli import main\nsys.exit(main())"
+    result = _fresh_python(code, *argv, "--out", str(out))
+    return result.returncode, result.stdout, read_tree(out)
+
+
+def test_consecutive_in_process_runs_match_separate_runs(tmp_path, capsys):
+    # main() reuses one argument parser per process; a flag given to one call
+    # must not leak into the next.
+    scenario = tmp_path / "flagged.cfg"
+    scenario.write_text(
+        "sweep.family = slab\n"
+        "sweep.sizes = 1,2\n"
+        "sweep.phi_l = 0\n"
+        "sweep.atoms_per_layer = 100\n"
     )
-    assert result.stdout.strip() == "[]"
+    calls = [
+        ["stability-sweep", "--scenario", str(scenario), "--allow-flags"],
+        ["stability-sweep", "--scenario", str(scenario)],
+    ]
+    in_process = []
+    for i, argv in enumerate(calls):
+        out = tmp_path / f"in{i}"
+        code = main(argv + ["--out", str(out)])
+        in_process.append((code, capsys.readouterr().out, read_tree(out)))
+    separate = [_separate_run(argv, tmp_path / f"sep{i}") for i, argv in enumerate(calls)]
+    assert [code for code, _, _ in in_process] == [0, 3]
+    assert in_process == separate
 
 
 def test_flagged_sweep_exits_3_unless_allowed(tmp_path, capsys):
@@ -238,3 +279,63 @@ def test_budget_json_reports_both_intensity_changes(tmp_path, capsys):
     assert intensity["computed_max_change"] == pytest.approx(6.35e-4, rel=0.02)
     assert intensity["reference_change"] == pytest.approx(8.46e-4)
     assert intensity["closed_form_agrees"] is True
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("output.threshold = t.json\noutput.budget_json = /tmp/b.json\n", 2, "plain file"),
+        ("output.budget_json = sub/budget.json\n", 1, "plain file"),
+        ("output.budget_json = sub\\budget.json\n", 1, "plain file"),
+        ("output.budget_json = .\n", 1, "plain file"),
+        ("output.budget_json = ..\n", 1, "plain file"),
+        ("output.budget_json =\n", 1, "plain file"),
+        ("output.threshold = run_record.json\n", 1, "reserved"),
+        ("output.budget_json = budget.txt\n", 1, "already the name of 'output.budget_text'"),
+        ("output.budget_text = a\n# note\noutput.budget_json = a\n", 3, "already the name"),
+    ],
+)
+def test_bad_output_name_exits_2(tmp_path, capsys, text, line, message):
+    scenario = tmp_path / "names.cfg"
+    scenario.write_text(text)
+    out = tmp_path / "out"
+    assert main(["budget", "--scenario", str(scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: " in err and message in err
+    assert not out.exists()
+
+
+def test_non_file_target_replaces_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "budget.txt").mkdir(parents=True)
+    assert main(["budget", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("gravclock: error:") and "budget.txt" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in out.iterdir()] == ["budget.txt"]
+    assert list((out / "budget.txt").iterdir()) == []
+
+
+def test_write_outputs_replaces_manifest_last_and_cleans_up(tmp_path, monkeypatch):
+    files = {"b.txt": "b\n", emit.RUN_RECORD_NAME: "{}\n", "a.txt": "a\n"}
+    real_replace = os.replace
+    replaced: list[str] = []
+    limit = 1
+
+    def limited_replace(src, dst):
+        if len(replaced) == limit:
+            raise PermissionError(f"refusing {dst}")
+        replaced.append(Path(dst).name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(emit.os, "replace", limited_replace)
+    with pytest.raises(PermissionError):
+        emit.write_outputs(tmp_path, files)
+    # The failed write left no manifest and no temporary file behind.
+    assert [p.name for p in tmp_path.iterdir()] == ["b.txt"]
+
+    replaced.clear()
+    limit = None
+    emit.write_outputs(tmp_path, files)
+    assert replaced == ["b.txt", "a.txt", emit.RUN_RECORD_NAME]
+    assert read_tree(tmp_path) == {name: text.encode() for name, text in sorted(files.items())}

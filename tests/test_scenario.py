@@ -5,6 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gravclock.dephasing import Convention
 from gravclock.scenario import (
@@ -151,6 +152,79 @@ def test_round_trip_identity_randomized():
     for _ in range(60):
         scenario = _random_scenario(rng)
         assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_ANY = st.floats(allow_nan=False, allow_infinity=False)
+_SIZES = st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True).map(
+    lambda sizes: tuple(sorted(sizes))
+)
+# Output names that pass validation: plain file names, free of the format's
+# own syntax ('#' starts a comment, values are stripped).
+_NAME = st.text("abcxyzABC019_-.", min_size=1, max_size=12).filter(
+    lambda name: name not in (".", "..", "run_record.json")
+)
+
+
+@st.composite
+def _scenarios(draw) -> Scenario:
+    fields = {}
+    custom = draw(st.booleans())
+    fields["species"] = draw(_NAME) if custom else "Yb"
+    for name in ("species_omega0", "species_magic_wavelength"):
+        fields[name] = draw(_POSITIVE) if custom else draw(st.none() | _POSITIVE)
+    kind = draw(st.sampled_from(["cubic", "slab"]))
+    fields["geometry_kind"] = kind
+    if kind == "cubic":
+        fields["geometry_n_site"] = draw(st.integers(1, 10**6))
+    else:
+        fields["geometry_atoms_per_layer"] = draw(st.integers(1, 10**6))
+        fields["geometry_n_layer"] = draw(st.integers(1, 10**6))
+    outputs = draw(st.lists(_NAME, min_size=5, max_size=5, unique=True))
+    return Scenario(
+        **fields,
+        constants_g=draw(_POSITIVE),
+        constants_c=draw(_POSITIVE),
+        convention=draw(st.sampled_from(Convention)),
+        geometry_layer_spacing=draw(st.none() | _POSITIVE),
+        interrogation_tau=draw(_POSITIVE),
+        interrogation_xi_w_sq=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        dephase_phi_l=draw(_NONNEGATIVE),
+        dephase_sizes=draw(_SIZES),
+        dephase_t_grid=tuple(
+            sorted(draw(st.lists(_NONNEGATIVE, min_size=1, max_size=8, unique=True)))
+        ),
+        sweep_family=draw(st.sampled_from(["cubic", "slab"])),
+        sweep_sizes=draw(_SIZES),
+        sweep_phi_l=tuple(draw(st.lists(_NONNEGATIVE, min_size=1, max_size=5))),
+        sweep_atoms_per_layer=draw(st.integers(1, 10**6)),
+        budget_n_site=draw(st.integers(1, 10**6)),
+        budget_wall_distance=draw(_POSITIVE),
+        budget_disk_radius=draw(_POSITIVE),
+        budget_base_temperature=draw(_POSITIVE),
+        budget_example_temperature_step=draw(_ANY),
+        budget_delta_t=draw(_NONNEGATIVE),
+        budget_beam_waist=draw(_POSITIVE),
+        budget_beam_separation=draw(st.none() | _POSITIVE),
+        budget_bias_field=draw(_NONNEGATIVE),
+        budget_e_gradient=draw(_NONNEGATIVE),
+        budget_baseline_e_field=draw(_NONNEGATIVE),
+        budget_p2_linewidth=draw(_POSITIVE),
+        output_threshold=outputs[0],
+        output_dephase_curve=outputs[1],
+        output_stability_sweep=outputs[2],
+        output_budget_json=outputs[3],
+        output_budget_text=outputs[4],
+    )
+
+
+@settings(max_examples=100)
+@given(scenario=_scenarios())
+def test_round_trip_property(scenario):
+    text = serialize_scenario(scenario)
+    assert parse_scenario(text) == scenario
+    assert serialize_scenario(parse_scenario(text)) == text
 
 
 def test_round_trip_identity_defaults():

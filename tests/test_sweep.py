@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gravclock.dephasing import Convention
 from gravclock.sweep import (
@@ -10,6 +12,7 @@ from gravclock.sweep import (
     SweepSpec,
     best_stability_at_1s,
     default_size_grid,
+    linspace,
     scaling_exponent,
     split_at_minimum,
     sweep,
@@ -33,6 +36,43 @@ def test_default_size_grid():
     assert sizes[0] == 2 and sizes[-1] == 1000
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
     assert 30 <= len(sizes) <= 40
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400)
+@given(a=_FINITE, b=_FINITE, n=st.integers(1, 2000))
+@example(a=0.0, b=200.0, n=201)  # the default dephase t grid
+@example(a=3.5, b=3.5, n=7)  # a == b
+@example(a=10.0, b=-2.5, n=5)  # a > b
+@example(a=0.0, b=1e-321, n=1000)  # the step underflows to zero
+@example(a=-1e-300, b=1e-300, n=2000)
+@example(a=-1.7e308, b=1.7e308, n=4)  # b - a overflows
+@example(a=-0.0, b=1.0, n=1)
+def test_linspace_is_bit_identical_to_numpy(a, b, n):
+    with np.errstate(all="ignore"):
+        expected = np.linspace(a, b, n)
+    assert _bits(linspace(a, b, n)) == _bits(expected)
+
+
+def _numpy_size_grid(lo, hi, points):
+    raw = np.geomspace(lo, hi, points)
+    return tuple(int(v) for v in np.unique(np.round(raw)).astype(int))
+
+
+@settings(max_examples=500)
+@given(lo=st.integers(1, 39), extra=st.integers(0, 9_999), points=st.integers(1, 100))
+@example(lo=2, extra=998, points=40)  # the default grid
+@example(lo=1, extra=9_999, points=100)
+@example(lo=39, extra=0, points=100)
+def test_default_size_grid_matches_numpy_geomspace(lo, extra, points):
+    hi = min(lo + extra, 10_000)
+    assert default_size_grid(lo, hi, points) == _numpy_size_grid(lo, hi, points)
 
 
 def test_sigma_1s_definition_exact():

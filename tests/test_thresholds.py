@@ -183,7 +183,7 @@ _PROBLEMS = st.builds(
 @given(problem=_PROBLEMS)
 def test_vectorised_scan_picks_scalar_loop_bracket(problem):
     error, errors, _ = thresholds._error_function(problem)
-    grid = thresholds._SCAN_GRID
+    grid = thresholds._scan_grid()
     scalar = [error(t) for t in grid.tolist()]
     assert thresholds._first_crossing(errors(grid), problem.threshold) == _reference_bracket(
         scalar, problem.threshold
