@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .core import (
     PhysicalConstants,
     ClockSpecies,
-    LatticeGeometry,
     InterrogationParams,
     YB,
     relative_redshift,
@@ -66,7 +65,6 @@ from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenari
 __all__ = [
     "PhysicalConstants",
     "ClockSpecies",
-    "LatticeGeometry",
     "InterrogationParams",
     "YB",
     "relative_redshift",

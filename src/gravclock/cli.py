@@ -221,7 +221,7 @@ def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
         species=scenario.species_obj(),
         consts=scenario.consts_obj(),
         assumptions=assumptions,
-        layer_spacing=scenario.geometry_layer_spacing,
+        layer_spacing=scenario.layer_spacing(),
     )
     document = {
         "convention": scenario.convention.value,

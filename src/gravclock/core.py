@@ -1,4 +1,4 @@
-"""Physical constants, clock species, lattice geometry, and the two base formulas.
+"""Physical constants, clock species, interrogation timing, and the base formulas.
 
 Everything is carried in SI units: heights in m, rates in rad/s, times in s.
 Fractional frequency shifts and Allan-deviation contributions are
@@ -76,71 +76,6 @@ def species_by_name(name: str) -> ClockSpecies:
     except KeyError:
         known = ", ".join(sorted(_SPECIES_PRESETS))
         raise ValueError(f"unknown species {name!r}; built-in presets: {known}") from None
-
-
-@dataclass(frozen=True)
-class LatticeGeometry:
-    """Layered lattice along gravity, cubic or slab.
-
-    Cubic with n_site sites per horizontal axis has n_site+1 layers of
-    n_site^2 atoms each, N = n_site^2 (n_site + 1). A slab fixes the atoms
-    per layer and varies the layer count, N = atoms_per_layer * n_layer.
-    """
-
-    kind: str  # "cubic" or "slab"
-    layer_count: int
-    atoms_per_layer: int
-    layer_spacing: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("cubic", "slab"):
-            raise ValueError(f"kind must be 'cubic' or 'slab', got {self.kind!r}")
-        if self.layer_count < 1:
-            raise ValueError(f"layer_count must be >= 1, got {self.layer_count}")
-        if self.atoms_per_layer < 1:
-            raise ValueError(f"atoms_per_layer must be >= 1, got {self.atoms_per_layer}")
-        if not (self.layer_spacing > 0 and math.isfinite(self.layer_spacing)):
-            raise ValueError(f"layer_spacing must be positive, got {self.layer_spacing!r}")
-
-    @classmethod
-    def cubic(cls, n_site: int, layer_spacing: float | None = None) -> "LatticeGeometry":
-        if n_site < 1:
-            raise ValueError(f"cubic n_site must be >= 1, got {n_site}")
-        spacing = YB.default_layer_spacing if layer_spacing is None else layer_spacing
-        return cls(
-            kind="cubic",
-            layer_count=n_site + 1,
-            atoms_per_layer=n_site * n_site,
-            layer_spacing=spacing,
-        )
-
-    @classmethod
-    def slab(
-        cls,
-        atoms_per_layer: int,
-        n_layer: int,
-        layer_spacing: float | None = None,
-    ) -> "LatticeGeometry":
-        if n_layer < 1:
-            raise ValueError(f"slab n_layer must be >= 1, got {n_layer}")
-        spacing = YB.default_layer_spacing if layer_spacing is None else layer_spacing
-        return cls(
-            kind="slab",
-            layer_count=n_layer,
-            atoms_per_layer=atoms_per_layer,
-            layer_spacing=spacing,
-        )
-
-    @property
-    def n_site(self) -> int:
-        """Horizontal site count of a cubic lattice (layer_count - 1)."""
-        if self.kind != "cubic":
-            raise ValueError("n_site is defined only for cubic geometry")
-        return self.layer_count - 1
-
-    @property
-    def total_atoms(self) -> int:
-        return self.atoms_per_layer * self.layer_count
 
 
 @dataclass(frozen=True)

@@ -208,10 +208,6 @@ class IntensityRatioResult:
     closed_form_agrees: bool
 
 
-def _area_ratio(u: float, delta: float) -> float:
-    return (1.0 + u * u) / (1.0 + (u + delta) * (u + delta))
-
-
 def _area_ratio_excess(u: float, delta: float) -> float:
     """(r(u) - 1) / delta, the cancellation-free form of the change profile.
 

@@ -76,10 +76,10 @@ def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
 
 def test_invalid_scenario_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("geometry = cubic:0\n")
+    bad.write_text("budget.n_site = 0\n")
     assert main(["threshold", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "geometry" in err
+    assert "line 1: invalid value for 'budget.n_site'" in err
 
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):

@@ -9,7 +9,6 @@ from gravclock.core import (
     YB,
     ClockSpecies,
     InterrogationParams,
-    LatticeGeometry,
     PhysicalConstants,
     per_layer_phase_rate,
     per_layer_sql,
@@ -146,44 +145,6 @@ def test_per_layer_sql_equals_qpn_composition():
         assert per_layer_sql(YB, 30.0, n) == qpn_stability(
             YB, InterrogationParams.single_sequence(30.0), n * n
         )
-
-
-def test_cubic_geometry_counts_exhaustive():
-    for n in range(1, 1001):
-        geom = LatticeGeometry.cubic(n)
-        assert geom.layer_count == n + 1
-        assert geom.atoms_per_layer == n * n
-        assert geom.total_atoms == n * n * (n + 1)
-
-
-def test_cubic_atom_count_is_exact_integer():
-    geom = LatticeGeometry.cubic(497)
-    assert geom.total_atoms == 123010482
-    assert isinstance(geom.total_atoms, int)
-
-
-def test_slab_geometry():
-    geom = LatticeGeometry.slab(atoms_per_layer=10_000, n_layer=50)
-    assert geom.layer_count == 50
-    assert geom.total_atoms == 500_000
-    assert geom.layer_spacing == YB.default_layer_spacing
-
-
-def test_geometry_validation():
-    with pytest.raises(ValueError):
-        LatticeGeometry.cubic(0)
-    with pytest.raises(ValueError):
-        LatticeGeometry.slab(atoms_per_layer=0, n_layer=5)
-    with pytest.raises(ValueError):
-        LatticeGeometry.cubic(5, layer_spacing=-1.0)
-    with pytest.raises(ValueError):
-        LatticeGeometry(kind="sphere", layer_count=2, atoms_per_layer=4, layer_spacing=1.0)
-
-
-def test_n_site_only_for_cubic():
-    assert LatticeGeometry.cubic(12).n_site == 12
-    with pytest.raises(ValueError):
-        _ = LatticeGeometry.slab(100, 5).n_site
 
 
 def test_interrogation_validation():

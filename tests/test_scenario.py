@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gravclock.cli import main
 from gravclock.dephasing import Convention
 from gravclock.scenario import (
     Scenario,
@@ -20,11 +21,10 @@ PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def test_minimal_scenario_fills_defaults():
-    scenario = parse_scenario("species = Yb\ngeometry = cubic:100\n")
+    scenario = parse_scenario("species = Yb\nbudget.n_site = 100\n")
     assert scenario.constants_g == 9.80665
     assert scenario.convention is Convention.PHYSICAL
-    assert scenario.geometry_kind == "cubic"
-    assert scenario.geometry_n_site == 100
+    assert scenario.budget_n_site == 100
     assert scenario.geometry_layer_spacing is None
     assert scenario.layer_spacing() == pytest.approx(759.356e-9 / 2, rel=1e-15)
     assert scenario.sweep_sizes == default_size_grid()
@@ -35,18 +35,22 @@ def test_empty_text_is_all_defaults():
 
 
 def test_comments_and_blank_lines():
-    text = "# a comment\n\nspecies = Yb  # trailing comment\n   \ngeometry = cubic:7\n"
-    assert parse_scenario(text).geometry_n_site == 7
+    text = "# a comment\n\nspecies = Yb  # trailing comment\n   \nbudget.n_site = 7\n"
+    assert parse_scenario(text).budget_n_site == 7
 
 
 def test_cubic_zero_is_rejected():
-    with pytest.raises(ScenarioError, match="geometry"):
-        parse_scenario("geometry = cubic:0\n")
+    with pytest.raises(ScenarioError, match="line 1: invalid value for 'budget.n_site'"):
+        parse_scenario("budget.n_site = 0\n")
 
 
 def test_unknown_key_named_in_error():
     with pytest.raises(ScenarioError, match="unknown key 'lattice.depth'"):
         parse_scenario("lattice.depth = 12\n")
+    # `geometry` alone is no key; the ensemble shape comes from sweep.family,
+    # dephase.sizes and budget.n_site.
+    with pytest.raises(ScenarioError, match="line 2: unknown key 'geometry'"):
+        parse_scenario("species = Yb\ngeometry = cubic:100\n")
 
 
 def test_parse_error_carries_line_number():
@@ -80,13 +84,6 @@ def test_custom_species_via_overrides():
     assert obj.omega0 == 2.7e15
 
 
-def test_slab_geometry_parse():
-    scenario = parse_scenario("geometry = slab:10000:50\n")
-    assert scenario.geometry_kind == "slab"
-    assert scenario.geometry_atoms_per_layer == 10000
-    assert scenario.geometry_n_layer == 50
-
-
 def test_grid_expansion():
     scenario = parse_scenario(
         "dephase.t_grid = linspace:0:10:11\nsweep.sizes = logspace:2:1000:40\n"
@@ -106,6 +103,28 @@ def test_t_grid_must_increase():
         parse_scenario("dephase.t_grid = 0,5,5\n")
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("interrogation.xi_w_sq = 2", "interrogation.xi_w_sq"),
+        ("sweep.sizes = 0,5", "sweep.sizes"),
+        ("sweep.phi_l = -1e-3", "sweep.phi_l"),
+        ("sweep.phi_l = linspace:-1.7e308:1.7e308:3", "sweep.phi_l"),
+        ("dephase.t_grid = 5,3", "dephase.t_grid"),
+        ("species = Xx", "species"),
+    ],
+)
+def test_range_error_names_its_line(tmp_path, capsys, line, key):
+    text = f"# range check\nbudget.n_site = 10\n{line}\nconvention = physical\n"
+    with pytest.raises(ScenarioError, match=f"^line 3: invalid value for '{key}'") as info:
+        parse_scenario(text)
+    assert info.value.line == 3
+    scenario = tmp_path / "range.cfg"
+    scenario.write_text(text)
+    assert main(["threshold", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert f"line 3: invalid value for '{key}'" in capsys.readouterr().err
+
+
 def test_convention_parse():
     assert parse_scenario("convention = paper-figure\n").convention is Convention.PAPER_FIGURE
     with pytest.raises(ScenarioError, match="convention"):
@@ -113,19 +132,8 @@ def test_convention_parse():
 
 
 def _random_scenario(rng: random.Random) -> Scenario:
-    # Only the fields of the active geometry kind vary: the serialized form
-    # carries one geometry key, so inert fields stay at their defaults (the
-    # normal form, which is also the only form parse can produce).
-    kind = rng.choice(["cubic", "slab"])
-    geometry = {"geometry_kind": kind}
-    if kind == "cubic":
-        geometry["geometry_n_site"] = rng.randint(1, 900)
-    else:
-        geometry["geometry_atoms_per_layer"] = rng.randint(1, 10**6)
-        geometry["geometry_n_layer"] = rng.randint(1, 500)
     scenario = Scenario(
         convention=rng.choice(list(Convention)),
-        **geometry,
         interrogation_tau=rng.uniform(1e-3, 1e3),
         interrogation_xi_w_sq=rng.uniform(1e-6, 1.0),
         dephase_phi_l=rng.uniform(0.0, 1e-2),
@@ -169,54 +177,49 @@ _NAME = st.text("abcxyzABC019_-.", min_size=1, max_size=12).filter(
 
 @st.composite
 def _scenarios(draw) -> Scenario:
-    fields = {}
     custom = draw(st.booleans())
-    fields["species"] = draw(_NAME) if custom else "Yb"
-    for name in ("species_omega0", "species_magic_wavelength"):
-        fields[name] = draw(_POSITIVE) if custom else draw(st.none() | _POSITIVE)
-    kind = draw(st.sampled_from(["cubic", "slab"]))
-    fields["geometry_kind"] = kind
-    if kind == "cubic":
-        fields["geometry_n_site"] = draw(st.integers(1, 10**6))
-    else:
-        fields["geometry_atoms_per_layer"] = draw(st.integers(1, 10**6))
-        fields["geometry_n_layer"] = draw(st.integers(1, 10**6))
+    override = _POSITIVE if custom else st.none() | _POSITIVE
     outputs = draw(st.lists(_NAME, min_size=5, max_size=5, unique=True))
-    return Scenario(
-        **fields,
-        constants_g=draw(_POSITIVE),
-        constants_c=draw(_POSITIVE),
-        convention=draw(st.sampled_from(Convention)),
-        geometry_layer_spacing=draw(st.none() | _POSITIVE),
-        interrogation_tau=draw(_POSITIVE),
-        interrogation_xi_w_sq=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        dephase_phi_l=draw(_NONNEGATIVE),
-        dephase_sizes=draw(_SIZES),
-        dephase_t_grid=tuple(
-            sorted(draw(st.lists(_NONNEGATIVE, min_size=1, max_size=8, unique=True)))
+    # One strategy per Scenario field: a key added without one fails here.
+    strategies = {
+        "species": _NAME if custom else st.just("Yb"),
+        "species_omega0": override,
+        "species_magic_wavelength": override,
+        "constants_g": _POSITIVE,
+        "constants_c": _POSITIVE,
+        "convention": st.sampled_from(Convention),
+        "geometry_layer_spacing": st.none() | _POSITIVE,
+        "interrogation_tau": _POSITIVE,
+        "interrogation_xi_w_sq": st.floats(0.0, 1.0, exclude_min=True),
+        "dephase_phi_l": _NONNEGATIVE,
+        "dephase_sizes": _SIZES,
+        "dephase_t_grid": st.lists(_NONNEGATIVE, min_size=1, max_size=8, unique=True).map(
+            lambda times: tuple(sorted(times))
         ),
-        sweep_family=draw(st.sampled_from(["cubic", "slab"])),
-        sweep_sizes=draw(_SIZES),
-        sweep_phi_l=tuple(draw(st.lists(_NONNEGATIVE, min_size=1, max_size=5))),
-        sweep_atoms_per_layer=draw(st.integers(1, 10**6)),
-        budget_n_site=draw(st.integers(1, 10**6)),
-        budget_wall_distance=draw(_POSITIVE),
-        budget_disk_radius=draw(_POSITIVE),
-        budget_base_temperature=draw(_POSITIVE),
-        budget_example_temperature_step=draw(_ANY),
-        budget_delta_t=draw(_NONNEGATIVE),
-        budget_beam_waist=draw(_POSITIVE),
-        budget_beam_separation=draw(st.none() | _POSITIVE),
-        budget_bias_field=draw(_NONNEGATIVE),
-        budget_e_gradient=draw(_NONNEGATIVE),
-        budget_baseline_e_field=draw(_NONNEGATIVE),
-        budget_p2_linewidth=draw(_POSITIVE),
-        output_threshold=outputs[0],
-        output_dephase_curve=outputs[1],
-        output_stability_sweep=outputs[2],
-        output_budget_json=outputs[3],
-        output_budget_text=outputs[4],
-    )
+        "sweep_family": st.sampled_from(["cubic", "slab"]),
+        "sweep_sizes": _SIZES,
+        "sweep_phi_l": st.lists(_NONNEGATIVE, min_size=1, max_size=5).map(tuple),
+        "sweep_atoms_per_layer": st.integers(1, 10**6),
+        "budget_n_site": st.integers(1, 10**6),
+        "budget_wall_distance": _POSITIVE,
+        "budget_disk_radius": _POSITIVE,
+        "budget_base_temperature": _POSITIVE,
+        "budget_example_temperature_step": _ANY,
+        "budget_delta_t": _NONNEGATIVE,
+        "budget_beam_waist": _POSITIVE,
+        "budget_beam_separation": st.none() | _POSITIVE,
+        "budget_bias_field": _NONNEGATIVE,
+        "budget_e_gradient": _NONNEGATIVE,
+        "budget_baseline_e_field": _NONNEGATIVE,
+        "budget_p2_linewidth": _POSITIVE,
+        "output_threshold": st.just(outputs[0]),
+        "output_dephase_curve": st.just(outputs[1]),
+        "output_stability_sweep": st.just(outputs[2]),
+        "output_budget_json": st.just(outputs[3]),
+        "output_budget_text": st.just(outputs[4]),
+    }
+    assert set(strategies) == {f.name for f in fields(Scenario)}
+    return Scenario(**{name: draw(strategy) for name, strategy in strategies.items()})
 
 
 @settings(max_examples=100)

@@ -69,6 +69,10 @@ def test_atom_counts():
     assert decoherence_atom_count(497) == pytest.approx(1.23e8, rel=1e-2)
     assert decoherence_atom_count(1) == 2
     assert decoherence_atom_count(165) == 4519350
+    assert isinstance(decoherence_atom_count(497), int)
+    # n^2 sites in each of n + 1 layers, exhaustively over the swept range.
+    for n in range(1, 1001):
+        assert decoherence_atom_count(n) == n * n * (n + 1)
     with pytest.raises(ValueError):
         decoherence_atom_count(0)
 
