@@ -2,9 +2,9 @@
 
 Every run reads one scenario file (or the built-in defaults), computes in
 memory, then writes all outputs plus a run_record.json manifest from a
-single writer. Exit codes: 0 success, 2 scenario/validation failure, 3 a
-solver flagged a point (non-bracketable or non-converged) and --allow-flags
-was not given.
+single writer. Exit codes: 0 success, 2 scenario/validation failure (an
+input whose arithmetic overflows included), 3 a solver flagged a point
+(non-bracketable or non-converged) and --allow-flags was not given.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
 
         files[RUN_RECORD_NAME] = json_text(run_record(scenario_text, __version__, files))
         write_outputs(Path(args.out), files)
-    except (ScenarioError, OSError, ValueError) as exc:
+    except (ScenarioError, OSError, ValueError, ArithmeticError) as exc:
         print(f"gravclock: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

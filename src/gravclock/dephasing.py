@@ -13,10 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Optional, Sequence
 
 # pi = _PI_HI + _PI_LO to ~1e-26, with j * _PI_HI exact for |j| < 2**20.
 _PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
@@ -109,24 +106,6 @@ def dirichlet(m: int, theta: float) -> float:
     s = math.sin(x)
     d = float(m) if s == 0.0 else math.sin(m * x) / s
     return -d if m % 2 == 0 and j % 2 else d
-
-
-def dirichlet_array(m: int, theta: np.ndarray) -> np.ndarray:
-    """dirichlet() over an array of theta, with the same arithmetic step by step.
-
-    numpy is imported here, not at module level, so that only the tau_max
-    scan pays for it.
-    """
-    import numpy as np
-
-    theta = np.abs(theta)
-    j = np.round(theta / math.tau)
-    x = (0.5 * theta - j * _PI_HI) - j * _PI_LO
-    s = np.sin(x)
-    d = np.divide(np.sin(m * x), s, out=np.full_like(s, float(m)), where=s != 0.0)
-    if m % 2 == 0:
-        d = np.where(np.fmod(j, 2.0) == 1.0, -d, d)
-    return d
 
 
 def bloch_sum(inp: DephasingInput) -> BlochSummary:

@@ -22,6 +22,7 @@ from .sweep import (
     DEFAULT_PHI_L_GRID,
     DEFAULT_SLAB_ATOMS_PER_LAYER,
     default_size_grid,
+    geomspace,
     linspace,
 )
 from .systematics import DEFAULT_BBR_DISK_RADIUS, P2_NATURAL_LINEWIDTH_HZ
@@ -112,11 +113,7 @@ def _float_grid(text: str) -> tuple[float, ...]:
         elif a <= 0 or b <= 0:
             raise ValueError("logspace endpoints must be positive")
         else:
-            # numpy's float64 log10/power need not match math's to the last
-            # bit, so the float logspace keeps numpy to keep its grids' bytes.
-            import numpy as np
-
-            values = tuple(np.geomspace(a, b, n).tolist())
+            values = geomspace(a, b, n)
     else:
         values = tuple(_float(v.strip()) for v in text.split(","))
     bad = [v for v in values if not 0 <= v < math.inf]

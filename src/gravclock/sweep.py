@@ -30,7 +30,7 @@ def linspace(a: float, b: float, n: int) -> tuple[float, ...]:
     y_i = i*step + a with step = (b - a)/(n - 1), the last point set to b;
     where step underflows to zero, y_i = i/(n - 1)*(b - a) + a. n = 1 gives
     0*(b - a) + a. Every operation is one correctly rounded IEEE operation,
-    so the result is bit-identical to numpy's without importing it.
+    so the result is bit-identical to np.linspace's.
     """
     if n < 1:
         raise ValueError(f"grid needs at least 1 point, got {n}")
@@ -47,19 +47,25 @@ def linspace(a: float, b: float, n: int) -> tuple[float, ...]:
     return tuple(points)
 
 
-def default_size_grid(lo: int = 2, hi: int = 1000, points: int = 40) -> tuple[int, ...]:
-    """Log-spaced integer sizes, deduplicated and ascending.
+def geomspace(a: float, b: float, n: int) -> tuple[float, ...]:
+    """n log-spaced floats from a to b, both > 0, with np.geomspace's steps.
 
-    Follows np.geomspace step by step (log10 of both ends, linspace, 10**y,
-    exact endpoints), then rounds half to even like np.round.
+    log10 of both ends, linspace, then 10**y, with both endpoints set
+    exactly. Python's pow need not round like numpy's, so an interior point
+    may differ from np.geomspace in its last bit.
     """
+    if n == 1:
+        return (float(a),)
+    inner = linspace(math.log10(a), math.log10(b), n)[1:-1]
+    return (float(a), *(10.0**y for y in inner), float(b))
+
+
+def default_size_grid(lo: int = 2, hi: int = 1000, points: int = 40) -> tuple[int, ...]:
+    """Log-spaced integer sizes: geomspace rounded half to even, deduplicated
+    and ascending."""
     if lo < 1 or hi < lo or points < 1:
         raise ValueError(f"invalid size grid bounds ({lo}, {hi}, {points})")
-    raw = [10.0**y for y in linspace(math.log10(lo), math.log10(hi), points)]
-    raw[0] = float(lo)
-    if points > 1:
-        raw[-1] = float(hi)
-    return tuple(sorted({round(v) for v in raw}))
+    return tuple(sorted({round(v) for v in geomspace(lo, hi, points)}))
 
 
 @dataclass(frozen=True)
@@ -197,8 +203,8 @@ def scaling_exponent(points: list[StabilityPoint], regime: str) -> float:
         raise ValueError("regime slice contains flagged points")
     if len(slice_) < 3:
         raise ValueError(f"need >= 3 points in the {regime} regime, got {len(slice_)}")
-    import numpy as np
+    import statistics  # a few ms of import that no CLI command needs
 
-    x = np.log([p.size for p in slice_])
-    y = np.log([p.sigma_at_1s for p in slice_])
-    return float(np.polyfit(x, y, 1)[0])
+    x = [math.log(p.size) for p in slice_]
+    y = [math.log(p.sigma_at_1s) for p in slice_]
+    return statistics.linear_regression(x, y).slope

@@ -10,36 +10,36 @@ bisection on the layer-sum model).
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
-from .dephasing import Convention, dirichlet, dirichlet_array, effective_phase_rate
+from .dephasing import Convention, dirichlet, effective_phase_rate
 
 TAU_CAP_S = 1e9
 _BISECT_MAX_ITER = 200
 _BISECT_REL_TOL = 1e-6
 _RESIDUAL_REL_TOL = 1e-4
+# A grid point is skipped only where 2*bound(t) + _SKIP_SLACK <= threshold:
+# the factor 2 and the absolute slack absorb the rounding of error(t), which
+# can exceed the bound by ~1e-15 where both are tiny. A threshold at or below
+# the slack skips nothing, so the scan then covers the whole grid.
+_SKIP_SLACK = 1e-14
 
 
 @functools.cache
-def _scan_grid() -> np.ndarray:
+def _scan_grid() -> tuple[float, ...]:
     """The tau_max scan grid, 1e-6 s to TAU_CAP_S at 32 points per decade.
 
-    Built on first use, so that commands without a tau_max search never
-    import numpy. Read-only, because every caller shares the one array.
+    Built on first use: the grid helpers live in sweep, which imports this
+    module.
     """
-    import numpy as np
+    from .sweep import geomspace
 
-    grid = np.geomspace(1e-6, TAU_CAP_S, 32 * 15 + 1)
-    grid.flags.writeable = False
-    return grid
+    return geomspace(1e-6, TAU_CAP_S, 32 * 15 + 1)
 
 
 class Partition(enum.Enum):
@@ -230,18 +230,25 @@ class TauMaxResult:
 
 
 def _error_function(problem: TauMaxProblem):
-    """(error, errors, criterion): the dephasing error at one t (math) and at
-    an array of t (numpy), relative to the nominal phase.
+    """(error, bound, criterion): the dephasing error at one t, relative to
+    the nominal phase, and a cheap upper bound on it that rises with t.
 
     For phi_l > 0: |1 - phi_eff / (phi_l t)| with phi_eff = asin(S_y / m),
     S_y = sin(phi_l t) D_m(phi_g' t). For phi_l = 0 the nominal phase vanishes
     and phi_eff is identically zero by the k <-> -k symmetry, so the criterion
     degrades continuously to the contrast loss 1 - |D_m| / m (the phi_l -> 0
     limit of the ratio form).
+
+    The bound is B = (m^2 - 1) theta^2 / 24 * tan(a) / a with theta = phi_g' t
+    and a = phi_l t (the last factor is 1 at a = 0): 1 - D_m / m <= (m^2 - 1)
+    theta^2 / 24 because cos x >= 1 - x^2 / 2 term by term, and asin is
+    convex on [0, 1]. It is claimed only for a <= 1, away from the asin fold
+    at pi/2 where error(t) is ill-conditioned; for a > 1 it is inf.
     """
     m = problem.layer_count
     rate = effective_phase_rate(problem.phi_g, m, problem.convention)
     phi_l = problem.phi_l
+    quad = (float(m) * m - 1.0) / 24.0
 
     def error(t: float) -> float:
         d = dirichlet(m, rate * t)
@@ -250,45 +257,50 @@ def _error_function(problem: TauMaxProblem):
         s_y = math.sin(phi_l * t) * d
         return abs(1.0 - math.asin(max(-1.0, min(1.0, s_y / m))) / (phi_l * t))
 
-    def errors(t: np.ndarray) -> np.ndarray:
-        import numpy as np
+    def bound(t: float) -> float:
+        a = phi_l * t
+        if a > 1.0:
+            return math.inf
+        theta = rate * t
+        b = quad * theta * theta
+        return b * math.tan(a) / a if a else b
 
-        d = dirichlet_array(m, rate * t)
-        if phi_l == 0.0:
-            return 1.0 - np.abs(d) / m
-        s_y = np.sin(phi_l * t) * d
-        return np.abs(1.0 - np.arcsin(np.clip(s_y / m, -1.0, 1.0)) / (phi_l * t))
-
-    return error, errors, "contrast" if phi_l == 0.0 else "phase-ratio"
+    return error, bound, "contrast" if phi_l == 0.0 else "phase-ratio"
 
 
-def _first_crossing(errors: np.ndarray, thr: float) -> int | None:
-    """First i with errors[i-1] <= thr < errors[i]; 0 if errors[0] > thr; else None."""
-    if errors[0] > thr:
-        return 0
-    crossing = ((errors[:-1] <= thr) & (errors[1:] > thr)).nonzero()[0]
-    return int(crossing[0]) + 1 if crossing.size else None
+def _scan(error, bound, thr: float) -> int | None:
+    """Index of the first scan-grid point whose error exceeds thr, or None.
+
+    The points where the bound proves the error below thr form a prefix of
+    the grid, since the bound rises with t; a binary search finds its end,
+    and the scan evaluates error from there. NaN in the bound skips nothing.
+    """
+    grid = _scan_grid()
+    start = bisect.bisect_left(
+        grid, True, key=lambda t: not 2.0 * bound(t) + _SKIP_SLACK <= thr
+    )
+    return next((i for i in range(start, len(grid)) if error(grid[i]) > thr), None)
 
 
 def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     """Largest tau with dephasing error at or below the per-layer SQL.
 
-    Evaluates the error on a fixed geometric grid from 1e-6 s to TAU_CAP_S
-    in one array pass, takes the first bracket where it crosses the
-    threshold, then bisects to a relative tau tolerance of 1e-6 (at most
-    200 iterations, tightening until the error residual is within 1e-4 of
-    the threshold). Deterministic: fixed grid, fixed iteration policy, no
-    randomness.
+    Scans a fixed geometric grid from 1e-6 s to TAU_CAP_S for the first
+    point past the threshold, skipping the points an upper bound on the
+    error proves below it, then bisects that bracket to a relative tau
+    tolerance of 1e-6 (at most 200 iterations, tightening until the error
+    residual is within 1e-4 of the threshold). Deterministic: fixed grid,
+    fixed iteration policy, no randomness.
     """
-    error, errors, criterion = _error_function(problem)
+    error, bound, criterion = _error_function(problem)
     thr = problem.threshold
-    grid = _scan_grid()
-    i = _first_crossing(errors(grid), thr)
+    i = _scan(error, bound, thr)
     tau, converged = TAU_CAP_S, False
     if i is not None:
         # i == 0 is pathological: already past threshold at the scan floor,
         # so bisection starts from lo = 0 (the error vanishes with t).
-        lo, hi = (float(grid[i - 1]) if i else 0.0), float(grid[i])
+        grid = _scan_grid()
+        lo, hi = (grid[i - 1] if i else 0.0), grid[i]
         tau = 0.5 * (lo + hi)
         e_tau = error(tau)
         for _ in range(_BISECT_MAX_ITER):

@@ -107,19 +107,64 @@ def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    # Only the stability-sweep tau_max scan needs numpy: importing the CLI and
-    # running the other commands on their presets loads neither numpy nor scipy.
-    report = "\nprint(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
-    runs = [("import sys, gravclock.cli", ())]
-    for command in ("threshold", "budget", "dephase-curve"):
-        preset = PRESETS / f"{command.replace('-', '_')}.cfg"
-        argv = (command, "--scenario", str(preset), "--out", str(tmp_path))
-        runs.append(("import sys\nfrom gravclock.cli import main\nmain()", argv))
-    for code, argv in runs:
-        result = _fresh_python(code + report, *argv)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]", argv
+def test_commands_run_without_numpy_or_scipy(tmp_path):
+    # The runtime is stdlib only: with numpy and scipy made unimportable,
+    # every command runs on its preset, and a float logspace: grid parses.
+    logspace = tmp_path / "logspace.cfg"
+    logspace.write_text("sweep.sizes = 10,100\nsweep.phi_l = logspace:1e-6:1e-2:3\n")
+    runs = [
+        ("threshold", PRESETS / "threshold.cfg"),
+        ("budget", PRESETS / "budget.cfg"),
+        ("dephase-curve", PRESETS / "dephase_curve.cfg"),
+        ("stability-sweep", PRESETS / "stability_cubic.cfg"),
+        ("stability-sweep", PRESETS / "stability_slab.cfg"),
+        ("stability-sweep", logspace),
+    ]
+    code = (
+        "import sys\nsys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from gravclock.cli import main\nsys.exit(main())"
+    )
+    for i, (command, scenario) in enumerate(runs):
+        argv = (command, "--scenario", str(scenario), "--out", str(tmp_path / str(i)))
+        result = _fresh_python(code, *argv)
+        assert result.returncode == 0, (argv, result.stderr)
+
+
+_HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("threshold", "interrogation.tau = 1e-320"),
+        ("threshold", "constants.c = 1e200"),
+        ("budget", "budget.base_temperature = 1e300"),
+        ("stability-sweep", f"sweep.sizes = 1,{_HUGE_INT}"),
+        ("dephase-curve", f"dephase.sizes = {_HUGE_INT}"),
+    ],
+    ids=["tau", "c", "base_temperature", "sweep_sizes", "dephase_sizes"],
+)
+def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text):
+    scenario = tmp_path / "overflow.cfg"
+    scenario.write_text(text + "\n")
+    args = [command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gravclock: error:")
+    assert "Traceback" not in err
+
+
+def test_huge_phi_l_sweep_prints_nothing_to_stderr(tmp_path):
+    # A fresh process, so that a runtime warning would reach stderr.
+    scenario = tmp_path / "fast.cfg"
+    scenario.write_text("sweep.phi_l = 1e300\n")
+    argv = ("stability-sweep", "--scenario", str(scenario), "--allow-flags")
+    result = _fresh_python(
+        "import sys\nfrom gravclock.cli import main\nsys.exit(main())",
+        *argv, "--out", str(tmp_path / "out"),
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 def _separate_run(argv: list[str], out: Path) -> tuple[int, str, dict[str, bytes]]:

@@ -17,7 +17,6 @@ from gravclock.dephasing import (
     contrast_closed_form,
     dephase_curve,
     dirichlet,
-    dirichlet_array,
     effective_phase_rate,
 )
 
@@ -173,26 +172,6 @@ def test_dirichlet_matches_explicit_sum_near_rephasing(m, j, log_delta, sign):
     # both parities of m: the range-reduced kernel against the explicit sum.
     theta = 2.0 * math.pi * j + sign * 10.0**log_delta
     assert abs(dirichlet(m, theta) - explicit_dirichlet(m, theta)) <= 1e-9 * m
-
-
-_THETAS = st.one_of(
-    st.floats(-1e9, 1e9),
-    st.builds(
-        lambda j, delta: 2.0 * math.pi * j + delta,
-        st.integers(-1000, 1000),
-        st.floats(-1e-6, 1e-6),
-    ),
-)
-
-
-@settings(max_examples=200)
-@given(m=st.integers(1, 3001), thetas=st.lists(_THETAS, min_size=1, max_size=40))
-def test_dirichlet_array_is_bit_identical_to_scalar(m, thetas):
-    # The tau_max scan uses the array twin and the bisection the scalar
-    # kernel; they must agree bit for bit (numpy's float64 sin is the
-    # platform libm's sin on the supported platforms).
-    array = dirichlet_array(m, np.array(thetas)).tolist()
-    assert [v.hex() for v in array] == [dirichlet(m, t).hex() for t in thetas]
 
 
 def test_even_layer_count_uses_half_integer_offsets():

@@ -12,6 +12,7 @@ from gravclock.sweep import (
     SweepSpec,
     best_stability_at_1s,
     default_size_grid,
+    geomspace,
     linspace,
     scaling_exponent,
     split_at_minimum,
@@ -58,6 +59,21 @@ def test_linspace_is_bit_identical_to_numpy(a, b, n):
     with np.errstate(all="ignore"):
         expected = np.linspace(a, b, n)
     assert _bits(linspace(a, b, n)) == _bits(expected)
+
+
+_POSITIVE = st.floats(1e-300, 1e300)
+
+
+@settings(max_examples=300)
+@given(a=_POSITIVE, b=_POSITIVE, n=st.integers(1, 500))
+@example(a=1e-6, b=1e9, n=481)  # the tau_max scan grid
+@example(a=1e-300, b=1e300, n=2)
+def test_geomspace_is_numpy_geomspace_to_one_ulp(a, b, n):
+    # Same steps as np.geomspace; only the rounding of pow may differ.
+    got, want = geomspace(a, b, n), np.geomspace(a, b, n).tolist()
+    assert len(got) == n
+    assert got[0] == a and got[-1] == (b if n > 1 else a)
+    assert all(abs(x - y) <= math.ulp(y) for x, y in zip(got, want))
 
 
 def _numpy_size_grid(lo, hi, points):

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from layer_sum_oracle import explicit_layer_sum
 from scipy.optimize import brentq
 
@@ -155,7 +155,7 @@ def test_bisection_out_of_iterations_is_not_converged(monkeypatch):
 
 
 def _reference_bracket(errors, thr):
-    # The scalar scan loop solve_tau_max ran before the scan was vectorised.
+    # The plain scan: every grid point in order, no skipping.
     if errors[0] > thr:
         return 0
     for i in range(1, len(errors)):
@@ -166,32 +166,83 @@ def _reference_bracket(errors, thr):
 
 @settings(max_examples=300)
 @given(
-    errors=st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)), min_size=2, max_size=30),
+    levels=st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)), min_size=2, max_size=30),
     thr=st.sampled_from((0.5, 1.0, 1.5)),
+    skip=st.booleans(),
 )
-def test_first_crossing_matches_scalar_loop_with_ties(errors, thr):
-    assert thresholds._first_crossing(np.array(errors), thr) == _reference_bracket(errors, thr)
+def test_scan_matches_scalar_loop_with_ties(levels, thr, skip):
+    # Step functions over the grid, with errors exactly at the threshold. The
+    # bound is either absent or the running maximum, which dominates.
+    grid = thresholds._scan_grid()
+    errors = [levels[i * len(levels) // len(grid)] for i in range(len(grid))]
+    by_t = dict(zip(grid, errors))
+    peaks = dict(zip(grid, itertools.accumulate(errors, max)))
+    bound = peaks.__getitem__ if skip else lambda t: math.inf
+    assert thresholds._scan(by_t.__getitem__, bound, thr) == _reference_bracket(errors, thr)
 
 
 _PROBLEMS = st.builds(
     TauMaxProblem,
-    layer_count=st.integers(1, 3001),
-    atoms_per_layer=st.integers(1, 10**6),
+    layer_count=st.one_of(st.integers(1, 3001), st.integers(1, 10**6)),
+    atoms_per_layer=st.one_of(st.integers(1, 10**6), st.integers(1, 10**44)),
     phi_l=st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e)),
-    phi_g=st.just(PHI_G),
+    phi_g=st.one_of(st.just(PHI_G), st.just(0.0), st.floats(-12.0, 2.0).map(lambda e: 10.0**e)),
     convention=st.sampled_from(Convention),
 )
 
 
-@settings(max_examples=100)
+@settings(max_examples=300)
+@given(
+    problem=_PROBLEMS,
+    t=st.one_of(
+        st.floats(-6.0, 9.0).map(lambda e: 10.0**e),
+        st.integers(0, 480).map(lambda i: thresholds._scan_grid()[i]),
+    ),
+    near_one=st.floats(-1e-6, 1e-6),
+)
+@example(TauMaxProblem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE), 100.0, 0.0)
+@example(TauMaxProblem(3, 1, 0.0, PHI_G, Convention.PHYSICAL), 1e9, 0.0)
+def test_error_bound_dominates_error(problem, t, near_one):
+    # Up to rounding, at any time and in particular where phi_l * t is close
+    # to 1, the largest phase the bound is claimed for. The scan skips only
+    # with a further factor of 2 to spare.
+    error, bound, _ = thresholds._error_function(problem)
+    if problem.phi_l and near_one:
+        t = (1.0 + near_one) / problem.phi_l
+    assert error(t) <= bound(t) + thresholds._SKIP_SLACK
+    if problem.phi_l * t <= 1.0:
+        assert bound(t) < math.inf
+
+
+@settings(max_examples=150)
 @given(problem=_PROBLEMS)
-def test_vectorised_scan_picks_scalar_loop_bracket(problem):
-    error, errors, _ = thresholds._error_function(problem)
-    grid = thresholds._scan_grid()
-    scalar = [error(t) for t in grid.tolist()]
-    assert thresholds._first_crossing(errors(grid), problem.threshold) == _reference_bracket(
-        scalar, problem.threshold
+@example(TauMaxProblem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE))
+@example(TauMaxProblem(3, 4, 0.0, 0.0, Convention.PHYSICAL))  # capped: never crosses
+@example(TauMaxProblem(2, 10**44, 0.0, PHI_G, Convention.PHYSICAL))  # thr = 1e-22
+@example(TauMaxProblem(3, 10**44, 1e-3, 0.0, Convention.PHYSICAL))  # rounding alone crosses
+@example(TauMaxProblem(1, 100, 1e-9, PHI_G, Convention.PHYSICAL))  # capped: slow drift, one layer
+def test_skip_scan_picks_full_scan_bracket(problem):
+    error, bound, _ = thresholds._error_function(problem)
+    full = [error(t) for t in thresholds._scan_grid()]
+    assert thresholds._scan(error, bound, problem.threshold) == _reference_bracket(
+        full, problem.threshold
     )
+
+
+def test_scan_skips_the_bounded_prefix():
+    # The paper's ~60 s cell crosses at grid point ~250; the bound rules out
+    # nearly all of the points before it, so few errors are evaluated.
+    problem = TauMaxProblem.cubic(200, 1e-2, Convention.PAPER_FIGURE)
+    error, bound, _ = thresholds._error_function(problem)
+    seen = []
+
+    def counted(t):
+        seen.append(t)
+        return error(t)
+
+    i = thresholds._scan(counted, bound, problem.threshold)
+    assert i is not None and i > 200
+    assert len(seen) <= 10
 
 
 _PHI_L = st.one_of(st.just(0.0), st.floats(-7.0, -1.0).map(lambda e: 10.0**e))
