@@ -270,6 +270,15 @@ def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
     return files, [], table
 
 
+# subcommand -> (runner, help); the parser and main() both read this table.
+_COMMANDS = {
+    "threshold": (_run_threshold, "critical lattice sizes"),
+    "dephase-curve": (_run_dephase_curve, "phase-recovery ratio vs time"),
+    "stability-sweep": (_run_stability_sweep, "best 1 s stability grids"),
+    "budget": (_run_budget, "systematic-shift budget"),
+}
+
+
 def _load_scenario(path: str | None) -> tuple[Scenario, str]:
     if path is None:
         scenario = Scenario()
@@ -300,10 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 0 even when a solver flags non-bracketable or non-converged points",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("threshold", parents=[common], help="critical lattice sizes")
-    sub.add_parser("dephase-curve", parents=[common], help="phase-recovery ratio vs time")
-    sub.add_parser("stability-sweep", parents=[common], help="best 1 s stability grids")
-    sub.add_parser("budget", parents=[common], help="systematic-shift budget")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -314,16 +321,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.convention is not None:
             scenario = replace(scenario, convention=Convention.from_wire(args.convention))
             scenario_text = serialize_scenario(scenario)
-
-        if args.command == "threshold":
-            files, flags, text = _run_threshold(scenario)
-        elif args.command == "dephase-curve":
-            files, flags, text = _run_dephase_curve(scenario)
-        elif args.command == "stability-sweep":
-            files, flags, text = _run_stability_sweep(scenario)
-        else:
-            files, flags, text = _run_budget(scenario)
-
+        runner, _ = _COMMANDS[args.command]
+        files, flags, text = runner(scenario)
         files[RUN_RECORD_NAME] = json_text(run_record(scenario_text, __version__, files))
         write_outputs(Path(args.out), files)
     except (ScenarioError, OSError, ValueError, ArithmeticError) as exc:

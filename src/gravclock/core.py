@@ -2,7 +2,9 @@
 
 Everything is carried in SI units: heights in m, rates in rad/s, times in s.
 Fractional frequency shifts and Allan-deviation contributions are
-dimensionless. Atom counts are exact Python integers.
+dimensionless. Atom counts are exact Python integers. The grid helpers
+(linspace, geomspace, default_size_grid) live here too, so that every module
+that builds a grid imports them from this leaf module.
 """
 
 from __future__ import annotations
@@ -151,3 +153,47 @@ def per_layer_sql(species: ClockSpecies, tau: float, n_site: int) -> float:
     if n_site < 1:
         raise ValueError(f"n_site must be >= 1, got {n_site}")
     return qpn_stability(species, InterrogationParams.single_sequence(tau), n_site * n_site)
+
+
+def linspace(a: float, b: float, n: int) -> tuple[float, ...]:
+    """n evenly spaced floats from a to b, with np.linspace's arithmetic.
+
+    y_i = i*step + a with step = (b - a)/(n - 1), the last point set to b;
+    where step underflows to zero, y_i = i/(n - 1)*(b - a) + a. n = 1 gives
+    0*(b - a) + a. Every operation is one correctly rounded IEEE operation,
+    so the result is bit-identical to np.linspace's.
+    """
+    if n < 1:
+        raise ValueError(f"grid needs at least 1 point, got {n}")
+    delta = b - a
+    if n == 1:
+        return (0.0 * delta + a,)
+    div = n - 1
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + a for i in range(n)]
+    else:
+        points = [i * step + a for i in range(n)]
+    points[-1] = b
+    return tuple(points)
+
+
+def geomspace(a: float, b: float, n: int) -> tuple[float, ...]:
+    """n log-spaced floats from a to b, both > 0, with np.geomspace's steps.
+
+    log10 of both ends, linspace, then 10**y, with both endpoints set
+    exactly. Python's pow need not round like numpy's, so an interior point
+    may differ from np.geomspace in its last bit.
+    """
+    if n == 1:
+        return (float(a),)
+    inner = linspace(math.log10(a), math.log10(b), n)[1:-1]
+    return (float(a), *(10.0**y for y in inner), float(b))
+
+
+def default_size_grid(lo: int = 2, hi: int = 1000, points: int = 40) -> tuple[int, ...]:
+    """Log-spaced integer sizes: geomspace rounded half to even, deduplicated
+    and ascending."""
+    if lo < 1 or hi < lo or points < 1:
+        raise ValueError(f"invalid size grid bounds ({lo}, {hi}, {points})")
+    return tuple(sorted({round(v) for v in geomspace(lo, hi, points)}))

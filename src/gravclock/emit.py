@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -17,11 +18,17 @@ RUN_RECORD_NAME = "run_record.json"
 
 
 def fmt_float(value: float) -> str:
-    """17 significant digits: enough to round-trip any IEEE double exactly."""
+    """17 significant digits: enough to round-trip any IEEE double exactly.
+
+    Refuses inf and nan, which neither JSON nor a scenario file can hold.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {value!r}")
     return f"{value:.17g}"
 
 
-def _to_json(value, indent: int) -> str:
+def _to_json(value, indent: int, path: str) -> str:
+    """value as indented JSON; path names it in a refusal ("a.b[2].c")."""
     pad = " " * indent
     child_pad = " " * (indent + 2)
     if value is None:
@@ -31,19 +38,25 @@ def _to_json(value, indent: int) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return fmt_float(value)
+        try:
+            return fmt_float(value)
+        except ValueError as exc:
+            raise ValueError(f"{path or 'value'}: {exc}") from None
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = ",\n".join(child_pad + _to_json(v, indent + 2) for v in value)
+        items = ",\n".join(
+            child_pad + _to_json(v, indent + 2, f"{path}[{i}]") for i, v in enumerate(value)
+        )
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = ",\n".join(
-            f"{child_pad}{json.dumps(str(k))}: {_to_json(v, indent + 2)}"
+            f"{child_pad}{json.dumps(str(k))}: "
+            + _to_json(v, indent + 2, f"{path}.{k}" if path else str(k))
             for k, v in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
@@ -51,8 +64,11 @@ def _to_json(value, indent: int) -> str:
 
 
 def json_text(value) -> str:
-    """Deterministic JSON document, insertion-ordered keys, LF line endings."""
-    return _to_json(value, 0) + "\n"
+    """Deterministic JSON document, insertion-ordered keys, LF line endings.
+
+    A non-finite float raises ValueError naming its key path.
+    """
+    return _to_json(value, 0, "") + "\n"
 
 
 def csv_text(header: list[str], rows: list[list[str]]) -> str:

@@ -15,16 +15,17 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
-from .core import ClockSpecies, PhysicalConstants, species_by_name
-from .dephasing import Convention
-from .emit import RUN_RECORD_NAME, fmt_float, sha256_hex
-from .sweep import (
-    DEFAULT_PHI_L_GRID,
-    DEFAULT_SLAB_ATOMS_PER_LAYER,
+from .core import (
+    ClockSpecies,
+    PhysicalConstants,
     default_size_grid,
     geomspace,
     linspace,
+    species_by_name,
 )
+from .dephasing import Convention
+from .emit import RUN_RECORD_NAME, fmt_float, sha256_hex
+from .sweep import DEFAULT_PHI_L_GRID, DEFAULT_SLAB_ATOMS_PER_LAYER
 from .systematics import DEFAULT_BBR_DISK_RADIUS, P2_NATURAL_LINEWIDTH_HZ
 
 

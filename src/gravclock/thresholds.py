@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
+from .core import ClockSpecies, PhysicalConstants, YB, geomspace, per_layer_phase_rate
 from .dephasing import Convention, dirichlet, effective_phase_rate
 
 TAU_CAP_S = 1e9
@@ -34,11 +34,8 @@ _SKIP_SLACK = 1e-14
 def _scan_grid() -> tuple[float, ...]:
     """The tau_max scan grid, 1e-6 s to TAU_CAP_S at 32 points per decade.
 
-    Built on first use: the grid helpers live in sweep, which imports this
-    module.
+    Built on first use, so that only runs that solve for tau_max pay for it.
     """
-    from .sweep import geomspace
-
     return geomspace(1e-6, TAU_CAP_S, 32 * 15 + 1)
 
 
@@ -54,14 +51,6 @@ class Partition(enum.Enum):
 
     PER_LAYER = "per-layer"
     HALVES = "halves"
-
-    @classmethod
-    def from_wire(cls, text: str) -> "Partition":
-        for member in cls:
-            if member.value == text:
-                return member
-        options = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown partition {text!r}; expected one of: {options}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -152,6 +153,34 @@ def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert err.startswith("gravclock: error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        ("budget", "budget.beam_waist = 1e300", "lattice_intensity.z_star_m: "),
+        ("budget", "constants.c = 1e-100", "requirements.temperature_uniformity_k: "),
+        ("stability-sweep", "species.omega0 = 1e-320\nsweep.sizes = 2", ""),
+    ],
+    ids=["beam_waist", "c", "omega0"],
+)
+def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys, command, text, where):
+    # A JSON refusal names its key path; a CSV cell's names no column yet.
+    scenario = tmp_path / "non_finite.cfg"
+    scenario.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"gravclock: error: {where}not a finite number")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_fmt_float_refuses_non_finite(value):
+    with pytest.raises(ValueError, match="not a finite number"):
+        emit.fmt_float(value)
 
 
 def test_huge_phi_l_sweep_prints_nothing_to_stderr(tmp_path):

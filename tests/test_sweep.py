@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gravclock.core import default_size_grid, geomspace, linspace
 from gravclock.dephasing import Convention
 from gravclock.sweep import (
     DEFAULT_PHI_L_GRID,
     SweepSpec,
     best_stability_at_1s,
-    default_size_grid,
-    geomspace,
-    linspace,
     scaling_exponent,
     split_at_minimum,
     sweep,
