@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -21,22 +22,19 @@ from .dephasing import Convention, DephasingInput, dephase_curve
 from .emit import RUN_RECORD_NAME, csv_text, fmt_float, json_text, run_record, write_outputs
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
 from .sweep import SweepSpec, sweep
-from .systematics import BudgetAssumptions, assemble_budget
-from .thresholds import (
-    Partition,
-    ThresholdProblem,
-    decoherence_atom_count,
-    solve_decoherence_size,
-)
+from .systematics import REFERENCE_INTENSITY_CHANGE, assemble_budget
+from .thresholds import SIZE_KEYS, decoherence_atom_count, decoherence_sizes
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_FLAGGED = 3
 
-_HALVES_NOTE = (
-    "half-ensemble SQL (N/2 ~ n^3/2 atoms) against the full-span redshift;"
-    " reconstructed criterion"
-)
+# threshold.json block -> the definition it records
+_THRESHOLD_NOTES = {
+    "per_layer": "adjacent-layer SQL against the full-span redshift",
+    "halves": "half-ensemble SQL (N/2 ~ n^3/2 atoms) against the full-span redshift;"
+    " reconstructed criterion",
+}
 
 
 def _cell(value) -> str:
@@ -49,56 +47,38 @@ def _cell(value) -> str:
 
 def _run_threshold(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
     species = scenario.species_obj()
-    consts = scenario.consts_obj()
     spacing = scenario.layer_spacing()
     tau = scenario.interrogation_tau
-
-    sections = {}
-    for partition, note in (
-        (Partition.PER_LAYER, "adjacent-layer SQL against the full-span redshift"),
-        (Partition.HALVES, _HALVES_NOTE),
-    ):
-        problem = ThresholdProblem(
-            species=species,
-            consts=consts,
-            tau=tau,
-            partition=partition,
-            convention=scenario.convention,
-            layer_spacing=spacing,
-        )
-        solution = solve_decoherence_size(problem)
-        n = solution.n_int
-        atoms = decoherence_atom_count(n)
-        interrogation = InterrogationParams.single_sequence(
-            tau, scenario.interrogation_xi_w_sq
-        )
-        sections[partition.value] = {
-            "n_star": solution.n_star,
-            "n_int": n,
-            "total_atoms": atoms,
-            "per_layer_sql": per_layer_sql(species, tau, n),
-            "ensemble_qpn": qpn_stability(species, interrogation, atoms),
-            "definition": note,
-        }
+    interrogation = InterrogationParams.single_sequence(tau, scenario.interrogation_xi_w_sq)
+    sizes = decoherence_sizes(species, scenario.consts_obj(), tau, spacing)
 
     document = {
         "species": species.name,
         "convention": scenario.convention.value,
         "tau_s": tau,
         "layer_spacing_m": spacing,
-        "per_layer": sections[Partition.PER_LAYER.value],
-        "halves": sections[Partition.HALVES.value],
     }
     lines = [
         f"convention      {scenario.convention.value}",
         f"tau             {fmt_float(tau)} s",
     ]
-    for name in ("per_layer", "halves"):
-        block = document[name]
-        lines.append(
-            f"{name:<15} n* = {block['n_star']:.3f}  n = {block['n_int']}"
-            f"  N = {block['total_atoms']}"
-        )
+    for (name, note), n_star in zip(_THRESHOLD_NOTES.items(), sizes):
+        n = round(n_star)
+        atoms = decoherence_atom_count(n)
+        if atoms > sys.float_info.max:
+            raise OverflowError(
+                f"{name}: total atom count n^2 (n+1) at n = {n:.3e} is out of float range;"
+                f" n is set by {SIZE_KEYS}"
+            )
+        document[name] = {
+            "n_star": n_star,
+            "n_int": n,
+            "total_atoms": atoms,
+            "per_layer_sql": per_layer_sql(species, tau, n),
+            "ensemble_qpn": qpn_stability(species, interrogation, atoms),
+            "definition": note,
+        }
+        lines.append(f"{name:<15} n* = {n_star:.3f}  n = {n}  N = {atoms}")
     text = "\n".join(lines) + "\n"
     return {scenario.output_threshold: json_text(document)}, [], text
 
@@ -146,19 +126,6 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
         layer_spacing=scenario.layer_spacing(),
     )
     points = sweep(spec)
-    rows = [
-        [
-            point.family,
-            _cell(point.size),
-            _cell(point.phi_l),
-            point.convention.value,
-            _cell(point.tau_max_s),
-            _cell(point.sigma_at_tau),
-            _cell(point.sigma_at_1s),
-            point.flag,
-        ]
-        for point in points
-    ]
     header = [
         "geometry",
         "size",
@@ -169,6 +136,29 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
         "sigma_at_1s",
         "flag",
     ]
+    try:
+        rows = [
+            [
+                point.family,
+                _cell(point.size),
+                _cell(point.phi_l),
+                point.convention.value,
+                _cell(point.tau_max_s),
+                _cell(point.sigma_at_tau),
+                _cell(point.sigma_at_1s),
+                point.flag,
+            ]
+            for point in points
+        ]
+    except ValueError as exc:
+        # Located on the error path only; numeric columns are StabilityPoint fields.
+        for i, point in enumerate(points, start=1):
+            for column in header:
+                value = getattr(point, column, None)
+                if isinstance(value, float) and not math.isfinite(value):
+                    where = f"{column} in row {i} (size {point.size}, phi_l {point.phi_l!r})"
+                    raise ValueError(f"{where}: {exc}") from None
+        raise
     flags = [
         f"{point.family}:{point.size}:phi_l={fmt_float(point.phi_l)}: {point.flag}"
         for point in points
@@ -203,25 +193,17 @@ def _budget_table(budget) -> str:
 
 
 def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
-    assumptions = BudgetAssumptions(
-        bias_field=scenario.budget_bias_field,
-        p2_linewidth_hz=scenario.budget_p2_linewidth,
-        e_field_gradient=scenario.budget_e_gradient,
-        baseline_e_field=scenario.budget_baseline_e_field,
-        beam_waist=scenario.budget_beam_waist,
-        beam_separation=scenario.budget_beam_separation,
-        wall_distance=scenario.budget_wall_distance,
-        bbr_disk_radius=scenario.budget_disk_radius,
-        base_temperature=scenario.budget_base_temperature,
-        example_temperature_step=scenario.budget_example_temperature_step,
-        delta_t=scenario.budget_delta_t,
-    )
+    # Each budget.X key is the keyword X of assemble_budget.
+    conditions = {
+        f.name.removeprefix("budget_"): getattr(scenario, f.name)
+        for f in fields(scenario)
+        if f.name.startswith("budget_")
+    }
     budget = assemble_budget(
-        n_site=scenario.budget_n_site,
         species=scenario.species_obj(),
         consts=scenario.consts_obj(),
-        assumptions=assumptions,
         layer_spacing=scenario.layer_spacing(),
+        **conditions,
     )
     document = {
         "convention": scenario.convention.value,
@@ -239,14 +221,14 @@ def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
         },
         "lattice_intensity": {
             "computed_max_change": budget.intensity.max_change,
-            "reference_change": assumptions.reference_intensity_change,
+            "reference_change": REFERENCE_INTENSITY_CHANGE,
             "z_star_m": budget.intensity.z_star,
             "stationarity_residual": budget.intensity.stationarity_residual,
             "closed_form_agrees": budget.intensity.closed_form_agrees,
         },
         "bbr_example": {
-            "t1_k": assumptions.base_temperature,
-            "t2_k": assumptions.base_temperature + assumptions.example_temperature_step,
+            "t1_k": scenario.budget_base_temperature,
+            "t2_k": scenario.budget_base_temperature + scenario.budget_example_temperature_step,
             "ratio_minus_one": budget.bbr_example.ratio_minus_one,
             "shift_fractional": budget.bbr_example.shift_fractional,
         },

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from .core import (
+    DEFAULT_BBR_DISK_RADIUS,
+    DEFAULT_PHI_L_GRID,
+    DEFAULT_SLAB_ATOMS_PER_LAYER,
+    P2_NATURAL_LINEWIDTH_HZ,
     ClockSpecies,
     PhysicalConstants,
     default_size_grid,
@@ -25,8 +29,6 @@ from .core import (
 )
 from .dephasing import Convention
 from .emit import RUN_RECORD_NAME, fmt_float, sha256_hex
-from .sweep import DEFAULT_PHI_L_GRID, DEFAULT_SLAB_ATOMS_PER_LAYER
-from .systematics import DEFAULT_BBR_DISK_RADIUS, P2_NATURAL_LINEWIDTH_HZ
 
 
 class ScenarioError(ValueError):

@@ -13,15 +13,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import ClockSpecies, PhysicalConstants, YB, default_size_grid, per_layer_phase_rate
+from .core import (
+    DEFAULT_PHI_L_GRID,
+    DEFAULT_SLAB_ATOMS_PER_LAYER,
+    ClockSpecies,
+    PhysicalConstants,
+    YB,
+    default_size_grid,
+    per_layer_phase_rate,
+)
 from .dephasing import Convention
 from .thresholds import TauMaxProblem, solve_tau_max
 
 FLAG_NON_BRACKETABLE = "non-bracketable"
 FLAG_NON_CONVERGED = "non-converged"
-
-DEFAULT_PHI_L_GRID: tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
-DEFAULT_SLAB_ATOMS_PER_LAYER = 10_000
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .core import ClockSpecies, PhysicalConstants, YB, relative_redshift
+from .core import (
+    DEFAULT_BBR_DISK_RADIUS,
+    P2_NATURAL_LINEWIDTH_HZ,
+    ClockSpecies,
+    PhysicalConstants,
+    YB,
+    relative_redshift,
+)
 
 
 @dataclass(frozen=True)
@@ -33,16 +40,6 @@ class SystematicsCoefficients:
 
 
 YB_COEFFICIENTS = SystematicsCoefficients()
-
-# Natural linewidth of the 3P2 calibration line from its 14 s lifetime;
-# taken as the resolution floor of the gradient calibration.
-P2_NATURAL_LINEWIDTH_HZ = 1.0 / (2.0 * math.pi * 14.0)
-
-# Disk radius tuned so the default chamber (walls 5 cm away at 293 K and
-# 294 K, 37.97 um ensemble) shows a BBR field-ratio difference of 1.04e-5.
-# The wall geometry behind that figure is otherwise unconstrained; the
-# radius is an exposed, configurable assumption.
-DEFAULT_BBR_DISK_RADIUS = 0.06323438300601451
 
 # Externally quoted peak intensity change for the default trap geometry.
 # Direct evaluation of the beam-area ratio gives ~6.4e-4 instead; both are
@@ -193,17 +190,16 @@ class IntensityRatioResult:
     """Extrema of the beam-area ratio w^2(z)/w^2(z + separation).
 
     z_star (numeric, authoritative) is the stationary point with the largest
-    |ratio - 1|; z_extrema_m holds both numeric stationary points and
-    z_closed_form_m the quoted closed-form positions sqrt(delta^2+4)/2 * z_R
-    on either side. stationarity_residual is max |u^2 + u delta - 1| over
-    the numeric points (u = z/z_R, delta = separation/z_R).
+    |ratio - 1|; z_extrema_m holds both numeric stationary points, which
+    closed_form_agrees compares with +/- sqrt(delta^2+4)/2 * z_R.
+    stationarity_residual is max |u^2 + u delta - 1| over the numeric points
+    (u = z/z_R, delta = separation/z_R).
     """
 
     z_star: float
     max_change: float
     z_extrema_m: tuple[float, float]
     changes: tuple[float, float]
-    z_closed_form_m: tuple[float, float]
     stationarity_residual: float
     closed_form_agrees: bool
 
@@ -270,20 +266,16 @@ def lattice_intensity_ratio(beam: GaussianBeam, separation: float) -> IntensityR
     u_neg = _bisect(lambda u: _excess_slope(u, delta), -delta - 2.0, -1.0, xtol=1e-13)
 
     u_closed = math.sqrt(delta * delta + 4.0) / 2.0
-    closed = (u_closed, -u_closed)
+    agrees = abs(u_pos - u_closed) <= 0.01 * u_closed and abs(u_neg + u_closed) <= 0.01 * u_closed
     extrema = (u_pos, u_neg)
     changes = tuple(delta * abs(_area_ratio_excess(u, delta)) for u in extrema)
     residual = max(abs(u * u + u * delta - 1.0) for u in extrema)
-    agrees = all(
-        abs(u - c) <= 0.01 * abs(c) for u, c in zip(extrema, closed)
-    )
     star = extrema[0] if changes[0] >= changes[1] else extrema[1]
     return IntensityRatioResult(
         z_star=star * z_r,
         max_change=max(changes),
         z_extrema_m=(u_pos * z_r, u_neg * z_r),
         changes=(changes[0], changes[1]),
-        z_closed_form_m=(closed[0] * z_r, closed[1] * z_r),
         stationarity_residual=residual,
         closed_form_agrees=agrees,
     )
@@ -397,25 +389,6 @@ def bbr_temperature_limit(
 
 
 @dataclass(frozen=True)
-class BudgetAssumptions:
-    """Experimental conditions the budget is evaluated at. All configurable;
-    each entry's note records the assumption it used."""
-
-    bias_field: float = 1.0  # G, upper bound taken for the quadratic Zeeman term
-    p2_linewidth_hz: float = P2_NATURAL_LINEWIDTH_HZ
-    e_field_gradient: float = 1e4  # (V/m)/m residual behind shield and coatings
-    baseline_e_field: float = 0.0  # V/m
-    beam_waist: float = 170e-6  # m
-    beam_separation: float | None = None  # m; None -> 100 lattice wavelengths
-    reference_intensity_change: float = REFERENCE_INTENSITY_CHANGE
-    wall_distance: float = 0.05  # m
-    bbr_disk_radius: float = DEFAULT_BBR_DISK_RADIUS
-    base_temperature: float = 293.0  # K
-    example_temperature_step: float = 1.0  # K, the worked two-wall example
-    delta_t: float = 0.010  # K, assumed achieved chamber uniformity
-
-
-@dataclass(frozen=True)
 class Budget:
     """Assembled budget: signal, requirement numbers, and per-effect entries."""
 
@@ -466,11 +439,24 @@ def assemble_budget(
     species: ClockSpecies = YB,
     consts: PhysicalConstants = PhysicalConstants(),
     coeffs: SystematicsCoefficients = YB_COEFFICIENTS,
-    assumptions: BudgetAssumptions = BudgetAssumptions(),
     layer_spacing: float | None = None,
+    *,
+    wall_distance: float = 0.05,  # m, ensemble center to each chamber wall
+    disk_radius: float = DEFAULT_BBR_DISK_RADIUS,  # m
+    base_temperature: float = 293.0,  # K
+    example_temperature_step: float = 1.0,  # K, the worked two-wall example
+    delta_t: float = 0.010,  # K, assumed achieved chamber uniformity
+    beam_waist: float = 170e-6,  # m
+    beam_separation: float | None = None,  # m; None -> 100 lattice wavelengths
+    bias_field: float = 1.0,  # G, upper bound taken for the quadratic Zeeman term
+    e_gradient: float = 1e4,  # (V/m)/m residual behind shield and coatings
+    baseline_e_field: float = 0.0,  # V/m
+    p2_linewidth: float = P2_NATURAL_LINEWIDTH_HZ,  # Hz, 3P2 calibration resolution
 ) -> Budget:
     """Evaluate every systematic against the redshift signal at one lattice size.
 
+    The keyword-only arguments are the experimental conditions, each named
+    as its `budget.` scenario key; each entry's note records the one it used.
     Zero-valued entries carry the physical reason the effect has no
     height-linear component; they are listed so the budget is exhaustive
     rather than silently omitting them.
@@ -481,45 +467,37 @@ def assemble_budget(
 
     b_gradient = allowed_b_gradient(coeffs, signal)
     p2_shift = p2_calibration_shift(coeffs, b_gradient, signal.delta_z)
-    e_gradient = allowed_e_gradient(coeffs, signal, assumptions.baseline_e_field)
+    e_allowed = allowed_e_gradient(coeffs, signal, baseline_e_field)
 
     # First-order Zeeman: the gradient itself is calibrated out via the 3P2
     # line; what survives is the calibration resolution, one linewidth of
     # gradient uncertainty mapped back onto the clock transition.
-    zeeman1_residual = coeffs.zeeman1 * assumptions.p2_linewidth_hz / coeffs.p2_zeeman
+    zeeman1_residual = coeffs.zeeman1 * p2_linewidth / coeffs.p2_zeeman
     zeeman1 = _entry(
         "first-order-zeeman-calibration",
         zeeman1_residual,
         signal,
         species,
         f"gradient calibrated against the 3P2 line to one linewidth"
-        f" ({assumptions.p2_linewidth_hz:.3e} Hz); residual is linewidth-limited",
+        f" ({p2_linewidth:.3e} Hz); residual is linewidth-limited",
     )
 
-    zeeman2 = second_order_zeeman_check(
-        coeffs, b_gradient, assumptions.bias_field, signal, species
-    )
+    zeeman2 = second_order_zeeman_check(coeffs, b_gradient, bias_field, signal, species)
 
     e_shift = coeffs.dc_stark * abs(
-        (assumptions.baseline_e_field + assumptions.e_field_gradient * signal.delta_z) ** 2
-        - assumptions.baseline_e_field**2
+        (baseline_e_field + e_gradient * signal.delta_z) ** 2 - baseline_e_field**2
     )
     dc_stark = _entry(
         "dc-stark",
         e_shift,
         signal,
         species,
-        f"assumes shielding holds the stray gradient at"
-        f" {assumptions.e_field_gradient:.3g} (V/m)/m"
-        f" (allowed: {e_gradient:.3g})",
+        f"assumes shielding holds the stray gradient at {e_gradient:.3g} (V/m)/m"
+        f" (allowed: {e_allowed:.3g})",
     )
 
-    separation = (
-        100.0 * species.magic_wavelength
-        if assumptions.beam_separation is None
-        else assumptions.beam_separation
-    )
-    beam = GaussianBeam(waist=assumptions.beam_waist, wavelength=species.magic_wavelength)
+    separation = 100.0 * species.magic_wavelength if beam_separation is None else beam_separation
+    beam = GaussianBeam(waist=beam_waist, wavelength=species.magic_wavelength)
     intensity = lattice_intensity_ratio(beam, separation)
     ac_stark = ac_stark_entry(
         intensity.max_change,
@@ -527,29 +505,28 @@ def assemble_budget(
         species,
         note=(
             f"computed peak change {intensity.max_change:.3e}"
-            f" (quoted reference {assumptions.reference_intensity_change:.3e};"
+            f" (quoted reference {REFERENCE_INTENSITY_CHANGE:.3e};"
             f" the computed value is used)"
         ),
     )
 
     example_geom = BbrGeometry(
-        wall_distance=assumptions.wall_distance,
-        t1=assumptions.base_temperature,
-        t2=assumptions.base_temperature + assumptions.example_temperature_step,
+        wall_distance=wall_distance,
+        t1=base_temperature,
+        t2=base_temperature + example_temperature_step,
         ensemble_extent=signal.delta_z,
-        disk_radius=assumptions.bbr_disk_radius,
+        disk_radius=disk_radius,
     )
     bbr_example = bbr_differential(example_geom, coeffs)
     temperature_limit = bbr_temperature_limit(example_geom, signal, coeffs)
-    bbr_at_uniformity = bbr_differential(
-        replace(example_geom, t2=assumptions.base_temperature + assumptions.delta_t), coeffs
-    )
+    uniform_geom = replace(example_geom, t2=base_temperature + delta_t)
+    bbr_at_uniformity = bbr_differential(uniform_geom, coeffs)
     bbr = _entry(
         "bbr-differential",
         bbr_at_uniformity.shift_fractional * species.frequency,
         signal,
         species,
-        f"assumes chamber uniformity of {assumptions.delta_t * 1e3:.3g} mK;"
+        f"assumes chamber uniformity of {delta_t * 1e3:.3g} mK;"
         f" shift equals the signal at {temperature_limit * 1e3:.3g} mK",
     )
 
@@ -561,7 +538,7 @@ def assemble_budget(
         signal=signal,
         allowed_b_gradient=b_gradient,
         p2_calibration_shift_hz=p2_shift,
-        allowed_e_gradient=e_gradient,
+        allowed_e_gradient=e_allowed,
         intensity=intensity,
         bbr_example=bbr_example,
         temperature_limit_k=temperature_limit,

@@ -1,6 +1,6 @@
 """Decoherence thresholds: critical lattice sizes and the maximum interrogation time.
 
-Two separate questions. solve_decoherence_size asks how large the lattice
+Two separate questions. decoherence_sizes asks how large the lattice
 must be before the gravitational phase spread across it reaches the quantum
 projection noise (closed-form algebra). solve_tau_max asks how long a given
 ensemble can be interrogated before the dephasing-induced error in the
@@ -11,7 +11,6 @@ bisection on the layer-sum model).
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -28,6 +27,13 @@ _RESIDUAL_REL_TOL = 1e-4
 # can exceed the bound by ~1e-15 where both are tiny. A threshold at or below
 # the slack skips nothing, so the scan then covers the whole grid.
 _SKIP_SLACK = 1e-14
+# The default phi_g of TauMaxProblem: Yb at its magic-wavelength spacing [rad/s].
+_YB_PHI_G = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
+# The scenario keys behind c^2/(omega0 tau g d), named when a size overflows.
+SIZE_KEYS = (
+    "constants.c, constants.g, species.omega0, interrogation.tau and"
+    " geometry.layer_spacing (default species.magic_wavelength / 2)"
+)
 
 
 @functools.cache
@@ -39,81 +45,35 @@ def _scan_grid() -> tuple[float, ...]:
     return geomspace(1e-6, TAU_CAP_S, 32 * 15 + 1)
 
 
-class Partition(enum.Enum):
-    """Which two subsystems the coherence is defined between.
+def decoherence_sizes(
+    species: ClockSpecies = YB,
+    consts: PhysicalConstants = PhysicalConstants(),
+    tau: float = 30.0,
+    layer_spacing: float | None = None,
+) -> tuple[float, float]:
+    """Lattice sizes (per_layer, halves) at which the gravitational phase
+    spread across the ensemble equals the quantum projection noise.
 
-    PER_LAYER compares adjacent-layer QPN with the full-span redshift;
-    HALVES compares the half-ensemble QPN (N/2 ~ n^3/2 atoms) with the
-    full-span redshift. The HALVES equation is a reconstruction pinned to
-    the documented critical size (165), not a stated formula; outputs label
-    it as such.
+    With k = c^2 / (omega0 tau g d), d the layer spacing (None: magic
+    wavelength / 2), per_layer solves 1/(omega0 tau n) = g n d / c^2, so
+    n = sqrt(k). halves puts the SQL of half the ensemble (N/2 ~ n^3/2 atoms)
+    on the left, so n = (sqrt(2) k)^(2/5); that equation is a reconstruction
+    pinned to the documented critical size (165), not a stated formula, and
+    outputs label it as such. No phase-rate convention enters.
     """
-
-    PER_LAYER = "per-layer"
-    HALVES = "halves"
-
-
-@dataclass(frozen=True)
-class ThresholdProblem:
-    """Inputs for the critical-size equation."""
-
-    species: ClockSpecies = YB
-    consts: PhysicalConstants = PhysicalConstants()
-    tau: float = 30.0
-    partition: Partition = Partition.PER_LAYER
-    convention: Convention = Convention.PHYSICAL
-    layer_spacing: float | None = None  # None -> magic wavelength / 2
-
-    def __post_init__(self) -> None:
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
-        if self.layer_spacing is not None and not (
-            self.layer_spacing > 0 and math.isfinite(self.layer_spacing)
-        ):
-            raise ValueError(f"layer_spacing must be positive, got {self.layer_spacing!r}")
-
-    @property
-    def spacing(self) -> float:
-        if self.layer_spacing is not None:
-            return self.layer_spacing
-        return self.species.default_layer_spacing
-
-
-@dataclass(frozen=True)
-class SizeSolution:
-    """Real root of the size equation and its rounded integer."""
-
-    n_star: float
-    n_int: int
-    partition: Partition
-    convention: Convention
-    tau: float
-
-
-def solve_decoherence_size(problem: ThresholdProblem) -> SizeSolution:
-    """Lattice size at which the gravitational phase spread equals the QPN.
-
-    PER_LAYER solves 1/(omega0 tau n) = g n d / c^2, closed form
-    n = sqrt(c^2 / (omega0 tau g d)). HALVES replaces the left side with the
-    SQL of half the ensemble, 1/(omega0 tau sqrt(n^3/2)), giving
-    n = (sqrt(2) c^2 / (omega0 tau g d))^(2/5). The size equation uses the
-    physical per-layer redshift directly, so the convention tag is metadata
-    only.
-    """
-    k = problem.consts.c**2 / (
-        problem.species.omega0 * problem.tau * problem.consts.g * problem.spacing
-    )
-    if problem.partition is Partition.PER_LAYER:
-        n_star = math.sqrt(k)
-    else:
-        n_star = (math.sqrt(2.0) * k) ** 0.4
-    return SizeSolution(
-        n_star=n_star,
-        n_int=round(n_star),
-        partition=problem.partition,
-        convention=problem.convention,
-        tau=problem.tau,
-    )
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ValueError(f"tau must be positive, got {tau!r}")
+    if layer_spacing is None:
+        layer_spacing = species.default_layer_spacing
+    elif not (layer_spacing > 0 and math.isfinite(layer_spacing)):
+        raise ValueError(f"layer_spacing must be positive, got {layer_spacing!r}")
+    denominator = species.omega0 * tau * consts.g * layer_spacing
+    k = consts.c * consts.c / denominator if denominator > 0 else math.inf
+    if not math.sqrt(2.0) * k < math.inf:
+        raise OverflowError(
+            f"size ratio c^2/(omega0 tau g d) = {k!r} is out of range; it is set by {SIZE_KEYS}"
+        )
+    return math.sqrt(k), (math.sqrt(2.0) * k) ** 0.4
 
 
 def decoherence_atom_count(n: int) -> int:
@@ -158,12 +118,10 @@ class TauMaxProblem:
         n_site: int,
         phi_l: float,
         convention: Convention,
-        phi_g: float | None = None,
+        phi_g: float = _YB_PHI_G,
     ) -> "TauMaxProblem":
         if n_site < 1:
             raise ValueError(f"n_site must be >= 1, got {n_site}")
-        if phi_g is None:
-            phi_g = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
         return cls(
             layer_count=n_site + 1,
             atoms_per_layer=n_site * n_site,
@@ -179,10 +137,8 @@ class TauMaxProblem:
         atoms_per_layer: int,
         phi_l: float,
         convention: Convention,
-        phi_g: float | None = None,
+        phi_g: float = _YB_PHI_G,
     ) -> "TauMaxProblem":
-        if phi_g is None:
-            phi_g = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
         return cls(
             layer_count=n_layer,
             atoms_per_layer=atoms_per_layer,
@@ -285,7 +241,9 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     thr = problem.threshold
     i = _scan(error, bound, thr)
     tau, converged = TAU_CAP_S, False
-    if i is not None:
+    if i is None:
+        e_tau = error(tau)
+    else:
         # i == 0 is pathological: already past threshold at the scan floor,
         # so bisection starts from lo = 0 (the error vanishes with t).
         grid = _scan_grid()
@@ -307,7 +265,7 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
                 break
     return TauMaxResult(
         tau_s=tau,
-        error_at_tau=error(tau),
+        error_at_tau=e_tau,
         threshold=thr,
         bracketed=i is not None,
         converged=converged,

@@ -43,11 +43,9 @@ from gravclock.systematics import (
     p2_calibration_shift,
 )
 from gravclock.thresholds import (
-    Partition,
     TauMaxProblem,
-    ThresholdProblem,
     decoherence_atom_count,
-    solve_decoherence_size,
+    decoherence_sizes,
     solve_tau_max,
 )
 
@@ -71,11 +69,9 @@ def slab_curve(phi_l: float):
 
 
 def test_criterion_1_threshold_reproduction():
-    per_layer = solve_decoherence_size(ThresholdProblem(tau=30.0))
-    assert per_layer.n_int == 497
-
-    halves = solve_decoherence_size(ThresholdProblem(tau=30.0, partition=Partition.HALVES))
-    assert abs(halves.n_int - 165) <= 1
+    per_layer, halves = decoherence_sizes(tau=30.0)
+    assert round(per_layer) == 497
+    assert abs(round(halves) - 165) <= 1
 
     sql = per_layer_sql(YB, 30.0, 497)
     assert sql == pytest.approx(2.06e-20, rel=0.01)
@@ -88,8 +84,8 @@ def test_criterion_1_threshold_reproduction():
 
     announce(
         1,
-        f"n*(per-layer) = {per_layer.n_star:.2f} -> 497, n*(halves) ="
-        f" {halves.n_star:.2f} -> {halves.n_int}, SQL = {sql:.3e},"
+        f"n*(per-layer) = {per_layer:.2f} -> 497, n*(halves) ="
+        f" {halves:.2f} -> {round(halves)}, SQL = {sql:.3e},"
         f" ensemble QPN = {ensemble:.3e}, N = {n_atoms}",
     )
 

@@ -39,6 +39,20 @@ def test_threshold_default_scenario(tmp_path, capsys):
     assert document["per_layer"]["total_atoms"] == 123010482
 
 
+def test_threshold_convention_is_metadata(tmp_path, capsys):
+    # The size equation uses the physical per-layer redshift directly, so the
+    # convention changes only the label.
+    blocks = []
+    for convention in ("physical", "paper-figure"):
+        out = tmp_path / convention
+        assert main(["threshold", "--convention", convention, "--out", str(out)]) == 0
+        document = json.loads((out / "threshold.json").read_text())
+        assert document["convention"] == convention
+        blocks.append((document["per_layer"], document["halves"]))
+    capsys.readouterr()
+    assert blocks[0] == blocks[1]
+
+
 def test_threshold_scenario_file(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(
@@ -134,25 +148,40 @@ def test_commands_run_without_numpy_or_scipy(tmp_path):
 _HUGE_INT = "1" + "0" * 400
 
 
-@pytest.mark.parametrize(
-    "command, text",
-    [
-        ("threshold", "interrogation.tau = 1e-320"),
-        ("threshold", "constants.c = 1e200"),
-        ("budget", "budget.base_temperature = 1e300"),
-        ("stability-sweep", f"sweep.sizes = 1,{_HUGE_INT}"),
-        ("dephase-curve", f"dephase.sizes = {_HUGE_INT}"),
-    ],
-    ids=["tau", "c", "base_temperature", "sweep_sizes", "dephase_sizes"],
+# Python's own overflow messages, which name no quantity and no key.
+_BARE_MESSAGES = (
+    "Numerical result out of range",
+    "cannot convert float infinity to integer",
+    "int too large to convert to float",
 )
-def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text):
+
+
+@pytest.mark.parametrize(
+    "command, text, quantity",
+    [
+        ("threshold", "interrogation.tau = 1e-320", "c^2/(omega0 tau g d)"),
+        ("threshold", "constants.c = 1e200", "c^2/(omega0 tau g d)"),
+        ("threshold", "species.magic_wavelength = 1e-300", "total atom count n^2 (n+1)"),
+        ("budget", "budget.base_temperature = 1e300", None),
+        ("stability-sweep", f"sweep.sizes = 1,{_HUGE_INT}", None),
+        ("dephase-curve", f"dephase.sizes = {_HUGE_INT}", None),
+    ],
+    ids=["tau", "c", "magic_wavelength", "base_temperature", "sweep_sizes", "dephase_sizes"],
+)
+def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text, quantity):
     scenario = tmp_path / "overflow.cfg"
     scenario.write_text(text + "\n")
-    args = [command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]
-    assert main(args) == 2
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gravclock: error:")
     assert "Traceback" not in err
+    assert not out.exists()
+    if quantity is not None:
+        # The message names the quantity that overflowed and the key that fed it.
+        assert quantity in err
+        assert text.split(" = ")[0] in err
+        assert not any(bare in err for bare in _BARE_MESSAGES)
 
 
 @pytest.mark.parametrize(
@@ -160,12 +189,16 @@ def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text):
     [
         ("budget", "budget.beam_waist = 1e300", "lattice_intensity.z_star_m: "),
         ("budget", "constants.c = 1e-100", "requirements.temperature_uniformity_k: "),
-        ("stability-sweep", "species.omega0 = 1e-320\nsweep.sizes = 2", ""),
+        (
+            "stability-sweep",
+            "species.omega0 = 1e-320\nsweep.sizes = 2",
+            "sigma_at_tau in row 1 (size 2, phi_l 1e-06): ",
+        ),
     ],
     ids=["beam_waist", "c", "omega0"],
 )
 def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys, command, text, where):
-    # A JSON refusal names its key path; a CSV cell's names no column yet.
+    # A JSON refusal names its key path, a CSV refusal its column and row.
     scenario = tmp_path / "non_finite.cfg"
     scenario.write_text(text + "\n")
     out = tmp_path / "out"

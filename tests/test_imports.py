@@ -48,6 +48,18 @@ def test_leaf_modules_load_nothing_else(module, loaded):
     assert _loaded_after(f"import {module}") == loaded
 
 
+def test_scenario_loads_no_domain_module():
+    # The key table reads its defaults from core, so parsing a scenario loads
+    # neither the solvers nor the budget.
+    assert _loaded_after("import gravclock.scenario") == [
+        "gravclock",
+        "gravclock.core",
+        "gravclock.dephasing",
+        "gravclock.emit",
+        "gravclock.scenario",
+    ]
+
+
 def test_thresholds_does_not_load_sweep():
     assert "gravclock.sweep" not in _loaded_after("import gravclock.thresholds")
 

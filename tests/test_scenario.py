@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gravclock.cli import main
-from gravclock.core import default_size_grid
+from gravclock.core import DEFAULT_PHI_L_GRID, default_size_grid
 from gravclock.dephasing import Convention
 from gravclock.scenario import (
     Scenario,
@@ -16,7 +16,6 @@ from gravclock.scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from gravclock.sweep import DEFAULT_PHI_L_GRID
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 

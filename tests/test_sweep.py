@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gravclock.core import default_size_grid, geomspace, linspace
+from gravclock.core import DEFAULT_PHI_L_GRID, default_size_grid, geomspace, linspace
 from gravclock.dephasing import Convention
 from gravclock.sweep import (
-    DEFAULT_PHI_L_GRID,
     SweepSpec,
     best_stability_at_1s,
     scaling_exponent,

@@ -12,11 +12,9 @@ from gravclock import thresholds
 from gravclock.core import PhysicalConstants, YB, per_layer_phase_rate
 from gravclock.dephasing import Convention, effective_phase_rate
 from gravclock.thresholds import (
-    Partition,
     TauMaxProblem,
-    ThresholdProblem,
     decoherence_atom_count,
-    solve_decoherence_size,
+    decoherence_sizes,
     solve_tau_max,
 )
 
@@ -25,42 +23,37 @@ PHI_G = per_layer_phase_rate(CONSTS, YB, YB.default_layer_spacing)
 
 
 def test_per_layer_size_is_497():
-    solution = solve_decoherence_size(ThresholdProblem(tau=30.0))
-    assert solution.n_int == 497
-    assert solution.n_star == pytest.approx(497.0, abs=0.5)
+    n_star, _ = decoherence_sizes(tau=30.0)
+    assert round(n_star) == 497
+    assert n_star == pytest.approx(497.0, abs=0.5)
 
 
 def test_per_layer_root_satisfies_equation():
-    problem = ThresholdProblem(tau=30.0)
-    n = solve_decoherence_size(problem).n_star
-    lhs = 1.0 / (YB.omega0 * problem.tau * n)
+    n, _ = decoherence_sizes(tau=30.0)
+    lhs = 1.0 / (YB.omega0 * 30.0 * n)
     rhs = CONSTS.g * n * YB.default_layer_spacing / CONSTS.c**2
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_halves_size_is_165():
-    solution = solve_decoherence_size(
-        ThresholdProblem(tau=30.0, partition=Partition.HALVES)
-    )
-    assert solution.n_int == 165
+    _, n_star = decoherence_sizes(tau=30.0)
+    assert round(n_star) == 165
 
 
 def test_halves_matches_numeric_root():
     # Independent root of 1/(omega0 tau sqrt(n^3/2)) = g n d / c^2.
-    problem = ThresholdProblem(tau=30.0, partition=Partition.HALVES)
-
     def residual(n):
-        lhs = 1.0 / (YB.omega0 * problem.tau * math.sqrt(n**3 / 2.0))
+        lhs = 1.0 / (YB.omega0 * 30.0 * math.sqrt(n**3 / 2.0))
         rhs = CONSTS.g * n * YB.default_layer_spacing / CONSTS.c**2
         return lhs - rhs
 
     oracle = brentq(residual, 1.0, 1e6, xtol=1e-9)
-    assert solve_decoherence_size(problem).n_star == pytest.approx(oracle, rel=1e-9)
+    assert decoherence_sizes(tau=30.0)[1] == pytest.approx(oracle, rel=1e-9)
 
 
 def test_size_scales_as_inverse_sqrt_tau():
-    base = solve_decoherence_size(ThresholdProblem(tau=30.0)).n_star
-    slower = solve_decoherence_size(ThresholdProblem(tau=120.0)).n_star
+    base, _ = decoherence_sizes(tau=30.0)
+    slower, _ = decoherence_sizes(tau=120.0)
     assert slower == pytest.approx(0.5 * base, rel=1e-12)
 
 
@@ -312,13 +305,6 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         TauMaxProblem.cubic(10, -1e-3, Convention.PHYSICAL)
     with pytest.raises(ValueError):
-        ThresholdProblem(tau=0.0)
+        decoherence_sizes(tau=0.0)
     with pytest.raises(ValueError):
-        ThresholdProblem(layer_spacing=-1.0)
-
-
-def test_threshold_convention_is_metadata():
-    a = solve_decoherence_size(ThresholdProblem(convention=Convention.PHYSICAL))
-    b = solve_decoherence_size(ThresholdProblem(convention=Convention.PAPER_FIGURE))
-    assert a.n_star == b.n_star
-    assert b.convention is Convention.PAPER_FIGURE
+        decoherence_sizes(layer_spacing=-1.0)
