@@ -18,10 +18,10 @@ from pathlib import Path
 
 from . import __version__
 from .core import InterrogationParams, per_layer_phase_rate, per_layer_sql, qpn_stability
-from .dephasing import Convention, DephasingInput, dephase_curve
+from .dephasing import Convention, dephase_curve
 from .emit import RUN_RECORD_NAME, csv_text, fmt_float, json_text, run_record, write_outputs
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
-from .sweep import SweepSpec, sweep
+from .sweep import sweep
 from .systematics import REFERENCE_INTENSITY_CHANGE, assemble_budget
 from .thresholds import SIZE_KEYS, decoherence_atom_count, decoherence_sizes
 
@@ -64,6 +64,10 @@ def _run_threshold(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
     ]
     for (name, note), n_star in zip(_THRESHOLD_NOTES.items(), sizes):
         n = round(n_star)
+        if n < 1:
+            raise ValueError(
+                f"{name}: size n* = {n_star:.3e} rounds to n = 0; n is set by {SIZE_KEYS}"
+            )
         atoms = decoherence_atom_count(n)
         if atoms > sys.float_info.max:
             raise OverflowError(
@@ -90,14 +94,9 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
 
     rows: list[list[str]] = []
     for n_site in scenario.dephase_sizes:
-        template = DephasingInput(
-            phi_l=scenario.dephase_phi_l,
-            phi_g=phi_g,
-            layer_count=n_site + 1,
-            t=0.0,
-            convention=scenario.convention,
-        )
-        for t, summary in dephase_curve(template, scenario.dephase_t_grid):
+        for t, summary in dephase_curve(
+            scenario.dephase_phi_l, phi_g, n_site + 1, scenario.convention, scenario.dephase_t_grid
+        ):
             rows.append(
                 [
                     _cell(t),
@@ -115,17 +114,17 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
 
 
 def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
-    spec = SweepSpec(
-        family=scenario.sweep_family,
-        sizes=scenario.sweep_sizes,
-        phi_l_grid=scenario.sweep_phi_l,
-        convention=scenario.convention,
-        atoms_per_layer=scenario.sweep_atoms_per_layer,
-        species=scenario.species_obj(),
-        consts=scenario.consts_obj(),
-        layer_spacing=scenario.layer_spacing(),
+    family, convention = scenario.sweep_family, scenario.convention.value
+    points = sweep(
+        family,
+        scenario.sweep_sizes,
+        scenario.sweep_phi_l,
+        scenario.convention,
+        scenario.sweep_atoms_per_layer,
+        scenario.species_obj(),
+        scenario.consts_obj(),
+        scenario.layer_spacing(),
     )
-    points = sweep(spec)
     header = [
         "geometry",
         "size",
@@ -139,10 +138,10 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
     try:
         rows = [
             [
-                point.family,
+                family,
                 _cell(point.size),
                 _cell(point.phi_l),
-                point.convention.value,
+                convention,
                 _cell(point.tau_max_s),
                 _cell(point.sigma_at_tau),
                 _cell(point.sigma_at_1s),
@@ -160,7 +159,7 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
                     raise ValueError(f"{where}: {exc}") from None
         raise
     flags = [
-        f"{point.family}:{point.size}:phi_l={fmt_float(point.phi_l)}: {point.flag}"
+        f"{family}:{point.size}:phi_l={fmt_float(point.phi_l)}: {point.flag}"
         for point in points
         if point.flag
     ]

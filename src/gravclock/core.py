@@ -122,13 +122,28 @@ class InterrogationParams:
         return cls(tau_r=tau, t_c=tau, tau=tau, xi_w_sq=xi_w_sq)
 
 
+# The scenario keys behind g dh/c^2, named when it leaves float range.
+REDSHIFT_KEYS = (
+    "constants.g, constants.c and the height dh: geometry.layer_spacing"
+    " (default species.magic_wavelength / 2), times budget.n_site in the budget"
+)
+
+
 def relative_redshift(consts: PhysicalConstants, delta_h: float) -> float:
     """Fractional frequency shift g*dh/c^2 between points separated by delta_h [m].
 
     Antisymmetric in delta_h; negative means the second point is lower.
+    A shift out of float range (c^2 underflowing to 0 included) is refused.
     """
     _require_finite("delta_h", delta_h)
-    return consts.g * delta_h / (consts.c * consts.c)
+    c_sq = consts.c * consts.c
+    shift = consts.g * delta_h / c_sq if c_sq else math.inf
+    if not math.isfinite(shift):
+        raise OverflowError(
+            f"redshift g dh/c^2 over dh = {delta_h!r} m is out of float range"
+            f" (c^2 = {c_sq!r}); it is set by {REDSHIFT_KEYS}"
+        )
+    return shift
 
 
 def per_layer_phase_rate(
@@ -138,10 +153,16 @@ def per_layer_phase_rate(
 ) -> float:
     """Phase drift rate [rad/s] between adjacent layers from the redshift.
 
-    omega0 * g * layer_spacing / c^2.
+    omega0 * g * layer_spacing / c^2, refused out of float range.
     """
     _require_finite("layer_spacing", layer_spacing)
-    return species.omega0 * relative_redshift(consts, layer_spacing)
+    rate = species.omega0 * relative_redshift(consts, layer_spacing)
+    if not math.isfinite(rate):
+        raise OverflowError(
+            f"per-layer phase rate omega0 g d/c^2 is out of float range; it is set by"
+            f" species.omega0, {REDSHIFT_KEYS}"
+        )
+    return rate
 
 
 def qpn_stability(

@@ -138,12 +138,15 @@ def contrast_closed_form(phi_g_eff: float, layer_count: int, t: float) -> float:
 
 
 def dephase_curve(
-    template: DephasingInput,
+    phi_l: float,
+    phi_g: float,
+    layer_count: int,
+    convention: Convention,
     t_grid: Sequence[float],
 ) -> list[tuple[float, BlochSummary]]:
     """Evaluate bloch_sum over a strictly increasing, nonnegative time grid.
 
-    Returns (t, summary) pairs ordered by t; the template's own t is ignored.
+    Returns (t, summary) pairs ordered by t.
     """
     grid = list(t_grid)
     for i, t in enumerate(grid):
@@ -151,7 +154,6 @@ def dephase_curve(
             raise ValueError(f"t_grid[{i}] must be >= 0 and finite, got {t!r}")
         if i > 0 and not t > grid[i - 1]:
             raise ValueError(f"t_grid must be strictly increasing at index {i}")
-    phi_l, phi_g, m, convention = (
-        template.phi_l, template.phi_g, template.layer_count, template.convention
-    )
-    return [(t, bloch_sum(DephasingInput(phi_l, phi_g, m, t, convention))) for t in grid]
+    return [
+        (t, bloch_sum(DephasingInput(phi_l, phi_g, layer_count, t, convention))) for t in grid
+    ]

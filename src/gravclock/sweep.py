@@ -11,17 +11,11 @@ laser-limited branch scale as 1/size for cubes and stay flat for slabs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
+from typing import Sequence
 
-from .core import (
-    DEFAULT_PHI_L_GRID,
-    DEFAULT_SLAB_ATOMS_PER_LAYER,
-    ClockSpecies,
-    PhysicalConstants,
-    YB,
-    default_size_grid,
-    per_layer_phase_rate,
-)
+from .core import ClockSpecies, PhysicalConstants, per_layer_phase_rate
 from .dephasing import Convention
 from .thresholds import TauMaxProblem, solve_tau_max
 
@@ -30,107 +24,71 @@ FLAG_NON_CONVERGED = "non-converged"
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Grid definition for one sweep: geometry family x sizes x phi_l values."""
-
-    family: str  # "cubic" or "slab"
-    sizes: tuple[int, ...] = field(default_factory=default_size_grid)
-    phi_l_grid: tuple[float, ...] = DEFAULT_PHI_L_GRID
-    convention: Convention = Convention.PHYSICAL
-    atoms_per_layer: int = DEFAULT_SLAB_ATOMS_PER_LAYER  # slab only
-    species: ClockSpecies = YB
-    consts: PhysicalConstants = PhysicalConstants()
-    layer_spacing: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in ("cubic", "slab"):
-            raise ValueError(f"family must be 'cubic' or 'slab', got {self.family!r}")
-        if not self.sizes:
-            raise ValueError("sizes grid must be non-empty")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError("sizes grid must be strictly increasing")
-        if self.sizes[0] < 1:
-            raise ValueError(f"sizes must be >= 1, got {self.sizes[0]}")
-        if not self.phi_l_grid:
-            raise ValueError("phi_l grid must be non-empty")
-        if self.atoms_per_layer < 1:
-            raise ValueError(f"atoms_per_layer must be >= 1, got {self.atoms_per_layer}")
-
-
-@dataclass(frozen=True)
 class StabilityPoint:
     """One sweep cell. sigma_at_1s = sigma_at_tau * sqrt(tau_max_s), exactly."""
 
-    family: str
     size: int
     phi_l: float
-    convention: Convention
     tau_max_s: float
     sigma_at_tau: float
     sigma_at_1s: float
     flag: str = ""
 
 
-def best_stability_at_1s(
-    size: int,
-    phi_l: float,
-    family: str = "cubic",
-    convention: Convention = Convention.PHYSICAL,
-    atoms_per_layer: int = DEFAULT_SLAB_ATOMS_PER_LAYER,
-    species: ClockSpecies = YB,
-    consts: PhysicalConstants = PhysicalConstants(),
-    layer_spacing: float | None = None,
-) -> StabilityPoint:
-    """Stability of one (size, phi_l) cell, converted to 1 s integration.
+def _magnitude(n: int) -> str:
+    """An int of any size in 4-digit scientific notation, truncated."""
+    digits = str(n)
+    return f"{digits[0]}.{digits[1:4].ljust(3, '0')}e+{len(digits) - 1:02d}"
 
-    A non-bracketable tau search (laser never limits) yields a flagged point
-    evaluated at the tau cap instead of aborting. A bracketed search whose
-    bisection ran out of iterations before meeting its tolerances is
-    flagged non-converged.
+
+def sweep(
+    family: str,
+    sizes: Sequence[int],
+    phi_l_grid: Sequence[float],
+    convention: Convention,
+    atoms_per_layer: int,
+    species: ClockSpecies,
+    consts: PhysicalConstants,
+    layer_spacing: float,
+) -> list[StabilityPoint]:
+    """Stability of every (size, phi_l) cell at 1 s integration, size-major.
+
+    A cubic size n sums n + 1 layers of n^2 atoms; a slab size n sums n
+    layers of atoms_per_layer atoms. A non-bracketable tau search (laser
+    never limits) yields a flagged point evaluated at the tau cap instead of
+    aborting. A bracketed search whose bisection ran out of iterations
+    before meeting its tolerances is flagged non-converged.
     """
-    spacing = species.default_layer_spacing if layer_spacing is None else layer_spacing
-    phi_g = per_layer_phase_rate(consts, species, spacing)
-    if family == "cubic":
-        problem = TauMaxProblem.cubic(size, phi_l, convention, phi_g=phi_g)
-    elif family == "slab":
-        problem = TauMaxProblem.slab(size, atoms_per_layer, phi_l, convention, phi_g=phi_g)
-    else:
+    if family not in ("cubic", "slab"):
         raise ValueError(f"family must be 'cubic' or 'slab', got {family!r}")
-
-    result = solve_tau_max(problem)
-    flag = "" if result.converged else (
-        FLAG_NON_CONVERGED if result.bracketed else FLAG_NON_BRACKETABLE
-    )
-    tau = result.tau_s
-    sigma_at_tau = 1.0 / (species.omega0 * tau * math.sqrt(problem.atoms_per_layer))
-    return StabilityPoint(
-        family=family,
-        size=size,
-        phi_l=phi_l,
-        convention=convention,
-        tau_max_s=tau,
-        sigma_at_tau=sigma_at_tau,
-        sigma_at_1s=sigma_at_tau * math.sqrt(tau),
-        flag=flag,
-    )
-
-
-def sweep(spec: SweepSpec) -> list[StabilityPoint]:
-    """Cartesian product of the grids, size-major row order."""
-    return [
-        best_stability_at_1s(
-            size,
-            phi_l,
-            family=spec.family,
-            convention=spec.convention,
-            atoms_per_layer=spec.atoms_per_layer,
-            species=spec.species,
-            consts=spec.consts,
-            layer_spacing=spec.layer_spacing,
+    if family == "slab" and atoms_per_layer > sys.float_info.max:
+        raise OverflowError(
+            f"sweep.atoms_per_layer = {_magnitude(atoms_per_layer)} is out of float range"
         )
-        for size in spec.sizes
-        for phi_l in spec.phi_l_grid
-    ]
+    phi_g = per_layer_phase_rate(consts, species, layer_spacing)
+    points = []
+    for size in sizes:
+        if family == "cubic":
+            layer_count, atoms = size + 1, size * size
+        else:
+            layer_count, atoms = size, atoms_per_layer
+        if max(layer_count, atoms) > sys.float_info.max:
+            raise OverflowError(
+                f"sweep.sizes: a {family} ensemble of size {_magnitude(size)} has a layer"
+                " or atom count out of float range"
+            )
+        root_atoms = math.sqrt(atoms)
+        for phi_l in phi_l_grid:
+            result = solve_tau_max(TauMaxProblem(layer_count, atoms, phi_l, phi_g, convention))
+            flag = "" if result.converged else (
+                FLAG_NON_CONVERGED if result.bracketed else FLAG_NON_BRACKETABLE
+            )
+            tau = result.tau_s
+            sigma_at_tau = 1.0 / (species.omega0 * tau * root_atoms)
+            points.append(
+                StabilityPoint(size, phi_l, tau, sigma_at_tau, sigma_at_tau * math.sqrt(tau), flag)
+            )
+    return points
 
 
 def split_at_minimum(
@@ -146,6 +104,8 @@ def split_at_minimum(
     phis = {p.phi_l for p in points}
     if len(phis) != 1:
         raise ValueError(f"curve must hold a single phi_l, got {sorted(phis)}")
+    if any(b.size <= a.size for a, b in zip(points, points[1:])):
+        raise ValueError("curve sizes must be strictly increasing")
     idx = min(range(len(points)), key=lambda i: points[i].sigma_at_1s)
     return points[:idx], points[idx + 1:]
 

@@ -27,7 +27,7 @@ _RESIDUAL_REL_TOL = 1e-4
 # can exceed the bound by ~1e-15 where both are tiny. A threshold at or below
 # the slack skips nothing, so the scan then covers the whole grid.
 _SKIP_SLACK = 1e-14
-# The default phi_g of TauMaxProblem: Yb at its magic-wavelength spacing [rad/s].
+# The phi_g of TauMaxProblem.cubic: Yb at its magic-wavelength spacing [rad/s].
 _YB_PHI_G = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
 # The scenario keys behind c^2/(omega0 tau g d), named when a size overflows.
 SIZE_KEYS = (
@@ -113,39 +113,11 @@ class TauMaxProblem:
             raise ValueError(f"phi_g must be >= 0 and finite, got {self.phi_g!r}")
 
     @classmethod
-    def cubic(
-        cls,
-        n_site: int,
-        phi_l: float,
-        convention: Convention,
-        phi_g: float = _YB_PHI_G,
-    ) -> "TauMaxProblem":
+    def cubic(cls, n_site: int, phi_l: float, convention: Convention) -> "TauMaxProblem":
+        """A Yb cube of side n_site: n_site + 1 layers of n_site^2 atoms."""
         if n_site < 1:
             raise ValueError(f"n_site must be >= 1, got {n_site}")
-        return cls(
-            layer_count=n_site + 1,
-            atoms_per_layer=n_site * n_site,
-            phi_l=phi_l,
-            phi_g=phi_g,
-            convention=convention,
-        )
-
-    @classmethod
-    def slab(
-        cls,
-        n_layer: int,
-        atoms_per_layer: int,
-        phi_l: float,
-        convention: Convention,
-        phi_g: float = _YB_PHI_G,
-    ) -> "TauMaxProblem":
-        return cls(
-            layer_count=n_layer,
-            atoms_per_layer=atoms_per_layer,
-            phi_l=phi_l,
-            phi_g=phi_g,
-            convention=convention,
-        )
+        return cls(n_site + 1, n_site * n_site, phi_l, _YB_PHI_G, convention)
 
     @property
     def threshold(self) -> float:
@@ -171,7 +143,6 @@ class TauMaxResult:
     bracketed: bool
     converged: bool
     criterion: str
-    convention: Convention
 
 
 def _error_function(problem: TauMaxProblem):
@@ -270,5 +241,4 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
         bracketed=i is not None,
         converged=converged,
         criterion=criterion,
-        convention=problem.convention,
     )

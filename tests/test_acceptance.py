@@ -15,9 +15,11 @@ from layer_sum_oracle import explicit_layer_sum
 
 from gravclock.cli import main
 from gravclock.core import (
+    DEFAULT_SLAB_ATOMS_PER_LAYER,
     PhysicalConstants,
     YB,
     InterrogationParams,
+    default_size_grid,
     per_layer_phase_rate,
     per_layer_sql,
     qpn_stability,
@@ -30,7 +32,7 @@ from gravclock.dephasing import (
     contrast_closed_form,
 )
 from gravclock.scenario import Scenario, parse_scenario, serialize_scenario
-from gravclock.sweep import SweepSpec, best_stability_at_1s, scaling_exponent, sweep
+from gravclock.sweep import scaling_exponent, sweep
 from gravclock.systematics import (
     BbrGeometry,
     GaussianBeam,
@@ -58,14 +60,29 @@ def announce(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion} PASS: {message}")
 
 
+def yb_sweep(family: str, sizes, phi_l_grid):
+    """A paper-figure sweep of Yb at its magic-wavelength spacing, slab layers
+    of DEFAULT_SLAB_ATOMS_PER_LAYER atoms."""
+    return sweep(
+        family,
+        sizes,
+        phi_l_grid,
+        PF,
+        DEFAULT_SLAB_ATOMS_PER_LAYER,
+        YB,
+        CONSTS,
+        YB.default_layer_spacing,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def cubic_curve(phi_l: float):
-    return tuple(sweep(SweepSpec(family="cubic", phi_l_grid=(phi_l,), convention=PF)))
+    return tuple(yb_sweep("cubic", default_size_grid(), (phi_l,)))
 
 
 @functools.lru_cache(maxsize=None)
 def slab_curve(phi_l: float):
-    return tuple(sweep(SweepSpec(family="slab", phi_l_grid=(phi_l,), convention=PF)))
+    return tuple(yb_sweep("slab", default_size_grid(), (phi_l,)))
 
 
 def test_criterion_1_threshold_reproduction():
@@ -134,7 +151,7 @@ def test_criterion_3_dephasing_curve_points():
 
 
 def test_criterion_4_stability_point_and_laser_anchor():
-    point = best_stability_at_1s(200, 1e-2, family="cubic", convention=PF)
+    (point,) = yb_sweep("cubic", (200,), (1e-2,))
     assert 40.0 <= point.tau_max_s <= 90.0
     assert point.sigma_at_tau == pytest.approx(2.58e-20, rel=0.30)
     assert point.sigma_at_1s == pytest.approx(2e-19, rel=0.30)

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_scenario import _scenarios
 
 from gravclock import emit, thresholds
 from gravclock.cli import main
+from gravclock.scenario import serialize_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
@@ -153,7 +160,11 @@ _BARE_MESSAGES = (
     "Numerical result out of range",
     "cannot convert float infinity to integer",
     "int too large to convert to float",
+    "float division by zero",
 )
+# g d/c^2 out of range: c^2 underflows to 0, or g d overflows.
+_TINY_C = "constants.c = 1e-200"
+_HUGE_GD = "constants.g = 1e300\ngeometry.layer_spacing = 1e10"
 
 
 @pytest.mark.parametrize(
@@ -162,11 +173,42 @@ _BARE_MESSAGES = (
         ("threshold", "interrogation.tau = 1e-320", "c^2/(omega0 tau g d)"),
         ("threshold", "constants.c = 1e200", "c^2/(omega0 tau g d)"),
         ("threshold", "species.magic_wavelength = 1e-300", "total atom count n^2 (n+1)"),
+        ("threshold", _TINY_C, "size n* = 0.000e+00 rounds to n = 0"),
         ("budget", "budget.base_temperature = 1e300", None),
-        ("stability-sweep", f"sweep.sizes = 1,{_HUGE_INT}", None),
+        ("budget", _TINY_C, "redshift g dh/c^2"),
+        ("dephase-curve", _TINY_C, "redshift g dh/c^2"),
+        ("dephase-curve", _HUGE_GD, "redshift g dh/c^2"),
+        ("dephase-curve", "species.omega0 = 1e300\nconstants.c = 1e-100", "omega0 g d/c^2"),
+        ("stability-sweep", _TINY_C, "redshift g dh/c^2"),
+        ("stability-sweep", _HUGE_GD, "redshift g dh/c^2"),
+        ("stability-sweep", f"sweep.sizes = 1,{_HUGE_INT}", "size 1.000e+400"),
+        ("stability-sweep", f"sweep.sizes = 1,{10**155}", "size 1.000e+155"),
+        ("stability-sweep", f"sweep.sizes = 1,{10**320}\nsweep.family = slab", "size 1.000e+320"),
+        (
+            "stability-sweep",
+            f"sweep.atoms_per_layer = {10**320}\nsweep.family = slab",
+            "1.000e+320 is out of float range",
+        ),
         ("dephase-curve", f"dephase.sizes = {_HUGE_INT}", None),
     ],
-    ids=["tau", "c", "magic_wavelength", "base_temperature", "sweep_sizes", "dephase_sizes"],
+    ids=[
+        "tau",
+        "c",
+        "magic_wavelength",
+        "c_threshold_underflow",
+        "base_temperature",
+        "c_budget_underflow",
+        "c_dephase_underflow",
+        "gd_dephase_overflow",
+        "omega0_dephase_overflow",
+        "c_sweep_underflow",
+        "gd_sweep_overflow",
+        "sweep_sizes",
+        "sweep_sizes_cubic_atoms",
+        "sweep_sizes_slab",
+        "sweep_atoms_per_layer_slab",
+        "dephase_sizes",
+    ],
 )
 def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text, quantity):
     scenario = tmp_path / "overflow.cfg"
@@ -208,6 +250,57 @@ def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys, command,
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_WIDE_COUNT = st.integers(1, 10**400)
+
+
+@settings(max_examples=300)
+@given(
+    scenario=_scenarios(
+        sweep_sizes=st.lists(_WIDE_COUNT, min_size=1, max_size=6, unique=True).map(
+            lambda sizes: tuple(sorted(sizes))
+        ),
+        sweep_atoms_per_layer=_WIDE_COUNT,
+    )
+)
+def test_every_command_ends_in_finite_output_or_a_refusal(scenario):
+    # Any valid scenario, magnitudes up to the float range and counts beyond
+    # it: each command exits 0, 2 or 3 without an escaping exception; a
+    # refusal writes nothing, and every number written is finite.
+    outputs = {
+        "threshold": ([scenario.output_threshold], []),
+        "dephase-curve": ([], [scenario.output_dephase_curve]),
+        "stability-sweep": ([], [scenario.output_stability_sweep]),
+        "budget": ([scenario.output_budget_json], []),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(serialize_scenario(scenario))
+        for command, (json_names, csv_names) in outputs.items():
+            out = Path(tmp) / command
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command, "--scenario", str(path), "--out", str(out)])
+            assert code in (0, 2, 3), command
+            if code == 2:
+                assert not out.exists(), command
+                continue
+            for name in [*json_names, emit.RUN_RECORD_NAME]:
+                json.loads((out / name).read_text(), parse_constant=_refuse_constant)
+            for name in csv_names:
+                with open(out / name, newline="") as handle:
+                    for row in csv.reader(handle):
+                        for cell in row:
+                            try:
+                                value = float(cell)
+                            except ValueError:
+                                continue
+                            assert math.isfinite(value), (command, row)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

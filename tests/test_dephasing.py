@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,9 +194,8 @@ def test_input_validation():
 
 
 def test_dephase_curve_rows():
-    template = make_input(1e-5, PHI_G, 101, 0.0, Convention.PAPER_FIGURE)
     grid = [0.0, 50.0, 100.0, 200.0]
-    rows = dephase_curve(template, grid)
+    rows = dephase_curve(1e-5, PHI_G, 101, Convention.PAPER_FIGURE, grid)
     assert [t for t, _ in rows] == grid
     assert rows[0][1].ratio is None  # t = 0 leaves the nominal phase empty
     for _, summary in rows[1:]:
@@ -206,22 +204,16 @@ def test_dephase_curve_rows():
 
 
 def test_dephase_curve_empty_grid():
-    template = make_input(1e-5, PHI_G, 101, 0.0)
-    assert dephase_curve(template, []) == []
+    assert dephase_curve(1e-5, PHI_G, 101, Convention.PHYSICAL, []) == []
 
 
 def test_dephase_curve_rejects_bad_grid():
-    template = make_input(1e-5, PHI_G, 101, 0.0)
-    with pytest.raises(ValueError):
-        dephase_curve(template, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        dephase_curve(template, [1.0, 0.5])
-    with pytest.raises(ValueError):
-        dephase_curve(template, [-1.0, 0.5])
+    for grid in ([0.0, 0.0], [1.0, 0.5], [-1.0, 0.5]):
+        with pytest.raises(ValueError):
+            dephase_curve(1e-5, PHI_G, 101, Convention.PHYSICAL, grid)
 
 
 def test_dephase_curve_matches_single_evaluation():
-    template = make_input(1e-5, PHI_G, 501, 0.0, Convention.PAPER_FIGURE)
-    rows = dephase_curve(template, [100.0])
-    direct = bloch_sum(replace(template, t=100.0))
+    rows = dephase_curve(1e-5, PHI_G, 501, Convention.PAPER_FIGURE, [100.0])
+    direct = bloch_sum(make_input(1e-5, PHI_G, 501, 100.0, Convention.PAPER_FIGURE))
     assert rows[0][1] == direct

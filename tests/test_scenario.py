@@ -176,7 +176,8 @@ _NAME = st.text("abcxyzABC019_-.", min_size=1, max_size=12).filter(
 
 
 @st.composite
-def _scenarios(draw) -> Scenario:
+def _scenarios(draw, **overrides) -> Scenario:
+    """A valid Scenario; overrides replace the strategy of the named fields."""
     custom = draw(st.booleans())
     override = _POSITIVE if custom else st.none() | _POSITIVE
     outputs = draw(st.lists(_NAME, min_size=5, max_size=5, unique=True))
@@ -218,6 +219,7 @@ def _scenarios(draw) -> Scenario:
         "output_budget_json": st.just(outputs[3]),
         "output_budget_text": st.just(outputs[4]),
     }
+    strategies.update(overrides)
     assert set(strategies) == {f.name for f in fields(Scenario)}
     return Scenario(**{name: draw(strategy) for name, strategy in strategies.items()})
 

@@ -6,27 +6,36 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gravclock.core import DEFAULT_PHI_L_GRID, default_size_grid, geomspace, linspace
-from gravclock.dephasing import Convention
-from gravclock.sweep import (
-    SweepSpec,
-    best_stability_at_1s,
-    scaling_exponent,
-    split_at_minimum,
-    sweep,
+from gravclock.core import (
+    DEFAULT_PHI_L_GRID,
+    DEFAULT_SLAB_ATOMS_PER_LAYER,
+    PhysicalConstants,
+    YB,
+    default_size_grid,
+    geomspace,
+    linspace,
 )
+from gravclock.dephasing import Convention
+from gravclock.sweep import scaling_exponent, split_at_minimum, sweep
 
 PF = Convention.PAPER_FIGURE
 
 
-def cubic_curve(phi_l, sizes=None):
-    spec = SweepSpec(
-        family="cubic",
-        sizes=sizes or default_size_grid(),
-        phi_l_grid=(phi_l,),
-        convention=PF,
+def yb_sweep(family, sizes, phi_l_grid, atoms_per_layer=DEFAULT_SLAB_ATOMS_PER_LAYER):
+    """A paper-figure sweep of Yb at its magic-wavelength spacing."""
+    consts = PhysicalConstants()
+    return sweep(
+        family, sizes, phi_l_grid, PF, atoms_per_layer, YB, consts, YB.default_layer_spacing
     )
-    return sweep(spec)
+
+
+def cubic_curve(phi_l, sizes=None):
+    return yb_sweep("cubic", sizes or default_size_grid(), (phi_l,))
+
+
+def cubic_point(size, phi_l):
+    (point,) = yb_sweep("cubic", (size,), (phi_l,))
+    return point
 
 
 def test_default_size_grid():
@@ -94,22 +103,21 @@ def test_sigma_1s_definition_exact():
 
 
 def test_fig2_point_n200():
-    point = best_stability_at_1s(200, 1e-2, family="cubic", convention=PF)
+    point = cubic_point(200, 1e-2)
     assert 40.0 <= point.tau_max_s <= 90.0
     assert point.sigma_at_tau == pytest.approx(2.58e-20, rel=0.3)
     assert point.sigma_at_1s == pytest.approx(2e-19, rel=0.3)
 
 
 def test_laser_regime_point_n2():
-    point = best_stability_at_1s(2, 1e-6, family="cubic", convention=PF)
+    point = cubic_point(2, 1e-6)
     assert point.tau_max_s == pytest.approx(1.97e6, rel=0.1)
 
 
 def test_sigma_monotone_in_phi_l():
     for size in (10, 100, 500):
         sigmas = [
-            best_stability_at_1s(size, phi_l, family="cubic", convention=PF).sigma_at_1s
-            for phi_l in DEFAULT_PHI_L_GRID
+            point.sigma_at_1s for point in yb_sweep("cubic", (size,), DEFAULT_PHI_L_GRID)
         ]
         assert all(b >= a * (1 - 1e-12) for a, b in zip(sigmas, sigmas[1:]))
 
@@ -132,13 +140,12 @@ def test_cubic_gravity_slope_near_plus_quarter():
 
 
 def test_slab_gravity_slope_near_plus_one():
-    spec = SweepSpec(family="slab", phi_l_grid=(1e-6,), convention=PF)
-    assert scaling_exponent(sweep(spec), "large") == pytest.approx(1.0, abs=0.15)
+    slab = yb_sweep("slab", default_size_grid(), (1e-6,))
+    assert scaling_exponent(slab, "large") == pytest.approx(1.0, abs=0.15)
 
 
 def test_slab_flat_then_rising():
-    spec = SweepSpec(family="slab", phi_l_grid=(1e-2,), convention=PF)
-    points = sweep(spec)
+    points = yb_sweep("slab", default_size_grid(), (1e-2,))
     sigmas = [p.sigma_at_1s for p in points]
     # Laser-limited plateau at small layer counts.
     assert sigmas[1] == pytest.approx(sigmas[0], rel=1e-3)
@@ -147,28 +154,25 @@ def test_slab_flat_then_rising():
 
 
 def test_slab_monotone_in_gravity_regime():
-    spec = SweepSpec(family="slab", phi_l_grid=(1e-6,), convention=PF)
-    _, large = split_at_minimum(sweep(spec))
+    _, large = split_at_minimum(yb_sweep("slab", default_size_grid(), (1e-6,)))
     sigmas = [p.sigma_at_1s for p in large]
     assert all(b > a for a, b in zip(sigmas, sigmas[1:]))
 
 
 def test_sweep_row_order_is_size_major():
-    spec = SweepSpec(family="cubic", sizes=(3, 7), phi_l_grid=(1e-4, 1e-2), convention=PF)
-    cells = [(p.size, p.phi_l) for p in sweep(spec)]
+    cells = [(p.size, p.phi_l) for p in yb_sweep("cubic", (3, 7), (1e-4, 1e-2))]
     assert cells == [(3, 1e-4), (3, 1e-2), (7, 1e-4), (7, 1e-2)]
 
 
 def test_single_cell_sweep():
-    spec = SweepSpec(family="cubic", sizes=(100,), phi_l_grid=(1e-3,), convention=PF)
-    points = sweep(spec)
+    points = yb_sweep("cubic", (100,), (1e-3,))
     assert len(points) == 1
     assert points[0].size == 100
 
 
 def test_flagged_point_capped_at_tau_limit():
     # A single slab layer with a silent laser never dephases.
-    point = best_stability_at_1s(1, 0.0, family="slab", atoms_per_layer=100, convention=PF)
+    (point,) = yb_sweep("slab", (1,), (0.0,), atoms_per_layer=100)
     assert point.flag == "non-bracketable"
     assert point.tau_max_s == 1e9
     assert point.sigma_at_1s == point.sigma_at_tau * math.sqrt(1e9)
@@ -192,17 +196,21 @@ def test_scaling_exponent_needs_three_points():
 
 
 def test_split_requires_single_phi_l():
-    spec = SweepSpec(family="cubic", sizes=(3, 7), phi_l_grid=(1e-4, 1e-2), convention=PF)
-    with pytest.raises(ValueError):
-        split_at_minimum(sweep(spec))
+    with pytest.raises(ValueError, match="single phi_l"):
+        split_at_minimum(yb_sweep("cubic", (3, 7), (1e-4, 1e-2)))
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        SweepSpec(family="pyramid")
-    with pytest.raises(ValueError):
-        SweepSpec(family="cubic", sizes=())
-    with pytest.raises(ValueError):
-        SweepSpec(family="cubic", sizes=(5, 5))
-    with pytest.raises(ValueError):
-        SweepSpec(family="cubic", phi_l_grid=())
+def test_split_requires_ascending_sizes():
+    # The regimes are the sizes below and above the minimum, so the curve
+    # must be in ascending size order for the split to mean that.
+    curve = cubic_curve(1e-2, sizes=(25, 50, 100, 200, 400, 800))
+    for bad in (curve[::-1], curve[:3] + curve[2:]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            split_at_minimum(bad)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            scaling_exponent(bad, "large")
+
+
+def test_sweep_rejects_unknown_family():
+    with pytest.raises(ValueError, match="cubic' or 'slab'"):
+        yb_sweep("pyramid", (5,), (1e-3,))

@@ -245,7 +245,7 @@ def _family_tau(family, size, phi_l, convention, atoms_per_layer):
     if family == "cubic":
         problem = TauMaxProblem.cubic(size, phi_l, convention)
     else:
-        problem = TauMaxProblem.slab(size, atoms_per_layer, phi_l, convention)
+        problem = TauMaxProblem(size, atoms_per_layer, phi_l, PHI_G, convention)
     return solve_tau_max(problem).tau_s
 
 
@@ -294,7 +294,7 @@ def test_tau_max_contrast_limit_continuity():
 
 
 def test_tau_max_slab_uses_atoms_per_layer_threshold():
-    problem = TauMaxProblem.slab(50, 10_000, 1e-4, Convention.PAPER_FIGURE)
+    problem = TauMaxProblem(50, 10_000, 1e-4, PHI_G, Convention.PAPER_FIGURE)
     assert problem.threshold == pytest.approx(0.01)
     assert solve_tau_max(problem).bracketed
 
