@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -135,29 +134,19 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
         "sigma_at_1s",
         "flag",
     ]
-    try:
-        rows = [
-            [
-                family,
-                _cell(point.size),
-                _cell(point.phi_l),
-                convention,
-                _cell(point.tau_max_s),
-                _cell(point.sigma_at_tau),
-                _cell(point.sigma_at_1s),
-                point.flag,
-            ]
-            for point in points
+    rows = [
+        [
+            family,
+            _cell(point.size),
+            _cell(point.phi_l),
+            convention,
+            _cell(point.tau_max_s),
+            _cell(point.sigma_at_tau),
+            _cell(point.sigma_at_1s),
+            point.flag,
         ]
-    except ValueError as exc:
-        # Located on the error path only; numeric columns are StabilityPoint fields.
-        for i, point in enumerate(points, start=1):
-            for column in header:
-                value = getattr(point, column, None)
-                if isinstance(value, float) and not math.isfinite(value):
-                    where = f"{column} in row {i} (size {point.size}, phi_l {point.phi_l!r})"
-                    raise ValueError(f"{where}: {exc}") from None
-        raise
+        for point in points
+    ]
     flags = [
         f"{family}:{point.size}:phi_l={fmt_float(point.phi_l)}: {point.flag}"
         for point in points
@@ -206,11 +195,11 @@ def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
     )
     document = {
         "convention": scenario.convention.value,
-        "n_site": budget.signal.n_site,
+        "n_site": scenario.budget_n_site,
         "signal": {
-            "delta_z_m": budget.signal.delta_z,
-            "delta_nu_hz": budget.signal.delta_nu,
-            "fractional": budget.signal.fractional,
+            "delta_z_m": budget.delta_z,
+            "delta_nu_hz": budget.delta_nu,
+            "fractional": budget.fractional,
         },
         "requirements": {
             "allowed_b_gradient_g_per_m": budget.allowed_b_gradient,
@@ -228,8 +217,8 @@ def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
         "bbr_example": {
             "t1_k": scenario.budget_base_temperature,
             "t2_k": scenario.budget_base_temperature + scenario.budget_example_temperature_step,
-            "ratio_minus_one": budget.bbr_example.ratio_minus_one,
-            "shift_fractional": budget.bbr_example.shift_fractional,
+            "ratio_minus_one": budget.bbr_example_ratio_minus_one,
+            "shift_fractional": budget.bbr_example_shift_fractional,
         },
         "entries": [
             {

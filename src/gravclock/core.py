@@ -172,13 +172,20 @@ def qpn_stability(
 ) -> float:
     """Quantum-projection-noise Allan deviation for n_atoms.
 
-    (1 / (omega0 tau_r)) * sqrt(t_c / tau) * sqrt(xi_w_sq / N).
+    (1 / (omega0 tau_r)) * sqrt(t_c / tau) * sqrt(xi_w_sq / N), refused out
+    of float range.
     """
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
-    prefactor = 1.0 / (species.omega0 * interrogation.tau_r)
+    rate = species.omega0 * interrogation.tau_r
     duty = math.sqrt(interrogation.t_c / interrogation.tau)
-    return prefactor * duty * math.sqrt(interrogation.xi_w_sq / n_atoms)
+    sigma = (1.0 / rate if rate else math.inf) * duty * math.sqrt(interrogation.xi_w_sq / n_atoms)
+    if not sigma < math.inf:
+        raise OverflowError(
+            f"QPN Allan deviation at omega0 tau = {rate!r} is out of float range; it is set by"
+            " species.omega0 and interrogation.tau"
+        )
+    return sigma
 
 
 def per_layer_sql(species: ClockSpecies, tau: float, n_site: int) -> float:

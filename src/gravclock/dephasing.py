@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -99,7 +100,11 @@ def dirichlet(m: int, theta: float) -> float:
     rephase (theta near 2 pi j).
     """
     if not math.isfinite(theta):
-        raise ValueError(f"layer phase spread phi_g' t must be finite, got {theta!r}")
+        raise ValueError(
+            f"layer phase spread phi_g' t must be finite, got {theta!r}; phi_g is set by"
+            " species.omega0, constants.g, constants.c and geometry.layer_spacing (default"
+            " species.magic_wavelength / 2), times the layer gaps under the paper-figure convention"
+        )
     theta = abs(theta)
     j = round(theta / math.tau)
     x = (0.5 * theta - j * _PI_HI) - j * _PI_LO
@@ -146,7 +151,8 @@ def dephase_curve(
 ) -> list[tuple[float, BlochSummary]]:
     """Evaluate bloch_sum over a strictly increasing, nonnegative time grid.
 
-    Returns (t, summary) pairs ordered by t.
+    Returns (t, summary) pairs ordered by t. A layer count, or a laser phase
+    phi_l t at the last time, out of float range is refused, naming its keys.
     """
     grid = list(t_grid)
     for i, t in enumerate(grid):
@@ -154,6 +160,16 @@ def dephase_curve(
             raise ValueError(f"t_grid[{i}] must be >= 0 and finite, got {t!r}")
         if i > 0 and not t > grid[i - 1]:
             raise ValueError(f"t_grid must be strictly increasing at index {i}")
+    if layer_count > sys.float_info.max:
+        raise OverflowError(
+            f"dephase.sizes: a layer count of {len(str(layer_count))} digits is out of float range"
+        )
+    t_end = grid[-1] if grid else 0.0
+    if not abs(phi_l * t_end) < math.inf:
+        raise OverflowError(
+            f"laser phase phi_l t = {phi_l!r} rad/s x {t_end!r} s is out of float range;"
+            " it is set by dephase.phi_l and dephase.t_grid"
+        )
     return [
         (t, bloch_sum(DephasingInput(phi_l, phi_g, layer_count, t, convention))) for t in grid
     ]

@@ -84,10 +84,16 @@ def sweep(
                 FLAG_NON_CONVERGED if result.bracketed else FLAG_NON_BRACKETABLE
             )
             tau = result.tau_s
-            sigma_at_tau = 1.0 / (species.omega0 * tau * root_atoms)
-            points.append(
-                StabilityPoint(size, phi_l, tau, sigma_at_tau, sigma_at_tau * math.sqrt(tau), flag)
-            )
+            denominator = species.omega0 * tau * root_atoms
+            sigma_at_tau = 1.0 / denominator if denominator else math.inf
+            sigma_at_1s = sigma_at_tau * math.sqrt(tau)
+            if not max(sigma_at_tau, sigma_at_1s) < math.inf:
+                raise OverflowError(
+                    f"SQL 1/(omega0 tau_max sqrt(N)) at size {_magnitude(size)}, phi_l {phi_l!r},"
+                    f" tau_max {tau!r} s is out of float range; it is set by species.omega0,"
+                    " sweep.sizes and, for slabs, sweep.atoms_per_layer"
+                )
+            points.append(StabilityPoint(size, phi_l, tau, sigma_at_tau, sigma_at_1s, flag))
     return points
 
 

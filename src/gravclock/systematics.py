@@ -9,12 +9,14 @@ carried as explicit zero entries with their justification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
     DEFAULT_BBR_DISK_RADIUS,
     P2_NATURAL_LINEWIDTH_HZ,
+    REDSHIFT_KEYS,
     ClockSpecies,
     PhysicalConstants,
     YB,
@@ -51,36 +53,6 @@ AC_STARK_ANCHOR_SHIFT = 1e-19
 
 
 @dataclass(frozen=True)
-class GravitationalSignal:
-    """Redshift signal across the ensemble: extent, shift in Hz, fractional."""
-
-    n_site: int
-    delta_z: float
-    delta_nu: float
-    fractional: float
-
-
-def gravitational_signal(
-    n_site: int,
-    species: ClockSpecies = YB,
-    consts: PhysicalConstants = PhysicalConstants(),
-    layer_spacing: float | None = None,
-) -> GravitationalSignal:
-    """Height span delta_z = n_site * spacing and the redshift across it."""
-    if n_site < 0:
-        raise ValueError(f"n_site must be >= 0, got {n_site}")
-    spacing = species.default_layer_spacing if layer_spacing is None else layer_spacing
-    delta_z = n_site * spacing
-    fractional = relative_redshift(consts, delta_z)
-    return GravitationalSignal(
-        n_site=n_site,
-        delta_z=delta_z,
-        delta_nu=species.frequency * fractional,
-        fractional=fractional,
-    )
-
-
-@dataclass(frozen=True)
 class BudgetEntry:
     """One systematic effect compared against the gravitational signal."""
 
@@ -92,27 +64,10 @@ class BudgetEntry:
     note: str
 
 
-def _entry(
-    name: str,
-    shift_hz: float,
-    signal: GravitationalSignal,
-    species: ClockSpecies,
-    note: str,
-) -> BudgetEntry:
-    return BudgetEntry(
-        name=name,
-        differential_shift_hz=shift_hz,
-        fractional=shift_hz / species.frequency,
-        reference_signal_hz=signal.delta_nu,
-        passes=shift_hz < signal.delta_nu,
-        note=note,
-    )
-
-
-def allowed_b_gradient(coeffs: SystematicsCoefficients, signal: GravitationalSignal) -> float:
+def allowed_b_gradient(coeffs: SystematicsCoefficients, delta_nu: float, delta_z: float) -> float:
     """Largest magnetic field gradient [G/m] whose first-order Zeeman
     differential stays below the redshift signal: delta_nu / (zeeman1 * delta_z)."""
-    return signal.delta_nu / (coeffs.zeeman1 * signal.delta_z)
+    return delta_nu / (coeffs.zeeman1 * delta_z)
 
 
 def p2_calibration_shift(
@@ -124,30 +79,22 @@ def p2_calibration_shift(
     return coeffs.p2_zeeman * gradient * delta_z
 
 
-def second_order_zeeman_check(
-    coeffs: SystematicsCoefficients,
-    gradient: float,
-    bias_field: float,
-    signal: GravitationalSignal,
-    species: ClockSpecies = YB,
-) -> BudgetEntry:
-    """Second-order Zeeman differential for B(z) linear from the bias field."""
-    b_bottom = bias_field
-    b_top = bias_field + gradient * signal.delta_z
-    shift = abs(coeffs.zeeman2) * abs(b_top * b_top - b_bottom * b_bottom)
-    return _entry(
-        "second-order-zeeman",
-        shift,
-        signal,
-        species,
-        f"field gradient {gradient:.3e} G/m on a {bias_field:.3g} G bias",
-    )
+def second_order_zeeman_shift(
+    coeffs: SystematicsCoefficients, gradient: float, bias_field: float, delta_z: float
+) -> float:
+    """Second-order Zeeman differential [Hz] for B(z) linear from the bias field."""
+    b_top = bias_field + gradient * delta_z
+    shift = abs(coeffs.zeeman2) * abs(b_top * b_top - bias_field * bias_field)
+    if not shift < math.inf:
+        raise OverflowError(
+            f"second-order Zeeman shift at B = {b_top!r} G is out of float range; B is"
+            " budget.bias_field plus the allowed gradient across delta_z"
+        )
+    return shift
 
 
 def allowed_e_gradient(
-    coeffs: SystematicsCoefficients,
-    signal: GravitationalSignal,
-    baseline_field: float = 0.0,
+    coeffs: SystematicsCoefficients, delta_nu: float, delta_z: float, baseline_field: float = 0.0
 ) -> float:
     """Largest dE/dz [(V/m)/m] keeping the DC Stark differential below the signal.
 
@@ -155,34 +102,13 @@ def allowed_e_gradient(
     dc_stark * |E_top^2 - E_bot^2| <= delta_nu is quadratic in the gradient;
     this returns its positive root (-E0 + sqrt(E0^2 + delta_nu/dc)) / delta_z.
     """
-    if baseline_field < 0:
-        raise ValueError(f"baseline_field must be >= 0, got {baseline_field!r}")
     e0 = baseline_field
-    return (-e0 + math.sqrt(e0 * e0 + signal.delta_nu / coeffs.dc_stark)) / signal.delta_z
+    return (-e0 + math.sqrt(e0 * e0 + delta_nu / coeffs.dc_stark)) / delta_z
 
 
-@dataclass(frozen=True)
-class GaussianBeam:
-    """TEM00 beam: 1/e^2 waist radius w [m] and wavelength [m]."""
-
-    waist: float
-    wavelength: float
-
-    def __post_init__(self) -> None:
-        if not (self.waist > 0 and math.isfinite(self.waist)):
-            raise ValueError(f"waist must be positive, got {self.waist!r}")
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength!r}")
-
-    @property
-    def rayleigh_range(self) -> float:
-        """z_R = pi w^2 / wavelength [m]."""
-        return math.pi * self.waist * self.waist / self.wavelength
-
-    def width(self, z: float) -> float:
-        """Beam radius w(z) = w sqrt(1 + (z/z_R)^2) [m]."""
-        u = z / self.rayleigh_range
-        return self.waist * math.sqrt(1.0 + u * u)
+def rayleigh_range(waist: float, wavelength: float) -> float:
+    """z_R = pi w^2 / wavelength [m] of a TEM00 beam with 1/e^2 waist radius w."""
+    return math.pi * waist * waist / wavelength
 
 
 @dataclass(frozen=True)
@@ -248,20 +174,26 @@ def _excess_slope(u: float, delta: float, h: float = 1e-5) -> float:
     return (_area_ratio_excess(u + h, delta) - _area_ratio_excess(u - h, delta)) / (2.0 * h)
 
 
-def lattice_intensity_ratio(beam: GaussianBeam, separation: float) -> IntensityRatioResult:
+def lattice_intensity_ratio(z_r: float, separation: float) -> IntensityRatioResult:
     """Peak fractional intensity change between layers `separation` apart.
 
-    The intensity ratio between two axial points follows the beam-area ratio
-    r(z) = w^2(z)/w^2(z + separation). Its extrema are located numerically
-    (sign change of the centered-difference slope) and compared with the
-    closed-form positions +/- sqrt(delta^2 + 4)/2 * z_R; they must agree to
-    1% in z, and the numeric result is authoritative.
+    The intensity ratio between two axial points of a beam with Rayleigh
+    range z_r follows the beam-area ratio r(z) = w^2(z)/w^2(z + separation).
+    Its extrema are located numerically (sign change of the
+    centered-difference slope) and compared with the closed-form positions
+    +/- sqrt(delta^2 + 4)/2 * z_R; they must agree to 1% in z, and the
+    numeric result is authoritative. A ratio separation / z_R above 1e3 is
+    refused: the stationarity residual grows there, and near 1e4 the
+    brackets lose their sign change.
     """
-    if not (separation > 0 and math.isfinite(separation)):
-        raise ValueError(f"separation must be positive, got {separation!r}")
-    z_r = beam.rayleigh_range
-    delta = separation / z_r
-
+    delta = separation / z_r if z_r > 0 else math.inf
+    if not (separation > 0 and z_r < math.inf and delta <= 1e3):
+        raise ValueError(
+            f"layer separation / Rayleigh range pi w^2 / wavelength = {separation!r} m /"
+            f" {z_r!r} m must lie in (0, 1e3]; it is set by"
+            " budget.beam_waist, species.magic_wavelength and budget.beam_separation"
+            " (default 100 species.magic_wavelength)"
+        )
     u_pos = _bisect(lambda u: _excess_slope(u, delta), 1e-12, 2.0, xtol=1e-13)
     u_neg = _bisect(lambda u: _excess_slope(u, delta), -delta - 2.0, -1.0, xtol=1e-13)
 
@@ -281,51 +213,23 @@ def lattice_intensity_ratio(beam: GaussianBeam, separation: float) -> IntensityR
     )
 
 
-def ac_stark_entry(
-    intensity_change: float,
-    signal: GravitationalSignal,
-    species: ClockSpecies = YB,
-    note: str = "",
-) -> BudgetEntry:
-    """Lattice light-shift entry: linear in the intensity change, anchored to
-    a 10% change producing a 1e-19 fractional shift."""
-    if intensity_change < 0:
-        raise ValueError(f"intensity_change must be >= 0, got {intensity_change!r}")
+def ac_stark_shift(intensity_change: float, species: ClockSpecies = YB) -> float:
+    """Lattice light-shift differential [Hz]: linear in the intensity change,
+    anchored to a 10% change producing a 1e-19 fractional shift."""
     fractional = intensity_change / AC_STARK_ANCHOR_CHANGE * AC_STARK_ANCHOR_SHIFT
-    return _entry("lattice-ac-stark", fractional * species.frequency, signal, species, note)
+    return fractional * species.frequency
 
 
-@dataclass(frozen=True)
-class BbrGeometry:
-    """Two opposing chamber walls, modeled as disks, around a layered ensemble.
+def wall_solid_angles(
+    wall_distance: float, extent: float, disk_radius: float = DEFAULT_BBR_DISK_RADIUS
+) -> tuple[float, float]:
+    """Solid angles [sr] (W+, W-) of a wall disk of disk_radius at wall_distance
+    from the ensemble center, seen on axis from its nearest and farthest layer."""
 
-    wall_distance d [m] from the ensemble center to each wall, disk_radius
-    the wall-model parameter, t1/t2 [K] the two wall temperatures,
-    ensemble_extent [m] the top-to-bottom span. The nearest layer sits at
-    d - extent from its wall, the farthest at d + extent.
-    """
+    def solid_angle(distance: float) -> float:
+        return 2.0 * math.pi * (1.0 - distance / math.hypot(distance, disk_radius))
 
-    wall_distance: float
-    t1: float
-    t2: float
-    ensemble_extent: float
-    disk_radius: float = DEFAULT_BBR_DISK_RADIUS
-
-    def __post_init__(self) -> None:
-        if not (self.wall_distance > 0 and math.isfinite(self.wall_distance)):
-            raise ValueError(f"wall_distance must be positive, got {self.wall_distance!r}")
-        if not (self.t1 > 0 and self.t2 > 0):
-            raise ValueError(f"temperatures must be positive, got {self.t1!r}, {self.t2!r}")
-        if not (0 <= self.ensemble_extent < self.wall_distance):
-            raise ValueError(
-                f"ensemble_extent must be in [0, wall_distance), got {self.ensemble_extent!r}"
-            )
-        if not (self.disk_radius > 0 and math.isfinite(self.disk_radius)):
-            raise ValueError(f"disk_radius must be positive, got {self.disk_radius!r}")
-
-    def solid_angle(self, distance: float) -> float:
-        """Solid angle [sr] of the wall disk seen from `distance` on its axis."""
-        return 2.0 * math.pi * (1.0 - distance / math.hypot(distance, self.disk_radius))
+    return solid_angle(wall_distance - extent), solid_angle(wall_distance + extent)
 
 
 def bbr_field_ratio(t1: float, t2: float, omega_near: float, omega_far: float) -> float:
@@ -338,66 +242,46 @@ def bbr_field_ratio(t1: float, t2: float, omega_near: float, omega_far: float) -
     return 1.0 + excess
 
 
-@dataclass(frozen=True)
-class BbrResult:
-    """Field-ratio difference between the ensemble ends and the shift it implies."""
-
-    field_ratio: float
-    ratio_minus_one: float
-    shift_fractional: float
-
-
-def bbr_differential(
-    geom: BbrGeometry,
-    coeffs: SystematicsCoefficients = YB_COEFFICIENTS,
-) -> BbrResult:
-    """Differential BBR between the ensemble ends for one hot and one cold wall."""
-    omega_near = geom.solid_angle(geom.wall_distance - geom.ensemble_extent)
-    omega_far = geom.solid_angle(geom.wall_distance + geom.ensemble_extent)
-    ratio = bbr_field_ratio(geom.t1, geom.t2, omega_near, omega_far)
-    excess = ratio - 1.0
-    return BbrResult(
-        field_ratio=ratio,
-        ratio_minus_one=excess,
-        shift_fractional=coeffs.bbr_fractional * excess,
-    )
-
-
 def bbr_temperature_limit(
-    geom: BbrGeometry,
-    signal: GravitationalSignal,
-    coeffs: SystematicsCoefficients = YB_COEFFICIENTS,
+    fractional: float,
+    wall_distance: float,
+    t1: float,
+    extent: float,
+    disk_radius: float = DEFAULT_BBR_DISK_RADIUS,
 ) -> float:
-    """Wall temperature difference [K] at which the BBR differential equals
-    the redshift signal; inf when even a large imbalance cannot reach it."""
-
-    t1 = geom.t1
-    omega_near = geom.solid_angle(geom.wall_distance - geom.ensemble_extent)
-    omega_far = geom.solid_angle(geom.wall_distance + geom.ensemble_extent)
+    """Wall temperature difference [K] at which the BBR differential between
+    the ends of an ensemble spanning extent, one wall at t1 and the other
+    warmer, equals the fractional redshift signal; inf when even a large
+    imbalance cannot reach it."""
+    omega_near, omega_far = wall_solid_angles(wall_distance, extent, disk_radius)
 
     def excess_shift(delta_t: float) -> float:
         ratio = bbr_field_ratio(t1, t1 + delta_t, omega_near, omega_far)
-        return coeffs.bbr_fractional * (ratio - 1.0) - signal.fractional
+        return YB_COEFFICIENTS.bbr_fractional * (ratio - 1.0) - fractional
 
     hi = 1e-3
     while excess_shift(hi) < 0:
         hi *= 10.0
         if hi > 1e6:
             return math.inf
-    # excess_shift(0) = -signal.fractional <= 0, so [0, hi] always brackets.
+    # excess_shift(0) = -fractional <= 0, so [0, hi] always brackets.
     return _bisect(excess_shift, 0.0, hi, xtol=1e-12)
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Assembled budget: signal, requirement numbers, and per-effect entries."""
+    """Assembled budget: the redshift signal (extent delta_z, shift delta_nu, fractional),
+    requirement numbers, the worked two-wall BBR example, and per-effect entries."""
 
-    signal: GravitationalSignal
+    delta_z: float
+    delta_nu: float
+    fractional: float
     allowed_b_gradient: float
     p2_calibration_shift_hz: float
     allowed_e_gradient: float
     intensity: IntensityRatioResult
-    bbr_example: BbrResult
+    bbr_example_ratio_minus_one: float
+    bbr_example_shift_fractional: float
     temperature_limit_k: float
     entries: tuple[BudgetEntry, ...]
 
@@ -438,7 +322,6 @@ def assemble_budget(
     n_site: int = 100,
     species: ClockSpecies = YB,
     consts: PhysicalConstants = PhysicalConstants(),
-    coeffs: SystematicsCoefficients = YB_COEFFICIENTS,
     layer_spacing: float | None = None,
     *,
     wall_distance: float = 0.05,  # m, ensemble center to each chamber wall
@@ -456,91 +339,121 @@ def assemble_budget(
     """Evaluate every systematic against the redshift signal at one lattice size.
 
     The keyword-only arguments are the experimental conditions, each named
-    as its `budget.` scenario key; each entry's note records the one it used.
-    Zero-valued entries carry the physical reason the effect has no
-    height-linear component; they are listed so the budget is exhaustive
-    rather than silently omitting them.
+    as its `budget.` scenario key; each entry's note records the one it used,
+    and a refusal names the keys behind the value it refuses. Zero-valued
+    entries carry the physical reason the effect has no height-linear
+    component; they are listed so the budget is exhaustive rather than
+    silently omitting them.
     """
-    signal = gravitational_signal(n_site, species, consts, layer_spacing)
-    if signal.delta_z <= 0:
-        raise ValueError("budget requires n_site >= 1 so the ensemble has extent")
+    coeffs = YB_COEFFICIENTS
+    spacing = species.default_layer_spacing if layer_spacing is None else layer_spacing
+    delta_z = n_site * spacing if n_site <= sys.float_info.max else math.inf
+    if not 0 < delta_z < wall_distance:
+        raise ValueError(
+            f"ensemble extent delta_z = {delta_z!r} m must lie in (0, budget.wall_distance ="
+            f" {wall_distance!r} m); delta_z is budget.n_site times geometry.layer_spacing"
+            " (default species.magic_wavelength / 2)"
+        )
+    t2 = base_temperature + example_temperature_step
+    if not t2 > 0:
+        raise ValueError(
+            f"second wall temperature budget.base_temperature + budget.example_temperature_step"
+            f" = {t2!r} K must be positive"
+        )
+    fractional = relative_redshift(consts, delta_z)
+    delta_nu = species.frequency * fractional
 
-    b_gradient = allowed_b_gradient(coeffs, signal)
-    p2_shift = p2_calibration_shift(coeffs, b_gradient, signal.delta_z)
-    e_allowed = allowed_e_gradient(coeffs, signal, baseline_e_field)
+    b_gradient = allowed_b_gradient(coeffs, delta_nu, delta_z)
+    p2_shift = p2_calibration_shift(coeffs, b_gradient, delta_z)
+    e_allowed = allowed_e_gradient(coeffs, delta_nu, delta_z, baseline_e_field)
 
     # First-order Zeeman: the gradient itself is calibrated out via the 3P2
     # line; what survives is the calibration resolution, one linewidth of
     # gradient uncertainty mapped back onto the clock transition.
     zeeman1_residual = coeffs.zeeman1 * p2_linewidth / coeffs.p2_zeeman
-    zeeman1 = _entry(
-        "first-order-zeeman-calibration",
-        zeeman1_residual,
-        signal,
-        species,
-        f"gradient calibrated against the 3P2 line to one linewidth"
-        f" ({p2_linewidth:.3e} Hz); residual is linewidth-limited",
-    )
 
-    zeeman2 = second_order_zeeman_check(coeffs, b_gradient, bias_field, signal, species)
-
-    e_shift = coeffs.dc_stark * abs(
-        (baseline_e_field + e_gradient * signal.delta_z) ** 2 - baseline_e_field**2
-    )
-    dc_stark = _entry(
-        "dc-stark",
-        e_shift,
-        signal,
-        species,
-        f"assumes shielding holds the stray gradient at {e_gradient:.3g} (V/m)/m"
-        f" (allowed: {e_allowed:.3g})",
-    )
+    e_top = baseline_e_field + e_gradient * delta_z
+    if not e_top < math.sqrt(sys.float_info.max):
+        raise OverflowError(
+            f"DC Stark field budget.baseline_e_field + budget.e_gradient * delta_z = {e_top!r} V/m"
+            " is out of range: its square overflows"
+        )
+    e_shift = coeffs.dc_stark * abs(e_top**2 - baseline_e_field**2)
 
     separation = 100.0 * species.magic_wavelength if beam_separation is None else beam_separation
-    beam = GaussianBeam(waist=beam_waist, wavelength=species.magic_wavelength)
-    intensity = lattice_intensity_ratio(beam, separation)
-    ac_stark = ac_stark_entry(
-        intensity.max_change,
-        signal,
-        species,
-        note=(
+    intensity = lattice_intensity_ratio(
+        rayleigh_range(beam_waist, species.magic_wavelength), separation
+    )
+
+    near, far = wall_solid_angles(wall_distance, delta_z, disk_radius)
+    try:
+        example = bbr_field_ratio(base_temperature, t2, near, far) - 1.0
+        uniform = bbr_field_ratio(base_temperature, base_temperature + delta_t, near, far) - 1.0
+        temperature_limit = bbr_temperature_limit(
+            fractional, wall_distance, base_temperature, delta_z, disk_radius
+        )
+    except (ArithmeticError, ValueError):
+        # T^4 overflows, T^4 W underflows to 0/0, or a nan stops the bisection.
+        example = uniform = math.nan
+    if not math.isfinite(example + uniform):
+        raise OverflowError(
+            "BBR field weights T^4 W are out of float range: the wall temperatures are set by"
+            " budget.base_temperature, budget.example_temperature_step and budget.delta_t, the"
+            " solid angles W by budget.wall_distance and budget.disk_radius"
+        )
+    if temperature_limit == math.inf:
+        raise ValueError(
+            f"no wall temperature difference up to 1e6 K brings the BBR differential up to the"
+            f" redshift signal g dz/c^2 = {fractional!r}; it is set by {REDSHIFT_KEYS}"
+        )
+
+    rows = [
+        (
+            "first-order-zeeman-calibration",
+            zeeman1_residual,
+            f"gradient calibrated against the 3P2 line to one linewidth"
+            f" ({p2_linewidth:.3e} Hz); residual is linewidth-limited",
+        ),
+        (
+            "second-order-zeeman",
+            second_order_zeeman_shift(coeffs, b_gradient, bias_field, delta_z),
+            f"field gradient {b_gradient:.3e} G/m on a {bias_field:.3g} G bias",
+        ),
+        (
+            "dc-stark",
+            e_shift,
+            f"assumes shielding holds the stray gradient at {e_gradient:.3g} (V/m)/m"
+            f" (allowed: {e_allowed:.3g})",
+        ),
+        (
+            "lattice-ac-stark",
+            ac_stark_shift(intensity.max_change, species),
             f"computed peak change {intensity.max_change:.3e}"
             f" (quoted reference {REFERENCE_INTENSITY_CHANGE:.3e};"
-            f" the computed value is used)"
+            f" the computed value is used)",
         ),
-    )
-
-    example_geom = BbrGeometry(
-        wall_distance=wall_distance,
-        t1=base_temperature,
-        t2=base_temperature + example_temperature_step,
-        ensemble_extent=signal.delta_z,
-        disk_radius=disk_radius,
-    )
-    bbr_example = bbr_differential(example_geom, coeffs)
-    temperature_limit = bbr_temperature_limit(example_geom, signal, coeffs)
-    uniform_geom = replace(example_geom, t2=base_temperature + delta_t)
-    bbr_at_uniformity = bbr_differential(uniform_geom, coeffs)
-    bbr = _entry(
-        "bbr-differential",
-        bbr_at_uniformity.shift_fractional * species.frequency,
-        signal,
-        species,
-        f"assumes chamber uniformity of {delta_t * 1e3:.3g} mK;"
-        f" shift equals the signal at {temperature_limit * 1e3:.3g} mK",
-    )
-
-    entries = [zeeman1, zeeman2, dc_stark, ac_stark, bbr]
-    entries.extend(
-        _entry(name, 0.0, signal, species, note) for name, note in _NEGLIGIBLE_EFFECTS
+        (
+            "bbr-differential",
+            coeffs.bbr_fractional * uniform * species.frequency,
+            f"assumes chamber uniformity of {delta_t * 1e3:.3g} mK;"
+            f" shift equals the signal at {temperature_limit * 1e3:.3g} mK",
+        ),
+        *((name, 0.0, note) for name, note in _NEGLIGIBLE_EFFECTS),
+    ]
+    entries = tuple(
+        BudgetEntry(name, shift, shift / species.frequency, delta_nu, shift < delta_nu, note)
+        for name, shift, note in rows
     )
     return Budget(
-        signal=signal,
+        delta_z=delta_z,
+        delta_nu=delta_nu,
+        fractional=fractional,
         allowed_b_gradient=b_gradient,
         p2_calibration_shift_hz=p2_shift,
         allowed_e_gradient=e_allowed,
         intensity=intensity,
-        bbr_example=bbr_example,
+        bbr_example_ratio_minus_one=example,
+        bbr_example_shift_fractional=coeffs.bbr_fractional * example,
         temperature_limit_k=temperature_limit,
-        entries=tuple(entries),
+        entries=entries,
     )

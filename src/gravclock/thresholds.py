@@ -66,7 +66,10 @@ def decoherence_sizes(
     if layer_spacing is None:
         layer_spacing = species.default_layer_spacing
     elif not (layer_spacing > 0 and math.isfinite(layer_spacing)):
-        raise ValueError(f"layer_spacing must be positive, got {layer_spacing!r}")
+        raise ValueError(
+            f"layer_spacing must be positive, got {layer_spacing!r}; it is set by"
+            " geometry.layer_spacing (default species.magic_wavelength / 2)"
+        )
     denominator = species.omega0 * tau * consts.g * layer_spacing
     k = consts.c * consts.c / denominator if denominator > 0 else math.inf
     if not math.sqrt(2.0) * k < math.inf:
@@ -150,10 +153,11 @@ def _error_function(problem: TauMaxProblem):
     the nominal phase, and a cheap upper bound on it that rises with t.
 
     For phi_l > 0: |1 - phi_eff / (phi_l t)| with phi_eff = asin(S_y / m),
-    S_y = sin(phi_l t) D_m(phi_g' t). For phi_l = 0 the nominal phase vanishes
-    and phi_eff is identically zero by the k <-> -k symmetry, so the criterion
-    degrades continuously to the contrast loss 1 - |D_m| / m (the phi_l -> 0
-    limit of the ratio form).
+    S_y = sin(phi_l t) D_m(phi_g' t). Where phi_l t = 0 (phi_l = 0, or a
+    product that underflows) the nominal phase vanishes and phi_eff is
+    identically zero by the k <-> -k symmetry, so the criterion degrades
+    continuously to the contrast loss 1 - |D_m| / m (the phi_l -> 0 limit of
+    the ratio form). A phase phi_l t out of float range is refused.
 
     The bound is B = (m^2 - 1) theta^2 / 24 * tan(a) / a with theta = phi_g' t
     and a = phi_l t (the last factor is 1 at a = 0): 1 - D_m / m <= (m^2 - 1)
@@ -168,10 +172,15 @@ def _error_function(problem: TauMaxProblem):
 
     def error(t: float) -> float:
         d = dirichlet(m, rate * t)
-        if phi_l == 0.0:
+        a = phi_l * t
+        if a == 0.0:
             return 1.0 - abs(d) / m
-        s_y = math.sin(phi_l * t) * d
-        return abs(1.0 - math.asin(max(-1.0, min(1.0, s_y / m))) / (phi_l * t))
+        if a == math.inf:
+            raise OverflowError(
+                f"laser phase phi_l t at t = {t!r} s is out of float range; phi_l is sweep.phi_l"
+            )
+        s_y = math.sin(a) * d
+        return abs(1.0 - math.asin(max(-1.0, min(1.0, s_y / m))) / a)
 
     def bound(t: float) -> float:
         a = phi_l * t

@@ -34,15 +34,15 @@ from gravclock.dephasing import (
 from gravclock.scenario import Scenario, parse_scenario, serialize_scenario
 from gravclock.sweep import scaling_exponent, sweep
 from gravclock.systematics import (
-    BbrGeometry,
-    GaussianBeam,
     YB_COEFFICIENTS,
-    ac_stark_entry,
+    ac_stark_shift,
     allowed_b_gradient,
-    bbr_differential,
-    gravitational_signal,
+    assemble_budget,
+    bbr_field_ratio,
     lattice_intensity_ratio,
     p2_calibration_shift,
+    rayleigh_range,
+    wall_solid_angles,
 )
 from gravclock.thresholds import (
     TauMaxProblem,
@@ -111,7 +111,7 @@ def test_criterion_2_redshift_anchors():
     shift = relative_redshift(CONSTS, 0.01)
     assert shift == pytest.approx(1.09e-18, rel=0.005)
 
-    signal = gravitational_signal(100)
+    signal = assemble_budget(100)
     assert signal.delta_z == pytest.approx(37.97e-6, rel=0.005)
     assert signal.delta_nu == pytest.approx(2.145e-6, rel=0.005)
 
@@ -191,26 +191,24 @@ def test_criterion_5_scaling_exponents():
 
 
 def test_criterion_6_systematics_anchors():
-    signal = gravitational_signal(100)
+    signal = assemble_budget(100)
 
-    gradient = allowed_b_gradient(YB_COEFFICIENTS, signal)
+    gradient = allowed_b_gradient(YB_COEFFICIENTS, signal.delta_nu, signal.delta_z)
     assert gradient == pytest.approx(2.69e-4, rel=0.10)
 
     p2 = p2_calibration_shift(YB_COEFFICIENTS, 2.69e-4, signal.delta_z)
     assert p2 == pytest.approx(0.0214, rel=0.05)
 
-    geom = BbrGeometry(
-        wall_distance=0.05, t1=293.0, t2=294.0, ensemble_extent=signal.delta_z
-    )
-    bbr = bbr_differential(geom)
-    assert bbr.ratio_minus_one == pytest.approx(1.04e-5, rel=0.50)
-    assert bbr.shift_fractional == pytest.approx(2.46e-20, rel=0.50)
+    omega_near, omega_far = wall_solid_angles(0.05, signal.delta_z)
+    ratio_minus_one = bbr_field_ratio(293.0, 294.0, omega_near, omega_far) - 1.0
+    shift_fractional = YB_COEFFICIENTS.bbr_fractional * ratio_minus_one
+    assert ratio_minus_one == pytest.approx(1.04e-5, rel=0.50)
+    assert shift_fractional == pytest.approx(2.46e-20, rel=0.50)
 
-    anchor = ac_stark_entry(0.10, signal)
-    assert anchor.fractional == 1e-19  # exact by construction
+    assert ac_stark_shift(0.10) / YB.frequency == 1e-19  # exact by construction
 
-    beam = GaussianBeam(waist=170e-6, wavelength=YB.magic_wavelength)
-    intensity = lattice_intensity_ratio(beam, 100 * YB.magic_wavelength)
+    z_r = rayleigh_range(170e-6, YB.magic_wavelength)
+    intensity = lattice_intensity_ratio(z_r, 100 * YB.magic_wavelength)
     reference_change = 8.46e-4
     assert intensity.max_change == pytest.approx(6.4e-4, rel=0.05)
     assert intensity.max_change != pytest.approx(reference_change, rel=0.05)
@@ -218,7 +216,7 @@ def test_criterion_6_systematics_anchors():
     announce(
         6,
         f"B gradient = {gradient:.3e} G/m, 3P2 shift = {p2:.4f} Hz, BBR ratio-1 ="
-        f" {bbr.ratio_minus_one:.3e} -> {bbr.shift_fractional:.3e}, AC-Stark anchor"
+        f" {ratio_minus_one:.3e} -> {shift_fractional:.3e}, AC-Stark anchor"
         f" exact, intensity change computed {intensity.max_change:.3e} vs quoted"
         f" {reference_change:.3e}",
     )
@@ -240,8 +238,8 @@ def test_criterion_7_property_suites(tmp_path, capsys):
         assert abs(s_y) <= 1e-12 * m
 
     # Stationarity of the numeric intensity-ratio extremum.
-    beam = GaussianBeam(waist=170e-6, wavelength=YB.magic_wavelength)
-    result = lattice_intensity_ratio(beam, 100 * YB.magic_wavelength)
+    z_r = rayleigh_range(170e-6, YB.magic_wavelength)
+    result = lattice_intensity_ratio(z_r, 100 * YB.magic_wavelength)
     assert result.stationarity_residual <= 1e-6
 
     # QPN sqrt(N) invariance.

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -161,10 +162,13 @@ _BARE_MESSAGES = (
     "cannot convert float infinity to integer",
     "int too large to convert to float",
     "float division by zero",
+    "math domain error",
 )
 # g d/c^2 out of range: c^2 underflows to 0, or g d overflows.
 _TINY_C = "constants.c = 1e-200"
 _HUGE_GD = "constants.g = 1e300\ngeometry.layer_spacing = 1e10"
+# A size n* small enough to pass, with omega0 tau n below float range.
+_HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacing = 1.4e16"
 
 
 @pytest.mark.parametrize(
@@ -174,7 +178,23 @@ _HUGE_GD = "constants.g = 1e300\ngeometry.layer_spacing = 1e10"
         ("threshold", "constants.c = 1e200", "c^2/(omega0 tau g d)"),
         ("threshold", "species.magic_wavelength = 1e-300", "total atom count n^2 (n+1)"),
         ("threshold", _TINY_C, "size n* = 0.000e+00 rounds to n = 0"),
-        ("budget", "budget.base_temperature = 1e300", None),
+        ("threshold", "species.magic_wavelength = 5e-324", "layer_spacing must be positive"),
+        ("threshold", f"species.omega0 = 5e-324\n{_HUGE_GD_SQL}", "QPN Allan deviation"),
+        ("budget", "budget.base_temperature = 1e300", "BBR field weights T^4 W"),
+        ("budget", "budget.delta_t = 1e300", "BBR field weights T^4 W"),
+        ("budget", "budget.e_gradient = 1e300", "DC Stark field"),
+        ("budget", "budget.baseline_e_field = 1e300", "DC Stark field"),
+        ("budget", "budget.bias_field = 1e300", "second-order Zeeman shift"),
+        ("budget", "budget.n_site = 1000000\nspecies.magic_wavelength = 1e303", "extent delta_z"),
+        ("budget", "species.magic_wavelength = 5e-324", "extent delta_z"),
+        ("budget", f"budget.n_site = {_HUGE_INT}", "extent delta_z"),
+        ("budget", "budget.beam_waist = 1e-311", "Rayleigh range"),
+        ("budget", "budget.beam_separation = 1200", "must lie in (0, 1e3]"),
+        (
+            "budget",
+            "species.magic_wavelength = 1e307\ngeometry.layer_spacing = 1e-9",
+            "layer separation / Rayleigh range",
+        ),
         ("budget", _TINY_C, "redshift g dh/c^2"),
         ("dephase-curve", _TINY_C, "redshift g dh/c^2"),
         ("dephase-curve", _HUGE_GD, "redshift g dh/c^2"),
@@ -189,14 +209,29 @@ _HUGE_GD = "constants.g = 1e300\ngeometry.layer_spacing = 1e10"
             f"sweep.atoms_per_layer = {10**320}\nsweep.family = slab",
             "1.000e+320 is out of float range",
         ),
-        ("dephase-curve", f"dephase.sizes = {_HUGE_INT}", None),
+        ("dephase-curve", f"dephase.sizes = {_HUGE_INT}", "layer count of 401 digits"),
+        ("dephase-curve", "dephase.phi_l = 1e300\ndephase.t_grid = 0,1e10", "phi_l t"),
+        ("dephase-curve", "constants.g = 1e300\ndephase.t_grid = 0,1e300", "phi_g' t"),
+        ("stability-sweep", "sweep.phi_l = 1e300\nsweep.sizes = 1", "phi_l t"),
     ],
     ids=[
         "tau",
         "c",
         "magic_wavelength",
         "c_threshold_underflow",
+        "magic_wavelength_threshold_underflow",
+        "omega0_threshold_sql_overflow",
         "base_temperature",
+        "delta_t",
+        "e_gradient",
+        "baseline_e_field",
+        "bias_field",
+        "n_site_extent_overflow",
+        "magic_wavelength_extent_underflow",
+        "n_site_beyond_float_range",
+        "beam_waist_underflow",
+        "beam_separation_beyond_search_range",
+        "magic_wavelength_separation_overflow",
         "c_budget_underflow",
         "c_dephase_underflow",
         "gd_dephase_overflow",
@@ -208,6 +243,9 @@ _HUGE_GD = "constants.g = 1e300\ngeometry.layer_spacing = 1e10"
         "sweep_sizes_slab",
         "sweep_atoms_per_layer_slab",
         "dephase_sizes",
+        "dephase_phi_l",
+        "dephase_g",
+        "sweep_phi_l",
     ],
 )
 def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text, quantity):
@@ -219,37 +257,45 @@ def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text, qua
     assert err.startswith("gravclock: error:")
     assert "Traceback" not in err
     assert not out.exists()
-    if quantity is not None:
-        # The message names the quantity that overflowed and the key that fed it.
-        assert quantity in err
-        assert text.split(" = ")[0] in err
-        assert not any(bare in err for bare in _BARE_MESSAGES)
+    # The message names the quantity that overflowed and the key that fed it.
+    assert quantity in err
+    assert text.split(" = ")[0] in err
+    assert not any(bare in err for bare in _BARE_MESSAGES)
 
 
 @pytest.mark.parametrize(
-    "command, text, where",
+    "command, text, quantity",
     [
-        ("budget", "budget.beam_waist = 1e300", "lattice_intensity.z_star_m: "),
-        ("budget", "constants.c = 1e-100", "requirements.temperature_uniformity_k: "),
+        ("budget", "budget.beam_waist = 1e300", "Rayleigh range"),
+        ("budget", "constants.c = 1e-100", "BBR differential up to the redshift signal"),
         (
             "stability-sweep",
             "species.omega0 = 1e-320\nsweep.sizes = 2",
-            "sigma_at_tau in row 1 (size 2, phi_l 1e-06): ",
+            "SQL 1/(omega0 tau_max sqrt(N)) at size 2.000e+00, phi_l 1e-06",
         ),
     ],
     ids=["beam_waist", "c", "omega0"],
 )
-def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys, command, text, where):
-    # A JSON refusal names its key path, a CSV refusal its column and row.
+def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys, command, text, quantity):
+    # A result out of float range (z_star, the BBR temperature limit, a sweep
+    # sigma) is refused where it forms, naming the quantity and its key.
     scenario = tmp_path / "non_finite.cfg"
     scenario.write_text(text + "\n")
     out = tmp_path / "out"
     assert main([command, "--scenario", str(scenario), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"gravclock: error: {where}not a finite number")
+    assert captured.err.startswith("gravclock: error:")
+    assert quantity in captured.err
+    assert text.split(" = ")[0] in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+# Every refusal names at least one scenario key.
+_SCENARIO_KEY = re.compile(
+    r"(species|constants|geometry|interrogation|dephase|sweep|budget)\.[a-z0-9_]+"
+)
 
 
 def _refuse_constant(name: str):
@@ -271,7 +317,8 @@ _WIDE_COUNT = st.integers(1, 10**400)
 def test_every_command_ends_in_finite_output_or_a_refusal(scenario):
     # Any valid scenario, magnitudes up to the float range and counts beyond
     # it: each command exits 0, 2 or 3 without an escaping exception; a
-    # refusal writes nothing, and every number written is finite.
+    # refusal names a scenario key and writes nothing, and every number
+    # written is finite.
     outputs = {
         "threshold": ([scenario.output_threshold], []),
         "dephase-curve": ([], [scenario.output_dephase_curve]),
@@ -283,11 +330,12 @@ def test_every_command_ends_in_finite_output_or_a_refusal(scenario):
         path.write_text(serialize_scenario(scenario))
         for command, (json_names, csv_names) in outputs.items():
             out = Path(tmp) / command
-            with contextlib.redirect_stdout(io.StringIO()):
-                with contextlib.redirect_stderr(io.StringIO()):
-                    code = main([command, "--scenario", str(path), "--out", str(out)])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--scenario", str(path), "--out", str(out)])
             assert code in (0, 2, 3), command
             if code == 2:
+                assert _SCENARIO_KEY.search(err.getvalue()), (command, err.getvalue())
                 assert not out.exists(), command
                 continue
             for name in [*json_names, emit.RUN_RECORD_NAME]:
@@ -307,6 +355,11 @@ def test_every_command_ends_in_finite_output_or_a_refusal(scenario):
 def test_fmt_float_refuses_non_finite(value):
     with pytest.raises(ValueError, match="not a finite number"):
         emit.fmt_float(value)
+
+
+def test_json_refusal_names_its_key_path():
+    with pytest.raises(ValueError, match=r"^lattice_intensity\.changes\[1\]: not a finite"):
+        emit.json_text({"lattice_intensity": {"changes": [0.5, math.inf]}})
 
 
 def test_huge_phi_l_sweep_prints_nothing_to_stderr(tmp_path):

@@ -308,3 +308,13 @@ def test_problem_validation():
         decoherence_sizes(tau=0.0)
     with pytest.raises(ValueError):
         decoherence_sizes(layer_spacing=-1.0)
+
+
+def test_error_takes_the_contrast_limit_where_phi_l_t_underflows():
+    # A subnormal phi_l times t < 1 rounds to 0; the ratio form's limit there
+    # is the contrast loss, which phi_l = 0 uses.
+    tiny, zero = (
+        thresholds._error_function(TauMaxProblem(101, 100, phi_l, PHI_G, Convention.PHYSICAL))[0]
+        for phi_l in (5e-324, 0.0)
+    )
+    assert tiny(0.25) == zero(0.25) > 0.0
