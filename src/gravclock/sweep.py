@@ -56,8 +56,10 @@ def sweep(
     A cubic size n sums n + 1 layers of n^2 atoms; a slab size n sums n
     layers of atoms_per_layer atoms. A non-bracketable tau search (laser
     never limits) yields a flagged point evaluated at the tau cap instead of
-    aborting. A bracketed search whose bisection ran out of iterations
-    before meeting its tolerances is flagged non-converged.
+    aborting. A bracketed search whose root finder (Illinois regula falsi
+    with a bisection safeguard) used its 120 steps before narrowing tau_max
+    to 1e-12 relative with the error within 1e-4 of the SQL is flagged
+    non-converged.
     """
     if family not in ("cubic", "slab"):
         raise ValueError(f"family must be 'cubic' or 'slab', got {family!r}")

@@ -117,7 +117,8 @@ class IntensityRatioResult:
 
     z_star (numeric, authoritative) is the stationary point with the largest
     |ratio - 1|; z_extrema_m holds both numeric stationary points, which
-    closed_form_agrees compares with +/- sqrt(delta^2+4)/2 * z_R.
+    closed_form_agrees compares with the roots 2/(delta + s) * z_R and
+    -(delta + s)/2 * z_R of u^2 + u delta - 1 = 0, s = sqrt(delta^2 + 4).
     stationarity_residual is max |u^2 + u delta - 1| over the numeric points
     (u = z/z_R, delta = separation/z_R).
     """
@@ -181,7 +182,9 @@ def lattice_intensity_ratio(z_r: float, separation: float) -> IntensityRatioResu
     range z_r follows the beam-area ratio r(z) = w^2(z)/w^2(z + separation).
     Its extrema are located numerically (sign change of the
     centered-difference slope) and compared with the closed-form positions
-    +/- sqrt(delta^2 + 4)/2 * z_R; they must agree to 1% in z, and the
+    2/(delta + s) * z_R and -(delta + s)/2 * z_R, s = sqrt(delta^2 + 4), the
+    roots of the stationarity condition u^2 + u delta - 1 = 0 in their
+    cancellation-free form; they must agree to 1% in z, and the
     numeric result is authoritative. A ratio separation / z_R above 1e3 is
     refused: the stationarity residual grows there, and near 1e4 the
     brackets lose their sign change.
@@ -197,8 +200,12 @@ def lattice_intensity_ratio(z_r: float, separation: float) -> IntensityRatioResu
     u_pos = _bisect(lambda u: _excess_slope(u, delta), 1e-12, 2.0, xtol=1e-13)
     u_neg = _bisect(lambda u: _excess_slope(u, delta), -delta - 2.0, -1.0, xtol=1e-13)
 
-    u_closed = math.sqrt(delta * delta + 4.0) / 2.0
-    agrees = abs(u_pos - u_closed) <= 0.01 * u_closed and abs(u_neg + u_closed) <= 0.01 * u_closed
+    s = math.sqrt(delta * delta + 4.0)
+    closed_pos, closed_neg = 2.0 / (delta + s), -0.5 * (delta + s)
+    agrees = all(
+        abs(u - closed) <= 0.01 * abs(closed)
+        for u, closed in ((u_pos, closed_pos), (u_neg, closed_neg))
+    )
     extrema = (u_pos, u_neg)
     changes = tuple(delta * abs(_area_ratio_excess(u, delta)) for u in extrema)
     residual = max(abs(u * u + u * delta - 1.0) for u in extrema)

@@ -4,8 +4,9 @@ Two separate questions. decoherence_sizes asks how large the lattice
 must be before the gravitational phase spread across it reaches the quantum
 projection noise (closed-form algebra). solve_tau_max asks how long a given
 ensemble can be interrogated before the dephasing-induced error in the
-measured phase reaches the per-layer standard quantum limit (bracketing plus
-bisection on the layer-sum model).
+measured phase reaches the per-layer standard quantum limit (a grid scan
+for a bracket, then Illinois regula falsi with a bisection safeguard on the
+layer-sum model).
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from .core import ClockSpecies, PhysicalConstants, YB, geomspace, per_layer_phas
 from .dephasing import Convention, dirichlet, effective_phase_rate
 
 TAU_CAP_S = 1e9
-_BISECT_MAX_ITER = 200
-_BISECT_REL_TOL = 1e-6
+# The safeguard halves the bracket at least every 3 steps, and 37 halvings
+# take the scan's 7.5% bracket below _ROOT_REL_TOL.
+_ROOT_MAX_STEPS = 120
+_ROOT_REL_TOL = 1e-12
 _RESIDUAL_REL_TOL = 1e-4
 # A grid point is skipped only where 2*bound(t) + _SKIP_SLACK <= threshold:
 # the factor 2 and the absolute slack absorb the rounding of error(t), which
@@ -134,9 +137,10 @@ class TauMaxResult:
 
     bracketed is False when the error never reaches the threshold within
     (0, TAU_CAP_S]: the laser-dominated regime with unbounded tau. tau_s then
-    holds the cap. converged is True only when the bisection met both its
-    tau and residual tolerances; it is False for an unbracketed search and
-    for one that ran out of iterations. criterion records whether the
+    holds the cap. Otherwise tau_s and error_at_tau are the last point the
+    root finder evaluated. converged is True only when the root finder met
+    both its width and residual tolerances; it is False for an unbracketed
+    search and for one that ran out of steps. criterion records whether the
     phase-ratio error or the phi_l = 0 contrast fallback was used.
     """
 
@@ -179,8 +183,10 @@ def _error_function(problem: TauMaxProblem):
             raise OverflowError(
                 f"laser phase phi_l t at t = {t!r} s is out of float range; phi_l is sweep.phi_l"
             )
-        s_y = math.sin(a) * d
-        return abs(1.0 - math.asin(max(-1.0, min(1.0, s_y / m))) / a)
+        # Clamped against rounding; a conditional costs far less than min/max.
+        x = math.sin(a) * d / m
+        x = 1.0 if x > 1.0 else -1.0 if x < -1.0 else x
+        return abs(1.0 - math.asin(x) / a)
 
     def bound(t: float) -> float:
         a = phi_l * t
@@ -212,34 +218,69 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
 
     Scans a fixed geometric grid from 1e-6 s to TAU_CAP_S for the first
     point past the threshold, skipping the points an upper bound on the
-    error proves below it, then bisects that bracket to a relative tau
-    tolerance of 1e-6 (at most 200 iterations, tightening until the error
-    residual is within 1e-4 of the threshold). Deterministic: fixed grid,
-    fixed iteration policy, no randomness.
+    error proves below it. The bracket [grid[i-1], grid[i]] starts from the
+    errors the scan computed at its ends (error(0) = 0 when i == 0) and
+    shrinks by regula falsi with the Illinois modification (Dowell &
+    Jarratt, BIT 11, 168, 1971): where two falsi steps in a row keep the
+    same end, its value is halved. A falsi step stays half the width
+    tolerance inside the bracket. As a safeguard, the step after two steps
+    in a row that each failed to halve the bracket bisects it; bisection
+    steps leave the Illinois bookkeeping alone. The search converges once
+    the bracket is no wider than 1e-12 of its lower end and the last error
+    is within 1e-4 of the threshold, and gives up after 120 steps.
+    Deterministic: fixed grid, fixed step policy, no randomness.
     """
     error, bound, criterion = _error_function(problem)
     thr = problem.threshold
-    i = _scan(error, bound, thr)
+    seen = {0.0: 0.0}  # no dephasing before any time has passed
+
+    def recorded(t: float) -> float:
+        seen[t] = e = error(t)
+        return e
+
+    i = _scan(recorded, bound, thr)
     tau, converged = TAU_CAP_S, False
     if i is None:
-        e_tau = error(tau)
+        e_tau = seen[tau] if tau in seen else error(tau)
     else:
-        # i == 0 is pathological: already past threshold at the scan floor,
-        # so bisection starts from lo = 0 (the error vanishes with t).
         grid = _scan_grid()
         lo, hi = (grid[i - 1] if i else 0.0), grid[i]
-        tau = 0.5 * (lo + hi)
-        e_tau = error(tau)
-        for _ in range(_BISECT_MAX_ITER):
-            if e_tau > thr:
-                hi = tau
-            else:
-                lo = tau
-            tau = 0.5 * (lo + hi)
+        # The scan stops at its first evaluation past thr, so error(hi) is
+        # known; error(lo) is not when the bound skipped it.
+        tau, e_tau = hi, seen[hi]
+        f_lo = (seen[lo] if lo in seen else error(lo)) - thr
+        f_hi = e_tau - thr
+        # The end the last falsi step kept (-1 lo, 1 hi, 0 none yet), and
+        # the steps in a row that failed to halve the bracket.
+        kept = slow = 0
+        for _ in range(_ROOT_MAX_STEPS):
+            width = hi - lo
+            tau, falsi = lo + 0.5 * width, False
+            if slow < 2:
+                # Held inside the bracket by half the width tolerance, so that
+                # a step beside an end already at the root crosses the root.
+                margin = 0.5 * _ROOT_REL_TOL * lo
+                low, high = lo + margin, hi - margin
+                step = lo + width * (f_lo / (f_lo - f_hi))
+                step = low if step < low else high if step > high else step
+                if lo < step < hi:
+                    tau, falsi = step, True
             e_tau = error(tau)
+            if e_tau > thr:
+                hi, f_hi = tau, e_tau - thr
+                if falsi:
+                    if kept < 0:
+                        f_lo *= 0.5
+                    kept = -1
+            else:
+                lo, f_lo = tau, e_tau - thr
+                if falsi:
+                    if kept > 0:
+                        f_hi *= 0.5
+                    kept = 1
+            slow = slow + 1 if hi - lo > 0.5 * width else 0
             converged = (
-                hi - lo <= _BISECT_REL_TOL * max(lo, 1e-300)
-                and abs(e_tau - thr) <= _RESIDUAL_REL_TOL * thr
+                hi - lo <= _ROOT_REL_TOL * lo and abs(e_tau - thr) <= _RESIDUAL_REL_TOL * thr
             )
             if converged:
                 break

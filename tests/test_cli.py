@@ -440,7 +440,7 @@ def test_flagged_sweep_exits_3_unless_allowed(tmp_path, capsys):
 
 
 def test_non_converged_sweep_exits_3_unless_allowed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(thresholds, "_BISECT_MAX_ITER", 1)
+    monkeypatch.setattr(thresholds, "_ROOT_MAX_STEPS", 1)
     scenario = tmp_path / "cell.cfg"
     scenario.write_text(
         "convention = paper-figure\nsweep.family = cubic\nsweep.sizes = 200\nsweep.phi_l = 1e-2\n"

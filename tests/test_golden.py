@@ -40,20 +40,20 @@ GOLDEN = {
         "run_record.json": "10f4bdb22c2346249ab0430d8800ebcc58c28055011311ae65b23f0b50bbad8d",
     },
     ("stability-sweep", "stability_cubic.cfg", "physical"): {
-        "run_record.json": "f7c1bd597a2bf32c7f5ce4fc9c2ef4d0db1ff188e3b345071097bb665580a1b9",
-        "stability_sweep.csv": "04354f262b1a6cdfb9953357efb35c3181ec97febffb0c9cccf5c7672de0a9f4",
+        "run_record.json": "65cdcee514021f8fb432665af846a1cdc8b5a1b9d0fa54cfc5c28152124b07db",
+        "stability_sweep.csv": "ff11afd7b571aab4d9a209f0d7f2b8ff74d6e6ac3eb1d418558287200d1fb391",
     },
     ("stability-sweep", "stability_cubic.cfg", "paper-figure"): {
-        "run_record.json": "84ab9b65b18fc8060eefd80479627893ce3095d4c11f79013d92a2662a954d75",
-        "stability_sweep.csv": "ea589c53633128ffd4906d2c57eb23de72c84f1e28eb0e1724d406b58f66c71c",
+        "run_record.json": "04e962e95fb5a236fb890d802dbc02bd006177deb7dac985cbefb378e17c3c3a",
+        "stability_sweep.csv": "fc47573934d90e59101f2fe7093f17390efc80a07a506d697ff6efa90f2e1af1",
     },
     ("stability-sweep", "stability_slab.cfg", "physical"): {
-        "run_record.json": "64eaf75270479c025bbd0748c20dd5e24d8d4d4c2e5c37755c6444c514329c24",
-        "stability_sweep.csv": "183e99b55b4fef73c6e3f0b8f1f6062bfd49cc6f543b07134e775b4cd5780d1d",
+        "run_record.json": "b25c13d1ce9e77dfc9657714a19e87aeec68baf95d4a9b2dca2592704a764338",
+        "stability_sweep.csv": "af6b4f718fbb9c424def4c88c3d134969a5472ec95f94abeb4fe8de5fdb99fa2",
     },
     ("stability-sweep", "stability_slab.cfg", "paper-figure"): {
-        "run_record.json": "219bb0af2960df12c0e749bcfd758bcc6b344c95731c464d1c983d04ee96c687",
-        "stability_sweep.csv": "8bd971afb59914a081e1d201327bc20ed48e80bbddfb46c9fc379514365f0ac3",
+        "run_record.json": "660bdffa84943f1abc4d9c271e1ba78e5246e5189ddc09426a2711f56b9e4d1f",
+        "stability_sweep.csv": "fcd706d140b99ee22fa64512b86a40a55c6505b4caf25f23289312c22f61420d",
     },
     ("budget", "budget.cfg", "physical"): {
         "budget.json": "90a14110757e544917f1d2d90e0af279daba6d9da1251657d2aafa8284008399",

@@ -139,6 +139,18 @@ def test_intensity_ratio_stationarity_oracle():
             assert abs(u * u + u * delta - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("delta", [1.0, 10.0, 1e3])
+def test_intensity_ratio_closed_form_agrees_at_large_separation(delta):
+    # Away from delta << 1 the roots of u^2 + u delta - 1 = 0 are far from
+    # +/- sqrt(delta^2 + 4)/2, so the check must use the roots themselves.
+    result = lattice_intensity_ratio(Z_R, delta * Z_R)
+    assert result.closed_form_agrees
+    s = math.sqrt(delta * delta + 4.0)
+    u_pos, u_neg = (z / Z_R for z in result.z_extrema_m)
+    assert u_pos == pytest.approx(2.0 / (delta + s), rel=1e-3)
+    assert u_neg == pytest.approx(-(delta + s) / 2.0, rel=1e-3)
+
+
 def test_intensity_ratio_extrema_near_rayleigh_range_for_small_separation():
     z_r = Z_R
     result = lattice_intensity_ratio(Z_R, 1e-6 * z_r)

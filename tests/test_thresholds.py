@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from layer_sum_oracle import explicit_layer_sum
 from scipy.optimize import brentq
 
-from gravclock import thresholds
+from gravclock import sweep as sweep_module, thresholds
+from gravclock.cli import main
 from gravclock.core import PhysicalConstants, YB, per_layer_phase_rate
 from gravclock.dephasing import Convention, effective_phase_rate
 from gravclock.thresholds import (
@@ -18,6 +20,7 @@ from gravclock.thresholds import (
     solve_tau_max,
 )
 
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 CONSTS = PhysicalConstants()
 PHI_G = per_layer_phase_rate(CONSTS, YB, YB.default_layer_spacing)
 
@@ -141,7 +144,7 @@ def test_tau_max_zero_phi_l_uses_contrast_criterion():
 def test_bisection_out_of_iterations_is_not_converged(monkeypatch):
     problem = TauMaxProblem.cubic(200, 1e-2, Convention.PAPER_FIGURE)
     assert solve_tau_max(problem).converged
-    monkeypatch.setattr(thresholds, "_BISECT_MAX_ITER", 1)
+    monkeypatch.setattr(thresholds, "_ROOT_MAX_STEPS", 1)
     result = solve_tau_max(problem)
     assert result.bracketed
     assert not result.converged
@@ -220,6 +223,96 @@ def test_skip_scan_picks_full_scan_bracket(problem):
     assert thresholds._scan(error, bound, problem.threshold) == _reference_bracket(
         full, problem.threshold
     )
+
+
+@settings(max_examples=150)
+@given(problem=_PROBLEMS)
+@example(TauMaxProblem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE))
+@example(TauMaxProblem(2, 10**44, 0.0, PHI_G, Convention.PHYSICAL))  # thr = 1e-22
+@example(TauMaxProblem(3, 10**44, 1e-3, 0.0, Convention.PHYSICAL))  # rounding alone crosses
+def test_root_lies_in_the_full_scan_bracket(problem):
+    # Whatever the scan skipped, a converged tau lies in the bracket of the
+    # plain scan and meets the residual tolerance.
+    error, _, _ = thresholds._error_function(problem)
+    grid = thresholds._scan_grid()
+    i = _reference_bracket([error(t) for t in grid], problem.threshold)
+    result = solve_tau_max(problem)
+    assert result.bracketed == (i is not None)
+    if result.converged:
+        assert (grid[i - 1] if i else 0.0) <= result.tau_s <= grid[i]
+        assert abs(result.error_at_tau - result.threshold) <= 1e-4 * result.threshold
+
+
+def _counting_solver(monkeypatch, error_function=thresholds._error_function):
+    """solve_tau_max, also returning the error evaluations made after the scan."""
+    calls = []
+    scan = thresholds._scan
+
+    def counted_function(problem):
+        error, bound, criterion = error_function(problem)
+
+        def counted(t):
+            calls.append(t)
+            return error(t)
+
+        return counted, bound, criterion
+
+    def marked_scan(*args):
+        i = scan(*args)
+        calls.clear()
+        return i
+
+    monkeypatch.setattr(thresholds, "_error_function", counted_function)
+    monkeypatch.setattr(thresholds, "_scan", marked_scan)
+
+    def solve(problem):
+        result = solve_tau_max(problem)
+        return result, len(calls)
+
+    return solve
+
+
+def test_safeguard_converges_where_illinois_stalls(monkeypatch):
+    # error = thr exp(1e5 (t/60 - 1)) is flat below its root and steep above
+    # it: at the scan's crossing point it is ~1e299 thr, so regula falsi
+    # creeps up from below, and the Illinois halving alone would need ~1,000
+    # steps to cross.
+    def stalling(problem):
+        thr = problem.threshold
+        return (
+            (lambda t: thr * math.exp(min(700.0, 1e5 * (t / 60.0 - 1.0)))),
+            (lambda t: math.inf),
+            "stall",
+        )
+
+    solve = _counting_solver(monkeypatch, stalling)
+    result, evaluations = solve(TauMaxProblem(3, 4, 0.0, 0.0, Convention.PHYSICAL))
+    assert result.bracketed and result.converged
+    assert result.tau_s == pytest.approx(60.0, rel=1e-9)
+    assert evaluations <= 3 * 37 <= thresholds._ROOT_MAX_STEPS
+
+
+def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
+    # At most half the 18 evaluations per cell that bisection to 1e-6 needs.
+    solve = _counting_solver(monkeypatch)
+    counts = []
+
+    def counted_solve(problem):
+        result, evaluations = solve(problem)
+        if result.bracketed:
+            counts.append(evaluations)
+        return result
+
+    monkeypatch.setattr(sweep_module, "solve_tau_max", counted_solve)
+    for preset in ("stability_cubic.cfg", "stability_slab.cfg"):
+        for convention in ("physical", "paper-figure"):
+            argv = ["stability-sweep", "--scenario", str(PRESETS / preset)]
+            out = tmp_path / f"{preset}-{convention}"
+            assert main(argv + ["--convention", convention, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(counts) == 4 * 185
+    assert sum(counts) / len(counts) <= 9.0
+    assert max(counts) <= thresholds._ROOT_MAX_STEPS
 
 
 def test_scan_skips_the_bounded_prefix():
