@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     DEFAULT_BBR_DISK_RADIUS,
@@ -147,8 +147,8 @@ def _file_name(text: str) -> str:
     return text
 
 
-def _key(default, parse: Callable[[str], object]):
-    """A scenario key: the field's default and the parser of its text value."""
+def _key(default, parse):
+    """A scenario key: the field's default and the parser (str -> value) of its text value."""
     return field(default=default, metadata={"parse": parse})
 
 

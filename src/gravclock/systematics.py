@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import (
     DEFAULT_BBR_DISK_RADIUS,
@@ -115,12 +114,14 @@ def rayleigh_range(waist: float, wavelength: float) -> float:
 class IntensityRatioResult:
     """Extrema of the beam-area ratio w^2(z)/w^2(z + separation).
 
-    z_star (numeric, authoritative) is the stationary point with the largest
-    |ratio - 1|; z_extrema_m holds both numeric stationary points, which
-    closed_form_agrees compares with the roots 2/(delta + s) * z_R and
-    -(delta + s)/2 * z_R of u^2 + u delta - 1 = 0, s = sqrt(delta^2 + 4).
-    stationarity_residual is max |u^2 + u delta - 1| over the numeric points
-    (u = z/z_R, delta = separation/z_R).
+    With u = z/z_R and delta = separation/z_R, the stationarity condition
+    u^2 + u delta - 1 = 0 has the roots u+ = 2/(delta + s) and
+    u- = -(delta + s)/2, s = hypot(delta, 2); z_extrema_m holds u+ z_R and
+    u- z_R, and changes the |ratio - 1| there. z_star is u- z_R, where the
+    change peaks. stationarity_residual is max |u^2 + u delta - 1| / max(1, u^2)
+    at the emitted points, relative so it stays at rounding level for any
+    delta; closed_form_agrees is the floating-point self-check
+    stationarity_residual <= 1e-12.
     """
 
     z_star: float
@@ -131,92 +132,36 @@ class IntensityRatioResult:
     closed_form_agrees: bool
 
 
-def _area_ratio_excess(u: float, delta: float) -> float:
-    """(r(u) - 1) / delta, the cancellation-free form of the change profile.
-
-    r - 1 = -delta (2u + delta) / (1 + (u + delta)^2) exactly; dividing the
-    small prefactor out keeps the extremum search conditioned even when the
-    separation is a tiny fraction of the Rayleigh range.
-    """
-    return -(2.0 * u + delta) / (1.0 + (u + delta) * (u + delta))
-
-
-def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign.
-
-    Halves the bracket until it is no wider than xtol or its midpoint rounds
-    onto an endpoint, and returns a point of the final bracket.
-    """
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
-        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: f = {f_lo!r}, {f_hi!r}")
-    while hi - lo > xtol:
-        mid = lo + 0.5 * (hi - lo)
-        if mid == lo or mid == hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return lo + 0.5 * (hi - lo)
-
-
-def _excess_slope(u: float, delta: float, h: float = 1e-5) -> float:
-    # Centered difference of the change profile; its analytic simplification
-    # is the stationarity oracle u^2 + u*delta - 1 = 0 and stays out of the
-    # numeric path.
-    return (_area_ratio_excess(u + h, delta) - _area_ratio_excess(u - h, delta)) / (2.0 * h)
-
-
 def lattice_intensity_ratio(z_r: float, separation: float) -> IntensityRatioResult:
     """Peak fractional intensity change between layers `separation` apart.
 
     The intensity ratio between two axial points of a beam with Rayleigh
-    range z_r follows the beam-area ratio r(z) = w^2(z)/w^2(z + separation).
-    Its extrema are located numerically (sign change of the
-    centered-difference slope) and compared with the closed-form positions
-    2/(delta + s) * z_R and -(delta + s)/2 * z_R, s = sqrt(delta^2 + 4), the
-    roots of the stationarity condition u^2 + u delta - 1 = 0 in their
-    cancellation-free form; they must agree to 1% in z, and the
-    numeric result is authoritative. A ratio separation / z_R above 1e3 is
-    refused: the stationarity residual grows there, and near 1e4 the
-    brackets lose their sign change.
+    range z_r follows the beam-area ratio r(u) = (1 + u^2)/(1 + (u + delta)^2),
+    so r - 1 = -delta (2u + delta) / (1 + (u + delta)^2). Its extrema are the
+    closed-form roots u+ and u- of u^2 + u delta - 1 = 0; since u+ u- = -1 and
+    u+ + u- = -delta, the change there is delta s / (1 + u-^2) at u+ and
+    delta s / (1 + u+^2) at u-, free of cancellation, and it peaks at u-.
     """
     delta = separation / z_r if z_r > 0 else math.inf
-    if not (separation > 0 and z_r < math.inf and delta <= 1e3):
+    s = math.hypot(delta, 2.0)
+    u_pos, u_neg = 2.0 / (delta + s), -0.5 * (delta + s)
+    changes = (delta * s / (1.0 + u_neg * u_neg), delta * s / (1.0 + u_pos * u_pos))
+    if not (separation > 0 and z_r < math.inf and changes[1] < math.inf):
         raise ValueError(
-            f"layer separation / Rayleigh range pi w^2 / wavelength = {separation!r} m /"
-            f" {z_r!r} m must lie in (0, 1e3]; it is set by"
-            " budget.beam_waist, species.magic_wavelength and budget.beam_separation"
+            f"peak intensity change at layer separation / Rayleigh range pi w^2 / wavelength ="
+            f" {separation!r} m / {z_r!r} m is out of float range; it needs a positive"
+            " separation and a finite Rayleigh range, set by budget.beam_waist,"
+            " species.magic_wavelength and budget.beam_separation"
             " (default 100 species.magic_wavelength)"
         )
-    u_pos = _bisect(lambda u: _excess_slope(u, delta), 1e-12, 2.0, xtol=1e-13)
-    u_neg = _bisect(lambda u: _excess_slope(u, delta), -delta - 2.0, -1.0, xtol=1e-13)
-
-    s = math.sqrt(delta * delta + 4.0)
-    closed_pos, closed_neg = 2.0 / (delta + s), -0.5 * (delta + s)
-    agrees = all(
-        abs(u - closed) <= 0.01 * abs(closed)
-        for u, closed in ((u_pos, closed_pos), (u_neg, closed_neg))
-    )
-    extrema = (u_pos, u_neg)
-    changes = tuple(delta * abs(_area_ratio_excess(u, delta)) for u in extrema)
-    residual = max(abs(u * u + u * delta - 1.0) for u in extrema)
-    star = extrema[0] if changes[0] >= changes[1] else extrema[1]
+    residual = max(abs(u * u + u * delta - 1.0) / max(1.0, u * u) for u in (u_pos, u_neg))
     return IntensityRatioResult(
-        z_star=star * z_r,
-        max_change=max(changes),
+        z_star=u_neg * z_r,
+        max_change=changes[1],
         z_extrema_m=(u_pos * z_r, u_neg * z_r),
-        changes=(changes[0], changes[1]),
+        changes=changes,
         stationarity_residual=residual,
-        closed_form_agrees=agrees,
+        closed_form_agrees=residual <= 1e-12,
     )
 
 
@@ -234,19 +179,21 @@ def wall_solid_angles(
     from the ensemble center, seen on axis from its nearest and farthest layer."""
 
     def solid_angle(distance: float) -> float:
-        return 2.0 * math.pi * (1.0 - distance / math.hypot(distance, disk_radius))
+        # 2 pi (1 - d/h) with h = hypot(d, r), written as 2 pi r^2 / (h (h + d))
+        # to avoid the cancellation, as two ratios so that no denominator underflows.
+        h = math.hypot(distance, disk_radius)
+        return 2.0 * math.pi * (disk_radius / h) * (disk_radius / (h + distance))
 
     return solid_angle(wall_distance - extent), solid_angle(wall_distance + extent)
 
 
-def bbr_field_ratio(t1: float, t2: float, omega_near: float, omega_far: float) -> float:
-    """BBR field ratio (t2^4 W+ + t1^4 W-) / (t2^4 W- + t1^4 W+) between the
-    two ensemble ends, W+/- the solid angles of the nearest/farthest wall."""
+def bbr_field_excess(t1: float, t2: float, omega_near: float, omega_far: float) -> float:
+    """BBR field ratio minus one, (t2^4 W+ + t1^4 W-) / (t2^4 W- + t1^4 W+) - 1,
+    between the two ensemble ends, W+/- the solid angles of the nearest/farthest wall."""
     t1_4 = t1**4
     t2_4 = t2**4
-    # Difference form keeps ratio - 1 exact when t1 == t2 or W+ == W-.
-    excess = (t2_4 - t1_4) * (omega_near - omega_far) / (t2_4 * omega_far + t1_4 * omega_near)
-    return 1.0 + excess
+    # Difference form: exact 0 when t1 == t2 or W+ == W-, and never rounded through 1 + x.
+    return (t2_4 - t1_4) * (omega_near - omega_far) / (t2_4 * omega_far + t1_4 * omega_near)
 
 
 def bbr_temperature_limit(
@@ -258,21 +205,21 @@ def bbr_temperature_limit(
 ) -> float:
     """Wall temperature difference [K] at which the BBR differential between
     the ends of an ensemble spanning extent, one wall at t1 and the other
-    warmer, equals the fractional redshift signal; inf when even a large
-    imbalance cannot reach it."""
+    warmer, equals the fractional redshift signal; inf when no imbalance can
+    reach it.
+
+    With r = fractional / bbr_fractional, bbr_fractional * excess = fractional
+    solves for (t2/t1)^4 = 1 + eps, eps = r (W+ + W-) / (W+ - W- - r W-), so
+    the limit is t1 ((1 + eps)^(1/4) - 1), taken as t1 expm1(log1p(eps) / 4). The excess
+    saturates at W+/W- - 1 as t2 grows, so the limit is inf unless
+    W+ - W- - r W- > 0.
+    """
     omega_near, omega_far = wall_solid_angles(wall_distance, extent, disk_radius)
-
-    def excess_shift(delta_t: float) -> float:
-        ratio = bbr_field_ratio(t1, t1 + delta_t, omega_near, omega_far)
-        return YB_COEFFICIENTS.bbr_fractional * (ratio - 1.0) - fractional
-
-    hi = 1e-3
-    while excess_shift(hi) < 0:
-        hi *= 10.0
-        if hi > 1e6:
-            return math.inf
-    # excess_shift(0) = -fractional <= 0, so [0, hi] always brackets.
-    return _bisect(excess_shift, 0.0, hi, xtol=1e-12)
+    r = fractional / YB_COEFFICIENTS.bbr_fractional
+    room = omega_near - omega_far - r * omega_far
+    if not room > 0:
+        return math.inf
+    return t1 * math.expm1(math.log1p(r * (omega_near + omega_far) / room) / 4.0)
 
 
 @dataclass(frozen=True)
@@ -394,13 +341,13 @@ def assemble_budget(
 
     near, far = wall_solid_angles(wall_distance, delta_z, disk_radius)
     try:
-        example = bbr_field_ratio(base_temperature, t2, near, far) - 1.0
-        uniform = bbr_field_ratio(base_temperature, base_temperature + delta_t, near, far) - 1.0
+        example = bbr_field_excess(base_temperature, t2, near, far)
+        uniform = bbr_field_excess(base_temperature, base_temperature + delta_t, near, far)
         temperature_limit = bbr_temperature_limit(
             fractional, wall_distance, base_temperature, delta_z, disk_radius
         )
     except (ArithmeticError, ValueError):
-        # T^4 overflows, T^4 W underflows to 0/0, or a nan stops the bisection.
+        # T^4 overflows, or T^4 W underflows to 0/0.
         example = uniform = math.nan
     if not math.isfinite(example + uniform):
         raise OverflowError(
@@ -410,7 +357,7 @@ def assemble_budget(
         )
     if temperature_limit == math.inf:
         raise ValueError(
-            f"no wall temperature difference up to 1e6 K brings the BBR differential up to the"
+            "no wall temperature difference brings the BBR differential up to the"
             f" redshift signal g dz/c^2 = {fractional!r}; it is set by {REDSHIFT_KEYS}"
         )
 

@@ -189,7 +189,7 @@ _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacin
         ("budget", "species.magic_wavelength = 5e-324", "extent delta_z"),
         ("budget", f"budget.n_site = {_HUGE_INT}", "extent delta_z"),
         ("budget", "budget.beam_waist = 1e-311", "Rayleigh range"),
-        ("budget", "budget.beam_separation = 1200", "must lie in (0, 1e3]"),
+        ("budget", "budget.beam_separation = 1e300", "peak intensity change"),
         (
             "budget",
             "species.magic_wavelength = 1e307\ngeometry.layer_spacing = 1e-9",
@@ -230,7 +230,7 @@ _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacin
         "magic_wavelength_extent_underflow",
         "n_site_beyond_float_range",
         "beam_waist_underflow",
-        "beam_separation_beyond_search_range",
+        "beam_separation_overflow",
         "magic_wavelength_separation_overflow",
         "c_budget_underflow",
         "c_dephase_underflow",
@@ -531,6 +531,18 @@ def test_budget_json_reports_both_intensity_changes(tmp_path, capsys):
     intensity = document["lattice_intensity"]
     assert intensity["computed_max_change"] == pytest.approx(6.35e-4, rel=0.02)
     assert intensity["reference_change"] == pytest.approx(8.46e-4)
+    assert intensity["closed_form_agrees"] is True
+
+
+def test_budget_accepts_separation_beyond_1e3_rayleigh_ranges(tmp_path, capsys):
+    # 1200 m is ~1.4e4 Rayleigh ranges of the default trap: the closed-form
+    # extrema need no search range.
+    scenario = tmp_path / "wide.cfg"
+    scenario.write_text("budget.beam_separation = 1200\n")
+    out = tmp_path / "out"
+    assert main(["budget", "--scenario", str(scenario), "--out", str(out)]) == 0
+    capsys.readouterr()
+    intensity = json.loads((out / "budget.json").read_text())["lattice_intensity"]
     assert intensity["closed_form_agrees"] is True
 
 

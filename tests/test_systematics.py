@@ -1,21 +1,25 @@
 from __future__ import annotations
 
+import inspect
 import math
+import sys
+import types
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from scipy.optimize import brentq
 
+from gravclock import systematics
 from gravclock.core import DEFAULT_BBR_DISK_RADIUS, P2_NATURAL_LINEWIDTH_HZ, YB
 from gravclock.systematics import (
-    _bisect,
-    _excess_slope,
     YB_COEFFICIENTS,
     ac_stark_shift,
     allowed_b_gradient,
     allowed_e_gradient,
     assemble_budget,
-    bbr_field_ratio,
+    bbr_field_excess,
     bbr_temperature_limit,
     lattice_intensity_ratio,
     p2_calibration_shift,
@@ -125,8 +129,46 @@ def test_intensity_ratio_default_trap():
     result = lattice_intensity_ratio(Z_R, 100 * YB.magic_wavelength)
     # Peak change ~ separation / z_R ~ 6.4e-4, below the quoted 8.46e-4.
     assert result.max_change == pytest.approx(6.35e-4, rel=0.02)
-    assert result.stationarity_residual <= 1e-6
+    assert result.stationarity_residual <= 1e-12
     assert result.closed_form_agrees
+
+
+def test_intensity_ratio_self_check_holds_from_1e_minus_8_to_1e3():
+    # The relative residual stays at rounding level over the whole range;
+    # the absolute one reaches ~1e-10 at large delta, where u- ~ -delta.
+    for k in range(-800, 301):
+        delta = 10.0 ** (k / 100)
+        result = lattice_intensity_ratio(1.0, delta)
+        assert result.stationarity_residual <= 1e-12, delta
+        assert result.closed_form_agrees
+        assert result.z_star == result.z_extrema_m[1]
+        assert result.max_change == max(result.changes)
+
+
+def test_wrong_root_fails_the_closed_form_self_check(monkeypatch):
+    # Mutation guard: the module with u+ = s/2 (the delta -> 0 limit of the
+    # root, wrong at any delta > 0) in place of 2/(delta + s) must report
+    # closed_form_agrees False.
+    source = inspect.getsource(systematics)
+    right = "u_pos, u_neg = 2.0 / (delta + s), -0.5 * (delta + s)"
+    assert source.count(right) == 1
+    wrong = source.replace(right, "u_pos, u_neg = 0.5 * s, -0.5 * (delta + s)")
+    mutant = types.ModuleType("gravclock.mutant_systematics")
+    mutant.__package__ = "gravclock"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)  # dataclass looks it up
+    exec(compile(wrong, "<mutant systematics>", "exec"), mutant.__dict__)
+    for delta in (1e-8, 6.35e-4, 1.0, 1e3):
+        assert lattice_intensity_ratio(1.0, delta).closed_form_agrees
+        assert not mutant.lattice_intensity_ratio(1.0, delta).closed_form_agrees
+
+
+def test_intensity_ratio_accepts_separation_beyond_1e3_rayleigh_ranges():
+    result = lattice_intensity_ratio(1.0, 1e6)
+    assert result.closed_form_agrees
+    assert result.z_star == pytest.approx(-1e6, rel=1e-11)
+    # At u- ~ -delta the far point u- + delta = -u+ ~ -1/delta sits at the
+    # waist, so the area ratio there is ~ 1 + delta^2.
+    assert result.max_change == pytest.approx(1e12, rel=1e-11)
 
 
 def test_intensity_ratio_stationarity_oracle():
@@ -174,32 +216,31 @@ def test_intensity_ratio_change_matches_direct_quotient():
         assert change == pytest.approx(direct, rel=1e-9)
 
 
-def test_bisect_stops_at_xtol_and_at_float_resolution():
-    root = math.sqrt(2.0)
-    assert abs(_bisect(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-6) - root) <= 0.5e-6
-    # xtol = 0 ends only when the midpoint rounds onto an endpoint.
-    assert _bisect(lambda x: x * x - 2.0, 0.0, 2.0, xtol=0.0) == pytest.approx(root, rel=1e-15)
-    assert _bisect(lambda x: x - 0.5, 0.0, 0.5, xtol=1e-13) == 0.5
+def _area_ratio_excess(u: float, delta: float) -> float:
+    """(r(u) - 1) / delta, the change profile of the beam-area ratio."""
+    return -(2.0 * u + delta) / (1.0 + (u + delta) * (u + delta))
 
 
-def test_bisect_rejects_bracket_without_sign_change():
-    with pytest.raises(ValueError, match="no sign change"):
-        _bisect(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
-    with pytest.raises(ValueError, match="no sign change"):
-        _bisect(lambda x: math.nan, 0.0, 1.0, xtol=1e-12)
+def _excess_slope(u: float, delta: float, h: float = 1e-5) -> float:
+    """Centred-difference slope of the change profile: the numeric oracle
+    for the extrema, independent of the stationarity condition."""
+    return (_area_ratio_excess(u + h, delta) - _area_ratio_excess(u - h, delta)) / (2.0 * h)
 
 
 @pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 6.35e-4, 1e-2, 0.1, 0.3, 1.0, 3.0])
 def test_bisect_matches_brentq_on_excess_slope(delta):
-    # The slope is a centred difference with h = 1e-5, so its rounding noise
-    # (~eps/h ~ 2e-11) blurs the sign change over ~1e-11 in u; the two
-    # finders may pick different crossings inside that band, not within xtol.
-    for lo, hi in ((1e-12, 2.0), (-delta - 2.0, -1.0)):
-        ours = _bisect(lambda u: _excess_slope(u, delta), lo, hi, xtol=1e-13)
+    # The closed-form extrema against brentq's sign change of the numeric
+    # slope. The slope is a centred difference with h = 1e-5, so its rounding
+    # noise (~eps/h ~ 2e-11) blurs the sign change over ~1e-11 in u; brentq
+    # may stop anywhere inside that band, not within its xtol.
+    result = lattice_intensity_ratio(1.0, delta)  # z_R = 1: z is u
+    for ours, (lo, hi) in zip(result.z_extrema_m, ((1e-12, 2.0), (-delta - 2.0, -1.0))):
         oracle = brentq(_excess_slope, lo, hi, args=(delta,), xtol=1e-13, rtol=1e-15)
         assert lo <= ours <= hi
         assert abs(ours - oracle) <= 1e-10
         assert abs(ours * ours + ours * delta - 1.0) <= 1e-9
+    for z, change in zip(result.z_extrema_m, result.changes):
+        assert change == pytest.approx(delta * abs(_area_ratio_excess(z, delta)), rel=1e-14)
 
 
 def test_ac_stark_anchor_exact():
@@ -217,7 +258,36 @@ def test_ac_stark_linear_and_zero():
 
 def _bbr_excess(t1: float, t2: float, extent: float) -> float:
     """BBR field ratio - 1 between the ends of an ensemble 5 cm from each wall."""
-    return bbr_field_ratio(t1, t2, *wall_solid_angles(0.05, extent)) - 1.0
+    return bbr_field_excess(t1, t2, *wall_solid_angles(0.05, extent))
+
+
+@pytest.mark.parametrize("q", [1e-4, 1e-7, 1e-9])
+def test_solid_angle_of_a_small_disk_has_no_cancellation(q):
+    # 2 pi (1 - 1/sqrt(1 + q^2)) = pi q^2 (1 - 3 q^2/4 + O(q^4)) for a disk of
+    # radius q at unit distance; 1 - d/h loses every digit as q -> 0.
+    near, far = wall_solid_angles(1.0, 0.0, q)
+    assert near == far == pytest.approx(math.pi * q * q * (1.0 - 0.75 * q * q), rel=1e-14)
+
+
+def test_solid_angle_at_tiny_scale_has_no_underflow():
+    # A disk as wide as it is far subtends 2 pi (1 - 1/sqrt(2)) at any scale,
+    # even where h (h + d) itself underflows to 0.
+    near, far = wall_solid_angles(1e-170, 0.0, 1e-170)
+    assert near == far == pytest.approx(2.0 * math.pi * (1.0 - math.sqrt(0.5)), rel=1e-14)
+
+
+def test_bbr_field_excess_matches_exact_arithmetic():
+    # At the default chamber, against the same expression in exact rationals.
+    near, far = wall_solid_angles(0.05, DELTA_Z)
+    t1 = Fraction(293.0)
+    for step in (1.0, 0.010):  # the worked example and the assumed uniformity
+        t2 = Fraction(293.0 + step)
+        exact = (t2**4 - t1**4) * (Fraction(near) - Fraction(far)) / (
+            t2**4 * Fraction(far) + t1**4 * Fraction(near)
+        )
+        assert bbr_field_excess(293.0, 293.0 + step, near, far) == pytest.approx(
+            float(exact), rel=1e-13
+        )
 
 
 def test_bbr_example_anchor():
@@ -239,7 +309,7 @@ def test_bbr_coincident_layers_is_exact_unity():
 
 def test_bbr_relabeling_symmetry_exact():
     # Swapping (t1, t2) together with (near, far) leaves the ratio unchanged.
-    assert bbr_field_ratio(293.0, 294.0, 1.3, 1.1) == bbr_field_ratio(
+    assert bbr_field_excess(293.0, 294.0, 1.3, 1.1) == bbr_field_excess(
         294.0, 293.0, 1.1, 1.3
     )
 
@@ -259,17 +329,38 @@ def test_bbr_temperature_limit_matches_brentq(wall_distance, base_temperature):
         omega_near, omega_far = wall_solid_angles(wall_distance, budget.delta_z)
 
         def excess(delta_t):
-            ratio = bbr_field_ratio(
+            field_excess = bbr_field_excess(
                 base_temperature, base_temperature + delta_t, omega_near, omega_far
             )
-            return YB_COEFFICIENTS.bbr_fractional * (ratio - 1.0) - budget.fractional
+            return YB_COEFFICIENTS.bbr_fractional * field_excess - budget.fractional
 
         oracle = brentq(excess, 0.0, 1e6, xtol=1e-12, rtol=1e-14)
         limit = bbr_temperature_limit(
             budget.fractional, wall_distance, base_temperature, budget.delta_z
         )
-        # Each finder stops within xtol = 1e-12 of a sign change.
+        # brentq stops within xtol = 1e-12 of a sign change.
         assert abs(limit - oracle) <= 2e-12
+
+
+@pytest.mark.parametrize("wall_distance", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("base_temperature", [4.0, 77.0, 293.0, 400.0])
+def test_bbr_temperature_limit_matches_exact_arithmetic(wall_distance, base_temperature):
+    # The closed form t1 ((1 + eps)^(1/4) - 1) against eps in exact rationals
+    # and the fourth root in 60-digit decimals, from the same float inputs.
+    k = Fraction(YB_COEFFICIENTS.bbr_fractional)
+    for n_site in (1, 100, 1000):
+        budget = assemble_budget(n_site, wall_distance=wall_distance)
+        near, far = map(Fraction, wall_solid_angles(wall_distance, budget.delta_z))
+        r = Fraction(budget.fractional) / k
+        eps = r * (near + far) / (near - far - r * far)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            one_plus = Decimal(eps.numerator + eps.denominator) / Decimal(eps.denominator)
+            exact = Decimal(base_temperature) * (one_plus.sqrt().sqrt() - 1)
+        limit = bbr_temperature_limit(
+            budget.fractional, wall_distance, base_temperature, budget.delta_z
+        )
+        assert limit == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_bbr_temperature_limit_unreachable_signal_is_inf():
