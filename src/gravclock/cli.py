@@ -91,19 +91,25 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
     consts = scenario.consts_obj()
     phi_g = per_layer_phase_rate(consts, species, scenario.layer_spacing())
 
+    # The t column, phi_l and the convention are the same in every size's
+    # rows, so only ratio and contrast are formatted per row.
+    phi_l, t_grid = scenario.dephase_phi_l, scenario.dephase_t_grid
+    t_cells = [fmt_float(t) for t in t_grid]
+    phi_l_cell, convention = fmt_float(phi_l), scenario.convention.value
     rows: list[list[str]] = []
     for n_site in scenario.dephase_sizes:
-        for t, summary in dephase_curve(
-            scenario.dephase_phi_l, phi_g, n_site + 1, scenario.convention, scenario.dephase_t_grid
-        ):
+        m, n_cell = n_site + 1, str(n_site)
+        curve = dephase_curve(phi_l, phi_g, m, scenario.convention, t_grid)
+        for t_cell, (_, summary) in zip(t_cells, curve):
+            ratio = summary.ratio
             rows.append(
                 [
-                    _cell(t),
-                    _cell(n_site),
-                    _cell(scenario.dephase_phi_l),
-                    scenario.convention.value,
-                    _cell(summary.ratio),
-                    _cell(summary.length / (n_site + 1)),
+                    t_cell,
+                    n_cell,
+                    phi_l_cell,
+                    convention,
+                    "" if ratio is None else fmt_float(ratio),
+                    fmt_float(summary.length / m),
                 ]
             )
     header = ["t_s", "n_site", "phi_l", "convention", "ratio", "contrast"]

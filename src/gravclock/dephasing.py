@@ -14,7 +14,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # pi = _PI_HI + _PI_LO to ~1e-26, with j * _PI_HI exact for |j| < 2**20.
 _PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
@@ -65,21 +65,25 @@ class DephasingInput:
     convention: Convention = Convention.PHYSICAL
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.phi_l):
-            raise ValueError(f"phi_l must be finite, got {self.phi_l!r}")
-        if not math.isfinite(self.phi_g):
-            raise ValueError(f"phi_g must be finite, got {self.phi_g!r}")
-        if self.layer_count < 1:
-            raise ValueError(f"layer_count must be >= 1, got {self.layer_count}")
+        _check_rates(self.phi_l, self.phi_g, self.layer_count)
         if not (self.t >= 0 and math.isfinite(self.t)):
             raise ValueError(f"t must be >= 0 and finite, got {self.t!r}")
 
 
-@dataclass(frozen=True)
-class BlochSummary:
+def _check_rates(phi_l: float, phi_g: float, layer_count: int) -> None:
+    if not math.isfinite(phi_l):
+        raise ValueError(f"phi_l must be finite, got {phi_l!r}")
+    if not math.isfinite(phi_g):
+        raise ValueError(f"phi_g must be finite, got {phi_g!r}")
+    if layer_count < 1:
+        raise ValueError(f"layer_count must be >= 1, got {layer_count}")
+
+
+class BlochSummary(NamedTuple):
     """Summed Bloch components, vector length, and the arcsine phase estimate.
 
-    ratio = phi_eff / (phi_l * t); None when phi_l * t == 0.
+    ratio = phi_eff / (phi_l * t); None when phi_l * t == 0. A NamedTuple,
+    so it compares equal to the plain tuple of its fields.
     """
 
     s_x: float
@@ -120,18 +124,22 @@ def bloch_sum(inp: DephasingInput) -> BlochSummary:
     over layer_count symmetric offsets centered on 0. The k <-> -k symmetry
     factors the sum exactly into S_x = cos(phi_l t) D, S_y = sin(phi_l t) D
     with D = dirichlet(m, phi_g' t), so each evaluation is O(1) in the layer
-    count. phi_eff is asin(S_y / layer_count).
+    count. phi_eff is asin(S_y / layer_count). dephase_curve evaluates the
+    same sum through the same summary step, so its rows equal this exactly.
     """
     m = inp.layer_count
     rate = effective_phase_rate(inp.phi_g, m, inp.convention)
-    nominal = inp.phi_l * inp.t
-    d = dirichlet(m, rate * inp.t)
+    return _summary(m, inp.phi_l * inp.t, dirichlet(m, rate * inp.t))
+
+
+def _summary(m: int, nominal: float, d: float) -> BlochSummary:
+    """The summary of m layers at laser phase phi_l t = nominal, D = d."""
     s_x, s_y = math.cos(nominal) * d, math.sin(nominal) * d
     # Clamped against rounding; a conditional costs far less than min/max.
     x = s_y / m
     phi_eff = math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x)
     ratio = phi_eff / nominal if nominal != 0.0 else None
-    return BlochSummary(s_x=s_x, s_y=s_y, length=abs(d), phi_eff=phi_eff, ratio=ratio)
+    return BlochSummary(s_x, s_y, abs(d), phi_eff, ratio)
 
 
 def contrast_closed_form(phi_g_eff: float, layer_count: int, t: float) -> float:
@@ -153,8 +161,12 @@ def dephase_curve(
 ) -> list[tuple[float, BlochSummary]]:
     """Evaluate bloch_sum over a strictly increasing, nonnegative time grid.
 
-    Returns (t, summary) pairs ordered by t. A layer count, or a laser phase
-    phi_l t at the last time, out of float range is refused, naming its keys.
+    Returns (t, summary) pairs ordered by t, each equal to bloch_sum of that
+    point. The inputs are validated once per call, also for an empty grid,
+    with DephasingInput's messages; the convention-adjusted rate is computed
+    once, and each row costs one dirichlet call. A layer count, or a laser
+    phase phi_l t at the last time (so also a non-finite phi_l), out of
+    float range is refused, naming its keys.
     """
     grid = list(t_grid)
     for i, t in enumerate(grid):
@@ -172,6 +184,6 @@ def dephase_curve(
             f"laser phase phi_l t = {phi_l!r} rad/s x {t_end!r} s is out of float range;"
             " it is set by dephase.phi_l and dephase.t_grid"
         )
-    return [
-        (t, bloch_sum(DephasingInput(phi_l, phi_g, layer_count, t, convention))) for t in grid
-    ]
+    _check_rates(phi_l, phi_g, layer_count)
+    rate = effective_phase_rate(phi_g, layer_count, convention)
+    return [(t, _summary(layer_count, phi_l * t, dirichlet(layer_count, rate * t))) for t in grid]

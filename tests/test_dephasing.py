@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from layer_sum_oracle import explicit_dirichlet, explicit_layer_sum
 
+from gravclock import cli, dephasing, emit
 from gravclock.core import PhysicalConstants, YB, per_layer_phase_rate
 from gravclock.dephasing import (
     BlochSummary,
@@ -18,8 +21,10 @@ from gravclock.dephasing import (
     dirichlet,
     effective_phase_rate,
 )
+from gravclock.scenario import parse_scenario
 
 PHI_G = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def make_input(phi_l, phi_g, layer_count, t, convention=Convention.PHYSICAL):
@@ -217,3 +222,101 @@ def test_dephase_curve_matches_single_evaluation():
     rows = dephase_curve(1e-5, PHI_G, 501, Convention.PAPER_FIGURE, [100.0])
     direct = bloch_sum(make_input(1e-5, PHI_G, 501, 100.0, Convention.PAPER_FIGURE))
     assert rows[0][1] == direct
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("m", [1, 2, 101, 2001])
+def test_dephase_curve_equals_bloch_sum_per_point(convention, m):
+    phi_l = 1e-2
+    rate = effective_phase_rate(PHI_G, m, convention)
+    # t = 0 (no ratio), points before and past the arcsine fold at
+    # phi_l t = pi/2, and the first rephasing point phi_g' t = 2 pi.
+    grid = {0.0, 10.0, 100.0, 200.0, 1000.0}
+    if rate:
+        grid.add(math.tau / rate)
+    grid = sorted(grid)
+    rows = dephase_curve(phi_l, PHI_G, m, convention, grid)
+    assert rows == [(t, bloch_sum(make_input(phi_l, PHI_G, m, t, convention))) for t in grid]
+    by_t = dict(rows)
+    assert by_t[0.0].ratio is None
+    assert by_t[1000.0].ratio < (math.pi / 2) / (phi_l * 1000.0)  # folded
+    if rate:
+        assert by_t[math.tau / rate].length == pytest.approx(m, rel=1e-9)
+    for _, summary in rows:
+        assert isinstance(summary, BlochSummary) and summary == tuple(summary)
+
+
+# dephase_curve checks its inputs once per call, also for an empty grid.
+# A non-finite phi_l is refused as an out-of-range laser phase, by its keys.
+@pytest.mark.parametrize(
+    "phi_l, phi_g, layer_count, grid, error, message",
+    [
+        (
+            math.nan, PHI_G, 5, [0.0, 1.0], OverflowError,
+            "laser phase phi_l t = nan rad/s x 1.0 s is out of float range;"
+            " it is set by dephase.phi_l and dephase.t_grid",
+        ),
+        (
+            math.inf, PHI_G, 5, [], OverflowError,
+            "laser phase phi_l t = inf rad/s x 0.0 s is out of float range;"
+            " it is set by dephase.phi_l and dephase.t_grid",
+        ),
+        (1e-5, math.nan, 5, [0.0, 1.0], ValueError, "phi_g must be finite, got nan"),
+        (1e-5, -math.inf, 5, [1.0], ValueError, "phi_g must be finite, got -inf"),
+        (1e-5, math.inf, 5, [], ValueError, "phi_g must be finite, got inf"),
+        (1e-5, PHI_G, 0, [0.0, 1.0], ValueError, "layer_count must be >= 1, got 0"),
+        (1e-5, PHI_G, -3, [], ValueError, "layer_count must be >= 1, got -3"),
+    ],
+    ids=[
+        "nan phi_l",
+        "inf phi_l, empty grid",
+        "nan phi_g",
+        "-inf phi_g",
+        "inf phi_g, empty grid",
+        "no layers",
+        "negative layers, empty grid",
+    ],
+)
+def test_dephase_curve_refuses_bad_inputs(phi_l, phi_g, layer_count, grid, error, message):
+    for convention in Convention:
+        with pytest.raises(error) as excinfo:
+            dephase_curve(phi_l, phi_g, layer_count, convention, grid)
+        assert str(excinfo.value) == message
+
+
+def test_dephase_curve_refuses_overflowing_layer_phase():
+    for convention, phi_g in ((Convention.PHYSICAL, 1e300), (Convention.PAPER_FIGURE, 1e299)):
+        with pytest.raises(ValueError, match="phi_g' t must be finite, got inf") as excinfo:
+            dephase_curve(0.0, phi_g, 5, convention, [0.0, 1e10])
+        assert "species.omega0, constants.g" in str(excinfo.value)
+
+
+def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
+    preset = PRESETS / "dephase_curve.cfg"
+    scenario = parse_scenario(preset.read_text())
+    sizes, grid = len(scenario.dephase_sizes), len(scenario.dephase_t_grid)
+    counts = collections.Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return counted
+
+    monkeypatch.setattr(
+        DephasingInput, "__post_init__", counting("inputs", DephasingInput.__post_init__)
+    )
+    monkeypatch.setattr(dephasing, "effective_phase_rate", counting("rates", effective_phase_rate))
+    monkeypatch.setattr(dephasing, "dirichlet", counting("dirichlet", dirichlet))
+    monkeypatch.setattr(cli, "fmt_float", counting("fmt_float", emit.fmt_float))
+    for convention in ("physical", "paper-figure"):
+        counts.clear()
+        argv = ["dephase-curve", "--scenario", str(preset), "--convention", convention]
+        assert cli.main(argv + ["--out", str(tmp_path / convention)]) == 0
+        rows = sizes * grid
+        assert counts["inputs"] <= sizes
+        assert counts["rates"] <= sizes
+        assert counts["dirichlet"] == rows
+        assert counts["fmt_float"] <= 2 * rows + grid + 1
+    capsys.readouterr()
