@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
-from .core import InterrogationParams, per_layer_phase_rate, per_layer_sql, qpn_stability
+from .core import per_layer_phase_rate, per_layer_sql, qpn_stability
 from .dephasing import Convention, dephase_curve
 from .emit import RUN_RECORD_NAME, csv_text, fmt_float, json_text, run_record, write_outputs
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
@@ -48,7 +47,6 @@ def _run_threshold(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
     species = scenario.species_obj()
     spacing = scenario.layer_spacing()
     tau = scenario.interrogation_tau
-    interrogation = InterrogationParams.single_sequence(tau, scenario.interrogation_xi_w_sq)
     sizes = decoherence_sizes(species, scenario.consts_obj(), tau, spacing)
 
     document = {
@@ -78,7 +76,7 @@ def _run_threshold(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
             "n_int": n,
             "total_atoms": atoms,
             "per_layer_sql": per_layer_sql(species, tau, n),
-            "ensemble_qpn": qpn_stability(species, interrogation, atoms),
+            "ensemble_qpn": qpn_stability(species, tau, atoms, scenario.interrogation_xi_w_sq),
             "definition": note,
         }
         lines.append(f"{name:<15} n* = {n_star:.3f}  n = {n}  N = {atoms}")
@@ -189,9 +187,9 @@ def _budget_table(budget) -> str:
 def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
     # Each budget.X key is the keyword X of assemble_budget.
     conditions = {
-        f.name.removeprefix("budget_"): getattr(scenario, f.name)
-        for f in fields(scenario)
-        if f.name.startswith("budget_")
+        name.removeprefix("budget_"): value
+        for name, value in zip(scenario._fields, scenario)
+        if name.startswith("budget_")
     }
     budget = assemble_budget(
         species=scenario.species_obj(),
@@ -295,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario, scenario_text = _load_scenario(args.scenario)
         if args.convention is not None:
-            scenario = replace(scenario, convention=Convention.from_wire(args.convention))
+            scenario = scenario._replace(convention=Convention.from_wire(args.convention))
             scenario_text = serialize_scenario(scenario)
         runner, _ = _COMMANDS[args.command]
         files, flags, text = runner(scenario)

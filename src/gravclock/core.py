@@ -1,4 +1,4 @@
-"""Physical constants, clock species, interrogation timing, and the base formulas.
+"""Physical constants, clock species, and the base formulas.
 
 Everything is carried in SI units: heights in m, rates in rad/s, times in s.
 Fractional frequency shifts and Allan-deviation contributions are
@@ -12,7 +12,7 @@ imports them from this leaf module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -20,38 +20,40 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(namedtuple("PhysicalConstants", "g c")):
     """Local gravitational acceleration g [m/s^2] and speed of light c [m/s]."""
 
-    g: float = 9.80665
-    c: float = 2.99792458e8
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.g > 0 and math.isfinite(self.g)):
-            raise ValueError(f"g must be positive and finite, got {self.g!r}")
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError(f"c must be positive and finite, got {self.c!r}")
+    def __new__(cls, g: float = 9.80665, c: float = 2.99792458e8):
+        if not (g > 0 and math.isfinite(g)):
+            raise ValueError(f"g must be positive and finite, got {g!r}")
+        if not (c > 0 and math.isfinite(c)):
+            raise ValueError(f"c must be positive and finite, got {c!r}")
+        return super().__new__(cls, g, c)
+
+    # namedtuple's _make, and so _replace, would skip __new__ and its checks.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class ClockSpecies:
+class ClockSpecies(namedtuple("ClockSpecies", "name omega0 magic_wavelength")):
     """Clock transition: resonant angular frequency and magic lattice wavelength.
 
     omega0 in rad/s, magic_wavelength in m.
     """
 
-    name: str
-    omega0: float
-    magic_wavelength: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.omega0 > 0 and math.isfinite(self.omega0)):
-            raise ValueError(f"omega0 must be positive and finite, got {self.omega0!r}")
-        if not (self.magic_wavelength > 0 and math.isfinite(self.magic_wavelength)):
+    def __new__(cls, name: str, omega0: float, magic_wavelength: float):
+        if not (omega0 > 0 and math.isfinite(omega0)):
+            raise ValueError(f"omega0 must be positive and finite, got {omega0!r}")
+        if not (magic_wavelength > 0 and math.isfinite(magic_wavelength)):
             raise ValueError(
-                f"magic_wavelength must be positive and finite, got {self.magic_wavelength!r}"
+                f"magic_wavelength must be positive and finite, got {magic_wavelength!r}"
             )
+        return super().__new__(cls, name, omega0, magic_wavelength)
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def frequency(self) -> float:
@@ -93,33 +95,6 @@ def species_by_name(name: str) -> ClockSpecies:
     except KeyError:
         known = ", ".join(sorted(_SPECIES_PRESETS))
         raise ValueError(f"unknown species {name!r}; built-in presets: {known}") from None
-
-
-@dataclass(frozen=True)
-class InterrogationParams:
-    """Ramsey timing and squeezing scale: tau_r, t_c, tau in s, xi_w_sq dimensionless.
-
-    xi_w_sq = 1 for an unentangled coherent spin state; (0, 1] accepted as a
-    plain scale factor, no entangled-state dynamics behind it.
-    """
-
-    tau_r: float
-    t_c: float
-    tau: float
-    xi_w_sq: float = 1.0
-
-    def __post_init__(self) -> None:
-        for field_name in ("tau_r", "t_c", "tau"):
-            value = getattr(self, field_name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{field_name} must be positive, got {value!r}")
-        if not (0.0 < self.xi_w_sq <= 1.0):
-            raise ValueError(f"xi_w_sq must be in (0, 1], got {self.xi_w_sq!r}")
-
-    @classmethod
-    def single_sequence(cls, tau: float, xi_w_sq: float = 1.0) -> "InterrogationParams":
-        """One interrogation, no dead time: tau_r = t_c = tau."""
-        return cls(tau_r=tau, t_c=tau, tau=tau, xi_w_sq=xi_w_sq)
 
 
 # The scenario keys behind g dh/c^2, named when it leaves float range.
@@ -166,20 +141,23 @@ def per_layer_phase_rate(
 
 
 def qpn_stability(
-    species: ClockSpecies,
-    interrogation: InterrogationParams,
-    n_atoms: int,
+    species: ClockSpecies, tau: float, n_atoms: int, xi_w_sq: float = 1.0
 ) -> float:
-    """Quantum-projection-noise Allan deviation for n_atoms.
+    """Quantum-projection-noise Allan deviation of one Ramsey sequence of
+    tau [s] on n_atoms, with no dead time.
 
-    (1 / (omega0 tau_r)) * sqrt(t_c / tau) * sqrt(xi_w_sq / N), refused out
-    of float range.
+    (1 / (omega0 tau)) * sqrt(xi_w_sq / N), refused out of float range.
+    xi_w_sq = 1 for a coherent spin state; (0, 1] is a plain scale factor,
+    no entangled-state dynamics behind it.
     """
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ValueError(f"tau must be positive, got {tau!r}")
+    if not (0.0 < xi_w_sq <= 1.0):
+        raise ValueError(f"xi_w_sq must be in (0, 1], got {xi_w_sq!r}")
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
-    rate = species.omega0 * interrogation.tau_r
-    duty = math.sqrt(interrogation.t_c / interrogation.tau)
-    sigma = (1.0 / rate if rate else math.inf) * duty * math.sqrt(interrogation.xi_w_sq / n_atoms)
+    rate = species.omega0 * tau
+    sigma = (1.0 / rate if rate else math.inf) * math.sqrt(xi_w_sq / n_atoms)
     if not sigma < math.inf:
         raise OverflowError(
             f"QPN Allan deviation at omega0 tau = {rate!r} is out of float range; it is set by"
@@ -189,13 +167,12 @@ def qpn_stability(
 
 
 def per_layer_sql(species: ClockSpecies, tau: float, n_site: int) -> float:
-    """Standard quantum limit of one layer of n_site^2 atoms: 1/(omega0 tau n_site).
-
-    Single interrogation (tau_r = t_c = tau) at xi_w_sq = 1.
+    """Standard quantum limit of one layer of n_site^2 atoms: 1/(omega0 tau n_site),
+    at xi_w_sq = 1.
     """
     if n_site < 1:
         raise ValueError(f"n_site must be >= 1, got {n_site}")
-    return qpn_stability(species, InterrogationParams.single_sequence(tau), n_site * n_site)
+    return qpn_stability(species, tau, n_site * n_site)
 
 
 def linspace(a: float, b: float, n: int) -> tuple[float, ...]:

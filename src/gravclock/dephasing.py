@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
 # pi = _PI_HI + _PI_LO to ~1e-26, with j * _PI_HI exact for |j| < 2**20.
@@ -50,24 +50,30 @@ def effective_phase_rate(phi_g: float, layer_count: int, convention: Convention)
     return phi_g
 
 
-@dataclass(frozen=True)
-class DephasingInput:
+class DephasingInput(namedtuple("DephasingInput", "phi_l phi_g layer_count t convention")):
     """One evaluation point of the layer sum.
 
     phi_l, phi_g in rad/s (phi_g is the physical per-layer rate; the
     convention decides how it is applied), layer_count >= 1, t >= 0 s.
     """
 
-    phi_l: float
-    phi_g: float
-    layer_count: int
-    t: float
-    convention: Convention = Convention.PHYSICAL
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_rates(self.phi_l, self.phi_g, self.layer_count)
-        if not (self.t >= 0 and math.isfinite(self.t)):
-            raise ValueError(f"t must be >= 0 and finite, got {self.t!r}")
+    def __new__(
+        cls,
+        phi_l: float,
+        phi_g: float,
+        layer_count: int,
+        t: float,
+        convention: Convention = Convention.PHYSICAL,
+    ):
+        _check_rates(phi_l, phi_g, layer_count)
+        if not (t >= 0 and math.isfinite(t)):
+            raise ValueError(f"t must be >= 0 and finite, got {t!r}")
+        return super().__new__(cls, phi_l, phi_g, layer_count, t, convention)
+
+    # namedtuple's _make, and so _replace, would skip __new__ and its checks.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def _check_rates(phi_l: float, phi_g: float, layer_count: int) -> None:
@@ -140,16 +146,6 @@ def _summary(m: int, nominal: float, d: float) -> BlochSummary:
     phi_eff = math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x)
     ratio = phi_eff / nominal if nominal != 0.0 else None
     return BlochSummary(s_x, s_y, abs(d), phi_eff, ratio)
-
-
-def contrast_closed_form(phi_g_eff: float, layer_count: int, t: float) -> float:
-    """Normalized length |D_m(theta)| / m of layer_count phasors, theta = phi_g'*t.
-
-    Equals bloch_sum length / layer_count; 1 wherever theta = 2 pi j.
-    """
-    if layer_count < 1:
-        raise ValueError(f"layer_count must be >= 1, got {layer_count}")
-    return abs(dirichlet(layer_count, phi_g_eff * t)) / layer_count
 
 
 def dephase_curve(

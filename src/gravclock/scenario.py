@@ -1,10 +1,10 @@
 """Scenario configuration: a flat key-value format with dotted sections.
 
 One file drives every subcommand. Lines are `key = value`, `#` starts a
-comment, unknown keys are rejected, and every default is an explicit field
-below. Each key is declared once, as a `Scenario` field: the key is the field
-name with its first `_` written as `.`, and the field's metadata holds the
-parser of the key's text value, range checks included. Parsing a serialized
+comment, unknown keys are rejected, and every default is explicit. Each key
+is declared once, in the `_KEYS` table, with its default and the parser of
+its text value, range checks included. `Scenario` is the named tuple of the
+keys in table order; a field is its key with the `.` written as `_`. Parsing a serialized
 scenario returns the identical scenario (serialization is the normal form:
 grids expanded, every non-default-able option written out).
 """
@@ -12,7 +12,7 @@ grids expanded, every non-default-able option written out).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from typing import Optional
 
 from .core import (
@@ -28,7 +28,7 @@ from .core import (
     species_by_name,
 )
 from .dephasing import Convention
-from .emit import RUN_RECORD_NAME, fmt_float, sha256_hex
+from .emit import RUN_RECORD_NAME, fmt_float
 
 
 class ScenarioError(ValueError):
@@ -147,54 +147,55 @@ def _file_name(text: str) -> str:
     return text
 
 
-def _key(default, parse):
-    """A scenario key: the field's default and the parser (str -> value) of its text value."""
-    return field(default=default, metadata={"parse": parse})
+# scenario key -> (default, parser of its text value), in serialization order
+_KEYS = {
+    "species": ("Yb", str),
+    "species.omega0": (None, _positive),
+    "species.magic_wavelength": (None, _positive),
+    "constants.g": (9.80665, _positive),
+    "constants.c": (2.99792458e8, _positive),
+    "convention": (Convention.PHYSICAL, Convention.from_wire),
+    "geometry.layer_spacing": (None, _positive),
+    "interrogation.tau": (30.0, _positive),
+    "interrogation.xi_w_sq": (1.0, _fraction),
+    "dephase.phi_l": (1e-5, _nonnegative),
+    "dephase.sizes": ((100, 200, 300, 400, 500), _sizes),
+    "dephase.t_grid": (linspace(0.0, 200.0, 201), _times),
+    "sweep.family": ("cubic", _family),
+    "sweep.sizes": (default_size_grid(), _sizes),
+    "sweep.phi_l": (DEFAULT_PHI_L_GRID, _float_grid),
+    "sweep.atoms_per_layer": (DEFAULT_SLAB_ATOMS_PER_LAYER, _positive_int),
+    "budget.n_site": (100, _positive_int),
+    "budget.wall_distance": (0.05, _positive),
+    "budget.disk_radius": (DEFAULT_BBR_DISK_RADIUS, _positive),
+    "budget.base_temperature": (293.0, _positive),
+    "budget.example_temperature_step": (1.0, _float),
+    "budget.delta_t": (0.010, _nonnegative),
+    "budget.beam_waist": (170e-6, _positive),
+    "budget.beam_separation": (None, _positive),
+    "budget.bias_field": (1.0, _nonnegative),
+    "budget.e_gradient": (1e4, _nonnegative),
+    "budget.baseline_e_field": (0.0, _nonnegative),
+    "budget.p2_linewidth": (P2_NATURAL_LINEWIDTH_HZ, _positive),
+    "output.threshold": ("threshold.json", _file_name),
+    "output.dephase_curve": ("dephase_curve.csv", _file_name),
+    "output.stability_sweep": ("stability_sweep.csv", _file_name),
+    "output.budget_json": ("budget.json", _file_name),
+    "output.budget_text": ("budget.txt", _file_name),
+}
+_OUTPUT_KEYS = tuple(key for key in _KEYS if key.startswith("output."))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(
+    namedtuple(
+        "Scenario",
+        [key.replace(".", "_") for key in _KEYS],
+        defaults=[default for default, _ in _KEYS.values()],
+    )
+):
     """Fully resolved run configuration with defaults applied."""
 
-    species: str = _key("Yb", str)
-    species_omega0: Optional[float] = _key(None, _positive)
-    species_magic_wavelength: Optional[float] = _key(None, _positive)
-    constants_g: float = _key(9.80665, _positive)
-    constants_c: float = _key(2.99792458e8, _positive)
-    convention: Convention = _key(Convention.PHYSICAL, Convention.from_wire)
-
-    geometry_layer_spacing: Optional[float] = _key(None, _positive)
-
-    interrogation_tau: float = _key(30.0, _positive)
-    interrogation_xi_w_sq: float = _key(1.0, _fraction)
-
-    dephase_phi_l: float = _key(1e-5, _nonnegative)
-    dephase_sizes: tuple[int, ...] = _key((100, 200, 300, 400, 500), _sizes)
-    dephase_t_grid: tuple[float, ...] = _key(linspace(0.0, 200.0, 201), _times)
-
-    sweep_family: str = _key("cubic", _family)
-    sweep_sizes: tuple[int, ...] = _key(default_size_grid(), _sizes)
-    sweep_phi_l: tuple[float, ...] = _key(DEFAULT_PHI_L_GRID, _float_grid)
-    sweep_atoms_per_layer: int = _key(DEFAULT_SLAB_ATOMS_PER_LAYER, _positive_int)
-
-    budget_n_site: int = _key(100, _positive_int)
-    budget_wall_distance: float = _key(0.05, _positive)
-    budget_disk_radius: float = _key(DEFAULT_BBR_DISK_RADIUS, _positive)
-    budget_base_temperature: float = _key(293.0, _positive)
-    budget_example_temperature_step: float = _key(1.0, _float)
-    budget_delta_t: float = _key(0.010, _nonnegative)
-    budget_beam_waist: float = _key(170e-6, _positive)
-    budget_beam_separation: Optional[float] = _key(None, _positive)
-    budget_bias_field: float = _key(1.0, _nonnegative)
-    budget_e_gradient: float = _key(1e4, _nonnegative)
-    budget_baseline_e_field: float = _key(0.0, _nonnegative)
-    budget_p2_linewidth: float = _key(P2_NATURAL_LINEWIDTH_HZ, _positive)
-
-    output_threshold: str = _key("threshold.json", _file_name)
-    output_dephase_curve: str = _key("dephase_curve.csv", _file_name)
-    output_stability_sweep: str = _key("stability_sweep.csv", _file_name)
-    output_budget_json: str = _key("budget.json", _file_name)
-    output_budget_text: str = _key("budget.txt", _file_name)
+    __slots__ = ()
 
     def species_obj(self) -> ClockSpecies:
         if self.species_omega0 is not None and self.species_magic_wavelength is not None:
@@ -220,14 +221,6 @@ class Scenario:
             return self.geometry_layer_spacing
         return self.species_obj().default_layer_spacing
 
-    def digest(self) -> str:
-        return sha256_hex(serialize_scenario(self))
-
-
-# key -> field; the key is the field name with its first "_" written as "."
-_FIELDS = {f.name.replace("_", ".", 1): f for f in fields(Scenario)}
-_OUTPUT_KEYS = tuple(key for key in _FIELDS if key.startswith("output."))
-
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario, applying defaults for absent keys.
@@ -235,7 +228,7 @@ def parse_scenario(text: str) -> Scenario:
     Raises ScenarioError with the offending line number on malformed lines,
     unknown keys, duplicate keys, or out-of-range values.
     """
-    values: dict[str, object] = {}
+    values = {key: default for key, (default, _) in _KEYS.items()}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -248,15 +241,14 @@ def parse_scenario(text: str) -> Scenario:
         if key in seen:
             raise ScenarioError(f"duplicate key {key!r} (first at line {seen[key]})", lineno)
         seen[key] = lineno
-        key_field = _FIELDS.get(key)
-        if key_field is None:
+        if key not in _KEYS:
             raise ScenarioError(f"unknown key {key!r}", lineno)
         try:
-            values[key_field.name] = key_field.metadata["parse"](value.strip())
+            values[key] = _KEYS[key][1](value.strip())
         except ValueError as exc:
             raise ScenarioError(f"invalid value for {key!r}: {exc}", lineno) from None
-    scenario = Scenario(**values)
-    _check_distinct_outputs(scenario, seen)
+    scenario = Scenario._make(values.values())
+    _check_distinct_outputs(values, seen)
     try:
         scenario.species_obj()
     except ValueError as exc:
@@ -264,12 +256,12 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _check_distinct_outputs(scenario: Scenario, seen: dict[str, int]) -> None:
-    """Each output key names its own file; a clash is reported at the later line
-    (defaults count as line 0)."""
+def _check_distinct_outputs(values: dict[str, object], seen: dict[str, int]) -> None:
+    """Each output key (values: key -> value) names its own file; a clash is
+    reported at the later line (defaults count as line 0)."""
     owners: dict[str, str] = {}
     for key in sorted(_OUTPUT_KEYS, key=lambda k: seen.get(k, 0)):
-        name = getattr(scenario, _FIELDS[key].name)
+        name = values[key]
         if name in owners:
             raise ScenarioError(
                 f"invalid value for {key!r}: {name!r} is already the name of {owners[name]!r}",
@@ -294,6 +286,6 @@ def serialize_scenario(scenario: Scenario) -> str:
 
     parse_scenario(serialize_scenario(s)) == s for every valid scenario.
     """
-    values = ((key, getattr(scenario, f.name)) for key, f in _FIELDS.items())
-    lines = [f"{key} = {_format(value)}" for key, value in values if value is not None]
+    pairs = zip(_KEYS, scenario)
+    lines = [f"{key} = {_format(value)}" for key, value in pairs if value is not None]
     return "\n".join(lines) + "\n"

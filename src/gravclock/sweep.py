@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import ClockSpecies, PhysicalConstants, per_layer_phase_rate
 from .dephasing import Convention
@@ -23,8 +22,7 @@ FLAG_NON_BRACKETABLE = "non-bracketable"
 FLAG_NON_CONVERGED = "non-converged"
 
 
-@dataclass(frozen=True)
-class StabilityPoint:
+class StabilityPoint(NamedTuple):
     """One sweep cell. sigma_at_1s = sigma_at_tau * sqrt(tau_max_s), exactly."""
 
     size: int

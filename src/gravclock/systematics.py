@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_BBR_DISK_RADIUS,
@@ -23,8 +23,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class SystematicsCoefficients:
+class SystematicsCoefficients(NamedTuple):
     """Shift coefficients of the clock transition and the calibration line.
 
     zeeman1 in Hz/G, zeeman2 in Hz/G^2, dc_stark in Hz/(V/m)^2, p2_zeeman in
@@ -51,8 +50,7 @@ AC_STARK_ANCHOR_CHANGE = 0.10
 AC_STARK_ANCHOR_SHIFT = 1e-19
 
 
-@dataclass(frozen=True)
-class BudgetEntry:
+class BudgetEntry(NamedTuple):
     """One systematic effect compared against the gravitational signal."""
 
     name: str
@@ -110,8 +108,7 @@ def rayleigh_range(waist: float, wavelength: float) -> float:
     return math.pi * waist * waist / wavelength
 
 
-@dataclass(frozen=True)
-class IntensityRatioResult:
+class IntensityRatioResult(NamedTuple):
     """Extrema of the beam-area ratio w^2(z)/w^2(z + separation).
 
     With u = z/z_R and delta = separation/z_R, the stationarity condition
@@ -222,8 +219,7 @@ def bbr_temperature_limit(
     return t1 * math.expm1(math.log1p(r * (omega_near + omega_far) / room) / 4.0)
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Assembled budget: the redshift signal (extent delta_z, shift delta_nu, fractional),
     requirement numbers, the worked two-wall BBR example, and per-effect entries."""
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .core import ClockSpecies, PhysicalConstants, YB, geomspace, per_layer_phase_rate
 from .dephasing import Convention, dirichlet, effective_phase_rate
@@ -93,8 +94,9 @@ def decoherence_atom_count(n: int) -> int:
     return n * n * (n + 1)
 
 
-@dataclass(frozen=True)
-class TauMaxProblem:
+class TauMaxProblem(
+    namedtuple("TauMaxProblem", "layer_count atoms_per_layer phi_l phi_g convention")
+):
     """Ensemble and laser for the maximum-interrogation-time search.
 
     layer_count is the number of summed layers, atoms_per_layer sets the
@@ -102,21 +104,28 @@ class TauMaxProblem:
     (phi_g physical per layer, adjusted by the convention).
     """
 
-    layer_count: int
-    atoms_per_layer: int
-    phi_l: float
-    phi_g: float
-    convention: Convention
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.layer_count < 1:
-            raise ValueError(f"layer_count must be >= 1, got {self.layer_count}")
-        if self.atoms_per_layer < 1:
-            raise ValueError(f"atoms_per_layer must be >= 1, got {self.atoms_per_layer}")
-        if not (self.phi_l >= 0 and math.isfinite(self.phi_l)):
-            raise ValueError(f"phi_l must be >= 0 and finite, got {self.phi_l!r}")
-        if not (self.phi_g >= 0 and math.isfinite(self.phi_g)):
-            raise ValueError(f"phi_g must be >= 0 and finite, got {self.phi_g!r}")
+    def __new__(
+        cls,
+        layer_count: int,
+        atoms_per_layer: int,
+        phi_l: float,
+        phi_g: float,
+        convention: Convention,
+    ):
+        if layer_count < 1:
+            raise ValueError(f"layer_count must be >= 1, got {layer_count}")
+        if atoms_per_layer < 1:
+            raise ValueError(f"atoms_per_layer must be >= 1, got {atoms_per_layer}")
+        if not (phi_l >= 0 and math.isfinite(phi_l)):
+            raise ValueError(f"phi_l must be >= 0 and finite, got {phi_l!r}")
+        if not (phi_g >= 0 and math.isfinite(phi_g)):
+            raise ValueError(f"phi_g must be >= 0 and finite, got {phi_g!r}")
+        return super().__new__(cls, layer_count, atoms_per_layer, phi_l, phi_g, convention)
+
+    # namedtuple's _make, and so _replace, would skip __new__ and its checks.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def cubic(cls, n_site: int, phi_l: float, convention: Convention) -> "TauMaxProblem":
@@ -131,8 +140,7 @@ class TauMaxProblem:
         return 1.0 / math.sqrt(self.atoms_per_layer)
 
 
-@dataclass(frozen=True)
-class TauMaxResult:
+class TauMaxResult(NamedTuple):
     """Outcome of the tau_max search.
 
     bracketed is False when the error never reaches the threshold within

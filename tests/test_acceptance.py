@@ -18,7 +18,6 @@ from gravclock.core import (
     DEFAULT_SLAB_ATOMS_PER_LAYER,
     PhysicalConstants,
     YB,
-    InterrogationParams,
     default_size_grid,
     per_layer_phase_rate,
     per_layer_sql,
@@ -29,7 +28,7 @@ from gravclock.dephasing import (
     Convention,
     DephasingInput,
     bloch_sum,
-    contrast_closed_form,
+    dirichlet,
 )
 from gravclock.scenario import Scenario, parse_scenario, serialize_scenario
 from gravclock.sweep import scaling_exponent, sweep
@@ -96,7 +95,7 @@ def test_criterion_1_threshold_reproduction():
     n_atoms = decoherence_atom_count(497)
     assert n_atoms == pytest.approx(1.23e8, rel=0.01)
 
-    ensemble = qpn_stability(YB, InterrogationParams.single_sequence(30.0), n_atoms)
+    ensemble = qpn_stability(YB, 30.0, n_atoms)
     assert ensemble == pytest.approx(9.23e-22, rel=0.01)
 
     announce(
@@ -230,7 +229,7 @@ def test_criterion_7_property_suites(tmp_path, capsys):
         theta = float(rng.uniform(0.0, math.pi * (1 - 1e-9)))
         s_x, s_y = explicit_layer_sum(0.0, theta, m, 1.0)
         oracle = math.hypot(s_x, s_y) / m
-        assert contrast_closed_form(theta, m, 1.0) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+        assert abs(dirichlet(m, theta)) / m == pytest.approx(oracle, rel=1e-9, abs=1e-9)
         direct = bloch_sum(DephasingInput(phi_l=0.0, phi_g=theta, layer_count=m, t=1.0))
         assert direct.length / m == pytest.approx(oracle, rel=1e-9, abs=1e-9)
         # phi_l = 0 keeps S_y at zero, in the closed form and in the oracle.
@@ -243,10 +242,9 @@ def test_criterion_7_property_suites(tmp_path, capsys):
     assert result.stationarity_residual <= 1e-6
 
     # QPN sqrt(N) invariance.
-    params = InterrogationParams.single_sequence(30.0)
-    reference = qpn_stability(YB, params, 1)
+    reference = qpn_stability(YB, 30.0, 1)
     for n in (2, 100, 497**2, 123010482):
-        assert qpn_stability(YB, params, n) * math.sqrt(n) == pytest.approx(
+        assert qpn_stability(YB, 30.0, n) * math.sqrt(n) == pytest.approx(
             reference, rel=1e-14
         )
 

@@ -17,7 +17,6 @@ import ast
 import importlib
 import inspect
 import math
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -76,7 +75,7 @@ def test_budget_with_no_arguments_agrees_with_closed_form():
 def test_budget_keyword_defaults_match_scenario_defaults():
     parameters = inspect.signature(assemble_budget).parameters
     scenario = Scenario()
-    keys = [f.name for f in fields(Scenario) if f.name.startswith("budget_")]
+    keys = [name for name in Scenario._fields if name.startswith("budget_")]
     assert len(keys) == 12
     for name in keys:
         default = parameters[name.removeprefix("budget_")].default

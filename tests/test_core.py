@@ -8,7 +8,6 @@ import pytest
 from gravclock.core import (
     YB,
     ClockSpecies,
-    InterrogationParams,
     PhysicalConstants,
     per_layer_phase_rate,
     per_layer_sql,
@@ -93,36 +92,31 @@ def test_phase_rate_matches_redshift_composition():
 
 
 def test_qpn_single_layer_of_497_cube():
-    params = InterrogationParams.single_sequence(30.0)
-    assert qpn_stability(YB, params, 497**2) == pytest.approx(2.06e-20, rel=1e-2)
+    assert qpn_stability(YB, 30.0, 497**2) == pytest.approx(2.06e-20, rel=1e-2)
 
 
 def test_qpn_whole_497_ensemble():
-    params = InterrogationParams.single_sequence(30.0)
     n_atoms = 497**2 * 498
-    assert qpn_stability(YB, params, n_atoms) == pytest.approx(9.23e-22, rel=1e-2)
+    assert qpn_stability(YB, 30.0, n_atoms) == pytest.approx(9.23e-22, rel=1e-2)
 
 
 def test_qpn_wineland_scaling():
-    base = qpn_stability(YB, InterrogationParams.single_sequence(30.0), 1000)
-    squeezed = qpn_stability(
-        YB, InterrogationParams.single_sequence(30.0, xi_w_sq=0.25), 1000
-    )
+    base = qpn_stability(YB, 30.0, 1000)
+    squeezed = qpn_stability(YB, 30.0, 1000, xi_w_sq=0.25)
     assert squeezed == pytest.approx(0.5 * base, rel=1e-15)
 
 
 def test_qpn_sqrt_n_invariance():
-    params = InterrogationParams.single_sequence(30.0)
-    reference = qpn_stability(YB, params, 1) * 1.0
+    reference = qpn_stability(YB, 30.0, 1) * 1.0
     for n in (2, 10, 497, 10**6, 123010482):
-        assert qpn_stability(YB, params, n) * math.sqrt(n) == pytest.approx(
+        assert qpn_stability(YB, 30.0, n) * math.sqrt(n) == pytest.approx(
             reference, rel=1e-14
         )
 
 
 def test_qpn_rejects_empty_ensemble():
     with pytest.raises(ValueError):
-        qpn_stability(YB, InterrogationParams.single_sequence(30.0), 0)
+        qpn_stability(YB, 30.0, 0)
 
 
 def test_per_layer_sql_anchor():
@@ -142,20 +136,17 @@ def test_per_layer_sql_inverse_scaling():
 def test_per_layer_sql_equals_qpn_composition():
     # Same code path by construction, so equality is exact.
     for n in (3, 100, 497):
-        assert per_layer_sql(YB, 30.0, n) == qpn_stability(
-            YB, InterrogationParams.single_sequence(30.0), n * n
-        )
+        assert per_layer_sql(YB, 30.0, n) == qpn_stability(YB, 30.0, n * n)
 
 
 def test_interrogation_validation():
-    with pytest.raises(ValueError):
-        InterrogationParams(tau_r=0.0, t_c=1.0, tau=1.0)
-    with pytest.raises(ValueError):
-        InterrogationParams.single_sequence(30.0, xi_w_sq=0.0)
-    with pytest.raises(ValueError):
-        InterrogationParams.single_sequence(30.0, xi_w_sq=1.5)
-    params = InterrogationParams.single_sequence(30.0)
-    assert params.tau_r == params.t_c == params.tau == 30.0
+    for tau in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            qpn_stability(YB, tau, 1000)
+    for xi_w_sq in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"xi_w_sq must be in \(0, 1\]"):
+            qpn_stability(YB, 30.0, 1000, xi_w_sq)
+    assert qpn_stability(YB, 30.0, 1000, 1.0) == qpn_stability(YB, 30.0, 1000)
 
 
 def test_custom_species_validation():

@@ -16,7 +16,6 @@ from gravclock.dephasing import (
     Convention,
     DephasingInput,
     bloch_sum,
-    contrast_closed_form,
     dephase_curve,
     dirichlet,
     effective_phase_rate,
@@ -109,17 +108,18 @@ def test_full_length_iff_rephased():
 
 
 def test_closed_form_coherent_limit():
-    assert contrast_closed_form(0.0, 17, 123.0) == 1.0
-    assert contrast_closed_form(1.0, 1, 0.0) == 1.0
+    # theta = phi_g' t = 0: every layer in phase.
+    assert abs(dirichlet(17, 0.0)) / 17 == 1.0
+    assert abs(dirichlet(1, 0.0)) / 1 == 1.0
 
 
 def test_closed_form_two_antipodal_spins():
-    assert contrast_closed_form(math.pi, 2, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert abs(dirichlet(2, math.pi)) / 2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_closed_form_first_null_501():
     theta = 2 * math.pi / 501  # m * theta / 2 = pi
-    assert contrast_closed_form(theta, 501, 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert abs(dirichlet(501, theta)) / 501 == pytest.approx(0.0, abs=1e-9)
 
 
 def test_closed_form_matches_bloch_sum_randomized():
@@ -131,7 +131,7 @@ def test_closed_form_matches_bloch_sum_randomized():
         oracle = math.hypot(*explicit_layer_sum(0.0, rate, m, t)) / m
         direct = bloch_sum(make_input(0.0, rate, m, t)).length / m
         assert direct == pytest.approx(oracle, rel=1e-9, abs=1e-9)
-        assert contrast_closed_form(rate, m, t) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+        assert abs(dirichlet(m, rate * t)) / m == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
 def test_small_spread_quadratic_expansion():
@@ -304,9 +304,7 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
 
         return counted
 
-    monkeypatch.setattr(
-        DephasingInput, "__post_init__", counting("inputs", DephasingInput.__post_init__)
-    )
+    monkeypatch.setattr(DephasingInput, "__new__", counting("inputs", DephasingInput.__new__))
     monkeypatch.setattr(dephasing, "effective_phase_rate", counting("rates", effective_phase_rate))
     monkeypatch.setattr(dephasing, "dirichlet", counting("dirichlet", dirichlet))
     monkeypatch.setattr(cli, "fmt_float", counting("fmt_float", emit.fmt_float))

@@ -70,3 +70,17 @@ def test_package_root_exports_only_the_version():
     )
     assert public == "[]"
     assert _fresh_python("import gravclock; print(gravclock.__version__)") == "0.1.0"
+
+
+@pytest.mark.parametrize("command", ["threshold", "dephase-curve", "stability-sweep", "budget"])
+def test_command_loads_neither_dataclasses_nor_inspect(command, tmp_path):
+    # Every record is a tuple type, so no command pays for the dataclasses
+    # import chain (inspect, dis, tokenize, ast, linecache).
+    code = (
+        "import contextlib, io, sys\n"
+        "from gravclock.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main([{command!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    assert _fresh_python(code) == "0 []"

@@ -179,10 +179,8 @@ def test_flagged_point_capped_at_tau_limit():
 
 
 def test_scaling_exponent_rejects_flagged_points():
-    from dataclasses import replace
-
     good = cubic_curve(1e-2, sizes=(25, 50, 100, 200, 400, 800))
-    tainted = [replace(p, flag="non-bracketable") if p.size == 50 else p for p in good]
+    tainted = [p._replace(flag="non-bracketable") if p.size == 50 else p for p in good]
     with pytest.raises(ValueError, match="flagged"):
         scaling_exponent(tainted, "small")
 
