@@ -218,6 +218,15 @@ def test_dephase_curve_rejects_bad_grid():
             dephase_curve(1e-5, PHI_G, 101, Convention.PHYSICAL, grid)
 
 
+def test_dephase_curve_names_a_bad_grid_before_what_it_breaks():
+    # phi_l t overflows at row 0 only because the grid is not increasing:
+    # the refusal names the grid, not the sine of an infinite phase.
+    for convention in Convention:
+        with pytest.raises(ValueError) as excinfo:
+            dephase_curve(10.0, PHI_G, 5, convention, [1e308, 1.0])
+        assert str(excinfo.value) == "t_grid must be strictly increasing at index 1"
+
+
 def test_dephase_curve_matches_single_evaluation():
     rows = dephase_curve(1e-5, PHI_G, 501, Convention.PAPER_FIGURE, [100.0])
     direct = bloch_sum(make_input(1e-5, PHI_G, 501, 100.0, Convention.PAPER_FIGURE))
