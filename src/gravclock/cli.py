@@ -90,29 +90,22 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
     phi_g = per_layer_phase_rate(consts, species, scenario.layer_spacing())
 
     # The t column, phi_l and the convention are the same in every size's
-    # rows, so only ratio and contrast are formatted per row.
+    # rows, so only ratio and contrast are formatted per row, and each row
+    # is rendered as one line.
     phi_l, t_grid = scenario.dephase_phi_l, scenario.dephase_t_grid
     t_cells = [fmt_float(t) for t in t_grid]
     phi_l_cell, convention = fmt_float(phi_l), scenario.convention.value
-    rows: list[list[str]] = []
+    lines: list[str] = []
     for n_site in scenario.dephase_sizes:
-        m, n_cell = n_site + 1, str(n_site)
-        curve = dephase_curve(phi_l, phi_g, m, scenario.convention, t_grid)
-        for t_cell, (_, summary) in zip(t_cells, curve):
-            ratio = summary.ratio
-            rows.append(
-                [
-                    t_cell,
-                    n_cell,
-                    phi_l_cell,
-                    convention,
-                    "" if ratio is None else fmt_float(ratio),
-                    fmt_float(summary.length / m),
-                ]
-            )
+        middle = f",{n_site},{phi_l_cell},{convention},"
+        curve = dephase_curve(phi_l, phi_g, n_site + 1, scenario.convention, t_grid)
+        lines += [
+            f"{t_cell}{middle}{'' if ratio is None else fmt_float(ratio)},{fmt_float(contrast)}"
+            for t_cell, (ratio, contrast) in zip(t_cells, curve)
+        ]
     header = ["t_s", "n_site", "phi_l", "convention", "ratio", "contrast"]
-    files = {scenario.output_dephase_curve: csv_text(header, rows)}
-    text = f"dephase-curve: {len(rows)} rows ({len(scenario.dephase_sizes)} sizes)\n"
+    files = {scenario.output_dephase_curve: csv_text(header, lines)}
+    text = f"dephase-curve: {len(lines)} rows ({len(scenario.dephase_sizes)} sizes)\n"
     return files, [], text
 
 
@@ -138,17 +131,19 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
         "sigma_at_1s",
         "flag",
     ]
-    rows = [
-        [
-            family,
-            _cell(point.size),
-            _cell(point.phi_l),
-            convention,
-            _cell(point.tau_max_s),
-            _cell(point.sigma_at_tau),
-            _cell(point.sigma_at_1s),
-            point.flag,
-        ]
+    lines = [
+        ",".join(
+            [
+                family,
+                _cell(point.size),
+                _cell(point.phi_l),
+                convention,
+                _cell(point.tau_max_s),
+                _cell(point.sigma_at_tau),
+                _cell(point.sigma_at_1s),
+                point.flag,
+            ]
+        )
         for point in points
     ]
     flags = [
@@ -156,8 +151,8 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
         for point in points
         if point.flag
     ]
-    files = {scenario.output_stability_sweep: csv_text(header, rows)}
-    text = f"stability-sweep: {len(rows)} rows, {len(flags)} flagged\n"
+    files = {scenario.output_stability_sweep: csv_text(header, lines)}
+    text = f"stability-sweep: {len(lines)} rows, {len(flags)} flagged\n"
     return files, flags, text
 
 

@@ -6,6 +6,9 @@ arcsine phase estimate phi_eff = asin(S_y / m) systematically underestimate
 the true accumulated laser phase phi_l * t. The layer sum is evaluated in
 closed form by the range-reduced Dirichlet kernel; the explicit summation
 over layers is kept only in the tests, as the oracle for the kernel.
+bloch_sum returns the full BlochSummary of one point. dephase_curve returns
+only what the dephase-curve table prints, one (ratio, contrast) pair per t,
+by the same float operations.
 """
 
 from __future__ import annotations
@@ -130,22 +133,32 @@ def bloch_sum(inp: DephasingInput) -> BlochSummary:
     over layer_count symmetric offsets centered on 0. The k <-> -k symmetry
     factors the sum exactly into S_x = cos(phi_l t) D, S_y = sin(phi_l t) D
     with D = dirichlet(m, phi_g' t), so each evaluation is O(1) in the layer
-    count. phi_eff is asin(S_y / layer_count). dephase_curve evaluates the
-    same sum through the same summary step, so its rows equal this exactly.
+    count. phi_eff is asin(S_y / layer_count), the step dephase_curve shares.
     """
     m = inp.layer_count
     rate = effective_phase_rate(inp.phi_g, m, inp.convention)
-    return _summary(m, inp.phi_l * inp.t, dirichlet(m, rate * inp.t))
-
-
-def _summary(m: int, nominal: float, d: float) -> BlochSummary:
-    """The summary of m layers at laser phase phi_l t = nominal, D = d."""
+    nominal = inp.phi_l * inp.t
+    d = dirichlet(m, rate * inp.t)
     s_x, s_y = math.cos(nominal) * d, math.sin(nominal) * d
-    # Clamped against rounding; a conditional costs far less than min/max.
-    x = s_y / m
-    phi_eff = math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x)
+    phi_eff = _arcsine(s_y, m)
     ratio = phi_eff / nominal if nominal != 0.0 else None
     return BlochSummary(s_x, s_y, abs(d), phi_eff, ratio)
+
+
+def _arcsine(s_y: float, m: int) -> float:
+    """phi_eff = asin(S_y / m), its argument clamped against rounding."""
+    # A conditional costs far less than min/max.
+    x = s_y / m
+    return math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x)
+
+
+def _check_grid(t_grid: Sequence[float]) -> None:
+    """Refuse the first t that is negative, not finite or not above the last."""
+    for i, t in enumerate(t_grid):
+        if not (t >= 0 and math.isfinite(t)):
+            raise ValueError(f"t_grid[{i}] must be >= 0 and finite, got {t!r}") from None
+        if i > 0 and not t > t_grid[i - 1]:
+            raise ValueError(f"t_grid must be strictly increasing at index {i}") from None
 
 
 def dephase_curve(
@@ -154,32 +167,45 @@ def dephase_curve(
     layer_count: int,
     convention: Convention,
     t_grid: Sequence[float],
-) -> list[tuple[float, BlochSummary]]:
-    """Evaluate bloch_sum over a strictly increasing, nonnegative time grid.
+) -> list[tuple[Optional[float], float]]:
+    """(ratio, contrast) at each t of a strictly increasing, nonnegative grid.
 
-    Returns (t, summary) pairs ordered by t, each equal to bloch_sum of that
-    point. The inputs are validated once per call, also for an empty grid,
-    with DephasingInput's messages; the convention-adjusted rate is computed
-    once, and each row costs one dirichlet call. A layer count, or a laser
-    phase phi_l t at the last time (so also a non-finite phi_l), out of
-    float range is refused, naming its keys.
+    ratio = phi_eff / (phi_l t), None where phi_l t == 0, and contrast =
+    |D| / layer_count: each row equals bloch_sum's ratio and length /
+    layer_count at that point, by the same float operations. One pass over
+    the grid checks each t and evaluates its row with one dirichlet call.
+    The inputs are checked once per call, also for an empty grid, with
+    DephasingInput's messages. A layer count, or a laser phase phi_l t at
+    the last time (so also a non-finite phi_l), out of float range is
+    refused, naming its keys. A bad grid is named before anything it makes
+    fail, such as a row before it whose phase overflows.
     """
-    grid = list(t_grid)
-    for i, t in enumerate(grid):
-        if not (t >= 0 and math.isfinite(t)):
-            raise ValueError(f"t_grid[{i}] must be >= 0 and finite, got {t!r}")
-        if i > 0 and not t > grid[i - 1]:
-            raise ValueError(f"t_grid must be strictly increasing at index {i}")
-    if layer_count > sys.float_info.max:
-        raise OverflowError(
-            f"dephase.sizes: a layer count of {len(str(layer_count))} digits is out of float range"
-        )
-    t_end = grid[-1] if grid else 0.0
-    if not abs(phi_l * t_end) < math.inf:
-        raise OverflowError(
-            f"laser phase phi_l t = {phi_l!r} rad/s x {t_end!r} s is out of float range;"
-            " it is set by dephase.phi_l and dephase.t_grid"
-        )
-    _check_rates(phi_l, phi_g, layer_count)
-    rate = effective_phase_rate(phi_g, layer_count, convention)
-    return [(t, _summary(layer_count, phi_l * t, dirichlet(layer_count, rate * t))) for t in grid]
+    try:
+        if layer_count > sys.float_info.max:
+            raise OverflowError(
+                f"dephase.sizes: a layer count of {len(str(layer_count))} digits"
+                " is out of float range"
+            )
+        t_end = t_grid[-1] if len(t_grid) else 0.0
+        if not abs(phi_l * t_end) < math.inf:
+            raise OverflowError(
+                f"laser phase phi_l t = {phi_l!r} rad/s x {t_end!r} s is out of float range;"
+                " it is set by dephase.phi_l and dephase.t_grid"
+            )
+        _check_rates(phi_l, phi_g, layer_count)
+        m, rate = layer_count, effective_phase_rate(phi_g, layer_count, convention)
+        rows = []
+        # t > previous holds at index 0 for every t >= 0, -0.0 included.
+        previous = -math.ulp(0.0)
+        for t in t_grid:
+            if not previous < t < math.inf:
+                _check_grid(t_grid)
+            previous = t
+            nominal = phi_l * t
+            d = dirichlet(m, rate * t)
+            ratio = _arcsine(math.sin(nominal) * d, m) / nominal if nominal != 0.0 else None
+            rows.append((ratio, abs(d) / m))
+        return rows
+    except (ValueError, OverflowError):
+        _check_grid(t_grid)
+        raise

@@ -71,14 +71,15 @@ def json_text(value) -> str:
     return _to_json(value, 0, "") + "\n"
 
 
-def csv_text(header: list[str], rows: list[list[str]]) -> str:
-    """CSV with a mandatory header row; cells are pre-formatted strings."""
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def csv_text(header: list[str], lines: list[str]) -> str:
+    """CSV with a mandatory header row; each line is its pre-formatted cells
+    joined by commas. No cell holds a comma, so the commas count the cells.
+    """
+    commas = len(header) - 1
+    for line in lines:
+        if line.count(",") != commas:
+            raise ValueError(f"row width {line.count(',') + 1} != header width {len(header)}")
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def sha256_hex(text: str) -> str:

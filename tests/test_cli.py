@@ -362,6 +362,26 @@ def test_json_refusal_names_its_key_path():
         emit.json_text({"lattice_intensity": {"changes": [0.5, math.inf]}})
 
 
+@pytest.mark.parametrize("line, width", [("1,2,3,4", 4), ("1,2", 2)], ids=["wider", "narrower"])
+def test_csv_text_refuses_a_row_of_another_width(line, width):
+    with pytest.raises(ValueError) as excinfo:
+        emit.csv_text(["a", "b", "c"], ["x,y,z", line])
+    assert str(excinfo.value) == f"row width {width} != header width 3"
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS.glob("*.cfg")), ids=lambda path: path.stem)
+def test_preset_csv_rows_are_as_wide_as_their_header(tmp_path, capsys, preset):
+    for command, name in (
+        ("dephase-curve", "dephase_curve.csv"),
+        ("stability-sweep", "stability_sweep.csv"),
+    ):
+        out = tmp_path / command
+        assert main([command, "--scenario", str(preset), "--out", str(out)]) == 0
+        header, *rows = csv.reader(io.StringIO((out / name).read_text(), newline=""))
+        assert rows and all(len(row) == len(header) for row in rows), (command, name)
+    capsys.readouterr()
+
+
 def test_huge_phi_l_sweep_prints_nothing_to_stderr(tmp_path):
     # A fresh process, so that a runtime warning would reach stderr.
     scenario = tmp_path / "fast.cfg"

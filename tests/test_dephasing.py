@@ -32,6 +32,12 @@ def make_input(phi_l, phi_g, layer_count, t, convention=Convention.PHYSICAL):
     )
 
 
+def bloch_row(phi_l, m, t, convention):
+    """The dephase_curve row (ratio, contrast) that bloch_sum gives at t."""
+    summary = bloch_sum(make_input(phi_l, PHI_G, m, t, convention))
+    return summary.ratio, summary.length / m
+
+
 def test_convention_wire_names():
     assert Convention.from_wire("physical") is Convention.PHYSICAL
     assert Convention.from_wire("paper-figure") is Convention.PAPER_FIGURE
@@ -201,11 +207,10 @@ def test_input_validation():
 def test_dephase_curve_rows():
     grid = [0.0, 50.0, 100.0, 200.0]
     rows = dephase_curve(1e-5, PHI_G, 101, Convention.PAPER_FIGURE, grid)
-    assert [t for t, _ in rows] == grid
-    assert rows[0][1].ratio is None  # t = 0 leaves the nominal phase empty
-    for _, summary in rows[1:]:
-        assert isinstance(summary, BlochSummary)
-        assert abs(summary.ratio - 1.0) < 2e-2
+    assert rows == [bloch_row(1e-5, 101, t, Convention.PAPER_FIGURE) for t in grid]
+    assert rows[0] == (None, 1.0)  # t = 0: no nominal phase, every layer in phase
+    for ratio, _ in rows[1:]:
+        assert abs(ratio - 1.0) < 2e-2
 
 
 def test_dephase_curve_empty_grid():
@@ -230,7 +235,7 @@ def test_dephase_curve_names_a_bad_grid_before_what_it_breaks():
 def test_dephase_curve_matches_single_evaluation():
     rows = dephase_curve(1e-5, PHI_G, 501, Convention.PAPER_FIGURE, [100.0])
     direct = bloch_sum(make_input(1e-5, PHI_G, 501, 100.0, Convention.PAPER_FIGURE))
-    assert rows[0][1] == direct
+    assert rows == [(direct.ratio, direct.length / 501)]
 
 
 @pytest.mark.parametrize("convention", list(Convention))
@@ -245,14 +250,13 @@ def test_dephase_curve_equals_bloch_sum_per_point(convention, m):
         grid.add(math.tau / rate)
     grid = sorted(grid)
     rows = dephase_curve(phi_l, PHI_G, m, convention, grid)
-    assert rows == [(t, bloch_sum(make_input(phi_l, PHI_G, m, t, convention))) for t in grid]
-    by_t = dict(rows)
-    assert by_t[0.0].ratio is None
-    assert by_t[1000.0].ratio < (math.pi / 2) / (phi_l * 1000.0)  # folded
+    assert rows == [bloch_row(phi_l, m, t, convention) for t in grid]
+    by_t = dict(zip(grid, rows))
+    assert by_t[0.0][0] is None
+    assert by_t[1000.0][0] < (math.pi / 2) / (phi_l * 1000.0)  # folded
     if rate:
-        assert by_t[math.tau / rate].length == pytest.approx(m, rel=1e-9)
-    for _, summary in rows:
-        assert isinstance(summary, BlochSummary) and summary == tuple(summary)
+        assert by_t[math.tau / rate][1] == pytest.approx(1.0, rel=1e-9)
+    assert all(type(row) is tuple and len(row) == 2 for row in rows)
 
 
 # dephase_curve checks its inputs once per call, also for an empty grid.
@@ -314,6 +318,8 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
         return counted
 
     monkeypatch.setattr(DephasingInput, "__new__", counting("inputs", DephasingInput.__new__))
+    monkeypatch.setattr(BlochSummary, "__new__", counting("summaries", BlochSummary.__new__))
+    monkeypatch.setattr(cli, "dephase_curve", counting("curves", dephase_curve))
     monkeypatch.setattr(dephasing, "effective_phase_rate", counting("rates", effective_phase_rate))
     monkeypatch.setattr(dephasing, "dirichlet", counting("dirichlet", dirichlet))
     monkeypatch.setattr(cli, "fmt_float", counting("fmt_float", emit.fmt_float))
@@ -322,7 +328,9 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
         argv = ["dephase-curve", "--scenario", str(preset), "--convention", convention]
         assert cli.main(argv + ["--out", str(tmp_path / convention)]) == 0
         rows = sizes * grid
+        assert counts["curves"] == sizes
         assert counts["inputs"] <= sizes
+        assert counts["summaries"] == 0
         assert counts["rates"] <= sizes
         assert counts["dirichlet"] == rows
         assert counts["fmt_float"] <= 2 * rows + grid + 1
