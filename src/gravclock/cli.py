@@ -3,14 +3,17 @@
 Every run reads one scenario file (or the built-in defaults), computes in
 memory, then writes all outputs plus a run_record.json manifest from a
 single writer. Exit codes: 0 success, 2 scenario/validation failure (an
-input whose arithmetic overflows included), 3 a solver flagged a point
-(non-bracketable or non-converged) and --allow-flags was not given.
+input whose arithmetic overflows, or a failing stdout, included), 3 a solver
+flagged a point (non-bracketable or non-converged) and --allow-flags was not
+given. A failing stderr does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -252,8 +255,33 @@ def _load_scenario(path: str | None) -> tuple[Scenario, str]:
     if path is None:
         scenario = Scenario()
         return scenario, serialize_scenario(scenario)
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"scenario file {path!r} is not UTF-8 text: {exc}") from None
     return parse_scenario(text), text
+
+
+def _emit(stream, name: str, text: str) -> None:
+    """Write and flush text to the standard stream name, or raise OSError. A
+    failing stream is first pointed at os.devnull, so that the flush at exit
+    cannot fail again (the SIGPIPE note of the signal module's docs)."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except AttributeError:  # a descriptor closed at start-up leaves it None
+        raise OSError(f"writing {name}: the file descriptor is closed") from None
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise OSError(f"writing {name}: {exc}") from None
+
+
+def _report(line: str) -> None:
+    """One line to stderr; a failing stderr does not change the exit code."""
+    with contextlib.suppress(OSError):
+        _emit(sys.stderr, "stderr", line + "\n")
 
 
 @functools.cache
@@ -294,15 +322,14 @@ def main(argv: list[str] | None = None) -> int:
         files, flags, text = runner(scenario)
         files[RUN_RECORD_NAME] = json_text(run_record(scenario_text, __version__, files))
         write_outputs(Path(args.out), files)
+        _emit(sys.stdout, "stdout", text)
     except (ScenarioError, OSError, ValueError, ArithmeticError) as exc:
-        print(f"gravclock: error: {exc}", file=sys.stderr)
+        _report(f"gravclock: error: {exc}")
         return EXIT_VALIDATION
-
-    sys.stdout.write(text)
 
     if flags and not args.allow_flags:
         for flag in flags:
-            print(f"gravclock: flagged: {flag}", file=sys.stderr)
+            _report(f"gravclock: flagged: {flag}")
         return EXIT_FLAGGED
     return EXIT_OK
 

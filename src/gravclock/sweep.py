@@ -55,7 +55,7 @@ def sweep(
     layers of atoms_per_layer atoms. A non-bracketable tau search (laser
     never limits) yields a flagged point evaluated at the tau cap instead of
     aborting. A bracketed search whose root finder (Illinois regula falsi
-    with a bisection safeguard) used its 120 steps before narrowing tau_max
+    with a bisection safeguard) used its 192 steps before narrowing tau_max
     to 1e-12 relative with the error within 1e-4 of the SQL is flagged
     non-converged.
     """

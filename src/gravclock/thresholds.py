@@ -4,33 +4,31 @@ Two separate questions. decoherence_sizes asks how large the lattice
 must be before the gravitational phase spread across it reaches the quantum
 projection noise (closed-form algebra). solve_tau_max asks how long a given
 ensemble can be interrogated before the dephasing-induced error in the
-measured phase reaches the per-layer standard quantum limit (a grid scan
-for a bracket, then Illinois regula falsi with a bisection safeguard on the
+measured phase reaches the per-layer standard quantum limit (a closed-form
+bracket, then Illinois regula falsi with a bisection safeguard on the
 layer-sum model).
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .core import ClockSpecies, PhysicalConstants, YB, geomspace, per_layer_phase_rate
+from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
 from .dephasing import Convention, dirichlet, effective_phase_rate
 
 TAU_CAP_S = 1e9
-# The safeguard halves the bracket at least every 3 steps, and 37 halvings
-# take the scan's 7.5% bracket below _ROOT_REL_TOL.
-_ROOT_MAX_STEPS = 120
+# The safeguard halves the bracket at least every 3 steps, and 64 halvings
+# narrow [0, hi] below _ROOT_REL_TOL * tau wherever hi / tau <= 2^64 * 1e-12
+# ~ 1.8e7. hi / tau <= K = max(pi, 1.61 / sqrt(threshold)), since at t = hi / K
+# the error is at most (1 - c) tan(a) / a < (pi^2 / 6) tan(1) / K^2 <= threshold
+# (a <= pi / K <= 1, theta <= 2 pi / (m K), 1 - c <= (m^2 - 1) theta^2 / 24).
+# That covers every threshold >= 7.6e-15; below ~1e-12 the error's rounding
+# (~1e-16) misses _RESIDUAL_REL_TOL anyway.
+_ROOT_MAX_STEPS = 3 * 64
 _ROOT_REL_TOL = 1e-12
 _RESIDUAL_REL_TOL = 1e-4
-# A grid point is skipped only where 2*bound(t) + _SKIP_SLACK <= threshold:
-# the factor 2 and the absolute slack absorb the rounding of error(t), which
-# can exceed the bound by ~1e-15 where both are tiny. A threshold at or below
-# the slack skips nothing, so the scan then covers the whole grid.
-_SKIP_SLACK = 1e-14
 # The phi_g of TauMaxProblem.cubic: Yb at its magic-wavelength spacing [rad/s].
 _YB_PHI_G = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
 # The scenario keys behind c^2/(omega0 tau g d), named when a size overflows.
@@ -38,15 +36,6 @@ SIZE_KEYS = (
     "constants.c, constants.g, species.omega0, interrogation.tau and"
     " geometry.layer_spacing (default species.magic_wavelength / 2)"
 )
-
-
-@functools.cache
-def _scan_grid() -> tuple[float, ...]:
-    """The tau_max scan grid, 1e-6 s to TAU_CAP_S at 32 points per decade.
-
-    Built on first use, so that only runs that solve for tau_max pay for it.
-    """
-    return geomspace(1e-6, TAU_CAP_S, 32 * 15 + 1)
 
 
 def decoherence_sizes(
@@ -143,7 +132,7 @@ class TauMaxProblem(
 class TauMaxResult(NamedTuple):
     """Outcome of the tau_max search.
 
-    bracketed is False when the error never reaches the threshold within
+    bracketed is False when the error never exceeds the threshold within
     (0, TAU_CAP_S]: the laser-dominated regime with unbounded tau. tau_s then
     holds the cap. Otherwise tau_s and error_at_tau are the last point the
     root finder evaluated. converged is True only when the root finder met
@@ -161,142 +150,125 @@ class TauMaxResult(NamedTuple):
 
 
 def _error_function(problem: TauMaxProblem):
-    """(error, bound, criterion): the dephasing error at one t, relative to
-    the nominal phase, and a cheap upper bound on it that rises with t.
+    """(error, t_end, criterion): the dephasing error at one t, relative to
+    the nominal phase, and the first time it reaches 1.
 
     For phi_l > 0: |1 - phi_eff / (phi_l t)| with phi_eff = asin(S_y / m),
     S_y = sin(phi_l t) D_m(phi_g' t). Where phi_l t = 0 (phi_l = 0, or a
     product that underflows) the nominal phase vanishes and phi_eff is
     identically zero by the k <-> -k symmetry, so the criterion degrades
     continuously to the contrast loss 1 - |D_m| / m (the phi_l -> 0 limit of
-    the ratio form). A phase phi_l t out of float range is refused.
+    the ratio form).
 
-    The bound is B = (m^2 - 1) theta^2 / 24 * tan(a) / a with theta = phi_g' t
-    and a = phi_l t (the last factor is 1 at a = 0): 1 - D_m / m <= (m^2 - 1)
-    theta^2 / 24 because cos x >= 1 - x^2 / 2 term by term, and asin is
-    convex on [0, 1]. It is claimed only for a <= 1, away from the asin fold
-    at pi/2 where error(t) is ill-conditioned; for a > 1 it is inf.
+    t_end = min(pi / phi_l, 2 pi / (m phi_g')), the first term only for
+    phi_l > 0 and the second only for m > 1 and phi_g' > 0 (D_1 = 1 never
+    vanishes): there the laser phase reaches pi or D_m its first zero, and
+    error(t_end) = 1. It is inf when neither term applies.
     """
     m = problem.layer_count
     rate = effective_phase_rate(problem.phi_g, m, problem.convention)
     phi_l = problem.phi_l
-    quad = (float(m) * m - 1.0) / 24.0
+    t_end = math.pi / phi_l if phi_l else math.inf
+    if m > 1 and rate:
+        # Divided in turn: m phi_g' itself can overflow.
+        t_end = min(t_end, math.tau / m / rate)
 
     def error(t: float) -> float:
         d = dirichlet(m, rate * t)
         a = phi_l * t
         if a == 0.0:
             return 1.0 - abs(d) / m
-        if a == math.inf:
-            raise OverflowError(
-                f"laser phase phi_l t at t = {t!r} s is out of float range; phi_l is sweep.phi_l"
-            )
         # Clamped against rounding; a conditional costs far less than min/max.
         x = math.sin(a) * d / m
         x = 1.0 if x > 1.0 else -1.0 if x < -1.0 else x
         return abs(1.0 - math.asin(x) / a)
 
-    def bound(t: float) -> float:
-        a = phi_l * t
-        if a > 1.0:
-            return math.inf
-        theta = rate * t
-        b = quad * theta * theta
-        return b * math.tan(a) / a if a else b
-
-    return error, bound, "contrast" if phi_l == 0.0 else "phase-ratio"
-
-
-def _scan(error, bound, thr: float) -> int | None:
-    """Index of the first scan-grid point whose error exceeds thr, or None.
-
-    The points where the bound proves the error below thr form a prefix of
-    the grid, since the bound rises with t; a binary search finds its end,
-    and the scan evaluates error from there. NaN in the bound skips nothing.
-    """
-    grid = _scan_grid()
-    start = bisect.bisect_left(
-        grid, True, key=lambda t: not 2.0 * bound(t) + _SKIP_SLACK <= thr
-    )
-    return next((i for i in range(start, len(grid)) if error(grid[i]) > thr), None)
+    return error, t_end, "contrast" if phi_l == 0.0 else "phase-ratio"
 
 
 def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     """Largest tau with dephasing error at or below the per-layer SQL.
 
-    Scans a fixed geometric grid from 1e-6 s to TAU_CAP_S for the first
-    point past the threshold, skipping the points an upper bound on the
-    error proves below it. The bracket [grid[i-1], grid[i]] starts from the
-    errors the scan computed at its ends (error(0) = 0 when i == 0) and
-    shrinks by regula falsi with the Illinois modification (Dowell &
-    Jarratt, BIT 11, 168, 1971): where two falsi steps in a row keep the
-    same end, its value is halved. A falsi step stays half the width
-    tolerance inside the bracket. As a safeguard, the step after two steps
-    in a row that each failed to halve the bracket bisects it; bisection
-    steps leave the Illinois bookkeeping alone. The search converges once
-    the bracket is no wider than 1e-12 of its lower end and the last error
-    is within 1e-4 of the threshold, and gives up after 120 steps.
-    Deterministic: fixed grid, fixed step policy, no randomness.
+    The error rises monotonically from 0 to 1 on [0, t_end] (t_end as in
+    _error_function). With theta = phi_g' t, a = phi_l t and c = D_m / m:
+    (1) c is the mean of the cos(k theta) over |k| <= (m-1)/2. On theta in
+    [0, 2 pi / m] each term is non-increasing, and c >= 0 with c = 0 at
+    2 pi / m. (2) For c in [0, 1], h(a) = asin(c sin a) is concave on
+    [0, pi], since h'' = c (c^2 - 1) sin a / (1 - c^2 sin^2 a)^(3/2) <= 0,
+    and h(0) = 0, so the ratio h(a) / a is non-increasing in a; it is also
+    non-decreasing in c. (3) Therefore the ratio falls from 1 to 0 and the
+    error rises from 0 to 1. For phi_l = 0 the error is 1 - c. The
+    convention only changes the constant phi_g'.
+
+    So [0, min(t_end, TAU_CAP_S)] brackets the root: the error is 1 at
+    t_end <= TAU_CAP_S, and otherwise one evaluation at the cap decides
+    between bracketed and non-bracketable. A single-atom layer has threshold
+    1 = error(t_end): a phase ratio turns negative past t_end, so its error
+    exceeds 1 and tau = t_end exactly, while the contrast loss never does.
+
+    Regula falsi with the Illinois modification (Dowell & Jarratt, BIT 11,
+    168, 1971) then runs on f = sqrt(error) - sqrt(threshold), which has the
+    same root and is nearly linear in t where the error grows as t^2: where
+    two falsi steps in a row keep the same end, its value is halved. A
+    falsi step stays half the width tolerance inside the bracket. As a
+    safeguard, the step after two steps in a row that each failed to halve
+    the bracket bisects it; bisection steps leave the Illinois bookkeeping
+    alone. The search converges once the bracket is no wider than 1e-12 of
+    its lower end and the last error is within 1e-4 of the threshold, and
+    gives up after 192 steps. Deterministic: no grid, no randomness.
     """
-    error, bound, criterion = _error_function(problem)
+    error, t_end, criterion = _error_function(problem)
     thr = problem.threshold
-    seen = {0.0: 0.0}  # no dephasing before any time has passed
-
-    def recorded(t: float) -> float:
-        seen[t] = e = error(t)
-        return e
-
-    i = _scan(recorded, bound, thr)
-    tau, converged = TAU_CAP_S, False
-    if i is None:
-        e_tau = seen[tau] if tau in seen else error(tau)
-    else:
-        grid = _scan_grid()
-        lo, hi = (grid[i - 1] if i else 0.0), grid[i]
-        # The scan stops at its first evaluation past thr, so error(hi) is
-        # known; error(lo) is not when the bound skipped it.
-        tau, e_tau = hi, seen[hi]
-        f_lo = (seen[lo] if lo in seen else error(lo)) - thr
-        f_hi = e_tau - thr
-        # The end the last falsi step kept (-1 lo, 1 hi, 0 none yet), and
-        # the steps in a row that failed to halve the bracket.
-        kept = slow = 0
-        for _ in range(_ROOT_MAX_STEPS):
-            width = hi - lo
-            tau, falsi = lo + 0.5 * width, False
-            if slow < 2:
-                # Held inside the bracket by half the width tolerance, so that
-                # a step beside an end already at the root crosses the root.
-                margin = 0.5 * _ROOT_REL_TOL * lo
-                low, high = lo + margin, hi - margin
-                step = lo + width * (f_lo / (f_lo - f_hi))
-                step = low if step < low else high if step > high else step
-                if lo < step < hi:
-                    tau, falsi = step, True
-            e_tau = error(tau)
-            if e_tau > thr:
-                hi, f_hi = tau, e_tau - thr
-                if falsi:
-                    if kept < 0:
-                        f_lo *= 0.5
-                    kept = -1
-            else:
-                lo, f_lo = tau, e_tau - thr
-                if falsi:
-                    if kept > 0:
-                        f_hi *= 0.5
-                    kept = 1
-            slow = slow + 1 if hi - lo > 0.5 * width else 0
-            converged = (
-                hi - lo <= _ROOT_REL_TOL * lo and abs(e_tau - thr) <= _RESIDUAL_REL_TOL * thr
-            )
-            if converged:
-                break
-    return TauMaxResult(
-        tau_s=tau,
-        error_at_tau=e_tau,
-        threshold=thr,
-        bracketed=i is not None,
-        converged=converged,
-        criterion=criterion,
-    )
+    if t_end > TAU_CAP_S:
+        tau = TAU_CAP_S
+        e_tau = error(tau)
+        if not e_tau > thr:
+            return TauMaxResult(tau, e_tau, thr, False, False, criterion)
+    elif thr < 1.0:
+        tau, e_tau = t_end, 1.0
+    else:  # one atom per layer: thr = 1 = error(t_end)
+        bracketed = criterion == "phase-ratio"
+        tau = t_end if bracketed else TAU_CAP_S
+        return TauMaxResult(tau, error(tau), thr, bracketed, bracketed, criterion)
+    root_thr = math.sqrt(thr)
+    lo, hi = 0.0, tau
+    # error(0) = 0: no dephasing before any time has passed.
+    f_lo, f_hi = -root_thr, math.sqrt(e_tau) - root_thr
+    # The end the last falsi step kept (-1 lo, 1 hi, 0 none yet), and the
+    # steps in a row that failed to halve the bracket.
+    kept = slow = 0
+    converged = False
+    for _ in range(_ROOT_MAX_STEPS):
+        width = hi - lo
+        tau, falsi = lo + 0.5 * width, False
+        if slow < 2:
+            # Held inside the bracket by half the width tolerance, so that
+            # a step beside an end already at the root crosses the root.
+            margin = 0.5 * _ROOT_REL_TOL * lo
+            low, high = lo + margin, hi - margin
+            step = lo + width * (f_lo / (f_lo - f_hi))
+            step = low if step < low else high if step > high else step
+            if lo < step < hi:
+                tau, falsi = step, True
+        e_tau = error(tau)
+        # For phi_l = 0, 1 - |D| / m can round to just below 0.
+        f_tau = (math.sqrt(e_tau) if e_tau > 0.0 else 0.0) - root_thr
+        if e_tau > thr:
+            hi, f_hi = tau, f_tau
+            if falsi:
+                if kept < 0:
+                    f_lo *= 0.5
+                kept = -1
+        else:
+            lo, f_lo = tau, f_tau
+            if falsi:
+                if kept > 0:
+                    f_hi *= 0.5
+                kept = 1
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
+        converged = (
+            hi - lo <= _ROOT_REL_TOL * lo and abs(e_tau - thr) <= _RESIDUAL_REL_TOL * thr
+        )
+        if converged:
+            break
+    return TauMaxResult(tau, e_tau, thr, True, converged, criterion)

@@ -111,6 +111,16 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_scenario_file_exits_2_naming_it(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\n")
+    assert main(["threshold", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gravclock: error:")
+    assert str(bad) in err and "UTF-8" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("keep\n")
@@ -212,7 +222,6 @@ _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacin
         ("dephase-curve", f"dephase.sizes = {_HUGE_INT}", "layer count of 401 digits"),
         ("dephase-curve", "dephase.phi_l = 1e300\ndephase.t_grid = 0,1e10", "phi_l t"),
         ("dephase-curve", "constants.g = 1e300\ndephase.t_grid = 0,1e300", "phi_g' t"),
-        ("stability-sweep", "sweep.phi_l = 1e300\nsweep.sizes = 1", "phi_l t"),
     ],
     ids=[
         "tau",
@@ -245,7 +254,6 @@ _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacin
         "dephase_sizes",
         "dephase_phi_l",
         "dephase_g",
-        "sweep_phi_l",
     ],
 )
 def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text, quantity):
@@ -395,10 +403,88 @@ def test_huge_phi_l_sweep_prints_nothing_to_stderr(tmp_path):
     assert result.stderr == ""
 
 
+_MAIN = "import sys\nfrom gravclock.cli import main\nsys.exit(main())"
+
+
+def _run_with_failing_stream(fd: int, kind: str, *argv: str) -> subprocess.CompletedProcess:
+    """A fresh-process CLI run whose stdout (fd 1) or stderr (fd 2) fails.
+
+    kind "full" is /dev/full (ENOSPC), "pipe" a pipe whose read end is
+    closed (EPIPE), "closed" a descriptor closed before the interpreter
+    starts (the stream is then None). The other stream is captured. The
+    streams are buffered, as by default, so that a failed write is still
+    pending when the interpreter flushes them at exit.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    with contextlib.ExitStack() as stack:
+        preexec = None
+        if kind == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("needs /dev/full")
+            target = stack.enter_context(open("/dev/full", "wb"))
+        elif kind == "pipe":
+            read_end, target = os.pipe()
+            os.close(read_end)
+            stack.callback(os.close, target)
+        else:
+            target, preexec = subprocess.DEVNULL, (lambda: os.close(fd))
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        streams["stdout" if fd == 1 else "stderr"] = target
+        return subprocess.run(
+            [sys.executable, "-c", _MAIN, *argv], env=env, text=True, preexec_fn=preexec, **streams
+        )
+
+
+def _assert_complete(out: Path) -> None:
+    """Every file of the run_record.json manifest is in out, as recorded."""
+    record = json.loads((out / emit.RUN_RECORD_NAME).read_text())
+    names = [entry["name"] for entry in record["outputs"]]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + [emit.RUN_RECORD_NAME])
+    for entry in record["outputs"]:
+        assert emit.sha256_hex((out / entry["name"]).read_text()) == entry["sha256"]
+
+
+@pytest.mark.parametrize("kind", ["full", "pipe", "closed"])
+@pytest.mark.parametrize("command", ["threshold", "dephase-curve"])
+def test_failing_stdout_exits_2_after_writing_the_outputs(tmp_path, command, kind):
+    out = tmp_path / "out"
+    result = _run_with_failing_stream(1, kind, command, "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.startswith("gravclock: error: writing stdout: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    _assert_complete(out)
+
+
+@pytest.mark.parametrize("kind", ["full", "pipe", "closed"])
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("", 0),
+        ("budget.n_site = 0\n", 2),
+        (
+            "sweep.family = slab\nsweep.sizes = 1,2\nsweep.phi_l = 0\n"
+            "sweep.atoms_per_layer = 100\n",
+            3,
+        ),
+    ],
+    ids=["ok", "invalid", "flagged"],
+)
+def test_failing_stderr_keeps_the_exit_code(tmp_path, kind, text, code):
+    scenario = tmp_path / "s.cfg"
+    scenario.write_text(text)
+    argv = ("stability-sweep", "--scenario", str(scenario), "--out", str(tmp_path / "out"))
+    result = _run_with_failing_stream(2, kind, *argv)
+    assert result.returncode == code
+    if code != 2:
+        assert result.stdout.startswith("stability-sweep: ")
+        _assert_complete(tmp_path / "out")
+
+
 def _separate_run(argv: list[str], out: Path) -> tuple[int, str, dict[str, bytes]]:
     """One fresh-interpreter CLI run: exit code, stdout, written files."""
-    code = "import sys\nfrom gravclock.cli import main\nsys.exit(main())"
-    result = _fresh_python(code, *argv, "--out", str(out))
+    result = _fresh_python(_MAIN, *argv, "--out", str(out))
     return result.returncode, result.stdout, read_tree(out)
 
 

@@ -41,20 +41,20 @@ GOLDEN = {
         "run_record.json": "10f4bdb22c2346249ab0430d8800ebcc58c28055011311ae65b23f0b50bbad8d",
     },
     ("stability-sweep", "stability_cubic.cfg", "physical"): {
-        "run_record.json": "65cdcee514021f8fb432665af846a1cdc8b5a1b9d0fa54cfc5c28152124b07db",
-        "stability_sweep.csv": "ff11afd7b571aab4d9a209f0d7f2b8ff74d6e6ac3eb1d418558287200d1fb391",
+        "run_record.json": "77bcaa63bf601018308897d97b5ebffea4e18bd369b29e6b81922f455a614233",
+        "stability_sweep.csv": "015257d69926969d866a395599983f2b7b22aedd740349b250b52d379bbf7b69",
     },
     ("stability-sweep", "stability_cubic.cfg", "paper-figure"): {
-        "run_record.json": "04e962e95fb5a236fb890d802dbc02bd006177deb7dac985cbefb378e17c3c3a",
-        "stability_sweep.csv": "fc47573934d90e59101f2fe7093f17390efc80a07a506d697ff6efa90f2e1af1",
+        "run_record.json": "d160d9c03b40b6a4ba5e4f8db7cb4e01fbc3cea8fb398b8344f4d345578fe990",
+        "stability_sweep.csv": "ecfe49a237057d39ac37c4e9f5a94d434c6fc1a823c0b48378b5f6ebee46b3df",
     },
     ("stability-sweep", "stability_slab.cfg", "physical"): {
-        "run_record.json": "b25c13d1ce9e77dfc9657714a19e87aeec68baf95d4a9b2dca2592704a764338",
-        "stability_sweep.csv": "af6b4f718fbb9c424def4c88c3d134969a5472ec95f94abeb4fe8de5fdb99fa2",
+        "run_record.json": "c28636a23ed1b1129bf5c0c3f76fb1a44fe35c73ef32074eec9581153835d8bf",
+        "stability_sweep.csv": "957458c4209b79d7b270b3caaa3b34bfbb6b6d38eac90fd05aa2e7bf794adf06",
     },
     ("stability-sweep", "stability_slab.cfg", "paper-figure"): {
-        "run_record.json": "660bdffa84943f1abc4d9c271e1ba78e5246e5189ddc09426a2711f56b9e4d1f",
-        "stability_sweep.csv": "fcd706d140b99ee22fa64512b86a40a55c6505b4caf25f23289312c22f61420d",
+        "run_record.json": "a583ed12c0107580ebecb744d436015cba608dbe7cba00103b2362e8f64b8869",
+        "stability_sweep.csv": "45fc1a67e63e60fb4eeadb746ff8819a84884fca75c3be76d7c421841cb84f80",
     },
     ("budget", "budget.cfg", "physical"): {
         "budget.json": "45ad53b9a3af915c4022df67100d2856f34a74c107cf75f55c78c320fe785ff0",

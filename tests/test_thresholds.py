@@ -1,18 +1,17 @@
 from __future__ import annotations
 
-import itertools
 import math
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from layer_sum_oracle import explicit_layer_sum
 from scipy.optimize import brentq
 
 from gravclock import sweep as sweep_module, thresholds
 from gravclock.cli import main
-from gravclock.core import PhysicalConstants, YB, per_layer_phase_rate
-from gravclock.dephasing import Convention, effective_phase_rate
+from gravclock.core import PhysicalConstants, YB, geomspace, per_layer_phase_rate
+from gravclock.dephasing import Convention, dirichlet, effective_phase_rate
 from gravclock.thresholds import (
     TauMaxProblem,
     decoherence_atom_count,
@@ -150,6 +149,11 @@ def test_bisection_out_of_iterations_is_not_converged(monkeypatch):
     assert not result.converged
 
 
+# The plain scan grid, 1e-6 s to the cap at 32 points per decade, that
+# bracketed tau_max before the closed-form bracket: the reference for it.
+_SCAN_GRID = geomspace(1e-6, thresholds.TAU_CAP_S, 32 * 15 + 1)
+
+
 def _reference_bracket(errors, thr):
     # The plain scan: every grid point in order, no skipping.
     if errors[0] > thr:
@@ -158,23 +162,6 @@ def _reference_bracket(errors, thr):
         if errors[i - 1] <= thr < errors[i]:
             return i
     return None
-
-
-@settings(max_examples=300)
-@given(
-    levels=st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)), min_size=2, max_size=30),
-    thr=st.sampled_from((0.5, 1.0, 1.5)),
-    skip=st.booleans(),
-)
-def test_scan_matches_scalar_loop_with_ties(levels, thr, skip):
-    # Step functions over the grid, with errors exactly at the threshold. The
-    # bound is either absent or the running maximum, which dominates.
-    grid = thresholds._scan_grid()
-    errors = [levels[i * len(levels) // len(grid)] for i in range(len(grid))]
-    by_t = dict(zip(grid, errors))
-    peaks = dict(zip(grid, itertools.accumulate(errors, max)))
-    bound = peaks.__getitem__ if skip else lambda t: math.inf
-    assert thresholds._scan(by_t.__getitem__, bound, thr) == _reference_bracket(errors, thr)
 
 
 _PROBLEMS = st.builds(
@@ -187,85 +174,99 @@ _PROBLEMS = st.builds(
 )
 
 
-@settings(max_examples=300)
-@given(
-    problem=_PROBLEMS,
-    t=st.one_of(
-        st.floats(-6.0, 9.0).map(lambda e: 10.0**e),
-        st.integers(0, 480).map(lambda i: thresholds._scan_grid()[i]),
-    ),
-    near_one=st.floats(-1e-6, 1e-6),
-)
-@example(TauMaxProblem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE), 100.0, 0.0)
-@example(TauMaxProblem(3, 1, 0.0, PHI_G, Convention.PHYSICAL), 1e9, 0.0)
-def test_error_bound_dominates_error(problem, t, near_one):
-    # Up to rounding, at any time and in particular where phi_l * t is close
-    # to 1, the largest phase the bound is claimed for. The scan skips only
-    # with a further factor of 2 to spare.
-    error, bound, _ = thresholds._error_function(problem)
-    if problem.phi_l and near_one:
-        t = (1.0 + near_one) / problem.phi_l
-    assert error(t) <= bound(t) + thresholds._SKIP_SLACK
-    if problem.phi_l * t <= 1.0:
-        assert bound(t) < math.inf
-
-
-@settings(max_examples=150)
-@given(problem=_PROBLEMS)
-@example(TauMaxProblem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE))
-@example(TauMaxProblem(3, 4, 0.0, 0.0, Convention.PHYSICAL))  # capped: never crosses
-@example(TauMaxProblem(2, 10**44, 0.0, PHI_G, Convention.PHYSICAL))  # thr = 1e-22
-@example(TauMaxProblem(3, 10**44, 1e-3, 0.0, Convention.PHYSICAL))  # rounding alone crosses
-@example(TauMaxProblem(1, 100, 1e-9, PHI_G, Convention.PHYSICAL))  # capped: slow drift, one layer
-def test_skip_scan_picks_full_scan_bracket(problem):
-    error, bound, _ = thresholds._error_function(problem)
-    full = [error(t) for t in thresholds._scan_grid()]
-    assert thresholds._scan(error, bound, problem.threshold) == _reference_bracket(
-        full, problem.threshold
-    )
-
-
 @settings(max_examples=150)
 @given(problem=_PROBLEMS)
 @example(TauMaxProblem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE))
 @example(TauMaxProblem(2, 10**44, 0.0, PHI_G, Convention.PHYSICAL))  # thr = 1e-22
 @example(TauMaxProblem(3, 10**44, 1e-3, 0.0, Convention.PHYSICAL))  # rounding alone crosses
 def test_root_lies_in_the_full_scan_bracket(problem):
-    # Whatever the scan skipped, a converged tau lies in the bracket of the
-    # plain scan and meets the residual tolerance.
+    # A converged tau lies in the bracket of the plain scan and meets the
+    # residual tolerance.
     error, _, _ = thresholds._error_function(problem)
-    grid = thresholds._scan_grid()
-    i = _reference_bracket([error(t) for t in grid], problem.threshold)
+    i = _reference_bracket([error(t) for t in _SCAN_GRID], problem.threshold)
     result = solve_tau_max(problem)
     assert result.bracketed == (i is not None)
     if result.converged:
-        assert (grid[i - 1] if i else 0.0) <= result.tau_s <= grid[i]
+        assert (_SCAN_GRID[i - 1] if i else 0.0) <= result.tau_s <= _SCAN_GRID[i]
         assert abs(result.error_at_tau - result.threshold) <= 1e-4 * result.threshold
 
 
+def _asin_rounding(problem, t):
+    """How far the error at t may move when asin's argument moves by 4 ulps.
+
+    asin is ill-conditioned near the fold (argument near 1), so the rounding
+    of sin(phi_l t) D / m moves the computed phase ratio by up to ~1e-8 there.
+    An argument that rounds to exactly 1 counts as 1 - 1.15e-16.
+    """
+    a = problem.phi_l * t
+    if not a:
+        return 0.0
+    rate = effective_phase_rate(problem.phi_g, problem.layer_count, problem.convention)
+    x = math.sin(a) * dirichlet(problem.layer_count, rate * t) / problem.layer_count
+    return 4.5e-16 / (a * math.sqrt(max(1.0 - x * x, 2.3e-16)))
+
+
+@settings(max_examples=200)
+@given(problem=_PROBLEMS, fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@example(TauMaxProblem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE), [0.1, 0.5])
+@example(TauMaxProblem(2, 4, 0.0, PHI_G, Convention.PHYSICAL), [0.5, 1.0])  # contrast
+@example(TauMaxProblem(1, 4, 1e-3, PHI_G, Convention.PHYSICAL), [0.49999999, 0.5])  # asin fold
+def test_error_rises_from_0_to_1_on_the_bracket(problem, fractions):
+    # The monotonicity that makes [0, t_end] a bracket, on sorted samples, up
+    # to rounding; and error(t_end) = 1 wherever t_end is finite.
+    error, t_end, _ = thresholds._error_function(problem)
+    assume(t_end < math.inf)
+    times = sorted(f * t_end for f in fractions) + [t_end]
+    errors = [error(t) for t in times]
+    for k in range(len(times) - 1):
+        slack = 1e-14 + _asin_rounding(problem, times[k]) + _asin_rounding(problem, times[k + 1])
+        assert errors[k + 1] >= errors[k] - slack
+    assert errors[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "problem, bracketed",
+    [
+        (TauMaxProblem(2, 1, 1e-2, PHI_G, Convention.PHYSICAL), True),
+        (TauMaxProblem(101, 1, 1e-6, PHI_G, Convention.PAPER_FIGURE), True),
+        (TauMaxProblem(2, 1, 1e300, PHI_G, Convention.PHYSICAL), True),  # t_end ~ 3e-300 s
+        (TauMaxProblem(2, 1, 0.0, PHI_G, Convention.PAPER_FIGURE), False),  # contrast
+        (TauMaxProblem(1, 1, 1e-10, PHI_G, Convention.PHYSICAL), False),  # t_end > cap
+    ],
+)
+def test_single_atom_layers_end_at_t_end(problem, bracketed):
+    # With one atom per layer the threshold is 1, which the error reaches at
+    # t_end. Only the phase ratio exceeds it there (it turns negative past
+    # t_end), so tau = t_end exactly; the contrast loss never exceeds 1.
+    error, t_end, _ = thresholds._error_function(problem)
+    result = solve_tau_max(problem)
+    assert problem.threshold == 1.0
+    assert (result.bracketed, result.converged) == (bracketed, bracketed)
+    if bracketed:
+        assert result.tau_s == t_end
+        assert error(t_end * (1 + 1e-9)) > 1.0
+    else:
+        assert result.tau_s == thresholds.TAU_CAP_S
+    assert result.error_at_tau == error(result.tau_s)
+
+
 def _counting_solver(monkeypatch, error_function=thresholds._error_function):
-    """solve_tau_max, also returning the error evaluations made after the scan."""
+    """solve_tau_max, also returning the error evaluations it made."""
     calls = []
-    scan = thresholds._scan
 
     def counted_function(problem):
-        error, bound, criterion = error_function(problem)
+        error, t_end, criterion = error_function(problem)
 
         def counted(t):
             calls.append(t)
             return error(t)
 
-        return counted, bound, criterion
-
-    def marked_scan(*args):
-        i = scan(*args)
-        calls.clear()
-        return i
+        return counted, t_end, criterion
 
     monkeypatch.setattr(thresholds, "_error_function", counted_function)
-    monkeypatch.setattr(thresholds, "_scan", marked_scan)
 
     def solve(problem):
+        calls.clear()
         result = solve_tau_max(problem)
         return result, len(calls)
 
@@ -274,26 +275,30 @@ def _counting_solver(monkeypatch, error_function=thresholds._error_function):
 
 def test_safeguard_converges_where_illinois_stalls(monkeypatch):
     # error = thr exp(1e5 (t/60 - 1)) is flat below its root and steep above
-    # it: at the scan's crossing point it is ~1e299 thr, so regula falsi
-    # creeps up from below, and the Illinois halving alone would need ~1,000
-    # steps to cross.
-    def stalling(problem):
-        thr = problem.threshold
-        return (
-            (lambda t: thr * math.exp(min(700.0, 1e5 * (t / 60.0 - 1.0)))),
-            (lambda t: math.inf),
-            "stall",
-        )
+    # it: on the bracket [0, TAU_CAP_S] (t_end = inf) it is ~1e304 thr at
+    # the cap, so regula falsi creeps up from below, and the Illinois
+    # halving alone would need ~1,000 steps to cross. A floor of -1e-16
+    # where it is flat stands for a contrast loss 1 - |D| / m that rounds
+    # below 0, which must not break the square root of the error.
+    for floor in (0.0, -1e-16):
 
-    solve = _counting_solver(monkeypatch, stalling)
-    result, evaluations = solve(TauMaxProblem(3, 4, 0.0, 0.0, Convention.PHYSICAL))
-    assert result.bracketed and result.converged
-    assert result.tau_s == pytest.approx(60.0, rel=1e-9)
-    assert evaluations <= 3 * 37 <= thresholds._ROOT_MAX_STEPS
+        def stalling(problem):
+            thr = problem.threshold
+            rising = lambda t: thr * math.exp(min(700.0, 1e5 * (t / 60.0 - 1.0))) + floor
+            return rising, math.inf, "stall"
+
+        solve = _counting_solver(monkeypatch, stalling)
+        result, evaluations = solve(TauMaxProblem(3, 4, 0.0, 0.0, Convention.PHYSICAL))
+        assert result.bracketed and result.converged
+        assert result.tau_s == pytest.approx(60.0, rel=1e-9)
+        # One evaluation at the cap, then the root finder: the safeguard's 64
+        # halvings in 3 * 64 steps narrow 1e9 s to below 1e-12 of 60 s.
+        assert thresholds.TAU_CAP_S / 2.0**64 <= 1e-12 * 60.0
+        assert evaluations <= 1 + 3 * 64 == 1 + thresholds._ROOT_MAX_STEPS
 
 
 def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
-    # At most half the 18 evaluations per cell that bisection to 1e-6 needs.
+    # Every error evaluation per bracketed cell, the bracket's included.
     solve = _counting_solver(monkeypatch)
     counts = []
 
@@ -311,24 +316,8 @@ def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
             assert main(argv + ["--convention", convention, "--out", str(out)]) == 0
     capsys.readouterr()
     assert len(counts) == 4 * 185
-    assert sum(counts) / len(counts) <= 9.0
-    assert max(counts) <= thresholds._ROOT_MAX_STEPS
-
-
-def test_scan_skips_the_bounded_prefix():
-    # The paper's ~60 s cell crosses at grid point ~250; the bound rules out
-    # nearly all of the points before it, so few errors are evaluated.
-    problem = TauMaxProblem.cubic(200, 1e-2, Convention.PAPER_FIGURE)
-    error, bound, _ = thresholds._error_function(problem)
-    seen = []
-
-    def counted(t):
-        seen.append(t)
-        return error(t)
-
-    i = thresholds._scan(counted, bound, problem.threshold)
-    assert i is not None and i > 200
-    assert len(seen) <= 10
+    assert sum(counts) / len(counts) <= 12.0
+    assert max(counts) <= 1 + thresholds._ROOT_MAX_STEPS
 
 
 _PHI_L = st.one_of(st.just(0.0), st.floats(-7.0, -1.0).map(lambda e: 10.0**e))
