@@ -22,6 +22,8 @@ from typing import NamedTuple, Optional, Sequence
 # pi = _PI_HI + _PI_LO to ~1e-26, with j * _PI_HI exact for |j| < 2**20.
 _PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
 _PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
+_HALF_PI = 0.5 * math.pi
+SMALL_ANGLE = 2.0**-26  # |phi_l t| below which the phase ratio is its limit D / m
 
 
 class Convention(enum.Enum):
@@ -106,21 +108,25 @@ def dirichlet(m: int, theta: float) -> float:
     """D_m(theta) = sin(m theta/2) / sin(theta/2): the sum of cos(k theta) over
     the m symmetric layer offsets k = -(m-1)/2 ... (m-1)/2, in O(1).
 
-    With j = round(theta / 2 pi) and x = theta/2 - pi j (exact to rounding
+    With j = round(theta / 2 pi) and x = |theta|/2 - pi j (exact to rounding
     for theta below ~6.6e6 rad), D = (-1)^((m-1) j) sin(m x) / sin(x), and
     +-m where sin(x) == 0. Unlike the unreduced form, whose sines both lose
     their leading digits there, this stays accurate where the layers
-    rephase (theta near 2 pi j).
+    rephase (theta near 2 pi j). For |theta| < pi (every tau_max step of an
+    m > 1 search) j = 0, and a fast path skips the reduction, same bits.
     """
+    x = 0.5 * abs(theta)
+    if x < _HALF_PI:
+        s = math.sin(x)
+        return float(m) if s == 0.0 else math.sin(m * x) / s
     if not math.isfinite(theta):
         raise ValueError(
             f"layer phase spread phi_g' t must be finite, got {theta!r}; phi_g is set by"
             " species.omega0, constants.g, constants.c and geometry.layer_spacing (default"
             " species.magic_wavelength / 2), times the layer gaps under the paper-figure convention"
         )
-    theta = abs(theta)
-    j = round(theta / math.tau)
-    x = (0.5 * theta - j * _PI_HI) - j * _PI_LO
+    j = round(x / math.pi)
+    x = (x - j * _PI_HI) - j * _PI_LO
     s = math.sin(x)
     d = float(m) if s == 0.0 else math.sin(m * x) / s
     return -d if m % 2 == 0 and j % 2 else d
@@ -133,23 +139,20 @@ def bloch_sum(inp: DephasingInput) -> BlochSummary:
     over layer_count symmetric offsets centered on 0. The k <-> -k symmetry
     factors the sum exactly into S_x = cos(phi_l t) D, S_y = sin(phi_l t) D
     with D = dirichlet(m, phi_g' t), so each evaluation is O(1) in the layer
-    count. phi_eff is asin(S_y / layer_count), the step dephase_curve shares.
+    count. phi_eff is asin(S_y / layer_count), clamped against rounding. As in
+    dephase_curve, below |phi_l t| = 2^-26 the ratio is its limit D / m: a
+    subnormal phi_l t leaves sin and asin too few digits to form it.
     """
     m = inp.layer_count
     rate = effective_phase_rate(inp.phi_g, m, inp.convention)
     nominal = inp.phi_l * inp.t
     d = dirichlet(m, rate * inp.t)
     s_x, s_y = math.cos(nominal) * d, math.sin(nominal) * d
-    phi_eff = _arcsine(s_y, m)
-    ratio = phi_eff / nominal if nominal != 0.0 else None
-    return BlochSummary(s_x, s_y, abs(d), phi_eff, ratio)
-
-
-def _arcsine(s_y: float, m: int) -> float:
-    """phi_eff = asin(S_y / m), its argument clamped against rounding."""
     # A conditional costs far less than min/max.
     x = s_y / m
-    return math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x)
+    phi_eff = math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x)
+    ratio = None if nominal == 0.0 else d / m if abs(nominal) < SMALL_ANGLE else phi_eff / nominal
+    return BlochSummary(s_x, s_y, abs(d), phi_eff, ratio)
 
 
 def _check_grid(t_grid: Sequence[float]) -> None:
@@ -203,7 +206,11 @@ def dephase_curve(
             previous = t
             nominal = phi_l * t
             d = dirichlet(m, rate * t)
-            ratio = _arcsine(math.sin(nominal) * d, m) / nominal if nominal != 0.0 else None
+            if -SMALL_ANGLE < nominal < SMALL_ANGLE:
+                ratio = d / m if nominal else None
+            else:
+                x = math.sin(nominal) * d / m
+                ratio = math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x) / nominal
             rows.append((ratio, abs(d) / m))
         return rows
     except (ValueError, OverflowError):

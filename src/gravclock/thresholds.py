@@ -16,7 +16,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
-from .dephasing import Convention, dirichlet, effective_phase_rate
+from .dephasing import SMALL_ANGLE, Convention, dirichlet, effective_phase_rate
 
 TAU_CAP_S = 1e9
 # The safeguard halves the bracket at least every 3 steps, and 64 halvings
@@ -158,16 +158,16 @@ def _error_function(problem: TauMaxProblem):
     product that underflows) the nominal phase vanishes and phi_eff is
     identically zero by the k <-> -k symmetry, so the criterion degrades
     continuously to the contrast loss 1 - |D_m| / m (the phi_l -> 0 limit of
-    the ratio form).
+    the ratio form), which it also takes below phi_l t = 2^-26, as bloch_sum
+    does: a subnormal phi_l t leaves sin and asin too few digits.
 
     t_end = min(pi / phi_l, 2 pi / (m phi_g')), the first term only for
     phi_l > 0 and the second only for m > 1 and phi_g' > 0 (D_1 = 1 never
     vanishes): there the laser phase reaches pi or D_m its first zero, and
     error(t_end) = 1. It is inf when neither term applies.
     """
-    m = problem.layer_count
+    m, phi_l = problem.layer_count, problem.phi_l
     rate = effective_phase_rate(problem.phi_g, m, problem.convention)
-    phi_l = problem.phi_l
     t_end = math.pi / phi_l if phi_l else math.inf
     if m > 1 and rate:
         # Divided in turn: m phi_g' itself can overflow.
@@ -176,7 +176,7 @@ def _error_function(problem: TauMaxProblem):
     def error(t: float) -> float:
         d = dirichlet(m, rate * t)
         a = phi_l * t
-        if a == 0.0:
+        if a < SMALL_ANGLE:
             return 1.0 - abs(d) / m
         # Clamped against rounding; a conditional costs far less than min/max.
         x = math.sin(a) * d / m
@@ -213,9 +213,14 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     falsi step stays half the width tolerance inside the bracket. As a
     safeguard, the step after two steps in a row that each failed to halve
     the bracket bisects it; bisection steps leave the Illinois bookkeeping
-    alone. The search converges once the bracket is no wider than 1e-12 of
-    its lower end and the last error is within 1e-4 of the threshold, and
-    gives up after 192 steps. Deterministic: no grid, no randomness.
+    alone. The first step goes instead to a closed-form root estimate, if
+    strictly inside the bracket: the smaller of the small-angle dephasing
+    root, (m^2 - 1) theta^2 / 24 = thr, and the phase-wrap point, pi / a - 1
+    = 1 - thr. It takes a falsi step's place and counts like one toward the
+    safeguard, so the step budget holds. The search converges once the
+    bracket is no wider than 1e-12 of its lower end and the last error is
+    within 1e-4 of the threshold, and gives up after 192 steps.
+    Deterministic: no grid, no randomness.
     """
     error, t_end, criterion = _error_function(problem)
     thr = problem.threshold
@@ -234,24 +239,33 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     lo, hi = 0.0, tau
     # error(0) = 0: no dephasing before any time has passed.
     f_lo, f_hi = -root_thr, math.sqrt(e_tau) - root_thr
+    m, phi_l = problem.layer_count, problem.phi_l
+    rate = effective_phase_rate(problem.phi_g, m, problem.convention)
+    guess = math.pi * (1.0 + 0.5 * thr) / (2.0 * phi_l) if phi_l else math.inf
+    if m > 1 and rate:  # divided in turn: m^2 can overflow
+        guess = min(guess, math.sqrt(24.0 * thr / (m - 1) / (m + 1)) / rate)
+    guess = guess if lo < guess < hi else 0.0  # 0: no estimate step
     # The end the last falsi step kept (-1 lo, 1 hi, 0 none yet), and the
     # steps in a row that failed to halve the bracket.
     kept = slow = 0
     converged = False
+    width, residual_tol = hi - lo, _RESIDUAL_REL_TOL * thr
     for _ in range(_ROOT_MAX_STEPS):
-        width = hi - lo
-        tau, falsi = lo + 0.5 * width, False
-        if slow < 2:
+        if guess:
+            tau, falsi, guess = guess, False, 0.0
+        elif slow < 2:
             # Held inside the bracket by half the width tolerance, so that
             # a step beside an end already at the root crosses the root.
             margin = 0.5 * _ROOT_REL_TOL * lo
             low, high = lo + margin, hi - margin
             step = lo + width * (f_lo / (f_lo - f_hi))
             step = low if step < low else high if step > high else step
-            if lo < step < hi:
-                tau, falsi = step, True
+            falsi = lo < step < hi
+            tau = step if falsi else lo + 0.5 * width
+        else:
+            tau, falsi = lo + 0.5 * width, False
         e_tau = error(tau)
-        # For phi_l = 0, 1 - |D| / m can round to just below 0.
+        # The contrast form 1 - |D| / m can round to just below 0.
         f_tau = (math.sqrt(e_tau) if e_tau > 0.0 else 0.0) - root_thr
         if e_tau > thr:
             hi, f_hi = tau, f_tau
@@ -265,10 +279,9 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
                 if kept > 0:
                     f_hi *= 0.5
                 kept = 1
-        slow = slow + 1 if hi - lo > 0.5 * width else 0
-        converged = (
-            hi - lo <= _ROOT_REL_TOL * lo and abs(e_tau - thr) <= _RESIDUAL_REL_TOL * thr
-        )
-        if converged:
+        previous, width = width, hi - lo
+        slow = slow + 1 if width > 0.5 * previous else 0
+        if width <= _ROOT_REL_TOL * lo and abs(e_tau - thr) <= residual_tol:
+            converged = True
             break
     return TauMaxResult(tau, e_tau, thr, True, converged, criterion)

@@ -545,6 +545,24 @@ def test_flagged_sweep_exits_3_unless_allowed(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("convention", ["physical", "paper-figure"])
+def test_subnormal_laser_rate_sweeps_like_a_silent_laser(tmp_path, capsys, convention):
+    # phi_l t stays subnormal, where sin and asin keep too few digits for the
+    # phase ratio: its small-angle limit D / m gives the phi_l = 0 cells,
+    # with no flag and no exit 3.
+    rows = {}
+    for phi_l in ("5e-324", "0"):
+        scenario = tmp_path / f"{phi_l}.cfg"
+        scenario.write_text(f"convention = {convention}\nsweep.phi_l = {phi_l}\n")
+        out = tmp_path / phi_l
+        assert main(["stability-sweep", "--scenario", str(scenario), "--out", str(out)]) == 0
+        with open(out / "stability_sweep.csv", newline="") as handle:
+            rows[phi_l] = [row[:2] + row[3:] for row in csv.reader(handle)]
+    capsys.readouterr()
+    assert len(rows["0"]) == 38
+    assert rows["5e-324"] == rows["0"]
+
+
 def test_non_converged_sweep_exits_3_unless_allowed(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(thresholds, "_ROOT_MAX_STEPS", 1)
     scenario = tmp_path / "cell.cfg"

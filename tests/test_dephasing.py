@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import collections
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from layer_sum_oracle import explicit_dirichlet, explicit_layer_sum
 
 from gravclock import cli, dephasing, emit
@@ -182,6 +183,69 @@ def test_dirichlet_matches_explicit_sum_near_rephasing(m, j, log_delta, sign):
     # both parities of m: the range-reduced kernel against the explicit sum.
     theta = 2.0 * math.pi * j + sign * 10.0**log_delta
     assert abs(dirichlet(m, theta) - explicit_dirichlet(m, theta)) <= 1e-9 * m
+
+
+def _range_reduced(m, theta):
+    """The range-reduced form at every theta, j = round(theta / 2 pi) included."""
+    theta = abs(theta)
+    j = round(theta / math.tau)
+    x = (0.5 * theta - j * dephasing._PI_HI) - j * dephasing._PI_LO
+    s = math.sin(x)
+    d = float(m) if s == 0.0 else math.sin(m * x) / s
+    return -d if m % 2 == 0 and j % 2 else d
+
+
+@settings(max_examples=500)
+@given(m=st.integers(1, 10**6), theta=st.floats(0.0, math.pi, exclude_max=True))
+@example(m=7, theta=0.0)
+@example(m=8, theta=5e-324)
+@example(m=101, theta=math.pi)
+@example(m=101, theta=math.nextafter(math.pi, 0.0))
+@example(m=102, theta=math.nextafter(math.pi, math.inf))
+@example(m=2, theta=math.pi)
+def test_dirichlet_fast_path_is_bit_identical_to_the_reduced_form(m, theta):
+    # |theta| < pi takes the j = 0 path, which skips the range reduction.
+    for value in (theta, -theta):
+        assert dirichlet(m, value).hex() == _range_reduced(m, value).hex()
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_dirichlet_refuses_a_non_finite_phase_spread(theta):
+    with pytest.raises(ValueError) as excinfo:
+        dirichlet(5, theta)
+    assert str(excinfo.value) == (
+        f"layer phase spread phi_g' t must be finite, got {theta!r}; phi_g is set by"
+        " species.omega0, constants.g, constants.c and geometry.layer_spacing (default"
+        " species.magic_wavelength / 2), times the layer gaps under the paper-figure convention"
+    )
+
+
+@settings(max_examples=300)
+@given(
+    m=st.integers(1, 10**6),
+    theta=st.floats(0.0, 20.0),
+    a=st.floats(2.0**-1022, dephasing.SMALL_ANGLE, exclude_max=True),
+)
+def test_small_angle_ratio_is_the_limit_of_the_ratio_form(m, theta, a):
+    # Below |phi_l t| = 2^-26 the ratio is D / m: asin(sin(a) D / m) / a
+    # agrees to its three roundings wherever sin(a) D / m is normal.
+    d = dirichlet(m, theta)
+    x = math.sin(a) * d / m
+    assume(abs(x) >= sys.float_info.min)
+    assert abs(math.asin(x) / a - d / m) <= 2 * math.ulp(d / m)
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_subnormal_laser_phase_takes_the_small_angle_ratio(convention):
+    # phi_l t is subnormal on every row but t = 0, where sin and asin would
+    # round the ratio to 1: each row is bloch_sum's, with ratio D / m.
+    m, phi_l, grid = 854, 5e-324, [0.0, 1.0, 10.0, 100.0]
+    rate = effective_phase_rate(PHI_G, m, convention)
+    rows = dephase_curve(phi_l, PHI_G, m, convention, grid)
+    assert rows == [bloch_row(phi_l, m, t, convention) for t in grid]
+    assert rows[0] == (None, 1.0)
+    for t, (ratio, _) in zip(grid[1:], rows[1:]):
+        assert ratio == dirichlet(m, rate * t) / m < 1.0
 
 
 def test_even_layer_count_uses_half_integer_offsets():

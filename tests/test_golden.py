@@ -41,20 +41,20 @@ GOLDEN = {
         "run_record.json": "10f4bdb22c2346249ab0430d8800ebcc58c28055011311ae65b23f0b50bbad8d",
     },
     ("stability-sweep", "stability_cubic.cfg", "physical"): {
-        "run_record.json": "77bcaa63bf601018308897d97b5ebffea4e18bd369b29e6b81922f455a614233",
-        "stability_sweep.csv": "015257d69926969d866a395599983f2b7b22aedd740349b250b52d379bbf7b69",
+        "run_record.json": "3ccd7ed5a447d6e0e6c720ada4b2095c9b58392c94527f174fcdf502c130c8de",
+        "stability_sweep.csv": "f433e90e6ab778f0ee7f8b34d5ffde6637d8c923828a755217136588597d399a",
     },
     ("stability-sweep", "stability_cubic.cfg", "paper-figure"): {
-        "run_record.json": "d160d9c03b40b6a4ba5e4f8db7cb4e01fbc3cea8fb398b8344f4d345578fe990",
-        "stability_sweep.csv": "ecfe49a237057d39ac37c4e9f5a94d434c6fc1a823c0b48378b5f6ebee46b3df",
+        "run_record.json": "e0b5770d1d7f4967473e76df4775d894c8243b066a1b2d1360b6ce1e5127d1ad",
+        "stability_sweep.csv": "4f50c76025c5be623bbc9600d08494f7f3b41ea5f2d7d846ae0cfb876908b919",
     },
     ("stability-sweep", "stability_slab.cfg", "physical"): {
-        "run_record.json": "c28636a23ed1b1129bf5c0c3f76fb1a44fe35c73ef32074eec9581153835d8bf",
-        "stability_sweep.csv": "957458c4209b79d7b270b3caaa3b34bfbb6b6d38eac90fd05aa2e7bf794adf06",
+        "run_record.json": "aecb4141ecd75e17692416089dc6746167916cb36848556d6895f0a7ca7b0a09",
+        "stability_sweep.csv": "1d1b87a43846186366cc30e5b9dc50aff1d4e341400ea72c8cb53be4ce19ff43",
     },
     ("stability-sweep", "stability_slab.cfg", "paper-figure"): {
-        "run_record.json": "a583ed12c0107580ebecb744d436015cba608dbe7cba00103b2362e8f64b8869",
-        "stability_sweep.csv": "45fc1a67e63e60fb4eeadb746ff8819a84884fca75c3be76d7c421841cb84f80",
+        "run_record.json": "682597fe172eab762e2e1a796fe64b89b8f9d3a7c0765d810c5252a6a5afce5a",
+        "stability_sweep.csv": "575f256891f3ba94cf1a566e7f6e28074bc542fd7147bc0a2bb5abf5f3f4492d",
     },
     ("budget", "budget.cfg", "physical"): {
         "budget.json": "45ad53b9a3af915c4022df67100d2856f34a74c107cf75f55c78c320fe785ff0",

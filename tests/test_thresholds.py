@@ -316,7 +316,7 @@ def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
             assert main(argv + ["--convention", convention, "--out", str(out)]) == 0
     capsys.readouterr()
     assert len(counts) == 4 * 185
-    assert sum(counts) / len(counts) <= 12.0
+    assert sum(counts) / len(counts) <= 8.5
     assert max(counts) <= 1 + thresholds._ROOT_MAX_STEPS
 
 
@@ -393,10 +393,12 @@ def test_problem_validation():
 
 
 def test_error_takes_the_contrast_limit_where_phi_l_t_underflows():
-    # A subnormal phi_l times t < 1 rounds to 0; the ratio form's limit there
+    # A subnormal phi_l times t < 1 rounds to 0, and times a larger t stays
+    # subnormal, too few digits for sin and asin; the ratio form's limit there
     # is the contrast loss, which phi_l = 0 uses.
     tiny, zero = (
         thresholds._error_function(TauMaxProblem(101, 100, phi_l, PHI_G, Convention.PHYSICAL))[0]
         for phi_l in (5e-324, 0.0)
     )
-    assert tiny(0.25) == zero(0.25) > 0.0
+    for t in (0.25, 3.0, 1e3):
+        assert tiny(t) == zero(t) > 0.0
