@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import per_layer_phase_rate, per_layer_sql, qpn_stability
-from .dephasing import Convention, dephase_curve
+from .dephasing import Convention, dephase_curve, effective_phase_rate
 from .emit import RUN_RECORD_NAME, csv_text, fmt_float, json_text, run_record, write_outputs
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
 from .sweep import sweep
@@ -36,14 +36,6 @@ _THRESHOLD_NOTES = {
     "halves": "half-ensemble SQL (N/2 ~ n^3/2 atoms) against the full-span redshift;"
     " reconstructed criterion",
 }
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return fmt_float(value)
-    return str(value)
 
 
 def _run_threshold(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
@@ -94,14 +86,15 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
 
     # The t column, phi_l and the convention are the same in every size's
     # rows, so only ratio and contrast are formatted per row, and each row
-    # is rendered as one line.
+    # is rendered as one line. The convention is applied once per size.
     phi_l, t_grid = scenario.dephase_phi_l, scenario.dephase_t_grid
     t_cells = [fmt_float(t) for t in t_grid]
     phi_l_cell, convention = fmt_float(phi_l), scenario.convention.value
     lines: list[str] = []
     for n_site in scenario.dephase_sizes:
         middle = f",{n_site},{phi_l_cell},{convention},"
-        curve = dephase_curve(phi_l, phi_g, n_site + 1, scenario.convention, t_grid)
+        rate = effective_phase_rate(phi_g, n_site + 1, scenario.convention)
+        curve = dephase_curve(phi_l, rate, n_site + 1, t_grid)
         lines += [
             f"{t_cell}{middle}{'' if ratio is None else fmt_float(ratio)},{fmt_float(contrast)}"
             for t_cell, (ratio, contrast) in zip(t_cells, curve)
@@ -138,12 +131,12 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
         ",".join(
             [
                 family,
-                _cell(point.size),
-                _cell(point.phi_l),
+                str(point.size),
+                fmt_float(point.phi_l),
                 convention,
-                _cell(point.tau_max_s),
-                _cell(point.sigma_at_tau),
-                _cell(point.sigma_at_1s),
+                fmt_float(point.tau_max_s),
+                fmt_float(point.sigma_at_tau),
+                fmt_float(point.sigma_at_1s),
                 point.flag,
             ]
         )

@@ -49,33 +49,38 @@ class Convention(enum.Enum):
 
 
 def effective_phase_rate(phi_g: float, layer_count: int, convention: Convention) -> float:
-    """Convention-adjusted per-layer rate phi_g' [rad/s]."""
-    if convention is Convention.PAPER_FIGURE:
-        return phi_g * (layer_count - 1)
-    return phi_g
+    """Convention-adjusted per-layer rate phi_g' [rad/s], refused out of float range.
+
+    This is the one place a convention is applied: the layer sums below take
+    phi_g' itself.
+    """
+    if convention is Convention.PHYSICAL:
+        return phi_g
+    rate = phi_g * (layer_count - 1) if layer_count <= sys.float_info.max else math.inf
+    if not abs(rate) < math.inf:
+        raise OverflowError(
+            "paper-figure rate phi_g' = phi_g (m - 1) is out of float range; phi_g is set by"
+            " species.omega0, constants.g, constants.c and geometry.layer_spacing (default"
+            " species.magic_wavelength / 2), and m by dephase.sizes or sweep.sizes"
+        )
+    return rate
 
 
-class DephasingInput(namedtuple("DephasingInput", "phi_l phi_g layer_count t convention")):
+class DephasingInput(namedtuple("DephasingInput", "phi_l phi_g layer_count t")):
     """One evaluation point of the layer sum.
 
-    phi_l, phi_g in rad/s (phi_g is the physical per-layer rate; the
-    convention decides how it is applied), layer_count >= 1, t >= 0 s.
+    phi_l and phi_g in rad/s, where phi_g is phi_g', the rate between
+    adjacent layers with any convention already applied
+    (effective_phase_rate); layer_count >= 1, t >= 0 s.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        phi_l: float,
-        phi_g: float,
-        layer_count: int,
-        t: float,
-        convention: Convention = Convention.PHYSICAL,
-    ):
+    def __new__(cls, phi_l: float, phi_g: float, layer_count: int, t: float):
         _check_rates(phi_l, phi_g, layer_count)
         if not (t >= 0 and math.isfinite(t)):
             raise ValueError(f"t must be >= 0 and finite, got {t!r}")
-        return super().__new__(cls, phi_l, phi_g, layer_count, t, convention)
+        return super().__new__(cls, phi_l, phi_g, layer_count, t)
 
     # namedtuple's _make, and so _replace, would skip __new__ and its checks.
     _make = classmethod(lambda cls, values: cls(*values))
@@ -144,9 +149,8 @@ def bloch_sum(inp: DephasingInput) -> BlochSummary:
     subnormal phi_l t leaves sin and asin too few digits to form it.
     """
     m = inp.layer_count
-    rate = effective_phase_rate(inp.phi_g, m, inp.convention)
     nominal = inp.phi_l * inp.t
-    d = dirichlet(m, rate * inp.t)
+    d = dirichlet(m, inp.phi_g * inp.t)
     s_x, s_y = math.cos(nominal) * d, math.sin(nominal) * d
     # A conditional costs far less than min/max.
     x = s_y / m
@@ -168,11 +172,11 @@ def dephase_curve(
     phi_l: float,
     phi_g: float,
     layer_count: int,
-    convention: Convention,
     t_grid: Sequence[float],
 ) -> list[tuple[Optional[float], float]]:
     """(ratio, contrast) at each t of a strictly increasing, nonnegative grid.
 
+    phi_g is phi_g', the convention already applied (effective_phase_rate).
     ratio = phi_eff / (phi_l t), None where phi_l t == 0, and contrast =
     |D| / layer_count: each row equals bloch_sum's ratio and length /
     layer_count at that point, by the same float operations. One pass over
@@ -196,7 +200,7 @@ def dephase_curve(
                 " it is set by dephase.phi_l and dephase.t_grid"
             )
         _check_rates(phi_l, phi_g, layer_count)
-        m, rate = layer_count, effective_phase_rate(phi_g, layer_count, convention)
+        m = layer_count
         rows = []
         # t > previous holds at index 0 for every t >= 0, -0.0 included.
         previous = -math.ulp(0.0)
@@ -205,7 +209,7 @@ def dephase_curve(
                 _check_grid(t_grid)
             previous = t
             nominal = phi_l * t
-            d = dirichlet(m, rate * t)
+            d = dirichlet(m, phi_g * t)
             if -SMALL_ANGLE < nominal < SMALL_ANGLE:
                 ratio = d / m if nominal else None
             else:

@@ -15,7 +15,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .core import ClockSpecies, PhysicalConstants, per_layer_phase_rate
-from .dephasing import Convention
+from .dephasing import Convention, effective_phase_rate
 from .thresholds import TauMaxProblem, solve_tau_max
 
 FLAG_NON_BRACKETABLE = "non-bracketable"
@@ -52,9 +52,10 @@ def sweep(
     """Stability of every (size, phi_l) cell at 1 s integration, size-major.
 
     A cubic size n sums n + 1 layers of n^2 atoms; a slab size n sums n
-    layers of atoms_per_layer atoms. A non-bracketable tau search (laser
-    never limits) yields a flagged point evaluated at the tau cap instead of
-    aborting. A bracketed search whose root finder (Illinois regula falsi
+    layers of atoms_per_layer atoms. The convention is applied once per
+    size, where its layer count meets phi_g. A non-bracketable tau search
+    (laser never limits) yields a flagged point evaluated at the tau cap
+    instead of aborting. A bracketed search whose root finder (Illinois regula falsi
     with a bisection safeguard) used its 192 steps before narrowing tau_max
     to 1e-12 relative with the error within 1e-4 of the SQL is flagged
     non-converged.
@@ -77,9 +78,10 @@ def sweep(
                 f"sweep.sizes: a {family} ensemble of size {_magnitude(size)} has a layer"
                 " or atom count out of float range"
             )
+        rate = effective_phase_rate(phi_g, layer_count, convention)
         root_atoms = math.sqrt(atoms)
         for phi_l in phi_l_grid:
-            result = solve_tau_max(TauMaxProblem(layer_count, atoms, phi_l, phi_g, convention))
+            result = solve_tau_max(TauMaxProblem(layer_count, atoms, phi_l, rate))
             flag = "" if result.converged else (
                 FLAG_NON_CONVERGED if result.bracketed else FLAG_NON_BRACKETABLE
             )

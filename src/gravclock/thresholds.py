@@ -83,26 +83,18 @@ def decoherence_atom_count(n: int) -> int:
     return n * n * (n + 1)
 
 
-class TauMaxProblem(
-    namedtuple("TauMaxProblem", "layer_count atoms_per_layer phi_l phi_g convention")
-):
+class TauMaxProblem(namedtuple("TauMaxProblem", "layer_count atoms_per_layer phi_l phi_g")):
     """Ensemble and laser for the maximum-interrogation-time search.
 
     layer_count is the number of summed layers, atoms_per_layer sets the
-    per-layer SQL phase 1/sqrt(atoms_per_layer), phi_l and phi_g in rad/s
-    (phi_g physical per layer, adjusted by the convention).
+    per-layer SQL phase 1/sqrt(atoms_per_layer), phi_l and phi_g in rad/s,
+    where phi_g is phi_g', the convention already applied
+    (effective_phase_rate).
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        layer_count: int,
-        atoms_per_layer: int,
-        phi_l: float,
-        phi_g: float,
-        convention: Convention,
-    ):
+    def __new__(cls, layer_count: int, atoms_per_layer: int, phi_l: float, phi_g: float):
         if layer_count < 1:
             raise ValueError(f"layer_count must be >= 1, got {layer_count}")
         if atoms_per_layer < 1:
@@ -111,7 +103,7 @@ class TauMaxProblem(
             raise ValueError(f"phi_l must be >= 0 and finite, got {phi_l!r}")
         if not (phi_g >= 0 and math.isfinite(phi_g)):
             raise ValueError(f"phi_g must be >= 0 and finite, got {phi_g!r}")
-        return super().__new__(cls, layer_count, atoms_per_layer, phi_l, phi_g, convention)
+        return super().__new__(cls, layer_count, atoms_per_layer, phi_l, phi_g)
 
     # namedtuple's _make, and so _replace, would skip __new__ and its checks.
     _make = classmethod(lambda cls, values: cls(*values))
@@ -121,7 +113,8 @@ class TauMaxProblem(
         """A Yb cube of side n_site: n_site + 1 layers of n_site^2 atoms."""
         if n_site < 1:
             raise ValueError(f"n_site must be >= 1, got {n_site}")
-        return cls(n_site + 1, n_site * n_site, phi_l, _YB_PHI_G, convention)
+        rate = effective_phase_rate(_YB_PHI_G, n_site + 1, convention)
+        return cls(n_site + 1, n_site * n_site, phi_l, rate)
 
     @property
     def threshold(self) -> float:
@@ -150,40 +143,48 @@ class TauMaxResult(NamedTuple):
 
 
 def _error_function(problem: TauMaxProblem):
-    """(error, t_end, criterion): the dephasing error at one t, relative to
-    the nominal phase, and the first time it reaches 1.
+    """(error, t_end, first_step, criterion): the dephasing error at one t,
+    relative to the nominal phase, the first time it reaches 1, and the
+    search's closed-form first step.
 
     For phi_l > 0: |1 - phi_eff / (phi_l t)| with phi_eff = asin(S_y / m),
-    S_y = sin(phi_l t) D_m(phi_g' t). Where phi_l t = 0 (phi_l = 0, or a
-    product that underflows) the nominal phase vanishes and phi_eff is
-    identically zero by the k <-> -k symmetry, so the criterion degrades
-    continuously to the contrast loss 1 - |D_m| / m (the phi_l -> 0 limit of
-    the ratio form), which it also takes below phi_l t = 2^-26, as bloch_sum
-    does: a subnormal phi_l t leaves sin and asin too few digits.
+    S_y = sin(phi_l t) D_m(phi_g' t), where problem.phi_g is phi_g'. Below
+    phi_l t = 2^-26 it is 1 - D_m / m, the ratio's limit, as in bloch_sum: a
+    subnormal phi_l t leaves sin and asin too few digits. For phi_l = 0 the
+    nominal phase vanishes and phi_eff is identically zero by the k <-> -k
+    symmetry, so the criterion is the contrast loss 1 - |D_m| / m, the
+    phi_l -> 0 limit of the ratio form wherever D_m >= 0, as on [0, t_end].
 
     t_end = min(pi / phi_l, 2 pi / (m phi_g')), the first term only for
     phi_l > 0 and the second only for m > 1 and phi_g' > 0 (D_1 = 1 never
     vanishes): there the laser phase reaches pi or D_m its first zero, and
-    error(t_end) = 1. It is inf when neither term applies.
+    error(t_end) = 1. first_step is the smaller of the phase-wrap point,
+    pi / a - 1 = 1 - thr, and the small-angle dephasing root,
+    (m^2 - 1) theta^2 / 24 = thr, each under the same condition as its
+    t_end term. Both are inf when neither term applies.
     """
-    m, phi_l = problem.layer_count, problem.phi_l
-    rate = effective_phase_rate(problem.phi_g, m, problem.convention)
-    t_end = math.pi / phi_l if phi_l else math.inf
+    m, phi_l, rate = problem.layer_count, problem.phi_l, problem.phi_g
+    thr = problem.threshold
+    t_end = first_step = math.inf
+    if phi_l:
+        t_end = math.pi / phi_l
+        first_step = math.pi * (1.0 + 0.5 * thr) / (2.0 * phi_l)
     if m > 1 and rate:
-        # Divided in turn: m phi_g' itself can overflow.
+        # Divided in turn: m phi_g' and m^2 can overflow.
         t_end = min(t_end, math.tau / m / rate)
+        first_step = min(first_step, math.sqrt(24.0 * thr / (m - 1) / (m + 1)) / rate)
 
     def error(t: float) -> float:
         d = dirichlet(m, rate * t)
         a = phi_l * t
         if a < SMALL_ANGLE:
-            return 1.0 - abs(d) / m
+            return 1.0 - (d if phi_l else abs(d)) / m
         # Clamped against rounding; a conditional costs far less than min/max.
         x = math.sin(a) * d / m
         x = 1.0 if x > 1.0 else -1.0 if x < -1.0 else x
         return abs(1.0 - math.asin(x) / a)
 
-    return error, t_end, "contrast" if phi_l == 0.0 else "phase-ratio"
+    return error, t_end, first_step, "contrast" if phi_l == 0.0 else "phase-ratio"
 
 
 def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
@@ -198,7 +199,7 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     and h(0) = 0, so the ratio h(a) / a is non-increasing in a; it is also
     non-decreasing in c. (3) Therefore the ratio falls from 1 to 0 and the
     error rises from 0 to 1. For phi_l = 0 the error is 1 - c. The
-    convention only changes the constant phi_g'.
+    convention only changes the constant phi_g', which the problem holds.
 
     So [0, min(t_end, TAU_CAP_S)] brackets the root: the error is 1 at
     t_end <= TAU_CAP_S, and otherwise one evaluation at the cap decides
@@ -213,16 +214,15 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     falsi step stays half the width tolerance inside the bracket. As a
     safeguard, the step after two steps in a row that each failed to halve
     the bracket bisects it; bisection steps leave the Illinois bookkeeping
-    alone. The first step goes instead to a closed-form root estimate, if
-    strictly inside the bracket: the smaller of the small-angle dephasing
-    root, (m^2 - 1) theta^2 / 24 = thr, and the phase-wrap point, pi / a - 1
-    = 1 - thr. It takes a falsi step's place and counts like one toward the
-    safeguard, so the step budget holds. The search converges once the
-    bracket is no wider than 1e-12 of its lower end and the last error is
-    within 1e-4 of the threshold, and gives up after 192 steps.
+    alone. The first step goes instead to _error_function's closed-form
+    root estimate, if strictly inside the bracket. It takes a falsi step's
+    place and counts like one toward the safeguard, so the step budget
+    holds. The search converges once the bracket is no wider than 1e-12 of
+    its lower end and the last error is within 1e-4 of the threshold, and
+    gives up after 192 steps.
     Deterministic: no grid, no randomness.
     """
-    error, t_end, criterion = _error_function(problem)
+    error, t_end, guess, criterion = _error_function(problem)
     thr = problem.threshold
     if t_end > TAU_CAP_S:
         tau = TAU_CAP_S
@@ -239,11 +239,6 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     lo, hi = 0.0, tau
     # error(0) = 0: no dephasing before any time has passed.
     f_lo, f_hi = -root_thr, math.sqrt(e_tau) - root_thr
-    m, phi_l = problem.layer_count, problem.phi_l
-    rate = effective_phase_rate(problem.phi_g, m, problem.convention)
-    guess = math.pi * (1.0 + 0.5 * thr) / (2.0 * phi_l) if phi_l else math.inf
-    if m > 1 and rate:  # divided in turn: m^2 can overflow
-        guess = min(guess, math.sqrt(24.0 * thr / (m - 1) / (m + 1)) / rate)
     guess = guess if lo < guess < hi else 0.0  # 0: no estimate step
     # The end the last falsi step kept (-1 lo, 1 hi, 0 none yet), and the
     # steps in a row that failed to halve the bracket.

@@ -29,6 +29,7 @@ from gravclock.dephasing import (
     DephasingInput,
     bloch_sum,
     dirichlet,
+    effective_phase_rate,
 )
 from gravclock.scenario import Scenario, parse_scenario, serialize_scenario
 from gravclock.sweep import scaling_exponent, sweep
@@ -122,19 +123,18 @@ def test_criterion_2_redshift_anchors():
 
 
 def test_criterion_3_dephasing_curve_points():
-    point = DephasingInput(phi_l=1e-5, phi_g=PHI_G, layer_count=501, t=100.0, convention=PF)
+    rate = effective_phase_rate(PHI_G, 501, PF)
+    point = DephasingInput(phi_l=1e-5, phi_g=rate, layer_count=501, t=100.0)
     ratio_pf = bloch_sum(point).ratio
     assert 0.50 <= ratio_pf <= 0.70
 
+    rate = effective_phase_rate(PHI_G, 101, PF)
     for t in np.linspace(1.0, 200.0, 200):
-        summary = bloch_sum(
-            DephasingInput(phi_l=1e-5, phi_g=PHI_G, layer_count=101, t=float(t), convention=PF)
-        )
+        summary = bloch_sum(DephasingInput(phi_l=1e-5, phi_g=rate, layer_count=101, t=float(t)))
         assert abs(summary.ratio - 1.0) < 2e-2
 
-    physical = DephasingInput(
-        phi_l=1e-5, phi_g=PHI_G, layer_count=501, t=100.0, convention=Convention.PHYSICAL
-    )
+    rate = effective_phase_rate(PHI_G, 501, Convention.PHYSICAL)
+    physical = DephasingInput(phi_l=1e-5, phi_g=rate, layer_count=501, t=100.0)
     ratio_phys = bloch_sum(physical).ratio
     assert abs(ratio_phys - 1.0) < 1e-4
 

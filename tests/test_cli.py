@@ -177,6 +177,11 @@ _BARE_MESSAGES = (
 # g d/c^2 out of range: c^2 underflows to 0, or g d overflows.
 _TINY_C = "constants.c = 1e-200"
 _HUGE_GD = "constants.g = 1e300\ngeometry.layer_spacing = 1e10"
+# A finite phi_g whose paper-figure phi_g' = phi_g (m - 1) overflows at m ~ 1e20.
+_HUGE_RATE = (
+    "species.omega0 = 1e300\nconstants.c = 1\nconvention = paper-figure\n"
+    f"dephase.sizes = {10**20}\nsweep.sizes = {10**20}\nsweep.family = slab"
+)
 # A size n* small enough to pass, with omega0 tau n below float range.
 _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacing = 1.4e16"
 
@@ -222,6 +227,8 @@ _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacin
         ("dephase-curve", f"dephase.sizes = {_HUGE_INT}", "layer count of 401 digits"),
         ("dephase-curve", "dephase.phi_l = 1e300\ndephase.t_grid = 0,1e10", "phi_l t"),
         ("dephase-curve", "constants.g = 1e300\ndephase.t_grid = 0,1e300", "phi_g' t"),
+        ("dephase-curve", _HUGE_RATE, "phi_g' = phi_g (m - 1)"),
+        ("stability-sweep", _HUGE_RATE, "phi_g' = phi_g (m - 1)"),
     ],
     ids=[
         "tau",
@@ -254,6 +261,8 @@ _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacin
         "dephase_sizes",
         "dephase_phi_l",
         "dephase_g",
+        "dephase_paper_figure_rate",
+        "sweep_paper_figure_rate",
     ],
 )
 def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text, quantity):

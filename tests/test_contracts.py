@@ -56,8 +56,7 @@ def test_traced_names_are_module_level_callables():
 @pytest.mark.parametrize("m", [101, 1001])
 def test_timed_layer_sum_matches_explicit_sum(m):
     summary = bloch_sum(DephasingInput(phi_l=1e-5, phi_g=PHI_G, layer_count=m, t=30.0))
-    rate = effective_phase_rate(PHI_G, m, Convention.PHYSICAL)
-    s_x, s_y = explicit_layer_sum(1e-5, rate, m, 30.0)
+    s_x, s_y = explicit_layer_sum(1e-5, PHI_G, m, 30.0)
     assert summary.length == pytest.approx(math.hypot(s_x, s_y), rel=1e-9)
 
 
@@ -66,6 +65,14 @@ def test_timed_tau_max_cell_is_bracketed():
     result = solve_tau_max(TauMaxProblem.cubic(200, 1e-2, Convention.PAPER_FIGURE))
     assert result.bracketed
     assert result.converged
+
+
+def test_timed_tau_max_cell_is_the_paper_figure_cube():
+    # The timed problem: 201 layers of 200^2 atoms at the paper-figure phi_g'.
+    rate = effective_phase_rate(PHI_G, 201, Convention.PAPER_FIGURE)
+    assert rate == PHI_G * 200
+    problem = TauMaxProblem(201, 40_000, 1e-2, rate)
+    assert TauMaxProblem.cubic(200, 1e-2, Convention.PAPER_FIGURE) == problem
 
 
 def test_budget_with_no_arguments_agrees_with_closed_form():

@@ -27,15 +27,13 @@ PHI_G = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
-def make_input(phi_l, phi_g, layer_count, t, convention=Convention.PHYSICAL):
-    return DephasingInput(
-        phi_l=phi_l, phi_g=phi_g, layer_count=layer_count, t=t, convention=convention
-    )
+def make_input(phi_l, phi_g, layer_count, t):
+    return DephasingInput(phi_l=phi_l, phi_g=phi_g, layer_count=layer_count, t=t)
 
 
 def bloch_row(phi_l, m, t, convention):
     """The dephase_curve row (ratio, contrast) that bloch_sum gives at t."""
-    summary = bloch_sum(make_input(phi_l, PHI_G, m, t, convention))
+    summary = bloch_sum(make_input(phi_l, effective_phase_rate(PHI_G, m, convention), m, t))
     return summary.ratio, summary.length / m
 
 
@@ -49,6 +47,19 @@ def test_convention_wire_names():
 def test_effective_rate_scaling():
     assert effective_phase_rate(2.0, 501, Convention.PHYSICAL) == 2.0
     assert effective_phase_rate(2.0, 501, Convention.PAPER_FIGURE) == 1000.0
+    assert effective_phase_rate(1e300, 10**400, Convention.PHYSICAL) == 1e300
+
+
+@pytest.mark.parametrize("phi_g, layer_count", [(1e300, 10**20), (1.0, 10**400)])
+def test_effective_rate_refuses_out_of_range(phi_g, layer_count):
+    # phi_g (m - 1) past float range, or m itself beyond it, names its keys.
+    with pytest.raises(OverflowError) as excinfo:
+        effective_phase_rate(phi_g, layer_count, Convention.PAPER_FIGURE)
+    message = str(excinfo.value)
+    assert message.startswith("paper-figure rate phi_g' = phi_g (m - 1) is out of float range")
+    for key in ("species.omega0", "constants.g", "constants.c", "geometry.layer_spacing"):
+        assert key in message
+    assert "dephase.sizes or sweep.sizes" in message
 
 
 def test_zero_laser_phase_cancels_sy():
@@ -69,12 +80,14 @@ def test_no_gravity_all_layers_identical():
 def test_fig1_forty_percent_loss_point():
     # n_site = 500 at t = 100 s under the span-scaled convention: the arcsine
     # estimate recovers only ~60% of the drift.
-    result = bloch_sum(make_input(1e-5, PHI_G, 501, 100.0, Convention.PAPER_FIGURE))
+    rate = effective_phase_rate(PHI_G, 501, Convention.PAPER_FIGURE)
+    result = bloch_sum(make_input(1e-5, rate, 501, 100.0))
     assert result.ratio == pytest.approx(0.5876, abs=0.02)
 
 
 def test_fig1_point_under_physical_convention():
-    result = bloch_sum(make_input(1e-5, PHI_G, 501, 100.0, Convention.PHYSICAL))
+    rate = effective_phase_rate(PHI_G, 501, Convention.PHYSICAL)
+    result = bloch_sum(make_input(1e-5, rate, 501, 100.0))
     assert abs(result.ratio - 1.0) < 1e-4
 
 
@@ -82,8 +95,9 @@ def test_ratio_even_in_phi_g():
     # Sign flip of phi_g mirrors the layer stack; the kernel takes |theta|,
     # so the results match exactly.
     for convention in Convention:
-        a = bloch_sum(make_input(3e-4, PHI_G, 77, 55.0, convention))
-        b = bloch_sum(make_input(3e-4, -PHI_G, 77, 55.0, convention))
+        rate = effective_phase_rate(PHI_G, 77, convention)
+        a = bloch_sum(make_input(3e-4, rate, 77, 55.0))
+        b = bloch_sum(make_input(3e-4, -rate, 77, 55.0))
         assert a.ratio == b.ratio
         assert a.s_y == b.s_y
 
@@ -241,7 +255,7 @@ def test_subnormal_laser_phase_takes_the_small_angle_ratio(convention):
     # round the ratio to 1: each row is bloch_sum's, with ratio D / m.
     m, phi_l, grid = 854, 5e-324, [0.0, 1.0, 10.0, 100.0]
     rate = effective_phase_rate(PHI_G, m, convention)
-    rows = dephase_curve(phi_l, PHI_G, m, convention, grid)
+    rows = dephase_curve(phi_l, rate, m, grid)
     assert rows == [bloch_row(phi_l, m, t, convention) for t in grid]
     assert rows[0] == (None, 1.0)
     for t, (ratio, _) in zip(grid[1:], rows[1:]):
@@ -270,7 +284,8 @@ def test_input_validation():
 
 def test_dephase_curve_rows():
     grid = [0.0, 50.0, 100.0, 200.0]
-    rows = dephase_curve(1e-5, PHI_G, 101, Convention.PAPER_FIGURE, grid)
+    rate = effective_phase_rate(PHI_G, 101, Convention.PAPER_FIGURE)
+    rows = dephase_curve(1e-5, rate, 101, grid)
     assert rows == [bloch_row(1e-5, 101, t, Convention.PAPER_FIGURE) for t in grid]
     assert rows[0] == (None, 1.0)  # t = 0: no nominal phase, every layer in phase
     for ratio, _ in rows[1:]:
@@ -278,27 +293,27 @@ def test_dephase_curve_rows():
 
 
 def test_dephase_curve_empty_grid():
-    assert dephase_curve(1e-5, PHI_G, 101, Convention.PHYSICAL, []) == []
+    assert dephase_curve(1e-5, PHI_G, 101, []) == []
 
 
 def test_dephase_curve_rejects_bad_grid():
     for grid in ([0.0, 0.0], [1.0, 0.5], [-1.0, 0.5]):
         with pytest.raises(ValueError):
-            dephase_curve(1e-5, PHI_G, 101, Convention.PHYSICAL, grid)
+            dephase_curve(1e-5, PHI_G, 101, grid)
 
 
 def test_dephase_curve_names_a_bad_grid_before_what_it_breaks():
     # phi_l t overflows at row 0 only because the grid is not increasing:
     # the refusal names the grid, not the sine of an infinite phase.
-    for convention in Convention:
-        with pytest.raises(ValueError) as excinfo:
-            dephase_curve(10.0, PHI_G, 5, convention, [1e308, 1.0])
-        assert str(excinfo.value) == "t_grid must be strictly increasing at index 1"
+    with pytest.raises(ValueError) as excinfo:
+        dephase_curve(10.0, PHI_G, 5, [1e308, 1.0])
+    assert str(excinfo.value) == "t_grid must be strictly increasing at index 1"
 
 
 def test_dephase_curve_matches_single_evaluation():
-    rows = dephase_curve(1e-5, PHI_G, 501, Convention.PAPER_FIGURE, [100.0])
-    direct = bloch_sum(make_input(1e-5, PHI_G, 501, 100.0, Convention.PAPER_FIGURE))
+    rate = effective_phase_rate(PHI_G, 501, Convention.PAPER_FIGURE)
+    rows = dephase_curve(1e-5, rate, 501, [100.0])
+    direct = bloch_sum(make_input(1e-5, rate, 501, 100.0))
     assert rows == [(direct.ratio, direct.length / 501)]
 
 
@@ -313,7 +328,7 @@ def test_dephase_curve_equals_bloch_sum_per_point(convention, m):
     if rate:
         grid.add(math.tau / rate)
     grid = sorted(grid)
-    rows = dephase_curve(phi_l, PHI_G, m, convention, grid)
+    rows = dephase_curve(phi_l, rate, m, grid)
     assert rows == [bloch_row(phi_l, m, t, convention) for t in grid]
     by_t = dict(zip(grid, rows))
     assert by_t[0.0][0] is None
@@ -355,16 +370,15 @@ def test_dephase_curve_equals_bloch_sum_per_point(convention, m):
     ],
 )
 def test_dephase_curve_refuses_bad_inputs(phi_l, phi_g, layer_count, grid, error, message):
-    for convention in Convention:
-        with pytest.raises(error) as excinfo:
-            dephase_curve(phi_l, phi_g, layer_count, convention, grid)
-        assert str(excinfo.value) == message
+    with pytest.raises(error) as excinfo:
+        dephase_curve(phi_l, phi_g, layer_count, grid)
+    assert str(excinfo.value) == message
 
 
 def test_dephase_curve_refuses_overflowing_layer_phase():
     for convention, phi_g in ((Convention.PHYSICAL, 1e300), (Convention.PAPER_FIGURE, 1e299)):
         with pytest.raises(ValueError, match="phi_g' t must be finite, got inf") as excinfo:
-            dephase_curve(0.0, phi_g, 5, convention, [0.0, 1e10])
+            dephase_curve(0.0, effective_phase_rate(phi_g, 5, convention), 5, [0.0, 1e10])
         assert "species.omega0, constants.g" in str(excinfo.value)
 
 
@@ -384,7 +398,7 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(DephasingInput, "__new__", counting("inputs", DephasingInput.__new__))
     monkeypatch.setattr(BlochSummary, "__new__", counting("summaries", BlochSummary.__new__))
     monkeypatch.setattr(cli, "dephase_curve", counting("curves", dephase_curve))
-    monkeypatch.setattr(dephasing, "effective_phase_rate", counting("rates", effective_phase_rate))
+    monkeypatch.setattr(cli, "effective_phase_rate", counting("rates", effective_phase_rate))
     monkeypatch.setattr(dephasing, "dirichlet", counting("dirichlet", dirichlet))
     monkeypatch.setattr(cli, "fmt_float", counting("fmt_float", emit.fmt_float))
     for convention in ("physical", "paper-figure"):
@@ -395,7 +409,7 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
         assert counts["curves"] == sizes
         assert counts["inputs"] <= sizes
         assert counts["summaries"] == 0
-        assert counts["rates"] <= sizes
+        assert counts["rates"] == sizes
         assert counts["dirichlet"] == rows
         assert counts["fmt_float"] <= 2 * rows + grid + 1
     capsys.readouterr()

@@ -10,17 +10,17 @@ from __future__ import annotations
 import pytest
 
 from gravclock.core import YB, ClockSpecies, PhysicalConstants
-from gravclock.dephasing import Convention, DephasingInput
+from gravclock.dephasing import DephasingInput
 from gravclock.thresholds import TauMaxProblem
 
 # (record, valid fields, one field set to a refused value, the refusal's message)
 CASES = [
     (PhysicalConstants, (9.80665, 2.99792458e8), ("g", -1.0), "g must be positive"),
     (ClockSpecies, tuple(YB), ("omega0", -1.0), "omega0 must be positive"),
-    (DephasingInput, (1e-5, 1e-3, 11, 30.0, Convention.PHYSICAL), ("t", -1.0), "t must be >= 0"),
+    (DephasingInput, (1e-5, 1e-3, 11, 30.0), ("t", -1.0), "t must be >= 0"),
     (
         TauMaxProblem,
-        (201, 40_000, 1e-2, 1e-3, Convention.PAPER_FIGURE),
+        (201, 40_000, 1e-2, 1e-3),
         ("atoms_per_layer", 0),
         "atoms_per_layer must be >= 1",
     ),

@@ -114,13 +114,7 @@ def test_tau_max_monotone_in_phi_l():
 
 
 def test_tau_max_no_error_sources_is_non_bracketable():
-    problem = TauMaxProblem(
-        layer_count=3,
-        atoms_per_layer=4,
-        phi_l=0.0,
-        phi_g=0.0,
-        convention=Convention.PHYSICAL,
-    )
+    problem = TauMaxProblem(layer_count=3, atoms_per_layer=4, phi_l=0.0, phi_g=0.0)
     result = solve_tau_max(problem)
     assert not result.bracketed
     assert not result.converged
@@ -135,8 +129,7 @@ def test_tau_max_zero_phi_l_uses_contrast_criterion():
     # At the returned time, the contrast loss of the explicit layer sum
     # equals the per-layer SQL.
     m = problem.layer_count
-    rate = effective_phase_rate(problem.phi_g, m, problem.convention)
-    loss = 1.0 - math.hypot(*explicit_layer_sum(0.0, rate, m, result.tau_s)) / m
+    loss = 1.0 - math.hypot(*explicit_layer_sum(0.0, problem.phi_g, m, result.tau_s)) / m
     assert loss == pytest.approx(problem.threshold, rel=1e-3)
 
 
@@ -164,8 +157,14 @@ def _reference_bracket(errors, thr):
     return None
 
 
+def _problem(layer_count, atoms_per_layer, phi_l, phi_g, convention):
+    """The TauMaxProblem whose phi_g' is the per-layer phi_g under convention."""
+    rate = effective_phase_rate(phi_g, layer_count, convention)
+    return TauMaxProblem(layer_count, atoms_per_layer, phi_l, rate)
+
+
 _PROBLEMS = st.builds(
-    TauMaxProblem,
+    _problem,
     layer_count=st.one_of(st.integers(1, 3001), st.integers(1, 10**6)),
     atoms_per_layer=st.one_of(st.integers(1, 10**6), st.integers(1, 10**44)),
     phi_l=st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e)),
@@ -176,13 +175,14 @@ _PROBLEMS = st.builds(
 
 @settings(max_examples=150)
 @given(problem=_PROBLEMS)
-@example(TauMaxProblem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE))
-@example(TauMaxProblem(2, 10**44, 0.0, PHI_G, Convention.PHYSICAL))  # thr = 1e-22
-@example(TauMaxProblem(3, 10**44, 1e-3, 0.0, Convention.PHYSICAL))  # rounding alone crosses
+@example(_problem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE))
+@example(TauMaxProblem(2, 10**44, 0.0, PHI_G))  # thr = 1e-22
+@example(TauMaxProblem(3, 10**44, 1e-3, 0.0))  # rounding alone crosses
+@example(TauMaxProblem(67, 1, 1e-5, 66.0))  # phi_l t_end below 2^-26
 def test_root_lies_in_the_full_scan_bracket(problem):
     # A converged tau lies in the bracket of the plain scan and meets the
     # residual tolerance.
-    error, _, _ = thresholds._error_function(problem)
+    error, _, _, _ = thresholds._error_function(problem)
     i = _reference_bracket([error(t) for t in _SCAN_GRID], problem.threshold)
     result = solve_tau_max(problem)
     assert result.bracketed == (i is not None)
@@ -201,20 +201,19 @@ def _asin_rounding(problem, t):
     a = problem.phi_l * t
     if not a:
         return 0.0
-    rate = effective_phase_rate(problem.phi_g, problem.layer_count, problem.convention)
-    x = math.sin(a) * dirichlet(problem.layer_count, rate * t) / problem.layer_count
+    x = math.sin(a) * dirichlet(problem.layer_count, problem.phi_g * t) / problem.layer_count
     return 4.5e-16 / (a * math.sqrt(max(1.0 - x * x, 2.3e-16)))
 
 
 @settings(max_examples=200)
 @given(problem=_PROBLEMS, fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
-@example(TauMaxProblem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE), [0.1, 0.5])
-@example(TauMaxProblem(2, 4, 0.0, PHI_G, Convention.PHYSICAL), [0.5, 1.0])  # contrast
-@example(TauMaxProblem(1, 4, 1e-3, PHI_G, Convention.PHYSICAL), [0.49999999, 0.5])  # asin fold
+@example(_problem(201, 40_000, 1e-2, PHI_G, Convention.PAPER_FIGURE), [0.1, 0.5])
+@example(TauMaxProblem(2, 4, 0.0, PHI_G), [0.5, 1.0])  # contrast
+@example(TauMaxProblem(1, 4, 1e-3, PHI_G), [0.49999999, 0.5])  # asin fold
 def test_error_rises_from_0_to_1_on_the_bracket(problem, fractions):
     # The monotonicity that makes [0, t_end] a bracket, on sorted samples, up
     # to rounding; and error(t_end) = 1 wherever t_end is finite.
-    error, t_end, _ = thresholds._error_function(problem)
+    error, t_end, _, _ = thresholds._error_function(problem)
     assume(t_end < math.inf)
     times = sorted(f * t_end for f in fractions) + [t_end]
     errors = [error(t) for t in times]
@@ -227,18 +226,19 @@ def test_error_rises_from_0_to_1_on_the_bracket(problem, fractions):
 @pytest.mark.parametrize(
     "problem, bracketed",
     [
-        (TauMaxProblem(2, 1, 1e-2, PHI_G, Convention.PHYSICAL), True),
-        (TauMaxProblem(101, 1, 1e-6, PHI_G, Convention.PAPER_FIGURE), True),
-        (TauMaxProblem(2, 1, 1e300, PHI_G, Convention.PHYSICAL), True),  # t_end ~ 3e-300 s
-        (TauMaxProblem(2, 1, 0.0, PHI_G, Convention.PAPER_FIGURE), False),  # contrast
-        (TauMaxProblem(1, 1, 1e-10, PHI_G, Convention.PHYSICAL), False),  # t_end > cap
+        (TauMaxProblem(2, 1, 1e-2, PHI_G), True),
+        (_problem(101, 1, 1e-6, PHI_G, Convention.PAPER_FIGURE), True),
+        (TauMaxProblem(2, 1, 1e300, PHI_G), True),  # t_end ~ 3e-300 s
+        (_problem(2, 1, 0.0, PHI_G, Convention.PAPER_FIGURE), False),  # contrast
+        (TauMaxProblem(1, 1, 1e-10, PHI_G), False),  # t_end > cap
+        (TauMaxProblem(67, 1, 1e-5, 66.0), True),  # phi_l t_end below 2^-26
     ],
 )
 def test_single_atom_layers_end_at_t_end(problem, bracketed):
     # With one atom per layer the threshold is 1, which the error reaches at
     # t_end. Only the phase ratio exceeds it there (it turns negative past
     # t_end), so tau = t_end exactly; the contrast loss never exceeds 1.
-    error, t_end, _ = thresholds._error_function(problem)
+    error, t_end, _, _ = thresholds._error_function(problem)
     result = solve_tau_max(problem)
     assert problem.threshold == 1.0
     assert (result.bracketed, result.converged) == (bracketed, bracketed)
@@ -255,13 +255,13 @@ def _counting_solver(monkeypatch, error_function=thresholds._error_function):
     calls = []
 
     def counted_function(problem):
-        error, t_end, criterion = error_function(problem)
+        error, t_end, first_step, criterion = error_function(problem)
 
         def counted(t):
             calls.append(t)
             return error(t)
 
-        return counted, t_end, criterion
+        return counted, t_end, first_step, criterion
 
     monkeypatch.setattr(thresholds, "_error_function", counted_function)
 
@@ -285,10 +285,10 @@ def test_safeguard_converges_where_illinois_stalls(monkeypatch):
         def stalling(problem):
             thr = problem.threshold
             rising = lambda t: thr * math.exp(min(700.0, 1e5 * (t / 60.0 - 1.0))) + floor
-            return rising, math.inf, "stall"
+            return rising, math.inf, math.inf, "stall"
 
         solve = _counting_solver(monkeypatch, stalling)
-        result, evaluations = solve(TauMaxProblem(3, 4, 0.0, 0.0, Convention.PHYSICAL))
+        result, evaluations = solve(TauMaxProblem(3, 4, 0.0, 0.0))
         assert result.bracketed and result.converged
         assert result.tau_s == pytest.approx(60.0, rel=1e-9)
         # One evaluation at the cap, then the root finder: the safeguard's 64
@@ -298,9 +298,11 @@ def test_safeguard_converges_where_illinois_stalls(monkeypatch):
 
 
 def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
-    # Every error evaluation per bracketed cell, the bracket's included.
+    # Every error evaluation per bracketed cell, the bracket's included; and
+    # phi_g' is resolved once per size by the sweep, never by the search.
     solve = _counting_solver(monkeypatch)
     counts = []
+    rates = {"sweep": 0, "thresholds": 0}
 
     def counted_solve(problem):
         result, evaluations = solve(problem)
@@ -308,12 +310,23 @@ def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
             counts.append(evaluations)
         return result
 
+    def counted_rate(module):
+        def counted(*args):
+            rates[module.__name__.rpartition(".")[2]] += 1
+            return effective_phase_rate(*args)
+
+        monkeypatch.setattr(module, "effective_phase_rate", counted)
+
     monkeypatch.setattr(sweep_module, "solve_tau_max", counted_solve)
+    counted_rate(sweep_module)
+    counted_rate(thresholds)
     for preset in ("stability_cubic.cfg", "stability_slab.cfg"):
         for convention in ("physical", "paper-figure"):
+            rates.update(sweep=0, thresholds=0)
             argv = ["stability-sweep", "--scenario", str(PRESETS / preset)]
             out = tmp_path / f"{preset}-{convention}"
             assert main(argv + ["--convention", convention, "--out", str(out)]) == 0
+            assert rates == {"sweep": 37, "thresholds": 0}  # 37 sizes x 5 phi_l
     capsys.readouterr()
     assert len(counts) == 4 * 185
     assert sum(counts) / len(counts) <= 8.5
@@ -327,7 +340,7 @@ def _family_tau(family, size, phi_l, convention, atoms_per_layer):
     if family == "cubic":
         problem = TauMaxProblem.cubic(size, phi_l, convention)
     else:
-        problem = TauMaxProblem(size, atoms_per_layer, phi_l, PHI_G, convention)
+        problem = _problem(size, atoms_per_layer, phi_l, PHI_G, convention)
     return solve_tau_max(problem).tau_s
 
 
@@ -376,7 +389,7 @@ def test_tau_max_contrast_limit_continuity():
 
 
 def test_tau_max_slab_uses_atoms_per_layer_threshold():
-    problem = TauMaxProblem(50, 10_000, 1e-4, PHI_G, Convention.PAPER_FIGURE)
+    problem = _problem(50, 10_000, 1e-4, PHI_G, Convention.PAPER_FIGURE)
     assert problem.threshold == pytest.approx(0.01)
     assert solve_tau_max(problem).bracketed
 
@@ -397,7 +410,7 @@ def test_error_takes_the_contrast_limit_where_phi_l_t_underflows():
     # subnormal, too few digits for sin and asin; the ratio form's limit there
     # is the contrast loss, which phi_l = 0 uses.
     tiny, zero = (
-        thresholds._error_function(TauMaxProblem(101, 100, phi_l, PHI_G, Convention.PHYSICAL))[0]
+        thresholds._error_function(TauMaxProblem(101, 100, phi_l, PHI_G))[0]
         for phi_l in (5e-324, 0.0)
     )
     for t in (0.25, 3.0, 1e3):
