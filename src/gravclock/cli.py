@@ -15,7 +15,6 @@ import contextlib
 import functools
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .core import per_layer_phase_rate, per_layer_sql, qpn_stability
@@ -249,7 +248,8 @@ def _load_scenario(path: str | None) -> tuple[Scenario, str]:
         scenario = Scenario()
         return scenario, serialize_scenario(scenario)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"scenario file {path!r} is not UTF-8 text: {exc}") from None
     return parse_scenario(text), text
@@ -314,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         runner, _ = _COMMANDS[args.command]
         files, flags, text = runner(scenario)
         files[RUN_RECORD_NAME] = json_text(run_record(scenario_text, __version__, files))
-        write_outputs(Path(args.out), files)
+        write_outputs(args.out, files)
         _emit(sys.stdout, "stdout", text)
     except (ScenarioError, OSError, ValueError, ArithmeticError) as exc:
         _report(f"gravclock: error: {exc}")

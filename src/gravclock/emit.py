@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import math
 import os
-from pathlib import Path
+from json.encoder import encode_basestring_ascii as _quote
 
 RUN_RECORD_NAME = "run_record.json"
+# O_BINARY (Windows) keeps LF as LF; os.open fds are non-inheritable (PEP 446).
+_CREATE_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 def fmt_float(value: float) -> str:
@@ -27,48 +28,71 @@ def fmt_float(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _to_json(value, indent: int, path: str) -> str:
-    """value as indented JSON; path names it in a refusal ("a.b[2].c")."""
-    pad = " " * indent
-    child_pad = " " * (indent + 2)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+class _Refusal(ValueError):
+    """fmt_float's refusal inside a document; keys collects its key path as the
+    recursion unwinds: innermost first, dict keys as str, list indices as int."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.keys: list[int | str] = []
+
+
+def _to_json(value, indent: int) -> str:
+    """value as indented JSON; strings and keys are quoted as json.dumps does."""
     if isinstance(value, float):
         try:
             return fmt_float(value)
         except ValueError as exc:
-            raise ValueError(f"{path or 'value'}: {exc}") from None
+            raise _Refusal(str(exc)) from None
     if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(
-            child_pad + _to_json(v, indent + 2, f"{path}[{i}]") for i, v in enumerate(value)
-        )
-        return "[\n" + items + "\n" + pad + "]"
+        return _quote(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if value is None:
+        return "null"
+    inner = indent + 2
+    child_pad = " " * inner
+    items: list[str] = []
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = ",\n".join(
-            f"{child_pad}{json.dumps(str(k))}: "
-            + _to_json(v, indent + 2, f"{path}.{k}" if path else str(k))
-            for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        try:
+            for key, item in value.items():
+                items.append(f"{child_pad}{_quote(str(key))}: {_to_json(item, inner)}")
+        except _Refusal as refusal:
+            refusal.keys.append(str(key))
+            raise
+        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            for item in value:
+                items.append(child_pad + _to_json(item, inner))
+        except _Refusal as refusal:
+            refusal.keys.append(len(items))
+            raise
+        return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def json_text(value) -> str:
     """Deterministic JSON document, insertion-ordered keys, LF line endings.
 
-    A non-finite float raises ValueError naming its key path.
+    A non-finite float raises ValueError naming its key path ("a.b[2].c").
     """
-    return _to_json(value, 0, "") + "\n"
+    try:
+        return _to_json(value, 0) + "\n"
+    except _Refusal as refusal:
+        path = ""
+        for key in reversed(refusal.keys):
+            if isinstance(key, int):
+                path += f"[{key}]"
+            else:
+                path = f"{path}.{key}" if path else key
+        raise ValueError(f"{path or 'value'}: {refusal}") from None
 
 
 def csv_text(header: list[str], lines: list[str]) -> str:
@@ -86,7 +110,7 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def write_outputs(out_dir: Path, files: dict[str, str]) -> None:
+def write_outputs(out_dir: str, files: dict[str, str]) -> None:
     """Single-writer emission of pre-rendered texts, LF regardless of platform.
 
     Refuses, before writing anything, a target that exists and is not a
@@ -95,26 +119,31 @@ def write_outputs(out_dir: Path, files: dict[str, str]) -> None:
     manifest is only ever written after every file it lists. On any failure
     the temporary files are removed.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in files:
-        target = out_dir / name
-        if os.path.lexists(target) and not target.is_file():
+    os.makedirs(out_dir or os.curdir, exist_ok=True)
+    targets = {name: os.path.join(out_dir, name) for name in files}
+    for target in targets.values():
+        if os.path.lexists(target) and not os.path.isfile(target):
             raise FileExistsError(f"{target} exists and is not a regular file")
     order = sorted(files, key=lambda name: name == RUN_RECORD_NAME)
-    pending: dict[str, Path] = {}
+    pending: dict[str, str] = {}
     try:
         for name in order:
-            temporary = out_dir / f".gravclock-{os.urandom(8).hex()}.tmp"
-            with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
-                pending[name] = temporary
-                handle.write(files[name])
+            temporary = os.path.join(out_dir, f".gravclock-{os.urandom(8).hex()}.tmp")
+            fd = os.open(temporary, _CREATE_NEW, 0o666)
+            pending[name] = temporary
+            try:
+                data = memoryview(files[name].encode("utf-8"))
+                while data:
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
         for name in order:
-            os.replace(pending[name], out_dir / name)
+            os.replace(pending[name], targets[name])
             del pending[name]
     finally:
         for temporary in pending.values():
             with contextlib.suppress(OSError):
-                temporary.unlink(missing_ok=True)
+                os.unlink(temporary)
 
 
 def run_record(scenario_text: str, version: str, files: dict[str, str]) -> dict:
@@ -123,7 +152,7 @@ def run_record(scenario_text: str, version: str, files: dict[str, str]) -> dict:
         "scenario_sha256": sha256_hex(scenario_text),
         "version": version,
         "outputs": [
-            {"name": name, "sha256": sha256_hex(text), "bytes": len(text.encode("utf-8"))}
-            for name, text in files.items()
+            {"name": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+            for name, data in ((name, text.encode("utf-8")) for name, text in files.items())
         ],
     }

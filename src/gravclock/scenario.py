@@ -12,6 +12,7 @@ grids expanded, every non-default-able option written out).
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import Optional
 
@@ -54,6 +55,11 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        # Past the int-string conversion limit (no limit before 3.10.7), count.
+        digits = sum(map(str.isdecimal, text))
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if 0 < limit < digits:
+            raise ValueError(f"not an integer of at most {limit} digits: {digits} digits") from None
         raise ValueError(f"not an integer: {text!r}") from None
 
 

@@ -379,6 +379,106 @@ def test_json_refusal_names_its_key_path():
         emit.json_text({"lattice_intensity": {"changes": [0.5, math.inf]}})
 
 
+def _reference_to_json(value, indent: int, path: str) -> str:
+    """The serializer json_text replaced, kept verbatim as its byte reference."""
+    pad = " " * indent
+    child_pad = " " * (indent + 2)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        try:
+            return emit.fmt_float(value)
+        except ValueError as exc:
+            raise ValueError(f"{path or 'value'}: {exc}") from None
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ",\n".join(
+            child_pad + _reference_to_json(v, indent + 2, f"{path}[{i}]")
+            for i, v in enumerate(value)
+        )
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{child_pad}{json.dumps(str(k))}: "
+            + _reference_to_json(v, indent + 2, f"{path}.{k}" if path else str(k))
+            for k, v in value.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _reference_json_text(value) -> str:
+    return _reference_to_json(value, 0, "") + "\n"
+
+
+_JSON_STRINGS = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t .[]aé€\U0001f600') | st.characters())
+_JSON_KEYS = _JSON_STRINGS | st.integers(-5, 5)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**60), 10**60)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _JSON_STRINGS
+)
+
+
+def _containers(inner):
+    return (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_KEYS, inner, max_size=4)
+    )
+
+
+_JSON_VALUES = st.recursive(_JSON_LEAVES, _containers, max_leaves=16)
+
+
+def _in_list(before, value, after):
+    return [*before, value, *after]
+
+
+def _in_dict(before, key, value, after):
+    """value under key, between before's and after's finite entries."""
+    return {**before, key: value, **{k: v for k, v in after.items() if k != key}}
+
+
+_SIBLINGS = st.lists(_JSON_LEAVES, max_size=3)
+_SIBLING_ENTRIES = st.dictionaries(_JSON_KEYS, _JSON_LEAVES, max_size=3)
+
+# One non-finite float at a random depth, every sibling finite.
+_POISONED = st.recursive(
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    lambda inner: st.builds(_in_list, _SIBLINGS, inner, _SIBLINGS)
+    | st.builds(_in_dict, _SIBLING_ENTRIES, _JSON_KEYS, inner, _SIBLING_ENTRIES),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200)
+@given(_JSON_VALUES)
+def test_json_text_matches_the_reference_serializer(value):
+    assert emit.json_text(value) == _reference_json_text(value)
+
+
+@settings(max_examples=200)
+@given(_POISONED)
+def test_json_refusal_matches_the_reference_serializer(value):
+    with pytest.raises(ValueError) as expected:
+        _reference_json_text(value)
+    with pytest.raises(ValueError) as refused:
+        emit.json_text(value)
+    assert str(refused.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("line, width", [("1,2,3,4", 4), ("1,2", 2)], ids=["wider", "narrower"])
 def test_csv_text_refuses_a_row_of_another_width(line, width):
     with pytest.raises(ValueError) as excinfo:
@@ -737,3 +837,60 @@ def test_write_outputs_replaces_manifest_last_and_cleans_up(tmp_path, monkeypatc
     emit.write_outputs(tmp_path, files)
     assert replaced == ["b.txt", "a.txt", emit.RUN_RECORD_NAME]
     assert read_tree(tmp_path) == {name: text.encode() for name, text in sorted(files.items())}
+
+
+_TEXTS = {"b.txt": "b\n" * 40, "a.txt": "é€\U0001f600\n" * 9, emit.RUN_RECORD_NAME: "{}\n"}
+
+
+def test_write_outputs_lands_every_byte_of_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(emit.os, "write", lambda fd, data: real_write(fd, data[:7]))
+    emit.write_outputs(str(tmp_path), _TEXTS)
+    assert read_tree(tmp_path) == {name: _TEXTS[name].encode("utf-8") for name in sorted(_TEXTS)}
+
+
+def test_write_outputs_failing_second_temporary_leaves_nothing(tmp_path, monkeypatch):
+    real_open, real_write = os.open, os.write
+    opened: list[str] = []
+
+    def open_(path, *args):
+        opened.append(path)
+        return real_open(path, *args)
+
+    def write(fd, data):
+        if len(opened) == 2:
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data)
+
+    monkeypatch.setattr(emit.os, "open", open_)
+    monkeypatch.setattr(emit.os, "write", write)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="No space left"):
+        emit.write_outputs(str(out), _TEXTS)
+    assert len(opened) == 2 and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["dangling symlink", "directory"])
+def test_write_outputs_refuses_a_non_file_before_any_temporary(tmp_path, monkeypatch, kind):
+    target = tmp_path / "a.txt"
+    if kind == "directory":
+        target.mkdir()
+    else:
+        target.symlink_to(tmp_path / "missing")
+    opened: list[str] = []
+    monkeypatch.setattr(emit.os, "open", lambda path, *args: opened.append(path))
+    with pytest.raises(FileExistsError, match=r"a\.txt exists and is not a regular file"):
+        emit.write_outputs(str(tmp_path), _TEXTS)
+    assert opened == [] and [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+
+def test_write_outputs_replaces_a_symlink_to_a_file_with_a_file(tmp_path):
+    elsewhere = tmp_path / "elsewhere.txt"
+    elsewhere.write_text("kept\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "a.txt").symlink_to(elsewhere)
+    emit.write_outputs(str(out), _TEXTS)
+    assert not (out / "a.txt").is_symlink()
+    assert (out / "a.txt").read_bytes() == _TEXTS["a.txt"].encode("utf-8")
+    assert elsewhere.read_text() == "kept\n"

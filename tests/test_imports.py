@@ -16,10 +16,10 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _fresh_python(code: str) -> str:
+def _fresh_python(code: str, *flags: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return result.stdout.strip()
 
@@ -84,3 +84,20 @@ def test_command_loads_neither_dataclasses_nor_inspect(command, tmp_path):
         "print(code, sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
     )
     assert _fresh_python(code) == "0 []"
+
+
+@pytest.mark.parametrize("command", ["threshold", "dephase-curve", "stability-sweep", "budget"])
+def test_command_does_not_load_pathlib(command, tmp_path):
+    # -S skips site, whose .pth files may load pathlib themselves; the
+    # scenario is read with open() and --out stays a string path.
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("convention = physical\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "from gravclock.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main([{command!r}, '--scenario', {str(scenario)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'pathlib' in sys.modules)"
+    )
+    assert _fresh_python(code, "-S") == "0 False"

@@ -124,6 +124,16 @@ def test_range_error_names_its_line(tmp_path, capsys, line, key):
     assert f"line 3: invalid value for '{key}'" in capsys.readouterr().err
 
 
+def test_integer_past_the_conversion_limit_is_counted_not_echoed(tmp_path, capsys):
+    # 5001 digits exceed CPython's default 4300-digit int-string limit.
+    scenario = tmp_path / "big.cfg"
+    scenario.write_text("dephase.sizes = 1" + "0" * 5000 + "\n")
+    assert main(["dephase-curve", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 200 and "5001 digits" in err
+    assert "line 1: invalid value for 'dephase.sizes'" in err
+
+
 def test_convention_parse():
     assert parse_scenario("convention = paper-figure\n").convention is Convention.PAPER_FIGURE
     with pytest.raises(ScenarioError, match="convention"):
