@@ -6,9 +6,9 @@ arcsine phase estimate phi_eff = asin(S_y / m) systematically underestimate
 the true accumulated laser phase phi_l * t. The layer sum is evaluated in
 closed form by the range-reduced Dirichlet kernel; the explicit summation
 over layers is kept only in the tests, as the oracle for the kernel.
-bloch_sum returns the full BlochSummary of one point. dephase_curve returns
-only what the dephase-curve table prints, one (ratio, contrast) pair per t,
-by the same float operations.
+phase_ratio is the one production form of the clamped arcsine ratio: each
+dephase_curve row and each tau_max error is built from it. bloch_sum, the
+full BlochSummary of one point, forms the same by its own float operations.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ _PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
 _PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
 _HALF_PI = 0.5 * math.pi
 SMALL_ANGLE = 2.0**-26  # |phi_l t| below which the phase ratio is its limit D / m
+# The scenario keys behind phi_g, named when a rate or phase spread leaves float range.
+PHI_G_KEYS = (
+    "species.omega0, constants.g, constants.c and geometry.layer_spacing"
+    " (default species.magic_wavelength / 2)"
+)
 
 
 class Convention(enum.Enum):
@@ -60,8 +65,7 @@ def effective_phase_rate(phi_g: float, layer_count: int, convention: Convention)
     if not abs(rate) < math.inf:
         raise OverflowError(
             "paper-figure rate phi_g' = phi_g (m - 1) is out of float range; phi_g is set by"
-            " species.omega0, constants.g, constants.c and geometry.layer_spacing (default"
-            " species.magic_wavelength / 2), and m by dephase.sizes or sweep.sizes"
+            f" {PHI_G_KEYS}, and m by dephase.sizes or sweep.sizes"
         )
     return rate
 
@@ -127,8 +131,7 @@ def dirichlet(m: int, theta: float) -> float:
     if not math.isfinite(theta):
         raise ValueError(
             f"layer phase spread phi_g' t must be finite, got {theta!r}; phi_g is set by"
-            " species.omega0, constants.g, constants.c and geometry.layer_spacing (default"
-            " species.magic_wavelength / 2), times the layer gaps under the paper-figure convention"
+            f" {PHI_G_KEYS}, times the layer gaps under the paper-figure convention"
         )
     j = round(x / math.pi)
     x = (x - j * _PI_HI) - j * _PI_LO
@@ -144,9 +147,8 @@ def bloch_sum(inp: DephasingInput) -> BlochSummary:
     over layer_count symmetric offsets centered on 0. The k <-> -k symmetry
     factors the sum exactly into S_x = cos(phi_l t) D, S_y = sin(phi_l t) D
     with D = dirichlet(m, phi_g' t), so each evaluation is O(1) in the layer
-    count. phi_eff is asin(S_y / layer_count), clamped against rounding. As in
-    dephase_curve, below |phi_l t| = 2^-26 the ratio is its limit D / m: a
-    subnormal phi_l t leaves sin and asin too few digits to form it.
+    count. phi_eff is asin(S_y / layer_count), clamped against rounding, and
+    ratio is phase_ratio's, formed here independently of it.
     """
     m = inp.layer_count
     nominal = inp.phi_l * inp.t
@@ -157,6 +159,20 @@ def bloch_sum(inp: DephasingInput) -> BlochSummary:
     phi_eff = math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x)
     ratio = None if nominal == 0.0 else d / m if abs(nominal) < SMALL_ANGLE else phi_eff / nominal
     return BlochSummary(s_x, s_y, abs(d), phi_eff, ratio)
+
+
+def phase_ratio(m: int, phi_l: float, phi_g: float, t: float) -> tuple[Optional[float], float]:
+    """(ratio, d) at one point, unchecked: d = dirichlet(m, phi_g' t) and ratio =
+    asin(sin(phi_l t) d / m) / (phi_l t), the arcsine clamped against rounding;
+    None where phi_l t == 0, and its limit d / m where |phi_l t| < 2^-26, as a
+    subnormal phi_l t leaves sin and asin too few digits to form it.
+    """
+    nominal = phi_l * t
+    d = dirichlet(m, phi_g * t)
+    if abs(nominal) < SMALL_ANGLE:
+        return (d / m if nominal else None), d
+    x = math.sin(nominal) * d / m
+    return math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x) / nominal, d
 
 
 def _check_grid(t_grid: Sequence[float]) -> None:
@@ -180,7 +196,7 @@ def dephase_curve(
     ratio = phi_eff / (phi_l t), None where phi_l t == 0, and contrast =
     |D| / layer_count: each row equals bloch_sum's ratio and length /
     layer_count at that point, by the same float operations. One pass over
-    the grid checks each t and evaluates its row with one dirichlet call.
+    the grid checks each t and evaluates its row with one phase_ratio call.
     The inputs are checked once per call, also for an empty grid, with
     DephasingInput's messages. A layer count, or a laser phase phi_l t at
     the last time (so also a non-finite phi_l), out of float range is
@@ -208,13 +224,7 @@ def dephase_curve(
             if not previous < t < math.inf:
                 _check_grid(t_grid)
             previous = t
-            nominal = phi_l * t
-            d = dirichlet(m, phi_g * t)
-            if -SMALL_ANGLE < nominal < SMALL_ANGLE:
-                ratio = d / m if nominal else None
-            else:
-                x = math.sin(nominal) * d / m
-                ratio = math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x) / nominal
+            ratio, d = phase_ratio(m, phi_l, phi_g, t)
             rows.append((ratio, abs(d) / m))
         return rows
     except (ValueError, OverflowError):

@@ -3,7 +3,9 @@
 Every calculator returns the differential shift between the top and bottom
 of the ensemble, the one component that mimics the height-linear
 gravitational redshift. Common-mode shifts cancel in this comparison and are
-carried as explicit zero entries with their justification.
+carried as explicit zero entries with their justification. The Yb shift
+coefficients are the module constants ZEEMAN1, ZEEMAN2, DC_STARK, P2_ZEEMAN
+and BBR_FRACTIONAL.
 """
 
 from __future__ import annotations
@@ -23,23 +25,12 @@ from .core import (
 )
 
 
-class SystematicsCoefficients(NamedTuple):
-    """Shift coefficients of the clock transition and the calibration line.
-
-    zeeman1 in Hz/G, zeeman2 in Hz/G^2, dc_stark in Hz/(V/m)^2, p2_zeeman in
-    Hz/G (Zeeman splitting of the 3P2 calibration transition),
-    bbr_fractional the total fractional BBR shift magnitude near room
-    temperature.
-    """
-
-    zeeman1: float = 199.516
-    zeeman2: float = -0.06095
-    dc_stark: float = 3.626e-6
-    p2_zeeman: float = 2.1e6
-    bbr_fractional: float = 2.39e-15
-
-
-YB_COEFFICIENTS = SystematicsCoefficients()
+# Shift coefficients of the Yb clock transition and its calibration line.
+ZEEMAN1 = 199.516  # Hz/G, first-order Zeeman
+ZEEMAN2 = -0.06095  # Hz/G^2, second-order Zeeman
+DC_STARK = 3.626e-6  # Hz/(V/m)^2
+P2_ZEEMAN = 2.1e6  # Hz/G, Zeeman splitting of the 3P2 calibration transition
+BBR_FRACTIONAL = 2.39e-15  # total fractional BBR shift magnitude near room temperature
 
 # Externally quoted peak intensity change for the default trap geometry.
 # Direct evaluation of the beam-area ratio gives ~6.4e-4 instead; both are
@@ -61,27 +52,21 @@ class BudgetEntry(NamedTuple):
     note: str
 
 
-def allowed_b_gradient(coeffs: SystematicsCoefficients, delta_nu: float, delta_z: float) -> float:
+def allowed_b_gradient(delta_nu: float, delta_z: float) -> float:
     """Largest magnetic field gradient [G/m] whose first-order Zeeman
-    differential stays below the redshift signal: delta_nu / (zeeman1 * delta_z)."""
-    return delta_nu / (coeffs.zeeman1 * delta_z)
+    differential stays below the redshift signal: delta_nu / (ZEEMAN1 * delta_z)."""
+    return delta_nu / (ZEEMAN1 * delta_z)
 
 
-def p2_calibration_shift(
-    coeffs: SystematicsCoefficients,
-    gradient: float,
-    delta_z: float,
-) -> float:
+def p2_calibration_shift(gradient: float, delta_z: float) -> float:
     """Top-to-bottom shift [Hz] of the 3P2 calibration line at a field gradient."""
-    return coeffs.p2_zeeman * gradient * delta_z
+    return P2_ZEEMAN * gradient * delta_z
 
 
-def second_order_zeeman_shift(
-    coeffs: SystematicsCoefficients, gradient: float, bias_field: float, delta_z: float
-) -> float:
+def second_order_zeeman_shift(gradient: float, bias_field: float, delta_z: float) -> float:
     """Second-order Zeeman differential [Hz] for B(z) linear from the bias field."""
     b_top = bias_field + gradient * delta_z
-    shift = abs(coeffs.zeeman2) * abs(b_top * b_top - bias_field * bias_field)
+    shift = abs(ZEEMAN2) * abs(b_top * b_top - bias_field * bias_field)
     if not shift < math.inf:
         raise OverflowError(
             f"second-order Zeeman shift at B = {b_top!r} G is out of float range; B is"
@@ -90,17 +75,15 @@ def second_order_zeeman_shift(
     return shift
 
 
-def allowed_e_gradient(
-    coeffs: SystematicsCoefficients, delta_nu: float, delta_z: float, baseline_field: float = 0.0
-) -> float:
+def allowed_e_gradient(delta_nu: float, delta_z: float, baseline_field: float) -> float:
     """Largest dE/dz [(V/m)/m] keeping the DC Stark differential below the signal.
 
     E grows linearly from the baseline across delta_z, so the constraint
-    dc_stark * |E_top^2 - E_bot^2| <= delta_nu is quadratic in the gradient;
+    DC_STARK * |E_top^2 - E_bot^2| <= delta_nu is quadratic in the gradient;
     this returns its positive root (-E0 + sqrt(E0^2 + delta_nu/dc)) / delta_z.
     """
     e0 = baseline_field
-    return (-e0 + math.sqrt(e0 * e0 + delta_nu / coeffs.dc_stark)) / delta_z
+    return (-e0 + math.sqrt(e0 * e0 + delta_nu / DC_STARK)) / delta_z
 
 
 def rayleigh_range(waist: float, wavelength: float) -> float:
@@ -162,7 +145,7 @@ def lattice_intensity_ratio(z_r: float, separation: float) -> IntensityRatioResu
     )
 
 
-def ac_stark_shift(intensity_change: float, species: ClockSpecies = YB) -> float:
+def ac_stark_shift(intensity_change: float, species: ClockSpecies) -> float:
     """Lattice light-shift differential [Hz]: linear in the intensity change,
     anchored to a 10% change producing a 1e-19 fractional shift."""
     fractional = intensity_change / AC_STARK_ANCHOR_CHANGE * AC_STARK_ANCHOR_SHIFT
@@ -170,7 +153,7 @@ def ac_stark_shift(intensity_change: float, species: ClockSpecies = YB) -> float
 
 
 def wall_solid_angles(
-    wall_distance: float, extent: float, disk_radius: float = DEFAULT_BBR_DISK_RADIUS
+    wall_distance: float, extent: float, disk_radius: float
 ) -> tuple[float, float]:
     """Solid angles [sr] (W+, W-) of a wall disk of disk_radius at wall_distance
     from the ensemble center, seen on axis from its nearest and farthest layer."""
@@ -194,25 +177,21 @@ def bbr_field_excess(t1: float, t2: float, omega_near: float, omega_far: float) 
 
 
 def bbr_temperature_limit(
-    fractional: float,
-    wall_distance: float,
-    t1: float,
-    extent: float,
-    disk_radius: float = DEFAULT_BBR_DISK_RADIUS,
+    fractional: float, wall_distance: float, t1: float, extent: float, disk_radius: float
 ) -> float:
     """Wall temperature difference [K] at which the BBR differential between
     the ends of an ensemble spanning extent, one wall at t1 and the other
     warmer, equals the fractional redshift signal; inf when no imbalance can
     reach it.
 
-    With r = fractional / bbr_fractional, bbr_fractional * excess = fractional
+    With r = fractional / BBR_FRACTIONAL, BBR_FRACTIONAL * excess = fractional
     solves for (t2/t1)^4 = 1 + eps, eps = r (W+ + W-) / (W+ - W- - r W-), so
     the limit is t1 ((1 + eps)^(1/4) - 1), taken as t1 expm1(log1p(eps) / 4). The excess
     saturates at W+/W- - 1 as t2 grows, so the limit is inf unless
     W+ - W- - r W- > 0.
     """
     omega_near, omega_far = wall_solid_angles(wall_distance, extent, disk_radius)
-    r = fractional / YB_COEFFICIENTS.bbr_fractional
+    r = fractional / BBR_FRACTIONAL
     room = omega_near - omega_far - r * omega_far
     if not room > 0:
         return math.inf
@@ -295,7 +274,6 @@ def assemble_budget(
     component; they are listed so the budget is exhaustive rather than
     silently omitting them.
     """
-    coeffs = YB_COEFFICIENTS
     spacing = species.default_layer_spacing if layer_spacing is None else layer_spacing
     delta_z = n_site * spacing if n_site <= sys.float_info.max else math.inf
     if not 0 < delta_z < wall_distance:
@@ -313,14 +291,14 @@ def assemble_budget(
     fractional = relative_redshift(consts, delta_z)
     delta_nu = species.frequency * fractional
 
-    b_gradient = allowed_b_gradient(coeffs, delta_nu, delta_z)
-    p2_shift = p2_calibration_shift(coeffs, b_gradient, delta_z)
-    e_allowed = allowed_e_gradient(coeffs, delta_nu, delta_z, baseline_e_field)
+    b_gradient = allowed_b_gradient(delta_nu, delta_z)
+    p2_shift = p2_calibration_shift(b_gradient, delta_z)
+    e_allowed = allowed_e_gradient(delta_nu, delta_z, baseline_e_field)
 
     # First-order Zeeman: the gradient itself is calibrated out via the 3P2
     # line; what survives is the calibration resolution, one linewidth of
     # gradient uncertainty mapped back onto the clock transition.
-    zeeman1_residual = coeffs.zeeman1 * p2_linewidth / coeffs.p2_zeeman
+    zeeman1_residual = ZEEMAN1 * p2_linewidth / P2_ZEEMAN
 
     e_top = baseline_e_field + e_gradient * delta_z
     if not e_top < math.sqrt(sys.float_info.max):
@@ -328,7 +306,7 @@ def assemble_budget(
             f"DC Stark field budget.baseline_e_field + budget.e_gradient * delta_z = {e_top!r} V/m"
             " is out of range: its square overflows"
         )
-    e_shift = coeffs.dc_stark * abs(e_top**2 - baseline_e_field**2)
+    e_shift = DC_STARK * abs(e_top**2 - baseline_e_field**2)
 
     separation = 100.0 * species.magic_wavelength if beam_separation is None else beam_separation
     intensity = lattice_intensity_ratio(
@@ -366,7 +344,7 @@ def assemble_budget(
         ),
         (
             "second-order-zeeman",
-            second_order_zeeman_shift(coeffs, b_gradient, bias_field, delta_z),
+            second_order_zeeman_shift(b_gradient, bias_field, delta_z),
             f"field gradient {b_gradient:.3e} G/m on a {bias_field:.3g} G bias",
         ),
         (
@@ -384,7 +362,7 @@ def assemble_budget(
         ),
         (
             "bbr-differential",
-            coeffs.bbr_fractional * uniform * species.frequency,
+            BBR_FRACTIONAL * uniform * species.frequency,
             f"assumes chamber uniformity of {delta_t * 1e3:.3g} mK;"
             f" shift equals the signal at {temperature_limit * 1e3:.3g} mK",
         ),
@@ -403,7 +381,7 @@ def assemble_budget(
         allowed_e_gradient=e_allowed,
         intensity=intensity,
         bbr_example_ratio_minus_one=example,
-        bbr_example_shift_fractional=coeffs.bbr_fractional * example,
+        bbr_example_shift_fractional=BBR_FRACTIONAL * example,
         temperature_limit_k=temperature_limit,
         entries=entries,
     )

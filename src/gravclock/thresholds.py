@@ -16,7 +16,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
-from .dephasing import SMALL_ANGLE, Convention, dirichlet, effective_phase_rate
+from .dephasing import Convention, effective_phase_rate, phase_ratio
 
 TAU_CAP_S = 1e9
 # The safeguard halves the bracket at least every 3 steps, and 64 halvings
@@ -39,26 +39,21 @@ SIZE_KEYS = (
 
 
 def decoherence_sizes(
-    species: ClockSpecies = YB,
-    consts: PhysicalConstants = PhysicalConstants(),
-    tau: float = 30.0,
-    layer_spacing: float | None = None,
+    species: ClockSpecies, consts: PhysicalConstants, tau: float, layer_spacing: float
 ) -> tuple[float, float]:
     """Lattice sizes (per_layer, halves) at which the gravitational phase
     spread across the ensemble equals the quantum projection noise.
 
-    With k = c^2 / (omega0 tau g d), d the layer spacing (None: magic
-    wavelength / 2), per_layer solves 1/(omega0 tau n) = g n d / c^2, so
-    n = sqrt(k). halves puts the SQL of half the ensemble (N/2 ~ n^3/2 atoms)
-    on the left, so n = (sqrt(2) k)^(2/5); that equation is a reconstruction
-    pinned to the documented critical size (165), not a stated formula, and
-    outputs label it as such. No phase-rate convention enters.
+    With k = c^2 / (omega0 tau g d), d the layer spacing, per_layer solves
+    1/(omega0 tau n) = g n d / c^2, so n = sqrt(k). halves puts the SQL of
+    half the ensemble (N/2 ~ n^3/2 atoms) on the left, so
+    n = (sqrt(2) k)^(2/5); that equation is a reconstruction pinned to the
+    documented critical size (165), not a stated formula, and outputs label
+    it as such. No phase-rate convention enters.
     """
     if not (tau > 0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive, got {tau!r}")
-    if layer_spacing is None:
-        layer_spacing = species.default_layer_spacing
-    elif not (layer_spacing > 0 and math.isfinite(layer_spacing)):
+    if not (layer_spacing > 0 and math.isfinite(layer_spacing)):
         raise ValueError(
             f"layer_spacing must be positive, got {layer_spacing!r}; it is set by"
             " geometry.layer_spacing (default species.magic_wavelength / 2)"
@@ -147,13 +142,12 @@ def _error_function(problem: TauMaxProblem):
     relative to the nominal phase, the first time it reaches 1, and the
     search's closed-form first step.
 
-    For phi_l > 0: |1 - phi_eff / (phi_l t)| with phi_eff = asin(S_y / m),
-    S_y = sin(phi_l t) D_m(phi_g' t), where problem.phi_g is phi_g'. Below
-    phi_l t = 2^-26 it is 1 - D_m / m, the ratio's limit, as in bloch_sum: a
-    subnormal phi_l t leaves sin and asin too few digits. For phi_l = 0 the
-    nominal phase vanishes and phi_eff is identically zero by the k <-> -k
-    symmetry, so the criterion is the contrast loss 1 - |D_m| / m, the
-    phi_l -> 0 limit of the ratio form wherever D_m >= 0, as on [0, t_end].
+    For phi_l > 0: |1 - ratio| with dephasing.phase_ratio's ratio =
+    phi_eff / (phi_l t), where problem.phi_g is phi_g'. Where phi_l t = 0,
+    and always for phi_l = 0, the nominal phase vanishes and phi_eff is
+    identically zero by the k <-> -k symmetry, so the criterion is the
+    contrast loss 1 - |D_m| / m, the phi_l -> 0 limit of the ratio form
+    wherever D_m >= 0, as on [0, t_end].
 
     t_end = min(pi / phi_l, 2 pi / (m phi_g')), the first term only for
     phi_l > 0 and the second only for m > 1 and phi_g' > 0 (D_1 = 1 never
@@ -175,14 +169,8 @@ def _error_function(problem: TauMaxProblem):
         first_step = min(first_step, math.sqrt(24.0 * thr / (m - 1) / (m + 1)) / rate)
 
     def error(t: float) -> float:
-        d = dirichlet(m, rate * t)
-        a = phi_l * t
-        if a < SMALL_ANGLE:
-            return 1.0 - (d if phi_l else abs(d)) / m
-        # Clamped against rounding; a conditional costs far less than min/max.
-        x = math.sin(a) * d / m
-        x = 1.0 if x > 1.0 else -1.0 if x < -1.0 else x
-        return abs(1.0 - math.asin(x) / a)
+        ratio, d = phase_ratio(m, phi_l, rate, t)
+        return 1.0 - abs(d) / m if ratio is None else abs(1.0 - ratio)
 
     return error, t_end, first_step, "contrast" if phi_l == 0.0 else "phase-ratio"
 

@@ -15,6 +15,7 @@ from layer_sum_oracle import explicit_layer_sum
 
 from gravclock.cli import main
 from gravclock.core import (
+    DEFAULT_BBR_DISK_RADIUS,
     DEFAULT_SLAB_ATOMS_PER_LAYER,
     PhysicalConstants,
     YB,
@@ -34,7 +35,7 @@ from gravclock.dephasing import (
 from gravclock.scenario import Scenario, parse_scenario, serialize_scenario
 from gravclock.sweep import scaling_exponent, sweep
 from gravclock.systematics import (
-    YB_COEFFICIENTS,
+    BBR_FRACTIONAL,
     ac_stark_shift,
     allowed_b_gradient,
     assemble_budget,
@@ -86,7 +87,7 @@ def slab_curve(phi_l: float):
 
 
 def test_criterion_1_threshold_reproduction():
-    per_layer, halves = decoherence_sizes(tau=30.0)
+    per_layer, halves = decoherence_sizes(YB, CONSTS, 30.0, YB.default_layer_spacing)
     assert round(per_layer) == 497
     assert abs(round(halves) - 165) <= 1
 
@@ -192,19 +193,19 @@ def test_criterion_5_scaling_exponents():
 def test_criterion_6_systematics_anchors():
     signal = assemble_budget(100)
 
-    gradient = allowed_b_gradient(YB_COEFFICIENTS, signal.delta_nu, signal.delta_z)
+    gradient = allowed_b_gradient(signal.delta_nu, signal.delta_z)
     assert gradient == pytest.approx(2.69e-4, rel=0.10)
 
-    p2 = p2_calibration_shift(YB_COEFFICIENTS, 2.69e-4, signal.delta_z)
+    p2 = p2_calibration_shift(2.69e-4, signal.delta_z)
     assert p2 == pytest.approx(0.0214, rel=0.05)
 
-    omega_near, omega_far = wall_solid_angles(0.05, signal.delta_z)
+    omega_near, omega_far = wall_solid_angles(0.05, signal.delta_z, DEFAULT_BBR_DISK_RADIUS)
     ratio_minus_one = bbr_field_excess(293.0, 294.0, omega_near, omega_far)
-    shift_fractional = YB_COEFFICIENTS.bbr_fractional * ratio_minus_one
+    shift_fractional = BBR_FRACTIONAL * ratio_minus_one
     assert ratio_minus_one == pytest.approx(1.04e-5, rel=0.50)
     assert shift_fractional == pytest.approx(2.46e-20, rel=0.50)
 
-    assert ac_stark_shift(0.10) / YB.frequency == 1e-19  # exact by construction
+    assert ac_stark_shift(0.10, YB) / YB.frequency == 1e-19  # exact by construction
 
     z_r = rayleigh_range(170e-6, YB.magic_wavelength)
     intensity = lattice_intensity_ratio(z_r, 100 * YB.magic_wavelength)

@@ -121,6 +121,43 @@ def test_non_utf8_scenario_file_exits_2_naming_it(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+_LONG = "x" * 3000
+
+
+@pytest.mark.parametrize(
+    "command, line, refusal, shown",
+    [
+        ("dephase-curve", "interrogation.tau = x" + "0" * 5000, "'interrogation.tau'", 5001),
+        ("stability-sweep", "sweep.phi_l = linspace:0:1:" + _LONG, "'sweep.phi_l'", 3000),
+        ("stability-sweep", "sweep.sizes = logspace:" + _LONG, "'sweep.sizes'", 3009),
+        ("stability-sweep", "sweep.family = " + _LONG, "'sweep.family'", 3000),
+        ("threshold", "convention = " + _LONG, "'convention'", 3000),
+        ("threshold", "species = " + _LONG, "'species'", 3000),
+        ("budget", "output.budget_text = a/" + _LONG, "'output.budget_text'", 3002),
+        (
+            "budget",
+            f"output.budget_text = {_LONG}\noutput.budget_json = {_LONG}",
+            "'output.budget_json'",
+            3000,
+        ),
+        ("threshold", _LONG + " = 1", "unknown key", 3000),
+        ("threshold", _LONG, "expected key = value", 3000),
+    ],
+)
+def test_long_refused_text_is_cut_not_echoed(tmp_path, capsys, command, line, refusal, shown):
+    # The refusal names the line and the key and shows a prefix of the
+    # refused text with its length, in one short line.
+    scenario = tmp_path / "long.cfg"
+    scenario.write_text("# a long value\n" + line + "\n")
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gravclock: error: line ")
+    assert refusal in captured.err and f"... ({shown} characters)" in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err) < 250
+    assert not (tmp_path / "o").exists()
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("keep\n")

@@ -134,6 +134,24 @@ def test_integer_past_the_conversion_limit_is_counted_not_echoed(tmp_path, capsy
     assert "line 1: invalid value for 'dephase.sizes'" in err
 
 
+def test_refused_text_is_echoed_whole_up_to_80_characters():
+    for key, message in (
+        ("interrogation.tau", "not a number: {}"),
+        ("convention", "unknown convention {}; expected one of: physical, paper-figure"),
+    ):
+        at_cap, past_cap = "y" * 80, "y" * 81
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(f"{key} = {at_cap}\n")
+        assert str(excinfo.value) == f"line 1: invalid value for {key!r}: " + message.format(
+            repr(at_cap)
+        )
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(f"{key} = {past_cap}\n")
+        assert str(excinfo.value) == f"line 1: invalid value for {key!r}: " + message.format(
+            f"{at_cap!r}... (81 characters)"
+        )
+
+
 def test_convention_parse():
     assert parse_scenario("convention = paper-figure\n").convention is Convention.PAPER_FIGURE
     with pytest.raises(ScenarioError, match="convention"):

@@ -12,7 +12,10 @@ from scipy.optimize import brentq
 from gravclock import systematics
 from gravclock.core import DEFAULT_BBR_DISK_RADIUS, P2_NATURAL_LINEWIDTH_HZ, YB
 from gravclock.systematics import (
-    YB_COEFFICIENTS,
+    BBR_FRACTIONAL,
+    DC_STARK,
+    P2_ZEEMAN,
+    ZEEMAN1,
     ac_stark_shift,
     allowed_b_gradient,
     allowed_e_gradient,
@@ -26,6 +29,7 @@ from gravclock.systematics import (
     wall_solid_angles,
 )
 
+DISK = DEFAULT_BBR_DISK_RADIUS
 # The redshift signal across a 100-site cube: extent, shift in Hz, fractional.
 BUDGET_100 = assemble_budget(n_site=100)
 DELTA_Z, DELTA_NU, FRACTIONAL = BUDGET_100.delta_z, BUDGET_100.delta_nu, BUDGET_100.fractional
@@ -44,74 +48,70 @@ def test_signal_linearity():
 
 
 def test_allowed_b_gradient_anchor():
-    gradient = allowed_b_gradient(YB_COEFFICIENTS, DELTA_NU, DELTA_Z)
+    gradient = allowed_b_gradient(DELTA_NU, DELTA_Z)
     assert gradient == pytest.approx(2.69e-4, rel=0.10)
     # Direct quotient for reference: ~2.83e-4 G/m.
     assert gradient == pytest.approx(2.834e-4, rel=1e-3)
 
 
-def test_allowed_b_gradient_coefficient_scaling():
-    doubled = YB_COEFFICIENTS._replace(zeeman1=2 * YB_COEFFICIENTS.zeeman1)
-    assert allowed_b_gradient(doubled, DELTA_NU, DELTA_Z) == pytest.approx(
-        0.5 * allowed_b_gradient(YB_COEFFICIENTS, DELTA_NU, DELTA_Z), rel=1e-15
-    )
+def test_allowed_b_gradient_coefficient_scaling(monkeypatch):
+    single = allowed_b_gradient(DELTA_NU, DELTA_Z)
+    monkeypatch.setattr(systematics, "ZEEMAN1", 2 * ZEEMAN1)
+    assert allowed_b_gradient(DELTA_NU, DELTA_Z) == pytest.approx(0.5 * single, rel=1e-15)
 
 
 def test_allowed_b_gradient_linear_in_signal():
-    assert allowed_b_gradient(YB_COEFFICIENTS, 0.5 * DELTA_NU, DELTA_Z) == pytest.approx(
-        0.5 * allowed_b_gradient(YB_COEFFICIENTS, DELTA_NU, DELTA_Z), rel=1e-15
+    assert allowed_b_gradient(0.5 * DELTA_NU, DELTA_Z) == pytest.approx(
+        0.5 * allowed_b_gradient(DELTA_NU, DELTA_Z), rel=1e-15
     )
 
 
 def test_p2_calibration_shift_anchor():
     # At the quoted 2.69e-4 G/m gradient over the n_site = 100 span.
-    shift = p2_calibration_shift(YB_COEFFICIENTS, 2.69e-4, DELTA_Z)
+    shift = p2_calibration_shift(2.69e-4, DELTA_Z)
     assert shift == pytest.approx(0.0214, rel=0.05)
 
 
 def test_second_order_zeeman_passes_at_limit():
-    gradient = allowed_b_gradient(YB_COEFFICIENTS, DELTA_NU, DELTA_Z)
+    gradient = allowed_b_gradient(DELTA_NU, DELTA_Z)
     for bias in (0.0, 0.1, 0.5, 1.0):
-        assert second_order_zeeman_shift(YB_COEFFICIENTS, gradient, bias, DELTA_Z) < DELTA_NU
+        assert second_order_zeeman_shift(gradient, bias, DELTA_Z) < DELTA_NU
 
 
 def test_second_order_zeeman_zero_gradient():
-    assert second_order_zeeman_shift(YB_COEFFICIENTS, 0.0, 0.5, DELTA_Z) == 0.0
+    assert second_order_zeeman_shift(0.0, 0.5, DELTA_Z) == 0.0
 
 
 def test_second_order_zeeman_huge_bias_fails():
     # The quadratic term tops the signal once the bias exceeds ~1.7e3 G at
     # the allowed gradient, so "negligible" rests on a modest-bias assumption.
-    gradient = allowed_b_gradient(YB_COEFFICIENTS, DELTA_NU, DELTA_Z)
-    assert not second_order_zeeman_shift(YB_COEFFICIENTS, gradient, 2e3, DELTA_Z) < DELTA_NU
+    gradient = allowed_b_gradient(DELTA_NU, DELTA_Z)
+    assert not second_order_zeeman_shift(gradient, 2e3, DELTA_Z) < DELTA_NU
 
 
 def test_allowed_e_gradient_anchor():
-    gradient = allowed_e_gradient(YB_COEFFICIENTS, DELTA_NU, DELTA_Z, baseline_field=0.0)
+    gradient = allowed_e_gradient(DELTA_NU, DELTA_Z, baseline_field=0.0)
     # Quadratic constraint at zero baseline gives ~2e4 (V/m)/m; the quoted
     # 3.04e4 implies an unstated baseline, so accept within a factor of 2.
     assert gradient == pytest.approx(2.03e4, rel=0.02)
     assert 3.04e4 / 2 <= gradient <= 3.04e4 * 2
 
 
-def test_allowed_e_gradient_sqrt_scaling_at_zero_baseline():
-    quadrupled = YB_COEFFICIENTS._replace(dc_stark=4 * YB_COEFFICIENTS.dc_stark)
-    assert allowed_e_gradient(quadrupled, DELTA_NU, DELTA_Z) == pytest.approx(
-        0.5 * allowed_e_gradient(YB_COEFFICIENTS, DELTA_NU, DELTA_Z), rel=1e-12
-    )
+def test_allowed_e_gradient_sqrt_scaling_at_zero_baseline(monkeypatch):
+    single = allowed_e_gradient(DELTA_NU, DELTA_Z, 0.0)
+    monkeypatch.setattr(systematics, "DC_STARK", 4 * DC_STARK)
+    assert allowed_e_gradient(DELTA_NU, DELTA_Z, 0.0) == pytest.approx(0.5 * single, rel=1e-12)
 
 
 def test_allowed_e_gradient_vanishes_with_signal():
-    small = allowed_e_gradient(YB_COEFFICIENTS, DELTA_NU * 1e-12, DELTA_Z)
-    assert small == pytest.approx(
-        1e-6 * allowed_e_gradient(YB_COEFFICIENTS, DELTA_NU, DELTA_Z), rel=1e-9
-    )
-    assert allowed_e_gradient(YB_COEFFICIENTS, 0.0, DELTA_Z) == 0.0
+    small = allowed_e_gradient(DELTA_NU * 1e-12, DELTA_Z, 0.0)
+    assert small == pytest.approx(1e-6 * allowed_e_gradient(DELTA_NU, DELTA_Z, 0.0), rel=1e-9)
+    assert allowed_e_gradient(0.0, DELTA_Z, 0.0) == 0.0
 
 
 def test_allowed_e_gradient_with_baseline_is_smaller():
-    with_baseline = allowed_e_gradient(YB_COEFFICIENTS, DELTA_NU, DELTA_Z, baseline_field=100.0)
-    without = allowed_e_gradient(YB_COEFFICIENTS, DELTA_NU, DELTA_Z, baseline_field=0.0)
+    with_baseline = allowed_e_gradient(DELTA_NU, DELTA_Z, baseline_field=100.0)
+    without = allowed_e_gradient(DELTA_NU, DELTA_Z, baseline_field=0.0)
     assert with_baseline < without
 
 
@@ -225,7 +225,7 @@ def _excess_slope(u: float, delta: float, h: float = 1e-5) -> float:
 
 
 @pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 6.35e-4, 1e-2, 0.1, 0.3, 1.0, 3.0])
-def test_bisect_matches_brentq_on_excess_slope(delta):
+def test_closed_form_extrema_match_brentq_on_excess_slope(delta):
     # The closed-form extrema against brentq's sign change of the numeric
     # slope. The slope is a centred difference with h = 1e-5, so its rounding
     # noise (~eps/h ~ 2e-11) blurs the sign change over ~1e-11 in u; brentq
@@ -241,21 +241,21 @@ def test_bisect_matches_brentq_on_excess_slope(delta):
 
 
 def test_ac_stark_anchor_exact():
-    shift = ac_stark_shift(0.10)
+    shift = ac_stark_shift(0.10, YB)
     assert shift / YB.frequency == 1e-19
     assert not shift < DELTA_NU  # 1e-19 dwarfs the n=100 signal of 4.1e-21
 
 
 def test_ac_stark_linear_and_zero():
-    shift = ac_stark_shift(8.46e-4)
+    shift = ac_stark_shift(8.46e-4, YB)
     assert shift / YB.frequency == pytest.approx(8.46e-22, rel=1e-12)
     assert shift < DELTA_NU
-    assert ac_stark_shift(0.0) == 0.0
+    assert ac_stark_shift(0.0, YB) == 0.0
 
 
 def _bbr_excess(t1: float, t2: float, extent: float) -> float:
     """BBR field ratio - 1 between the ends of an ensemble 5 cm from each wall."""
-    return bbr_field_excess(t1, t2, *wall_solid_angles(0.05, extent))
+    return bbr_field_excess(t1, t2, *wall_solid_angles(0.05, extent, DISK))
 
 
 @pytest.mark.parametrize("q", [1e-4, 1e-7, 1e-9])
@@ -275,7 +275,7 @@ def test_solid_angle_at_tiny_scale_has_no_underflow():
 
 def test_bbr_field_excess_matches_exact_arithmetic():
     # At the default chamber, against the same expression in exact rationals.
-    near, far = wall_solid_angles(0.05, DELTA_Z)
+    near, far = wall_solid_angles(0.05, DELTA_Z, DISK)
     t1 = Fraction(293.0)
     for step in (1.0, 0.010):  # the worked example and the assumed uniformity
         t2 = Fraction(293.0 + step)
@@ -290,7 +290,7 @@ def test_bbr_field_excess_matches_exact_arithmetic():
 def test_bbr_example_anchor():
     ratio_minus_one = _bbr_excess(293.0, 294.0, DELTA_Z)
     assert ratio_minus_one == pytest.approx(1.04e-5, rel=0.5)
-    assert YB_COEFFICIENTS.bbr_fractional * ratio_minus_one == pytest.approx(2.46e-20, rel=0.5)
+    assert BBR_FRACTIONAL * ratio_minus_one == pytest.approx(2.46e-20, rel=0.5)
     # The fitted default disk radius lands on the quoted number itself.
     assert ratio_minus_one == pytest.approx(1.04e-5, rel=1e-3)
     assert BUDGET_100.bbr_example_ratio_minus_one == ratio_minus_one
@@ -312,9 +312,9 @@ def test_bbr_relabeling_symmetry_exact():
 
 
 def test_bbr_temperature_limit_linearity():
-    limit = bbr_temperature_limit(FRACTIONAL, 0.05, 293.0, DELTA_Z)
+    limit = bbr_temperature_limit(FRACTIONAL, 0.05, 293.0, DELTA_Z, DISK)
     assert 0.010 <= limit <= 1.0
-    half = bbr_temperature_limit(0.5 * FRACTIONAL, 0.05, 293.0, DELTA_Z)
+    half = bbr_temperature_limit(0.5 * FRACTIONAL, 0.05, 293.0, DELTA_Z, DISK)
     assert half == pytest.approx(0.5 * limit, rel=1e-3)
 
 
@@ -323,17 +323,17 @@ def test_bbr_temperature_limit_linearity():
 def test_bbr_temperature_limit_matches_brentq(wall_distance, base_temperature):
     for n_site in (1, 100, 1000):
         budget = assemble_budget(n_site, wall_distance=wall_distance)
-        omega_near, omega_far = wall_solid_angles(wall_distance, budget.delta_z)
+        omega_near, omega_far = wall_solid_angles(wall_distance, budget.delta_z, DISK)
 
         def excess(delta_t):
             field_excess = bbr_field_excess(
                 base_temperature, base_temperature + delta_t, omega_near, omega_far
             )
-            return YB_COEFFICIENTS.bbr_fractional * field_excess - budget.fractional
+            return BBR_FRACTIONAL * field_excess - budget.fractional
 
         oracle = brentq(excess, 0.0, 1e6, xtol=1e-12, rtol=1e-14)
         limit = bbr_temperature_limit(
-            budget.fractional, wall_distance, base_temperature, budget.delta_z
+            budget.fractional, wall_distance, base_temperature, budget.delta_z, DISK
         )
         # brentq stops within xtol = 1e-12 of a sign change.
         assert abs(limit - oracle) <= 2e-12
@@ -344,10 +344,10 @@ def test_bbr_temperature_limit_matches_brentq(wall_distance, base_temperature):
 def test_bbr_temperature_limit_matches_exact_arithmetic(wall_distance, base_temperature):
     # The closed form t1 ((1 + eps)^(1/4) - 1) against eps in exact rationals
     # and the fourth root in 60-digit decimals, from the same float inputs.
-    k = Fraction(YB_COEFFICIENTS.bbr_fractional)
+    k = Fraction(BBR_FRACTIONAL)
     for n_site in (1, 100, 1000):
         budget = assemble_budget(n_site, wall_distance=wall_distance)
-        near, far = map(Fraction, wall_solid_angles(wall_distance, budget.delta_z))
+        near, far = map(Fraction, wall_solid_angles(wall_distance, budget.delta_z, DISK))
         r = Fraction(budget.fractional) / k
         eps = r * (near + far) / (near - far - r * far)
         with localcontext() as ctx:
@@ -355,14 +355,14 @@ def test_bbr_temperature_limit_matches_exact_arithmetic(wall_distance, base_temp
             one_plus = Decimal(eps.numerator + eps.denominator) / Decimal(eps.denominator)
             exact = Decimal(base_temperature) * (one_plus.sqrt().sqrt() - 1)
         limit = bbr_temperature_limit(
-            budget.fractional, wall_distance, base_temperature, budget.delta_z
+            budget.fractional, wall_distance, base_temperature, budget.delta_z, DISK
         )
         assert limit == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_bbr_temperature_limit_unreachable_signal_is_inf():
     # The field ratio saturates at W+/W- as t2 grows, far below this signal.
-    assert bbr_temperature_limit(1e-10, 0.05, 293.0, DELTA_Z) == math.inf
+    assert bbr_temperature_limit(1e-10, 0.05, 293.0, DELTA_Z, DISK) == math.inf
 
 
 def test_bbr_geometry_validation():
@@ -404,13 +404,12 @@ def test_budget_entry_fractional_consistency():
 
 
 def test_budget_fixed_entries_fail_without_signal():
-    coeffs = YB_COEFFICIENTS
-    residual = coeffs.zeeman1 * P2_NATURAL_LINEWIDTH_HZ / coeffs.p2_zeeman
+    residual = ZEEMAN1 * P2_NATURAL_LINEWIDTH_HZ / P2_ZEEMAN
     assert residual > 0.0
     # The assumption-scale entries have fixed shifts; against a zero signal
     # every one of them fails the strict comparison.
-    assert not ac_stark_shift(8.46e-4) < 0.0
-    assert not second_order_zeeman_shift(coeffs, 2.7e-4, 1.0, DELTA_Z) < 0.0
+    assert not ac_stark_shift(8.46e-4, YB) < 0.0
+    assert not second_order_zeeman_shift(2.7e-4, 1.0, DELTA_Z) < 0.0
 
 
 def test_budget_assumptions_are_configurable():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,24 +23,25 @@ from gravclock.thresholds import (
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 CONSTS = PhysicalConstants()
-PHI_G = per_layer_phase_rate(CONSTS, YB, YB.default_layer_spacing)
+SPACING = YB.default_layer_spacing
+PHI_G = per_layer_phase_rate(CONSTS, YB, SPACING)
 
 
 def test_per_layer_size_is_497():
-    n_star, _ = decoherence_sizes(tau=30.0)
+    n_star, _ = decoherence_sizes(YB, CONSTS, 30.0, SPACING)
     assert round(n_star) == 497
     assert n_star == pytest.approx(497.0, abs=0.5)
 
 
 def test_per_layer_root_satisfies_equation():
-    n, _ = decoherence_sizes(tau=30.0)
+    n, _ = decoherence_sizes(YB, CONSTS, 30.0, SPACING)
     lhs = 1.0 / (YB.omega0 * 30.0 * n)
     rhs = CONSTS.g * n * YB.default_layer_spacing / CONSTS.c**2
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_halves_size_is_165():
-    _, n_star = decoherence_sizes(tau=30.0)
+    _, n_star = decoherence_sizes(YB, CONSTS, 30.0, SPACING)
     assert round(n_star) == 165
 
 
@@ -50,12 +53,12 @@ def test_halves_matches_numeric_root():
         return lhs - rhs
 
     oracle = brentq(residual, 1.0, 1e6, xtol=1e-9)
-    assert decoherence_sizes(tau=30.0)[1] == pytest.approx(oracle, rel=1e-9)
+    assert decoherence_sizes(YB, CONSTS, 30.0, SPACING)[1] == pytest.approx(oracle, rel=1e-9)
 
 
 def test_size_scales_as_inverse_sqrt_tau():
-    base, _ = decoherence_sizes(tau=30.0)
-    slower, _ = decoherence_sizes(tau=120.0)
+    base, _ = decoherence_sizes(YB, CONSTS, 30.0, SPACING)
+    slower, _ = decoherence_sizes(YB, CONSTS, 120.0, SPACING)
     assert slower == pytest.approx(0.5 * base, rel=1e-12)
 
 
@@ -221,6 +224,54 @@ def test_error_rises_from_0_to_1_on_the_bracket(problem, fractions):
         slack = 1e-14 + _asin_rounding(problem, times[k]) + _asin_rounding(problem, times[k + 1])
         assert errors[k + 1] >= errors[k] - slack
     assert errors[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def _oracle_error(problem, t):
+    """(error, tolerance) at t from the explicit layer sum S = (S_x, S_y).
+
+    |1 - asin(S_y / m) / (phi_l t)|, or where phi_l t < 2^-26, too small a
+    phase for the arcsine to resolve, the ratio's limit 1 - |S| / m (the
+    contrast loss for phi_l = 0). Each term's phase is off by ~2 eps times
+    itself, so S / m is within dx of exact; asin magnifies dx by
+    1 / sqrt(1 - x^2), which is up to ~1e8 near the fold, where x ~ 1.
+    """
+    m, phi_l, rate = problem.layer_count, problem.phi_l, problem.phi_g
+    s_x, s_y = explicit_layer_sum(phi_l, rate, m, t)
+    a = phi_l * t
+    dx = 8 * sys.float_info.epsilon * (1.0 + a + 0.5 * (m - 1) * rate * t)
+    if a < 2.0**-26:
+        return 1.0 - math.hypot(s_x, s_y) / m, 2 * dx
+    x = max(-1.0, min(1.0, s_y / m))
+    return abs(1.0 - math.asin(x) / a), 1e-15 + 2 * dx / (a * math.sqrt(max(1 - x * x, dx)))
+
+
+def _oracle_points(seed):
+    """Seeded (problem, t) pairs on [0, t_end] (t up to 1e9 s where t_end is inf)."""
+    rng = random.Random(seed)
+    for _ in range(400):
+        m = round(10 ** rng.uniform(0.0, 4.0))
+        phi_g = 10 ** rng.uniform(-10.0, 0.0)
+        phi_l = rng.choice([0.0, 5e-324, 10 ** rng.uniform(-8.0, 0.0), 0.5 * m * phi_g])
+        problem = _problem(m, 100, phi_l, phi_g, rng.choice(list(Convention)))
+        _, t_end, _, _ = thresholds._error_function(problem)
+        t_top = t_end if t_end < math.inf else 1e9
+        # Half the points past the fold, phi_l t > pi / 2, where it is in reach.
+        low = 0.5 if phi_l and rng.random() < 0.5 and t_top == t_end else 0.0
+        yield problem, t_top * rng.uniform(low, 1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_error_matches_the_explicit_layer_sum(seed):
+    # The tau_max error at seeded points against the explicit O(m) sum: both
+    # conventions, m from 1 to 1e4, phi_l = 0, a subnormal phi_l t, and
+    # phase-ratio points past the arcsine fold.
+    past_fold = 0
+    for problem, t in _oracle_points(seed):
+        error, _, _, _ = thresholds._error_function(problem)
+        want, tolerance = _oracle_error(problem, t)
+        assert abs(error(t) - want) <= tolerance, (problem, t)
+        past_fold += problem.phi_l * t > 0.5 * math.pi
+    assert past_fold >= 50
 
 
 @pytest.mark.parametrize(
@@ -400,9 +451,9 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         TauMaxProblem.cubic(10, -1e-3, Convention.PHYSICAL)
     with pytest.raises(ValueError):
-        decoherence_sizes(tau=0.0)
+        decoherence_sizes(YB, CONSTS, 0.0, SPACING)
     with pytest.raises(ValueError):
-        decoherence_sizes(layer_spacing=-1.0)
+        decoherence_sizes(YB, CONSTS, 30.0, -1.0)
 
 
 def test_error_takes_the_contrast_limit_where_phi_l_t_underflows():
