@@ -170,6 +170,149 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["not_a_dir"]
 
 
+# The argv contract. Line wrapping is not part of it (it follows $COLUMNS and
+# may break at a hyphen), so help text is compared with its whitespace removed.
+_COMMAND_HELP = {
+    "threshold": "critical lattice sizes",
+    "dephase-curve": "phase-recovery ratio vs time",
+    "stability-sweep": "best 1 s stability grids",
+    "budget": "systematic-shift budget",
+}
+_OPTION_HELP = {
+    "--scenario FILE": "scenario file (defaults apply)",
+    "--out DIR": "output directory",
+    "--convention {physical,paper-figure}": "override the scenario's phase-rate convention",
+    "--allow-flags": "exit 0 even when a solver flags non-bracketable or non-converged points",
+}
+
+
+def _usage_exit(argv: list[str], capsys) -> tuple[object, str, str]:
+    """main(argv) that ends in SystemExit: its code, stdout and stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+def _squeezed(text: str) -> str:
+    return "".join(text.split())
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_top_level_help_lists_every_command(capsys, flag):
+    code, out, err = _usage_exit([flag], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: gravclock ")
+    text = _squeezed(out)
+    for command, help_text in _COMMAND_HELP.items():
+        assert _squeezed(command + help_text) in text
+    assert "-h,--help" in text and "--version" in text
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", list(_COMMAND_HELP))
+def test_command_help_lists_every_option(capsys, command, flag):
+    code, out, err = _usage_exit([command, "--out", "unused", flag], capsys)
+    assert (code, err) == (0, "")
+    assert _squeezed(out).startswith(f"usage:gravclock{command}[")
+    text = _squeezed(out)
+    for invocation, help_text in _OPTION_HELP.items():
+        assert _squeezed(invocation + help_text) in text
+
+
+@pytest.mark.parametrize("flag", ["--version", "--vers"])
+def test_version(capsys, flag):
+    assert _usage_exit([flag], capsys) == (0, "gravclock 0.1.0\n", "")
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--scenario", "{preset}", "--convention", "paper-figure", "--out", "{out}"],
+        ["--scenario={preset}", "--convention=paper-figure", "--out={out}"],
+        ["--scen", "{preset}", "--conv=paper-figure", "--o", "{out}"],
+        # The last occurrence of a repeated option wins.
+        ["--convention", "physical", "--out", "{other}", "--convention=paper-figure",
+         "--scenario", "{preset}", "--out", "{out}"],
+    ],
+    ids=["separate", "joined", "prefixes", "repeated"],
+)
+def test_option_spellings_run_alike(tmp_path, capsys, options):
+    fields = {
+        "preset": str(PRESETS / "threshold.cfg"),
+        "out": str(tmp_path / "out"),
+        "other": str(tmp_path / "other"),
+    }
+    assert main(["threshold", *(option.format(**fields) for option in options)]) == 0
+    capsys.readouterr()
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert json.loads((tmp_path / "out" / "threshold.json").read_text())["convention"] == (
+        "paper-figure"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--allow-flags", "--allow"])
+def test_allow_flags_by_its_prefix(tmp_path, capsys, flag):
+    scenario = tmp_path / "flagged.cfg"
+    scenario.write_text("sweep.family = slab\nsweep.sizes = 1,2\nsweep.phi_l = 0\n")
+    argv = ["stability-sweep", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+    assert main([*argv, flag]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "command"),
+        (["bogus"], "'bogus'"),
+        (["threshold", "--bogus"], "--bogus"),
+        (["threshold", "stray"], "stray"),
+        (["threshold", "--out"], "--out"),
+        (["threshold", "--scenario", "--out", "x"], "--scenario"),
+        (["threshold", "--convention", "sideways"], "'sideways'"),
+        (["threshold", "--allow-flags=1"], "--allow-flags"),
+        (["--allow-flags", "threshold"], "--allow-flags"),
+        (["threshold", "--version"], "--version"),
+    ],
+    ids=[
+        "no_command",
+        "unknown_command",
+        "unknown_option",
+        "stray_argument",
+        "missing_value",
+        "option_as_value",
+        "bad_convention",
+        "value_for_flag",
+        "option_before_command",
+        "version_after_command",
+    ],
+)
+def test_misuse_exits_2_with_usage_and_a_named_argument(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _usage_exit(argv, capsys)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: gravclock")
+    assert re.match(r"gravclock( [a-z-]+)?: error: ", lines[-1]) and named in lines[-1]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fresh_process_usage_exit_codes(tmp_path):
+    for argv, code, stream in (
+        (["--help"], 0, "stdout"),
+        (["threshold", "-h"], 0, "stdout"),
+        (["--version"], 0, "stdout"),
+        (["threshold", "--convention", "sideways"], 2, "stderr"),
+        ([], 2, "stderr"),
+    ):
+        result = _fresh_python(_MAIN, *argv)
+        assert result.returncode == code, argv
+        assert getattr(result, stream) and not getattr(
+            result, "stderr" if stream == "stdout" else "stdout"
+        ), argv
+
+
 def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
