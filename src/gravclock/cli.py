@@ -2,21 +2,23 @@
 
 Every run reads one scenario file (or the built-in defaults), computes in
 memory, then writes all outputs plus a run_record.json manifest from a
-single writer. Exit codes: 0 success, 2 scenario/validation failure (an
-input whose arithmetic overflows, or a failing stdout, included), 3 a solver
-flagged a point (non-bracketable or non-converged) and --allow-flags was not
-given. A failing stderr does not change the exit code.
+single writer. Exit codes: 0 success (--help and --version included), 2
+misuse of the command line (raised as SystemExit after a usage line), or a
+scenario/validation failure (an input whose arithmetic overflows, or a
+failing stdout, included), 3 a solver flagged a point (non-bracketable or
+non-converged) and --allow-flags was not given. A failing stderr does not
+change the exit code. The _COMMANDS and _OPTIONS tables declare the
+command line; cmdline parses argv and renders the usage and --help text
+from them.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import os
 import sys
 
-from . import __version__
+from . import __version__, cmdline
 from .core import per_layer_phase_rate, per_layer_sql, qpn_stability
 from .dephasing import Convention, dephase_curve, effective_phase_rate
 from .emit import RUN_RECORD_NAME, csv_text, fmt_float, json_text, run_record, write_outputs
@@ -234,7 +236,7 @@ def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
     return files, [], table
 
 
-# subcommand -> (runner, help); the parser and main() both read this table.
+# command -> (runner, help); cmdline and main() both read this table.
 _COMMANDS = {
     "threshold": (_run_threshold, "critical lattice sizes"),
     "dephase-curve": (_run_dephase_curve, "phase-recovery ratio vs time"),
@@ -277,50 +279,50 @@ def _report(line: str) -> None:
         _emit(sys.stderr, "stderr", line + "\n")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every main()."""
-    parser = argparse.ArgumentParser(
-        prog="gravclock",
-        description="Gravitational-redshift dephasing toolkit for optical lattice clocks",
-    )
-    parser.add_argument("--version", action="version", version=f"gravclock {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", metavar="FILE", help="scenario file (defaults apply)")
-    common.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    common.add_argument(
-        "--convention",
-        choices=[c.value for c in Convention],
-        help="override the scenario's phase-rate convention",
-    )
-    common.add_argument(
-        "--allow-flags",
-        action="store_true",
-        help="exit 0 even when a solver flags non-bracketable or non-converged points",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
-    return parser
+_CONVENTIONS = tuple(convention.value for convention in Convention)
+# option -> (metavar, choices, help), a None metavar marking a flag. Every
+# command takes every option; cmdline reads argv and renders --help from
+# this table and _COMMANDS.
+_OPTIONS = {
+    "--scenario": ("FILE", None, "scenario file (defaults apply)"),
+    "--out": ("DIR", None, "output directory"),
+    "--convention": (
+        "{" + ",".join(_CONVENTIONS) + "}",
+        _CONVENTIONS,
+        "override the scenario's phase-rate convention",
+    ),
+    "--allow-flags": (
+        None,
+        None,
+        "exit 0 even when a solver flags non-bracketable or non-converged points",
+    ),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        scenario, scenario_text = _load_scenario(args.scenario)
-        if args.convention is not None:
-            scenario = scenario._replace(convention=Convention.from_wire(args.convention))
+        command, options = cmdline.parse(argv, _COMMANDS, _OPTIONS)
+    except cmdline.UsageExit as usage:  # --help, --version, or misuse of the command line
+        stream, name = (sys.stderr, "stderr") if usage.misuse else (sys.stdout, "stdout")
+        with contextlib.suppress(OSError):
+            _emit(stream, name, str(usage))
+        raise SystemExit(EXIT_VALIDATION if usage.misuse else EXIT_OK) from None
+    try:
+        scenario, scenario_text = _load_scenario(options.get("--scenario"))
+        if "--convention" in options:
+            scenario = scenario._replace(convention=Convention.from_wire(options["--convention"]))
             scenario_text = serialize_scenario(scenario)
-        runner, _ = _COMMANDS[args.command]
+        runner, _ = _COMMANDS[command]
         files, flags, text = runner(scenario)
         files[RUN_RECORD_NAME] = json_text(run_record(scenario_text, __version__, files))
-        write_outputs(args.out, files)
+        write_outputs(options.get("--out", "out"), files)
         _emit(sys.stdout, "stdout", text)
     except (ScenarioError, OSError, ValueError, ArithmeticError) as exc:
         _report(f"gravclock: error: {exc}")
         return EXIT_VALIDATION
 
-    if flags and not args.allow_flags:
+    if flags and "--allow-flags" not in options:
         for flag in flags:
             _report(f"gravclock: flagged: {flag}")
         return EXIT_FLAGGED

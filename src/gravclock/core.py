@@ -6,13 +6,25 @@ dimensionless. Atom counts are exact Python integers. The grid helpers
 (linspace, geomspace, default_size_grid) and the defaults of a run (the sweep
 grids, the budget's calibration linewidth and wall-disk radius) live here too,
 so that every module that needs them, the scenario key table included,
-imports them from this leaf module.
+imports them from this leaf module. So does ECHO_CAP, the length up to which
+a refusal repeats the text or integer it refuses.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+
+
+ECHO_CAP = 80  # the characters of a refused text or integer that its message repeats
+
+
+def echo_int(value: int) -> str:
+    """str(value), or past ECHO_CAP characters the count of its digits."""
+    text = str(value)
+    if len(text) <= ECHO_CAP:
+        return text
+    return f"{'a negative' if value < 0 else 'an'} integer of {len(text.lstrip('-'))} digits"
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -184,7 +196,7 @@ def linspace(a: float, b: float, n: int) -> tuple[float, ...]:
     so the result is bit-identical to np.linspace's.
     """
     if n < 1:
-        raise ValueError(f"grid needs at least 1 point, got {n}")
+        raise ValueError(f"grid needs at least 1 point, got {echo_int(n)}")
     delta = b - a
     if n == 1:
         return (0.0 * delta + a,)
@@ -215,5 +227,6 @@ def default_size_grid(lo: int = 2, hi: int = 1000, points: int = 40) -> tuple[in
     """Log-spaced integer sizes: geomspace rounded half to even, deduplicated
     and ascending."""
     if lo < 1 or hi < lo or points < 1:
-        raise ValueError(f"invalid size grid bounds ({lo}, {hi}, {points})")
+        bounds = ", ".join(map(echo_int, (lo, hi, points)))
+        raise ValueError(f"invalid size grid bounds ({bounds})")
     return tuple(sorted({round(v) for v in geomspace(lo, hi, points)}))

@@ -20,10 +20,12 @@ from .core import (
     DEFAULT_BBR_DISK_RADIUS,
     DEFAULT_PHI_L_GRID,
     DEFAULT_SLAB_ATOMS_PER_LAYER,
+    ECHO_CAP,
     P2_NATURAL_LINEWIDTH_HZ,
     ClockSpecies,
     PhysicalConstants,
     default_size_grid,
+    echo_int,
     geomspace,
     linspace,
     species_by_name,
@@ -41,14 +43,11 @@ class ScenarioError(ValueError):
         super().__init__(prefix + message)
 
 
-_ECHO_CAP = 80  # the characters of a refused text that its message repeats
-
-
 def _echo(text: str) -> str:
-    """repr(text), or past _ECHO_CAP characters the repr of that prefix and the length."""
-    if len(text) <= _ECHO_CAP:
+    """repr(text), or past ECHO_CAP characters the repr of that prefix and the length."""
+    if len(text) <= ECHO_CAP:
         return repr(text)
-    return f"{text[:_ECHO_CAP]!r}... ({len(text)} characters)"
+    return f"{text[:ECHO_CAP]!r}... ({len(text)} characters)"
 
 
 def _float(text: str) -> float:
@@ -97,7 +96,7 @@ def _fraction(text: str) -> float:
 def _positive_int(text: str) -> int:
     value = _int(text)
     if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
+        raise ValueError(f"must be >= 1, got {echo_int(value)}")
     return value
 
 
@@ -113,7 +112,7 @@ def _sizes(text: str) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("integer list must be strictly increasing")
     if values[0] < 1:
-        raise ValueError(f"sizes must be >= 1, got {values[0]}")
+        raise ValueError(f"sizes must be >= 1, got {echo_int(values[0])}")
     return values
 
 
@@ -126,7 +125,7 @@ def _float_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"expected {parts[0]}:a:b:n, got {_echo(text)}")
         a, b, n = _float(parts[1]), _float(parts[2]), _int(parts[3])
         if n < 1:
-            raise ValueError(f"grid needs at least 1 point, got {n}")
+            raise ValueError(f"grid needs at least 1 point, got {echo_int(n)}")
         if parts[0] == "linspace":
             values = linspace(a, b, n)
         elif a <= 0 or b <= 0:
@@ -268,7 +267,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"unknown key {_echo(key)}", lineno)
         try:
             values[key] = _KEYS[key][1](value.strip())
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # a grid bound past float range overflows
             raise ScenarioError(f"invalid value for {key!r}: {exc}", lineno) from None
     scenario = Scenario._make(values.values())
     _check_distinct_outputs(values, seen)

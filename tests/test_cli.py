@@ -649,6 +649,20 @@ def test_json_text_matches_the_reference_serializer(value):
     assert emit.json_text(value) == _reference_json_text(value)
 
 
+def test_json_text_quotes_alike_without_the_json_accelerator():
+    # With _json unimportable, emit falls back to json.encoder's pure-Python
+    # quoting, which must give the same bytes.
+    value = {"ké\"\\\n\x00\x7f": ["\U0001f600 ", "plain"]}
+    code = (
+        "import sys\n{}from gravclock import emit\n"
+        "print(ascii(emit.json_text(eval(sys.argv[1]))), emit._quote.__module__)"
+    )
+    with_c = _fresh_python(code.format(""), repr(value))
+    without = _fresh_python(code.format("sys.modules['_json'] = None\n"), repr(value))
+    assert with_c.stdout == f"{ascii(emit.json_text(value))} _json\n"
+    assert without.stdout == f"{ascii(emit.json_text(value))} json.encoder\n"
+
+
 @settings(max_examples=200)
 @given(_POISONED)
 def test_json_refusal_matches_the_reference_serializer(value):

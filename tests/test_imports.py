@@ -101,3 +101,26 @@ def test_command_does_not_load_pathlib(command, tmp_path):
         "print(code, 'pathlib' in sys.modules)"
     )
     assert _fresh_python(code, "-S") == "0 False"
+
+
+# What the argv parser and the JSON writer do without: the parser reads its
+# option table, and emit quotes strings with the C function of _json.
+_NOT_LOADED = ("argparse", "gettext", "json", "json.decoder", "json.scanner", "json.encoder")
+# Loaded by the cli import itself; a benchmark reads them from sys.modules
+# after a run that needs only some of them.
+_DOMAIN = tuple(f"gravclock.{name}" for name in ("dephasing", "thresholds", "sweep", "systematics"))
+
+
+def test_cli_loads_neither_argparse_nor_the_json_package(tmp_path):
+    code = (
+        "import contextlib, io, sys\n"
+        "import gravclock.cli\n"
+        f"print(sorted(m for m in {_NOT_LOADED!r} if m in sys.modules))\n"
+        "codes = []\n"
+        "for command in ('threshold', 'dephase-curve', 'stability-sweep', 'budget'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        codes.append(gravclock.cli.main([command, '--out', {str(tmp_path / 'o')!r}]))\n"
+        f"print(codes, sorted(m for m in {_NOT_LOADED!r} if m in sys.modules))\n"
+        f"print(all(m in sys.modules for m in {_DOMAIN!r}))"
+    )
+    assert _fresh_python(code, "-S").splitlines() == ["[]", "[0, 0, 0, 0] []", "True"]

@@ -134,6 +134,41 @@ def test_integer_past_the_conversion_limit_is_counted_not_echoed(tmp_path, capsy
     assert "line 1: invalid value for 'dephase.sizes'" in err
 
 
+_NINES = "9" * 4000
+_NEGATIVE = "a negative integer of 4000 digits"
+
+
+@pytest.mark.parametrize(
+    "line, key, shown",
+    [
+        ("sweep.atoms_per_layer = -" + _NINES, "sweep.atoms_per_layer", f"got {_NEGATIVE}"),
+        ("sweep.sizes = -" + _NINES, "sweep.sizes", f"sizes must be >= 1, got {_NEGATIVE}"),
+        ("sweep.phi_l = linspace:0:1:-" + _NINES, "sweep.phi_l", f"1 point, got {_NEGATIVE}"),
+        ("sweep.sizes = logspace:1:-" + _NINES + ":3", "sweep.sizes", f"(1, {_NEGATIVE}, 3)"),
+        ("sweep.sizes = logspace:1:" + "9" * 400 + ":3", "sweep.sizes", "too large"),
+        ("sweep.sizes = logspace:3:2:" + "9" * 81, "sweep.sizes", "2, an integer of 81 digits"),
+    ],
+    ids=["atoms_per_layer", "sizes", "grid_points", "grid_bound", "grid_overflow", "grid_81"],
+)
+def test_refused_long_integer_is_counted_in_one_located_line(tmp_path, capsys, line, key, shown):
+    scenario = tmp_path / "long.cfg"
+    scenario.write_text("# a long integer\n" + line + "\n")
+    assert main(["stability-sweep", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and len(captured.err) < 250
+    assert captured.err.startswith(f"gravclock: error: line 2: invalid value for {key!r}: ")
+    assert shown in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_refused_integer_is_echoed_whole_up_to_80_characters():
+    at_cap, past_cap = "-" + "9" * 79, "-" + "9" * 80
+    with pytest.raises(ScenarioError, match=f"got {at_cap}$"):
+        parse_scenario(f"budget.n_site = {at_cap}\n")
+    with pytest.raises(ScenarioError, match="got a negative integer of 80 digits$"):
+        parse_scenario(f"budget.n_site = {past_cap}\n")
+
+
 def test_refused_text_is_echoed_whole_up_to_80_characters():
     for key, message in (
         ("interrogation.tau", "not a number: {}"),
