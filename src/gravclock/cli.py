@@ -17,11 +17,13 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
+from itertools import chain
 
 from . import __version__, cmdline
 from .core import per_layer_phase_rate, per_layer_sql, qpn_stability
 from .dephasing import Convention, dephase_curve, effective_phase_rate
-from .emit import RUN_RECORD_NAME, csv_text, fmt_float, json_text, run_record, write_outputs
+from .emit import FLOAT, RUN_RECORD_NAME, check_finite, csv_text, fmt_float, fmt_floats
+from .emit import json_text, run_record, write_outputs
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
 from .sweep import sweep
 from .systematics import REFERENCE_INTENSITY_CHANGE, assemble_budget
@@ -85,24 +87,28 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
     consts = scenario.consts_obj()
     phi_g = per_layer_phase_rate(consts, species, scenario.layer_spacing())
 
-    # The t column, phi_l and the convention are the same in every size's
-    # rows, so only ratio and contrast are formatted per row, and each row
-    # is rendered as one line. The convention is applied once per size.
-    phi_l, t_grid = scenario.dephase_phi_l, scenario.dephase_t_grid
-    t_cells = [fmt_float(t) for t in t_grid]
+    # The t cells, formatted once, are joined with each size's row tail into
+    # its template, and its block is one % over its (ratio, contrast) pairs.
+    # The rows whose ratio is None (phi_l t == 0) lead the grid, as |phi_l t|
+    # grows with t; "%.0s" leaves their cell empty, and a None anywhere else
+    # fails the format. The convention is applied once per size.
+    phi_l, t_grid, sizes = scenario.dephase_phi_l, scenario.dephase_t_grid, scenario.dephase_sizes
+    t_cells = fmt_floats(t_grid)
     phi_l_cell, convention = fmt_float(phi_l), scenario.convention.value
-    lines: list[str] = []
-    for n_site in scenario.dephase_sizes:
-        middle = f",{n_site},{phi_l_cell},{convention},"
+    blocks = []
+    for n_site in sizes:
         rate = effective_phase_rate(phi_g, n_site + 1, scenario.convention)
         curve = dephase_curve(phi_l, rate, n_site + 1, t_grid)
-        lines += [
-            f"{t_cell}{middle}{'' if ratio is None else fmt_float(ratio)},{fmt_float(contrast)}"
-            for t_cell, (ratio, contrast) in zip(t_cells, curve)
-        ]
+        empty = next((i for i, (ratio, _) in enumerate(curve) if ratio is not None), len(curve))
+        cells = tuple(chain.from_iterable(curve))
+        check_finite(cells[1 : 2 * empty : 2])
+        check_finite(cells[2 * empty :])
+        tail = f",{n_site},{phi_l_cell},{convention},{FLOAT},{FLOAT}"
+        template = f"{tail}\n".join(t_cells) + tail
+        blocks.append(template.replace(f"{FLOAT},", "%.0s,", empty) % cells)
     header = ["t_s", "n_site", "phi_l", "convention", "ratio", "contrast"]
-    files = {scenario.output_dephase_curve: csv_text(header, lines)}
-    text = f"dephase-curve: {len(lines)} rows ({len(scenario.dephase_sizes)} sizes)\n"
+    files = {scenario.output_dephase_curve: csv_text(header, blocks)}
+    text = f"dephase-curve: {len(t_cells) * len(sizes)} rows ({len(sizes)} sizes)\n"
     return files, [], text
 
 
@@ -128,29 +134,22 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
         "sigma_at_1s",
         "flag",
     ]
-    lines = [
-        ",".join(
-            [
-                family,
-                str(point.size),
-                fmt_float(point.phi_l),
-                convention,
-                fmt_float(point.tau_max_s),
-                fmt_float(point.sigma_at_tau),
-                fmt_float(point.sigma_at_1s),
-                point.flag,
-            ]
-        )
-        for point in points
-    ]
+    # Each phi_l cell is formatted once and written into the row templates,
+    # which repeat per size as the points are size-major; a point's other
+    # cells pass through one % over all points.
+    cells = list(chain.from_iterable(points))
+    del cells[1::6]  # phi_l: size, tau_max_s, sigma_at_tau, sigma_at_1s, flag remain
+    check_finite(cells[1::5], cells[2::5], cells[3::5])
+    phi_l_cells = fmt_floats(scenario.sweep_phi_l)
+    rows = [f"{family},%s,{cell},{convention},{FLOAT},{FLOAT},{FLOAT},%s" for cell in phi_l_cells]
+    text = "\n".join(rows * len(scenario.sweep_sizes)) % tuple(cells)
     flags = [
         f"{family}:{point.size}:phi_l={fmt_float(point.phi_l)}: {point.flag}"
         for point in points
         if point.flag
     ]
-    files = {scenario.output_stability_sweep: csv_text(header, lines)}
-    text = f"stability-sweep: {len(lines)} rows, {len(flags)} flagged\n"
-    return files, flags, text
+    files = {scenario.output_stability_sweep: csv_text(header, [text])}
+    return files, flags, f"stability-sweep: {len(points)} rows, {len(flags)} flagged\n"
 
 
 def _budget_table(budget) -> str:

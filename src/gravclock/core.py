@@ -87,6 +87,7 @@ YB = ClockSpecies(
 _SPECIES_PRESETS = {"Yb": YB}
 
 DEFAULT_PHI_L_GRID: tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+MAX_GRID_POINTS = 10**7  # a larger linspace or logspace grid is refused unbuilt
 DEFAULT_SLAB_ATOMS_PER_LAYER = 10_000
 
 # Natural linewidth of the 3P2 calibration line from its 14 s lifetime;
@@ -229,4 +230,6 @@ def default_size_grid(lo: int = 2, hi: int = 1000, points: int = 40) -> tuple[in
     if lo < 1 or hi < lo or points < 1:
         bounds = ", ".join(map(echo_int, (lo, hi, points)))
         raise ValueError(f"invalid size grid bounds ({bounds})")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"grid needs at most {MAX_GRID_POINTS} points, got {echo_int(points)}")
     return tuple(sorted({round(v) for v in geomspace(lo, hi, points)}))

@@ -1,8 +1,8 @@
 """Bit-stable emission: 17-significant-digit floats, LF-only CSV/JSON, run records.
 
-Identical inputs must produce byte-identical files, so all float formatting
-goes through one function and all structures are written with fixed field
-order and no environment-dependent content.
+Identical inputs must produce byte-identical files, so every float is
+written in the one format FLOAT, singly or in bulk, and all structures are
+written with fixed field order and no environment-dependent content.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import math
 import os
+from typing import Sequence
 
 try:  # the C function behind json.encoder's, without the json package's import
     from _json import encode_basestring_ascii as _quote
@@ -22,14 +23,32 @@ RUN_RECORD_NAME = "run_record.json"
 _CREATE_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
-def fmt_float(value: float) -> str:
-    """17 significant digits: enough to round-trip any IEEE double exactly.
+# 17 significant digits: enough to round-trip any IEEE double exactly.
+FLOAT = "%.17g"
 
-    Refuses inf and nan, which neither JSON nor a scenario file can hold.
+
+def fmt_float(value: float) -> str:
+    """value in FLOAT. Refuses inf and nan, which neither JSON nor a scenario
+    file can hold.
     """
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {value!r}")
-    return f"{value:.17g}"
+    return FLOAT % value
+
+
+def check_finite(*columns) -> None:
+    """fmt_float's refusal of the first value, row by row over zip(*columns),
+    that is not finite; one pass in C per column while every value is."""
+    if not all([all(map(math.isfinite, column)) for column in columns]):
+        for row in zip(*columns):
+            for value in row:
+                fmt_float(value)
+
+
+def fmt_floats(values: Sequence[float]) -> list[str]:
+    """[fmt_float(v) for v in values], through one % over a repeated FLOAT."""
+    check_finite(values)
+    return (f"{FLOAT}\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
 class _Refusal(ValueError):
@@ -99,15 +118,19 @@ def json_text(value) -> str:
         raise ValueError(f"{path or 'value'}: {refusal}") from None
 
 
-def csv_text(header: list[str], lines: list[str]) -> str:
-    """CSV with a mandatory header row; each line is its pre-formatted cells
-    joined by commas. No cell holds a comma, so the commas count the cells.
-    """
+def csv_text(header: list[str], blocks: list[str]) -> str:
+    """CSV with a mandatory header row; a block is rows of pre-formatted cells
+    joined by commas, the rows by newlines. No cell holds either, so each
+    block's commas are counted once against its rows; a wider and a narrower
+    row could cancel, but rows from templates of the header's width, as both
+    CSV commands render, can only be wider."""
     commas = len(header) - 1
-    for line in lines:
-        if line.count(",") != commas:
-            raise ValueError(f"row width {line.count(',') + 1} != header width {len(header)}")
-    return "\n".join([",".join(header), *lines]) + "\n"
+    for block in blocks:
+        if block.count(",") != commas * (block.count("\n") + 1):
+            widths = (line.count(",") + 1 for line in block.split("\n"))
+            width = next(width for width in widths if width != len(header))
+            raise ValueError(f"row width {width} != header width {len(header)}")
+    return "\n".join([",".join(header), *blocks, ""])
 
 
 def sha256_hex(text: str) -> str:

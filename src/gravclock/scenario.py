@@ -21,6 +21,7 @@ from .core import (
     DEFAULT_PHI_L_GRID,
     DEFAULT_SLAB_ATOMS_PER_LAYER,
     ECHO_CAP,
+    MAX_GRID_POINTS,
     P2_NATURAL_LINEWIDTH_HZ,
     ClockSpecies,
     PhysicalConstants,
@@ -126,6 +127,8 @@ def _float_grid(text: str) -> tuple[float, ...]:
         a, b, n = _float(parts[1]), _float(parts[2]), _int(parts[3])
         if n < 1:
             raise ValueError(f"grid needs at least 1 point, got {echo_int(n)}")
+        if n > MAX_GRID_POINTS:
+            raise ValueError(f"grid needs at most {MAX_GRID_POINTS} points, got {echo_int(n)}")
         if parts[0] == "linspace":
             values = linspace(a, b, n)
         elif a <= 0 or b <= 0:

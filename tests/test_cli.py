@@ -673,7 +673,18 @@ def test_json_refusal_matches_the_reference_serializer(value):
     assert str(refused.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("line, width", [("1,2,3,4", 4), ("1,2", 2)], ids=["wider", "narrower"])
+@pytest.mark.parametrize(
+    "line, width",
+    [
+        ("1,2,3,4", 4),
+        ("1,2", 2),
+        ("1,2,3\n1,2,3,4\n5,6,7", 4),
+        ("1,2,3\n1,2\n5,6,7", 2),
+        ("1,2\n1,2,3,4,5", 2),
+        ("1,2,3,4,5\n1,2", 5),
+    ],
+    ids=["wider", "narrower", "wider in block", "narrower in block", "narrower 1st", "wider 1st"],
+)
 def test_csv_text_refuses_a_row_of_another_width(line, width):
     with pytest.raises(ValueError) as excinfo:
         emit.csv_text(["a", "b", "c"], ["x,y,z", line])

@@ -6,6 +6,11 @@ source with ast, without importing the benchmark, and check that every name
 it wraps is still a module-level callable and that its timed calls still run
 and agree with an independent computation.
 
+Its trace wraps cli.csv_text and cli.write_outputs at those module globals
+and encodes every text that write_outputs receives, so both CSV commands
+must assemble their text in one cli.csv_text call and every command must
+hand write_outputs str values.
+
 The benchmark calls assemble_budget() with no arguments, so each budget
 default is written both as a `budget.` scenario key and as a keyword default
 of assemble_budget; the last test keeps the two equal.
@@ -22,6 +27,7 @@ from pathlib import Path
 import pytest
 from layer_sum_oracle import explicit_layer_sum
 
+from gravclock import cli, emit
 from gravclock.core import PhysicalConstants, YB, per_layer_phase_rate
 from gravclock.dephasing import Convention, DephasingInput, bloch_sum, effective_phase_rate
 from gravclock.scenario import Scenario
@@ -29,6 +35,7 @@ from gravclock.systematics import assemble_budget
 from gravclock.thresholds import TauMaxProblem, solve_tau_max
 
 BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 PHI_G = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
 
 
@@ -51,6 +58,50 @@ def test_traced_names_are_module_level_callables():
         if not callable(getattr(importlib.import_module(module), attribute, None))
     ]
     assert not missing
+
+
+# command -> the preset it runs in the tests below
+COMMAND_PRESETS = {
+    "threshold": "threshold",
+    "dephase-curve": "dephase_curve",
+    "stability-sweep": "stability_slab",
+    "budget": "budget",
+}
+
+
+def _run_preset(command: str, out: Path) -> int:
+    scenario = PRESETS / f"{COMMAND_PRESETS[command]}.cfg"
+    return cli.main([command, "--scenario", str(scenario), "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", ["dephase-curve", "stability-sweep"])
+def test_csv_commands_call_csv_text_once(monkeypatch, tmp_path, capsys, command):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return emit.csv_text(*args)
+
+    monkeypatch.setattr(cli, "csv_text", counted)
+    assert _run_preset(command, tmp_path) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", COMMAND_PRESETS)
+def test_write_outputs_receives_only_str(monkeypatch, tmp_path, capsys, command):
+    assert set(COMMAND_PRESETS) == set(cli._COMMANDS)
+    received = []
+
+    def recorded(out_dir, files):
+        received.extend(files.values())
+        return emit.write_outputs(out_dir, files)
+
+    monkeypatch.setattr(cli, "write_outputs", recorded)
+    assert _run_preset(command, tmp_path) == 0
+    assert len(received) >= 2
+    assert all(type(text) is str for text in received)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("m", [101, 1001])

@@ -400,7 +400,11 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "dephase_curve", counting("curves", dephase_curve))
     monkeypatch.setattr(cli, "effective_phase_rate", counting("rates", effective_phase_rate))
     monkeypatch.setattr(dephasing, "dirichlet", counting("dirichlet", dirichlet))
-    monkeypatch.setattr(cli, "fmt_float", counting("fmt_float", emit.fmt_float))
+    # Per row, no Python function formats a float: the t column is formatted
+    # once, and each size's rows through one % over its row template.
+    for module in (cli, emit):
+        monkeypatch.setattr(module, "fmt_float", counting("fmt_float", emit.fmt_float))
+    monkeypatch.setattr(cli, "fmt_floats", counting("fmt_floats", emit.fmt_floats))
     for convention in ("physical", "paper-figure"):
         counts.clear()
         argv = ["dephase-curve", "--scenario", str(preset), "--convention", convention]
@@ -411,5 +415,6 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
         assert counts["summaries"] == 0
         assert counts["rates"] == sizes
         assert counts["dirichlet"] == rows
-        assert counts["fmt_float"] <= 2 * rows + grid + 1
+        assert counts["fmt_float"] <= 1
+        assert counts["fmt_floats"] == 1
     capsys.readouterr()

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gravclock import core, scenario as scenario_module
 from gravclock.cli import main
-from gravclock.core import DEFAULT_PHI_L_GRID, default_size_grid
+from gravclock.core import DEFAULT_PHI_L_GRID, MAX_GRID_POINTS, default_size_grid
 from gravclock.dephasing import Convention
 from gravclock.scenario import (
     Scenario,
@@ -158,6 +159,35 @@ def test_refused_long_integer_is_counted_in_one_located_line(tmp_path, capsys, l
     assert captured.out == "" and captured.err.count("\n") == 1 and len(captured.err) < 250
     assert captured.err.startswith(f"gravclock: error: line 2: invalid value for {key!r}: ")
     assert shown in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, line, key",
+    [
+        ("stability-sweep", "sweep.phi_l = linspace:0:1:1000000000", "sweep.phi_l"),
+        ("dephase-curve", "dephase.t_grid = logspace:1:2:" + "9" * 30, "dephase.t_grid"),
+        ("stability-sweep", "sweep.sizes = logspace:2:1000:1000000000", "sweep.sizes"),
+        ("dephase-curve", "dephase.sizes = logspace:2:1000:10000001", "dephase.sizes"),
+    ],
+    ids=["linspace", "logspace", "sizes", "one_past"],
+)
+def test_grid_past_the_point_limit_is_refused_unbuilt(
+    monkeypatch, tmp_path, capsys, command, line, key
+):
+    def unbuilt(*args):
+        raise AssertionError(f"a grid of {args[-1]} points was built")
+
+    for module in (scenario_module, core):
+        monkeypatch.setattr(module, "geomspace", unbuilt)
+    monkeypatch.setattr(scenario_module, "linspace", unbuilt)
+    scenario = tmp_path / "dense.cfg"
+    scenario.write_text("# a grid past the limit\n" + line + "\n")
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and len(captured.err) < 250
+    assert captured.err.startswith(f"gravclock: error: line 2: invalid value for {key!r}: ")
+    assert f"at most {MAX_GRID_POINTS} points" in captured.err
     assert not (tmp_path / "o").exists()
 
 
