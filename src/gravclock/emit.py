@@ -143,21 +143,30 @@ def write_outputs(out_dir: str, files: dict[str, str]) -> None:
     """Single-writer emission of pre-rendered texts, LF regardless of platform.
 
     Refuses, before writing anything, a target that exists and is not a
-    regular file. Every text goes to a temporary file inside out_dir first;
-    the temporaries then replace their targets, RUN_RECORD_NAME last, so a
-    manifest is only ever written after every file it lists. On any failure
-    the temporary files are removed.
+    regular file; a directory this call made holds none. Every text goes to
+    a temporary file inside out_dir first; the temporaries then replace their
+    targets, RUN_RECORD_NAME last, so a manifest is only ever written after
+    every file it lists. On any failure the temporary files are removed.
     """
-    os.makedirs(out_dir or os.curdir, exist_ok=True)
     targets = {name: os.path.join(out_dir, name) for name in files}
-    for target in targets.values():
+    existing = targets.values()  # the targets that out_dir may already hold
+    try:
+        os.mkdir(out_dir or os.curdir)
+        existing = ()
+    except FileNotFoundError:  # a parent is missing
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError:  # as os.makedirs: EEXIST may yield to EACCES or EROFS
+        if not os.path.isdir(out_dir or os.curdir):
+            raise
+    for target in existing:
         if os.path.lexists(target) and not os.path.isfile(target):
             raise FileExistsError(f"{target} exists and is not a regular file")
     order = sorted(files, key=lambda name: name == RUN_RECORD_NAME)
+    tag = os.urandom(8).hex()
     pending: dict[str, str] = {}
     try:
-        for name in order:
-            temporary = os.path.join(out_dir, f".gravclock-{os.urandom(8).hex()}.tmp")
+        for i, name in enumerate(order):
+            temporary = os.path.join(out_dir, f".gravclock-{tag}-{i}.tmp")
             fd = os.open(temporary, _CREATE_NEW, 0o666)
             pending[name] = temporary
             try:

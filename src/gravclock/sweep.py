@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 from .core import ClockSpecies, PhysicalConstants, per_layer_phase_rate
 from .dephasing import Convention, effective_phase_rate
-from .thresholds import TauMaxProblem, solve_tau_max
+from .thresholds import check_cells, solve_tau_max
 
 FLAG_NON_BRACKETABLE = "non-bracketable"
 FLAG_NON_CONVERGED = "non-converged"
@@ -53,12 +53,13 @@ def sweep(
 
     A cubic size n sums n + 1 layers of n^2 atoms; a slab size n sums n
     layers of atoms_per_layer atoms. The convention is applied once per
-    size, where its layer count meets phi_g. A non-bracketable tau search
-    (laser never limits) yields a flagged point evaluated at the tau cap
-    instead of aborting. A bracketed search whose root finder (Illinois regula falsi
-    with a bisection safeguard) used its 192 steps before narrowing tau_max
-    to 1e-12 relative with the error within 1e-4 of the SQL is flagged
-    non-converged.
+    size, where its layer count meets phi_g. Each size and the phi_l grid
+    are checked once (check_cells); cells go to solve_tau_max as plain
+    tuples. A non-bracketable tau search (laser never limits) yields a
+    flagged point evaluated at the tau cap instead of aborting. A bracketed
+    search whose root finder (Illinois regula falsi with a bisection
+    safeguard) used its 192 steps before narrowing tau_max to 1e-12 relative
+    with the error within 1e-4 of the SQL is flagged non-converged.
     """
     if family not in ("cubic", "slab"):
         raise ValueError(f"family must be 'cubic' or 'slab', got {family!r}")
@@ -79,9 +80,10 @@ def sweep(
                 " or atom count out of float range"
             )
         rate = effective_phase_rate(phi_g, layer_count, convention)
+        check_cells(layer_count, atoms, phi_l_grid[:1] if points else phi_l_grid, rate)
         root_atoms = math.sqrt(atoms)
         for phi_l in phi_l_grid:
-            result = solve_tau_max(TauMaxProblem(layer_count, atoms, phi_l, rate))
+            result = solve_tau_max((layer_count, atoms, phi_l, rate))
             flag = "" if result.converged else (
                 FLAG_NON_CONVERGED if result.bracketed else FLAG_NON_BRACKETABLE
             )

@@ -78,6 +78,19 @@ def decoherence_atom_count(n: int) -> int:
     return n * n * (n + 1)
 
 
+def check_cells(layer_count: int, atoms_per_layer: int, phi_l_grid, phi_g: float) -> None:
+    """TauMaxProblem(layer_count, atoms_per_layer, phi_l, phi_g)'s refusals, phi_l by phi_l."""
+    for phi_l in phi_l_grid:
+        if layer_count < 1:
+            raise ValueError(f"layer_count must be >= 1, got {layer_count}")
+        if atoms_per_layer < 1:
+            raise ValueError(f"atoms_per_layer must be >= 1, got {atoms_per_layer}")
+        if not (phi_l >= 0 and math.isfinite(phi_l)):
+            raise ValueError(f"phi_l must be >= 0 and finite, got {phi_l!r}")
+        if not (phi_g >= 0 and math.isfinite(phi_g)):
+            raise ValueError(f"phi_g must be >= 0 and finite, got {phi_g!r}")
+
+
 class TauMaxProblem(namedtuple("TauMaxProblem", "layer_count atoms_per_layer phi_l phi_g")):
     """Ensemble and laser for the maximum-interrogation-time search.
 
@@ -90,14 +103,7 @@ class TauMaxProblem(namedtuple("TauMaxProblem", "layer_count atoms_per_layer phi
     __slots__ = ()
 
     def __new__(cls, layer_count: int, atoms_per_layer: int, phi_l: float, phi_g: float):
-        if layer_count < 1:
-            raise ValueError(f"layer_count must be >= 1, got {layer_count}")
-        if atoms_per_layer < 1:
-            raise ValueError(f"atoms_per_layer must be >= 1, got {atoms_per_layer}")
-        if not (phi_l >= 0 and math.isfinite(phi_l)):
-            raise ValueError(f"phi_l must be >= 0 and finite, got {phi_l!r}")
-        if not (phi_g >= 0 and math.isfinite(phi_g)):
-            raise ValueError(f"phi_g must be >= 0 and finite, got {phi_g!r}")
+        check_cells(layer_count, atoms_per_layer, (phi_l,), phi_g)
         return super().__new__(cls, layer_count, atoms_per_layer, phi_l, phi_g)
 
     # namedtuple's _make, and so _replace, would skip __new__ and its checks.
@@ -137,17 +143,22 @@ class TauMaxResult(NamedTuple):
     criterion: str
 
 
-def _error_function(problem: TauMaxProblem):
-    """(error, t_end, first_step, criterion): the dephasing error at one t,
-    relative to the nominal phase, the first time it reaches 1, and the
-    search's closed-form first step.
+def _error(m: int, phi_l: float, rate: float, t: float) -> float:
+    """The dephasing error at t relative to the nominal phase; rate is phi_g'.
 
     For phi_l > 0: |1 - ratio| with dephasing.phase_ratio's ratio =
-    phi_eff / (phi_l t), where problem.phi_g is phi_g'. Where phi_l t = 0,
-    and always for phi_l = 0, the nominal phase vanishes and phi_eff is
-    identically zero by the k <-> -k symmetry, so the criterion is the
-    contrast loss 1 - |D_m| / m, the phi_l -> 0 limit of the ratio form
-    wherever D_m >= 0, as on [0, t_end].
+    phi_eff / (phi_l t). Where phi_l t = 0, and always for phi_l = 0, the
+    nominal phase vanishes and phi_eff is identically zero by the k <-> -k
+    symmetry, so the criterion is the contrast loss 1 - |D_m| / m, the
+    phi_l -> 0 limit of the ratio form wherever D_m >= 0, as on [0, t_end].
+    """
+    ratio, d = phase_ratio(m, phi_l, rate, t)
+    return 1.0 - abs(d) / m if ratio is None else abs(1.0 - ratio)
+
+
+def _bracket(m: int, atoms: int, phi_l: float, rate: float) -> tuple[float, float, float]:
+    """(thr, t_end, first_step): the per-layer SQL 1/sqrt(atoms), the first
+    time _error reaches 1, and the search's closed-form first step.
 
     t_end = min(pi / phi_l, 2 pi / (m phi_g')), the first term only for
     phi_l > 0 and the second only for m > 1 and phi_g' > 0 (D_1 = 1 never
@@ -157,8 +168,7 @@ def _error_function(problem: TauMaxProblem):
     (m^2 - 1) theta^2 / 24 = thr, each under the same condition as its
     t_end term. Both are inf when neither term applies.
     """
-    m, phi_l, rate = problem.layer_count, problem.phi_l, problem.phi_g
-    thr = problem.threshold
+    thr = 1.0 / math.sqrt(atoms)
     t_end = first_step = math.inf
     if phi_l:
         t_end = math.pi / phi_l
@@ -167,19 +177,15 @@ def _error_function(problem: TauMaxProblem):
         # Divided in turn: m phi_g' and m^2 can overflow.
         t_end = min(t_end, math.tau / m / rate)
         first_step = min(first_step, math.sqrt(24.0 * thr / (m - 1) / (m + 1)) / rate)
-
-    def error(t: float) -> float:
-        ratio, d = phase_ratio(m, phi_l, rate, t)
-        return 1.0 - abs(d) / m if ratio is None else abs(1.0 - ratio)
-
-    return error, t_end, first_step, "contrast" if phi_l == 0.0 else "phase-ratio"
+    return thr, t_end, first_step
 
 
 def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     """Largest tau with dephasing error at or below the per-layer SQL.
 
-    The error rises monotonically from 0 to 1 on [0, t_end] (t_end as in
-    _error_function). With theta = phi_g' t, a = phi_l t and c = D_m / m:
+    problem is a TauMaxProblem or the same four values, already checked
+    (check_cells). The error, _error, rises monotonically from 0 to 1 on
+    [0, t_end] (_bracket). With theta = phi_g' t, a = phi_l t and c = D_m / m:
     (1) c is the mean of the cos(k theta) over |k| <= (m-1)/2. On theta in
     [0, 2 pi / m] each term is non-increasing, and c >= 0 with c = 0 at
     2 pi / m. (2) For c in [0, 1], h(a) = asin(c sin a) is concave on
@@ -202,7 +208,7 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     falsi step stays half the width tolerance inside the bracket. As a
     safeguard, the step after two steps in a row that each failed to halve
     the bracket bisects it; bisection steps leave the Illinois bookkeeping
-    alone. The first step goes instead to _error_function's closed-form
+    alone. The first step goes instead to _bracket's closed-form
     root estimate, if strictly inside the bracket. It takes a falsi step's
     place and counts like one toward the safeguard, so the step budget
     holds. The search converges once the bracket is no wider than 1e-12 of
@@ -210,11 +216,12 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     gives up after 192 steps.
     Deterministic: no grid, no randomness.
     """
-    error, t_end, guess, criterion = _error_function(problem)
-    thr = problem.threshold
+    m, _, phi_l, rate = problem
+    thr, t_end, guess = _bracket(*problem)
+    criterion = "contrast" if phi_l == 0.0 else "phase-ratio"
     if t_end > TAU_CAP_S:
         tau = TAU_CAP_S
-        e_tau = error(tau)
+        e_tau = _error(m, phi_l, rate, tau)
         if not e_tau > thr:
             return TauMaxResult(tau, e_tau, thr, False, False, criterion)
     elif thr < 1.0:
@@ -222,7 +229,8 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     else:  # one atom per layer: thr = 1 = error(t_end)
         bracketed = criterion == "phase-ratio"
         tau = t_end if bracketed else TAU_CAP_S
-        return TauMaxResult(tau, error(tau), thr, bracketed, bracketed, criterion)
+        e_tau = _error(m, phi_l, rate, tau)
+        return TauMaxResult(tau, e_tau, thr, bracketed, bracketed, criterion)
     root_thr = math.sqrt(thr)
     lo, hi = 0.0, tau
     # error(0) = 0: no dephasing before any time has passed.
@@ -247,7 +255,7 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
             tau = step if falsi else lo + 0.5 * width
         else:
             tau, falsi = lo + 0.5 * width, False
-        e_tau = error(tau)
+        e_tau = _error(m, phi_l, rate, tau)
         # The contrast form 1 - |D| / m can round to just below 0.
         f_tau = (math.sqrt(e_tau) if e_tau > 0.0 else 0.0) - root_thr
         if e_tau > thr:

@@ -1099,3 +1099,71 @@ def test_write_outputs_replaces_a_symlink_to_a_file_with_a_file(tmp_path):
     assert not (out / "a.txt").is_symlink()
     assert (out / "a.txt").read_bytes() == _TEXTS["a.txt"].encode("utf-8")
     assert elsewhere.read_text() == "kept\n"
+
+
+class _CountingOs:
+    """A module's view of os, or of os.path under the prefix "path.", that
+    records the name of every function called through it."""
+
+    def __init__(self, calls: list[str], module=os, prefix: str = ""):
+        self._calls, self._module, self._prefix = calls, module, prefix
+
+    def __getattr__(self, name):
+        value = getattr(self._module, name)
+        if name == "path":
+            return _CountingOs(self._calls, value, "path.")
+        if not callable(value):
+            return value
+
+        def counted(*args, **kwargs):
+            self._calls.append(self._prefix + name)
+            return value(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("where", ["fresh", "nested", "existing"])
+def test_write_outputs_system_calls(tmp_path, monkeypatch, where):
+    # A fresh directory is created by one mkdir and holds no target to look
+    # up; all files share one random tag, and each costs one open, write,
+    # close and replace. Missing parents fall back to makedirs, and an
+    # existing directory keeps the check of every target.
+    out = tmp_path / "a" / "b" / "out" if where == "nested" else tmp_path / "out"
+    if where == "existing":
+        out.mkdir()
+    calls: list[str] = []
+    monkeypatch.setattr(emit, "os", _CountingOs(calls))
+    emit.write_outputs(str(out), _TEXTS)
+    n = len(_TEXTS)
+    kept = {"mkdir", "makedirs", "path.lexists", "path.isfile", "path.isdir", "urandom"}
+    expected = {
+        "fresh": ["mkdir", "urandom"],
+        "nested": ["mkdir", "makedirs"] + ["path.lexists"] * n + ["urandom"],
+        "existing": ["mkdir", "path.isdir"] + ["path.lexists"] * n + ["urandom"],
+    }[where]
+    assert [call for call in calls if call in kept] == expected
+    for name in ("open", "write", "close", "replace"):
+        assert calls.count(name) == n, name
+    assert "unlink" not in calls
+    assert read_tree(out) == {name: _TEXTS[name].encode("utf-8") for name in sorted(_TEXTS)}
+
+
+@pytest.mark.parametrize("kind", ["file", "dangling symlink", "file as parent"])
+def test_write_outputs_refuses_an_out_that_is_not_a_directory(tmp_path, kind):
+    # The mkdir that makes a fresh --out fails as os.makedirs does, and
+    # nothing is written.
+    blocker = tmp_path / "out"
+    if kind == "dangling symlink":
+        blocker.symlink_to(tmp_path / "missing")
+    else:
+        blocker.write_text("kept\n")
+    out = blocker / "sub" if kind == "file as parent" else blocker
+    error, message = (
+        (NotADirectoryError, "Not a directory")
+        if kind == "file as parent"
+        else (FileExistsError, r"^\[Errno 17\] File exists: ")
+    )
+    with pytest.raises(error, match=message):
+        emit.write_outputs(str(out), _TEXTS)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert kind == "dangling symlink" or blocker.read_text() == "kept\n"

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gravclock import sweep as sweep_module
 from gravclock.core import (
     DEFAULT_PHI_L_GRID,
     DEFAULT_SLAB_ATOMS_PER_LAYER,
@@ -212,3 +214,54 @@ def test_split_requires_ascending_sizes():
 def test_sweep_rejects_unknown_family():
     with pytest.raises(ValueError, match="cubic' or 'slab'"):
         yb_sweep("pyramid", (5,), (1e-3,))
+
+
+_SIZE_OVERFLOW = (
+    "sweep.sizes: a cubic ensemble of size 1.000e+400 has a layer or atom count out of float range"
+)
+_PHI_L = "phi_l must be >= 0 and finite, got "
+_PHI_G = "phi_g must be >= 0 and finite, got "
+
+
+@pytest.mark.parametrize(
+    "family, sizes, grid, atoms_per_layer, spacing, rate, solved, message",
+    [
+        ("cubic", (2, 5), (1e-3, -1.0), 1, None, None, 0, _PHI_L + "-1.0"),
+        ("cubic", (2,), (math.nan,), 1, None, None, 0, _PHI_L + "nan"),
+        ("slab", (2,), (0.0, math.inf), 9, None, None, 0, _PHI_L + "inf"),
+        ("slab", (2, 3), (1e-3,), 0, None, None, 0, "atoms_per_layer must be >= 1, got 0"),
+        ("slab", (0,), (1e-3,), 9, None, None, 0, "layer_count must be >= 1, got 0"),
+        ("cubic", (2,), (1e-3,), 1, -1e-6, None, 0, _PHI_G + "-"),
+        ("cubic", (2,), (1e-3,), 1, None, math.nan, 0, _PHI_G + "nan"),
+        ("cubic", (2,), (1e-3,), 1, None, math.inf, 0, _PHI_G + "inf"),
+        # A size that overflows is named before a bad phi_l, and a bad phi_l
+        # before a later size that overflows, as cell-by-cell checks order them.
+        ("cubic", (10**400, 2), (-1.0,), 1, None, None, 0, _SIZE_OVERFLOW),
+        ("cubic", (2, 10**400), (-1.0,), 1, None, None, 0, _PHI_L + "-1.0"),
+        ("cubic", (2, 10**400), (1e-3, 0.0), 1, None, None, 2, _SIZE_OVERFLOW),
+    ],
+)
+def test_sweep_refuses_before_solving_a_bad_cell(
+    monkeypatch, family, sizes, grid, atoms_per_layer, spacing, rate, solved, message
+):
+    # Each refusal keeps the message TauMaxProblem gives the first bad cell,
+    # and comes before that cell, or any after it, is solved. A negative
+    # layer spacing gives a negative phi_g'; rate stands in for a non-finite one.
+    cells = []
+    real_solve = sweep_module.solve_tau_max
+
+    def counted(cell):
+        cells.append(cell)
+        return real_solve(cell)
+
+    monkeypatch.setattr(sweep_module, "solve_tau_max", counted)
+    if rate is not None:
+        monkeypatch.setattr(sweep_module, "per_layer_phase_rate", lambda *args: rate)
+    spacing = YB.default_layer_spacing if spacing is None else spacing
+    error = OverflowError if message is _SIZE_OVERFLOW else ValueError
+    with pytest.raises(error, match="^" + re.escape(message)):
+        sweep(
+            family, sizes, grid, Convention.PHYSICAL, atoms_per_layer, YB,
+            PhysicalConstants(), spacing,
+        )
+    assert len(cells) == solved

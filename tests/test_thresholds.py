@@ -160,6 +160,17 @@ def _reference_bracket(errors, thr):
     return None
 
 
+def _error_at(problem):
+    """thresholds._error of problem as a function of t alone."""
+    m, _, phi_l, rate = problem
+    return lambda t: thresholds._error(m, phi_l, rate, t)
+
+
+def _t_end(problem):
+    """The end of problem's bracket, where its error reaches 1."""
+    return thresholds._bracket(*problem)[1]
+
+
 def _problem(layer_count, atoms_per_layer, phi_l, phi_g, convention):
     """The TauMaxProblem whose phi_g' is the per-layer phi_g under convention."""
     rate = effective_phase_rate(phi_g, layer_count, convention)
@@ -185,7 +196,7 @@ _PROBLEMS = st.builds(
 def test_root_lies_in_the_full_scan_bracket(problem):
     # A converged tau lies in the bracket of the plain scan and meets the
     # residual tolerance.
-    error, _, _, _ = thresholds._error_function(problem)
+    error = _error_at(problem)
     i = _reference_bracket([error(t) for t in _SCAN_GRID], problem.threshold)
     result = solve_tau_max(problem)
     assert result.bracketed == (i is not None)
@@ -216,7 +227,7 @@ def _asin_rounding(problem, t):
 def test_error_rises_from_0_to_1_on_the_bracket(problem, fractions):
     # The monotonicity that makes [0, t_end] a bracket, on sorted samples, up
     # to rounding; and error(t_end) = 1 wherever t_end is finite.
-    error, t_end, _, _ = thresholds._error_function(problem)
+    error, t_end = _error_at(problem), _t_end(problem)
     assume(t_end < math.inf)
     times = sorted(f * t_end for f in fractions) + [t_end]
     errors = [error(t) for t in times]
@@ -253,7 +264,7 @@ def _oracle_points(seed):
         phi_g = 10 ** rng.uniform(-10.0, 0.0)
         phi_l = rng.choice([0.0, 5e-324, 10 ** rng.uniform(-8.0, 0.0), 0.5 * m * phi_g])
         problem = _problem(m, 100, phi_l, phi_g, rng.choice(list(Convention)))
-        _, t_end, _, _ = thresholds._error_function(problem)
+        t_end = _t_end(problem)
         t_top = t_end if t_end < math.inf else 1e9
         # Half the points past the fold, phi_l t > pi / 2, where it is in reach.
         low = 0.5 if phi_l and rng.random() < 0.5 and t_top == t_end else 0.0
@@ -267,7 +278,7 @@ def test_error_matches_the_explicit_layer_sum(seed):
     # phase-ratio points past the arcsine fold.
     past_fold = 0
     for problem, t in _oracle_points(seed):
-        error, _, _, _ = thresholds._error_function(problem)
+        error = _error_at(problem)
         want, tolerance = _oracle_error(problem, t)
         assert abs(error(t) - want) <= tolerance, (problem, t)
         past_fold += problem.phi_l * t > 0.5 * math.pi
@@ -289,7 +300,7 @@ def test_single_atom_layers_end_at_t_end(problem, bracketed):
     # With one atom per layer the threshold is 1, which the error reaches at
     # t_end. Only the phase ratio exceeds it there (it turns negative past
     # t_end), so tau = t_end exactly; the contrast loss never exceeds 1.
-    error, t_end, _, _ = thresholds._error_function(problem)
+    error, t_end = _error_at(problem), _t_end(problem)
     result = solve_tau_max(problem)
     assert problem.threshold == 1.0
     assert (result.bracketed, result.converged) == (bracketed, bracketed)
@@ -301,20 +312,15 @@ def test_single_atom_layers_end_at_t_end(problem, bracketed):
     assert result.error_at_tau == error(result.tau_s)
 
 
-def _counting_solver(monkeypatch, error_function=thresholds._error_function):
+def _counting_solver(monkeypatch, error=thresholds._error):
     """solve_tau_max, also returning the error evaluations it made."""
     calls = []
 
-    def counted_function(problem):
-        error, t_end, first_step, criterion = error_function(problem)
+    def counted(m, phi_l, rate, t):
+        calls.append(t)
+        return error(m, phi_l, rate, t)
 
-        def counted(t):
-            calls.append(t)
-            return error(t)
-
-        return counted, t_end, first_step, criterion
-
-    monkeypatch.setattr(thresholds, "_error_function", counted_function)
+    monkeypatch.setattr(thresholds, "_error", counted)
 
     def solve(problem):
         calls.clear()
@@ -331,15 +337,15 @@ def test_safeguard_converges_where_illinois_stalls(monkeypatch):
     # halving alone would need ~1,000 steps to cross. A floor of -1e-16
     # where it is flat stands for a contrast loss 1 - |D| / m that rounds
     # below 0, which must not break the square root of the error.
+    # With phi_l = phi_g' = 0, _bracket gives t_end and the first step inf.
+    problem = TauMaxProblem(3, 4, 0.0, 0.0)
     for floor in (0.0, -1e-16):
 
-        def stalling(problem):
-            thr = problem.threshold
-            rising = lambda t: thr * math.exp(min(700.0, 1e5 * (t / 60.0 - 1.0))) + floor
-            return rising, math.inf, math.inf, "stall"
+        def stalling(m, phi_l, rate, t, thr=problem.threshold, floor=floor):
+            return thr * math.exp(min(700.0, 1e5 * (t / 60.0 - 1.0))) + floor
 
         solve = _counting_solver(monkeypatch, stalling)
-        result, evaluations = solve(TauMaxProblem(3, 4, 0.0, 0.0))
+        result, evaluations = solve(problem)
         assert result.bracketed and result.converged
         assert result.tau_s == pytest.approx(60.0, rel=1e-9)
         # One evaluation at the cap, then the root finder: the safeguard's 64
@@ -349,17 +355,30 @@ def test_safeguard_converges_where_illinois_stalls(monkeypatch):
 
 
 def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
-    # Every error evaluation per bracketed cell, the bracket's included; and
-    # phi_g' is resolved once per size by the sweep, never by the search.
+    # Every error evaluation per bracketed cell, the bracket's included;
+    # phi_g' is resolved once per size by the sweep, never by the search; and
+    # each cell is one call of gravclock.sweep.solve_tau_max on plain values,
+    # with no TauMaxProblem built.
     solve = _counting_solver(monkeypatch)
     counts = []
+    solved = []
+    built = []
     rates = {"sweep": 0, "thresholds": 0}
 
     def counted_solve(problem):
+        solved.append(problem)
         result, evaluations = solve(problem)
         if result.bracketed:
             counts.append(evaluations)
         return result
+
+    build = TauMaxProblem.__new__
+
+    def counted_build(cls, *args):
+        built.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(TauMaxProblem, "__new__", staticmethod(counted_build))
 
     def counted_rate(module):
         def counted(*args):
@@ -379,7 +398,8 @@ def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
             assert main(argv + ["--convention", convention, "--out", str(out)]) == 0
             assert rates == {"sweep": 37, "thresholds": 0}  # 37 sizes x 5 phi_l
     capsys.readouterr()
-    assert len(counts) == 4 * 185
+    assert len(solved) == len(counts) == 4 * 185
+    assert built == [] and all(type(cell) is tuple for cell in solved)
     assert sum(counts) / len(counts) <= 8.5
     assert max(counts) <= 1 + thresholds._ROOT_MAX_STEPS
 
@@ -460,9 +480,6 @@ def test_error_takes_the_contrast_limit_where_phi_l_t_underflows():
     # A subnormal phi_l times t < 1 rounds to 0, and times a larger t stays
     # subnormal, too few digits for sin and asin; the ratio form's limit there
     # is the contrast loss, which phi_l = 0 uses.
-    tiny, zero = (
-        thresholds._error_function(TauMaxProblem(101, 100, phi_l, PHI_G))[0]
-        for phi_l in (5e-324, 0.0)
-    )
+    tiny, zero = (_error_at(TauMaxProblem(101, 100, phi_l, PHI_G)) for phi_l in (5e-324, 0.0))
     for t in (0.25, 3.0, 1e3):
         assert tiny(t) == zero(t) > 0.0
