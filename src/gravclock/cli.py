@@ -20,8 +20,8 @@ import sys
 from itertools import chain
 
 from . import __version__, cmdline
-from .core import per_layer_phase_rate, per_layer_sql, qpn_stability
-from .dephasing import Convention, dephase_curve, effective_phase_rate
+from .core import CONVENTIONS, per_layer_phase_rate, per_layer_sql, qpn_stability
+from .dephasing import dephase_curve, effective_phase_rate
 from .emit import FLOAT, RUN_RECORD_NAME, check_finite, csv_text, fmt_float, fmt_floats
 from .emit import json_text, run_record, write_outputs
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
@@ -49,12 +49,12 @@ def _run_threshold(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
 
     document = {
         "species": species.name,
-        "convention": scenario.convention.value,
+        "convention": scenario.convention,
         "tau_s": tau,
         "layer_spacing_m": spacing,
     }
     lines = [
-        f"convention      {scenario.convention.value}",
+        f"convention      {scenario.convention}",
         f"tau             {fmt_float(tau)} s",
     ]
     for (name, note), n_star in zip(_THRESHOLD_NOTES.items(), sizes):
@@ -94,10 +94,10 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
     # fails the format. The convention is applied once per size.
     phi_l, t_grid, sizes = scenario.dephase_phi_l, scenario.dephase_t_grid, scenario.dephase_sizes
     t_cells = fmt_floats(t_grid)
-    phi_l_cell, convention = fmt_float(phi_l), scenario.convention.value
+    phi_l_cell, convention = fmt_float(phi_l), scenario.convention
     blocks = []
     for n_site in sizes:
-        rate = effective_phase_rate(phi_g, n_site + 1, scenario.convention)
+        rate = effective_phase_rate(phi_g, n_site + 1, convention)
         curve = dephase_curve(phi_l, rate, n_site + 1, t_grid)
         empty = next((i for i, (ratio, _) in enumerate(curve) if ratio is not None), len(curve))
         cells = tuple(chain.from_iterable(curve))
@@ -113,12 +113,12 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
 
 
 def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
-    family, convention = scenario.sweep_family, scenario.convention.value
+    family, convention = scenario.sweep_family, scenario.convention
     points = sweep(
         family,
         scenario.sweep_sizes,
         scenario.sweep_phi_l,
-        scenario.convention,
+        convention,
         scenario.sweep_atoms_per_layer,
         scenario.species_obj(),
         scenario.consts_obj(),
@@ -189,7 +189,7 @@ def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
         **conditions,
     )
     document = {
-        "convention": scenario.convention.value,
+        "convention": scenario.convention,
         "n_site": scenario.budget_n_site,
         "signal": {
             "delta_z_m": budget.delta_z,
@@ -278,7 +278,6 @@ def _report(line: str) -> None:
         _emit(sys.stderr, "stderr", line + "\n")
 
 
-_CONVENTIONS = tuple(convention.value for convention in Convention)
 # option -> (metavar, choices, help), a None metavar marking a flag. Every
 # command takes every option; cmdline reads argv and renders --help from
 # this table and _COMMANDS.
@@ -286,8 +285,8 @@ _OPTIONS = {
     "--scenario": ("FILE", None, "scenario file (defaults apply)"),
     "--out": ("DIR", None, "output directory"),
     "--convention": (
-        "{" + ",".join(_CONVENTIONS) + "}",
-        _CONVENTIONS,
+        "{" + ",".join(CONVENTIONS) + "}",
+        CONVENTIONS,
         "override the scenario's phase-rate convention",
     ),
     "--allow-flags": (
@@ -310,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario, scenario_text = _load_scenario(options.get("--scenario"))
         if "--convention" in options:
-            scenario = scenario._replace(convention=Convention.from_wire(options["--convention"]))
+            scenario = scenario._replace(convention=options["--convention"])
             scenario_text = serialize_scenario(scenario)
         runner, _ = _COMMANDS[command]
         files, flags, text = runner(scenario)

@@ -6,8 +6,10 @@ dimensionless. Atom counts are exact Python integers. The grid helpers
 (linspace, geomspace, default_size_grid) and the defaults of a run (the sweep
 grids, the budget's calibration linewidth and wall-disk radius) live here too,
 so that every module that needs them, the scenario key table included,
-imports them from this leaf module. So does ECHO_CAP, the length up to which
-a refusal repeats the text or integer it refuses.
+imports them from this leaf module. So do ECHO_CAP, the length up to which
+a refusal repeats the text or integer it refuses, with echo and echo_int that
+cut it there, and the two phase-rate conventions, which are their scenario
+text: CONVENTIONS lists them, and dephasing applies them.
 """
 
 from __future__ import annotations
@@ -19,12 +21,45 @@ from collections import namedtuple
 ECHO_CAP = 80  # the characters of a refused text or integer that its message repeats
 
 
+def echo(text: str) -> str:
+    """repr(text), or past ECHO_CAP characters the repr of that prefix and the length."""
+    if len(text) <= ECHO_CAP:
+        return repr(text)
+    return f"{text[:ECHO_CAP]!r}... ({len(text)} characters)"
+
+
 def echo_int(value: int) -> str:
     """str(value), or past ECHO_CAP characters the count of its digits."""
     text = str(value)
     if len(text) <= ECHO_CAP:
         return text
     return f"{'a negative' if value < 0 else 'an'} integer of {len(text.lstrip('-'))} digits"
+
+
+class Convention:
+    """How the supplied per-layer gravitational rate enters the layer sum.
+
+    PHYSICAL applies phi_g per layer as given. PAPER_FIGURE scales phi_g by
+    the number of layer gaps (layer_count - 1) before summation, treating the
+    given rate as if it were the full top-to-bottom span rate. The two are
+    kept side by side because the reference datasets this package reproduces
+    disagree by exactly that factor; every emitted record carries the tag. A
+    convention is its scenario text, so compare with ==, never with is.
+    """
+
+    PHYSICAL = "physical"
+    PAPER_FIGURE = "paper-figure"
+
+
+CONVENTIONS = (Convention.PHYSICAL, Convention.PAPER_FIGURE)
+
+
+def check_convention(text: str) -> str:
+    """text, if it is one of CONVENTIONS; refused otherwise."""
+    if text not in CONVENTIONS:
+        options = ", ".join(CONVENTIONS)
+        raise ValueError(f"unknown convention {echo(text)}; expected one of: {options}")
+    return text
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -107,7 +142,7 @@ def species_by_name(name: str) -> ClockSpecies:
         return _SPECIES_PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(_SPECIES_PRESETS))
-        raise ValueError(f"unknown species {name!r}; built-in presets: {known}") from None
+        raise ValueError(f"unknown species {echo(name)}; built-in presets: {known}") from None
 
 
 # The scenario keys behind g dh/c^2, named when it leaves float range.

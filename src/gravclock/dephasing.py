@@ -9,15 +9,18 @@ over layers is kept only in the tests, as the oracle for the kernel.
 phase_ratio is the one production form of the clamped arcsine ratio: each
 dephase_curve row and each tau_max error is built from it. bloch_sum, the
 full BlochSummary of one point, forms the same by its own float operations.
+effective_phase_rate is where a phase-rate convention, one of the strings in
+core.CONVENTIONS, turns phi_g into the phi_g' that the layer sums take.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
+
+from .core import Convention, check_convention
 
 # pi = _PI_HI + _PI_LO to ~1e-26, with j * _PI_HI exact for |j| < 2**20.
 _PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
@@ -31,35 +34,13 @@ PHI_G_KEYS = (
 )
 
 
-class Convention(enum.Enum):
-    """How the supplied per-layer gravitational rate enters the layer sum.
-
-    PHYSICAL applies phi_g per layer as given. PAPER_FIGURE scales phi_g by
-    the number of layer gaps (layer_count - 1) before summation, treating the
-    given rate as if it were the full top-to-bottom span rate. The two are
-    kept side by side because the reference datasets this package reproduces
-    disagree by exactly that factor; every emitted record carries the tag.
-    """
-
-    PHYSICAL = "physical"
-    PAPER_FIGURE = "paper-figure"
-
-    @classmethod
-    def from_wire(cls, text: str) -> "Convention":
-        for member in cls:
-            if member.value == text:
-                return member
-        options = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown convention {text!r}; expected one of: {options}")
-
-
-def effective_phase_rate(phi_g: float, layer_count: int, convention: Convention) -> float:
+def effective_phase_rate(phi_g: float, layer_count: int, convention: str) -> float:
     """Convention-adjusted per-layer rate phi_g' [rad/s], refused out of float range.
 
     This is the one place a convention is applied: the layer sums below take
-    phi_g' itself.
+    phi_g' itself. A convention outside core.CONVENTIONS is refused.
     """
-    if convention is Convention.PHYSICAL:
+    if check_convention(convention) == Convention.PHYSICAL:
         return phi_g
     rate = phi_g * (layer_count - 1) if layer_count <= sys.float_info.max else math.inf
     if not abs(rate) < math.inf:

@@ -20,18 +20,19 @@ from .core import (
     DEFAULT_BBR_DISK_RADIUS,
     DEFAULT_PHI_L_GRID,
     DEFAULT_SLAB_ATOMS_PER_LAYER,
-    ECHO_CAP,
     MAX_GRID_POINTS,
     P2_NATURAL_LINEWIDTH_HZ,
     ClockSpecies,
+    Convention,
     PhysicalConstants,
+    check_convention,
     default_size_grid,
+    echo,
     echo_int,
     geomspace,
     linspace,
     species_by_name,
 )
-from .dephasing import Convention
 from .emit import RUN_RECORD_NAME, fmt_float
 
 
@@ -44,20 +45,13 @@ class ScenarioError(ValueError):
         super().__init__(prefix + message)
 
 
-def _echo(text: str) -> str:
-    """repr(text), or past ECHO_CAP characters the repr of that prefix and the length."""
-    if len(text) <= ECHO_CAP:
-        return repr(text)
-    return f"{text[:ECHO_CAP]!r}... ({len(text)} characters)"
-
-
 def _float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"not a number: {_echo(text)}") from None
+        raise ValueError(f"not a number: {echo(text)}") from None
     if not math.isfinite(value):
-        raise ValueError(f"must be finite: {_echo(text)}")
+        raise ValueError(f"must be finite: {echo(text)}")
     return value
 
 
@@ -70,7 +64,7 @@ def _int(text: str) -> int:
         limit = getattr(sys, "get_int_max_str_digits", int)()
         if 0 < limit < digits:
             raise ValueError(f"not an integer of at most {limit} digits: {digits} digits") from None
-        raise ValueError(f"not an integer: {_echo(text)}") from None
+        raise ValueError(f"not an integer: {echo(text)}") from None
 
 
 def _positive(text: str) -> float:
@@ -107,7 +101,7 @@ def _sizes(text: str) -> tuple[int, ...]:
     if text.startswith("logspace:"):
         parts = text.split(":")
         if len(parts) != 4:
-            raise ValueError(f"expected logspace:lo:hi:n, got {_echo(text)}")
+            raise ValueError(f"expected logspace:lo:hi:n, got {echo(text)}")
         return default_size_grid(_int(parts[1]), _int(parts[2]), _int(parts[3]))
     values = tuple(_int(v.strip()) for v in text.split(","))
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -123,7 +117,7 @@ def _float_grid(text: str) -> tuple[float, ...]:
     if text.startswith("linspace:") or text.startswith("logspace:"):
         parts = text.split(":")
         if len(parts) != 4:
-            raise ValueError(f"expected {parts[0]}:a:b:n, got {_echo(text)}")
+            raise ValueError(f"expected {parts[0]}:a:b:n, got {echo(text)}")
         a, b, n = _float(parts[1]), _float(parts[2]), _int(parts[3])
         if n < 1:
             raise ValueError(f"grid needs at least 1 point, got {echo_int(n)}")
@@ -152,24 +146,17 @@ def _times(text: str) -> tuple[float, ...]:
 
 def _family(text: str) -> str:
     if text not in ("cubic", "slab"):
-        raise ValueError(f"must be cubic or slab, got {_echo(text)}")
+        raise ValueError(f"must be cubic or slab, got {echo(text)}")
     return text
 
 
 def _file_name(text: str) -> str:
     """An output name: a plain file name, so every output lands inside --out."""
     if text in ("", ".", "..") or "/" in text or "\\" in text:
-        raise ValueError(f"must be a plain file name without a directory, got {_echo(text)}")
+        raise ValueError(f"must be a plain file name without a directory, got {echo(text)}")
     if text == RUN_RECORD_NAME:
         raise ValueError(f"{RUN_RECORD_NAME!r} is reserved for the run manifest")
     return text
-
-
-def _convention(text: str) -> Convention:
-    try:
-        return Convention.from_wire(text)
-    except ValueError as exc:  # formed where _echo cannot be imported
-        raise ValueError(str(exc).replace(repr(text), _echo(text), 1)) from None
 
 
 # scenario key -> (default, parser of its text value), in serialization order
@@ -179,7 +166,7 @@ _KEYS = {
     "species.magic_wavelength": (None, _positive),
     "constants.g": (9.80665, _positive),
     "constants.c": (2.99792458e8, _positive),
-    "convention": (Convention.PHYSICAL, _convention),
+    "convention": (Convention.PHYSICAL, check_convention),
     "geometry.layer_spacing": (None, _positive),
     "interrogation.tau": (30.0, _positive),
     "interrogation.xi_w_sq": (1.0, _fraction),
@@ -260,14 +247,14 @@ def parse_scenario(text: str) -> Scenario:
         if not line:
             continue
         if "=" not in line:
-            raise ScenarioError(f"expected key = value, got {_echo(raw.strip())}", lineno)
+            raise ScenarioError(f"expected key = value, got {echo(raw.strip())}", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
         if key in seen:
             raise ScenarioError(f"duplicate key {key!r} (first at line {seen[key]})", lineno)
         seen[key] = lineno
         if key not in _KEYS:
-            raise ScenarioError(f"unknown key {_echo(key)}", lineno)
+            raise ScenarioError(f"unknown key {echo(key)}", lineno)
         try:
             values[key] = _KEYS[key][1](value.strip())
         except (ValueError, OverflowError) as exc:  # a grid bound past float range overflows
@@ -277,8 +264,7 @@ def parse_scenario(text: str) -> Scenario:
     try:
         scenario.species_obj()
     except ValueError as exc:
-        why = str(exc).replace(repr(scenario.species), _echo(scenario.species), 1)
-        raise ScenarioError(f"invalid value for 'species': {why}", seen.get("species")) from None
+        raise ScenarioError(f"invalid value for 'species': {exc}", seen.get("species")) from None
     return scenario
 
 
@@ -290,7 +276,7 @@ def _check_distinct_outputs(values: dict[str, object], seen: dict[str, int]) -> 
         name = values[key]
         if name in owners:
             raise ScenarioError(
-                f"invalid value for {key!r}: {_echo(name)} is already the name of"
+                f"invalid value for {key!r}: {echo(name)} is already the name of"
                 f" {owners[name]!r}",
                 seen.get(key),
             )
@@ -302,8 +288,6 @@ def _format(value) -> str:
         return ",".join(_format(v) for v in value)
     if isinstance(value, float):
         return fmt_float(value)
-    if isinstance(value, Convention):
-        return value.value
     return str(value)
 
 

@@ -15,7 +15,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .core import ClockSpecies, PhysicalConstants, per_layer_phase_rate
-from .dephasing import Convention, effective_phase_rate
+from .dephasing import effective_phase_rate
 from .thresholds import check_cells, solve_tau_max
 
 FLAG_NON_BRACKETABLE = "non-bracketable"
@@ -43,7 +43,7 @@ def sweep(
     family: str,
     sizes: Sequence[int],
     phi_l_grid: Sequence[float],
-    convention: Convention,
+    convention: str,
     atoms_per_layer: int,
     species: ClockSpecies,
     consts: PhysicalConstants,

@@ -16,7 +16,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
-from .dephasing import Convention, effective_phase_rate, phase_ratio
+from .dephasing import effective_phase_rate, phase_ratio
 
 TAU_CAP_S = 1e9
 # The safeguard halves the bracket at least every 3 steps, and 64 halvings
@@ -110,17 +110,12 @@ class TauMaxProblem(namedtuple("TauMaxProblem", "layer_count atoms_per_layer phi
     _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
-    def cubic(cls, n_site: int, phi_l: float, convention: Convention) -> "TauMaxProblem":
+    def cubic(cls, n_site: int, phi_l: float, convention: str) -> "TauMaxProblem":
         """A Yb cube of side n_site: n_site + 1 layers of n_site^2 atoms."""
         if n_site < 1:
             raise ValueError(f"n_site must be >= 1, got {n_site}")
         rate = effective_phase_rate(_YB_PHI_G, n_site + 1, convention)
         return cls(n_site + 1, n_site * n_site, phi_l, rate)
-
-    @property
-    def threshold(self) -> float:
-        """Per-layer SQL phase: 1/sqrt(atoms_per_layer) rad."""
-        return 1.0 / math.sqrt(self.atoms_per_layer)
 
 
 class TauMaxResult(NamedTuple):

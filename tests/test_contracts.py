@@ -153,6 +153,16 @@ def test_timed_tau_max_cell_is_the_paper_figure_cube():
     assert TauMaxProblem.cubic(200, 1e-2, Convention.PAPER_FIGURE) == problem
 
 
+def test_timed_tau_max_cell_is_the_same_from_deck_text():
+    # A deck gives the convention as scenario text, equal to but not the
+    # constant that the benchmark's timed call passes.
+    paper_figure = TauMaxProblem.cubic(200, 1e-2, Convention.PAPER_FIGURE)
+    assert TauMaxProblem.cubic(200, 1e-2, "paper-figure") == paper_figure
+    physical = TauMaxProblem.cubic(200, 1e-2, Convention.PHYSICAL)
+    assert TauMaxProblem.cubic(200, 1e-2, "physical") == physical
+    assert physical.phi_g == PHI_G
+
+
 def test_budget_with_no_arguments_agrees_with_closed_form():
     assert assemble_budget().intensity.closed_form_agrees
 

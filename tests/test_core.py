@@ -39,6 +39,17 @@ def test_yb_preset():
         species_by_name("Sr")
 
 
+def test_unknown_species_is_echoed_up_to_80_characters():
+    with pytest.raises(ValueError) as excinfo:
+        species_by_name("x" * 80)
+    assert str(excinfo.value) == f"unknown species {'x' * 80!r}; built-in presets: Yb"
+    with pytest.raises(ValueError) as excinfo:
+        species_by_name("x" * 81)
+    message = str(excinfo.value)
+    assert message == f"unknown species {'x' * 80!r}... (81 characters); built-in presets: Yb"
+    assert len(message) < 250
+
+
 def test_redshift_one_centimeter():
     # 1 cm of height corresponds to a 1.09e-18 fractional shift.
     assert relative_redshift(CONSTS, 0.01) == pytest.approx(1.09e-18, rel=5e-3)

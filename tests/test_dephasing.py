@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from layer_sum_oracle import explicit_dirichlet, explicit_layer_sum
 
 from gravclock import cli, dephasing, emit
-from gravclock.core import PhysicalConstants, YB, per_layer_phase_rate
+from gravclock.core import CONVENTIONS, PhysicalConstants, YB, per_layer_phase_rate
 from gravclock.dephasing import (
     BlochSummary,
     Convention,
@@ -25,6 +25,10 @@ from gravclock.scenario import parse_scenario
 
 PHI_G = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
+# Each convention, its test id naming its constant.
+BY_CONVENTION = pytest.mark.parametrize(
+    "convention", CONVENTIONS, ids=["Convention.PHYSICAL", "Convention.PAPER_FIGURE"]
+)
 
 
 def make_input(phi_l, phi_g, layer_count, t):
@@ -37,11 +41,15 @@ def bloch_row(phi_l, m, t, convention):
     return summary.ratio, summary.length / m
 
 
-def test_convention_wire_names():
-    assert Convention.from_wire("physical") is Convention.PHYSICAL
-    assert Convention.from_wire("paper-figure") is Convention.PAPER_FIGURE
-    with pytest.raises(ValueError):
-        Convention.from_wire("florp")
+def test_effective_rate_compares_conventions_by_value():
+    # A convention parsed from a file is an equal string, not the constant itself.
+    assert effective_phase_rate(2.0, 11, "".join(["phys", "ical"])) == 2.0
+    assert effective_phase_rate(2.0, 11, "".join(["paper-", "figure"])) == 20.0
+    with pytest.raises(ValueError) as excinfo:
+        effective_phase_rate(2.0, 11, "florp")
+    assert str(excinfo.value) == (
+        "unknown convention 'florp'; expected one of: physical, paper-figure"
+    )
 
 
 def test_effective_rate_scaling():
@@ -94,7 +102,7 @@ def test_fig1_point_under_physical_convention():
 def test_ratio_even_in_phi_g():
     # Sign flip of phi_g mirrors the layer stack; the kernel takes |theta|,
     # so the results match exactly.
-    for convention in Convention:
+    for convention in CONVENTIONS:
         rate = effective_phase_rate(PHI_G, 77, convention)
         a = bloch_sum(make_input(3e-4, rate, 77, 55.0))
         b = bloch_sum(make_input(3e-4, -rate, 77, 55.0))
@@ -249,7 +257,7 @@ def test_small_angle_ratio_is_the_limit_of_the_ratio_form(m, theta, a):
     assert abs(math.asin(x) / a - d / m) <= 2 * math.ulp(d / m)
 
 
-@pytest.mark.parametrize("convention", list(Convention))
+@BY_CONVENTION
 def test_subnormal_laser_phase_takes_the_small_angle_ratio(convention):
     # phi_l t is subnormal on every row but t = 0, where sin and asin would
     # round the ratio to 1: each row is bloch_sum's, with ratio D / m.
@@ -317,7 +325,7 @@ def test_dephase_curve_matches_single_evaluation():
     assert rows == [(direct.ratio, direct.length / 501)]
 
 
-@pytest.mark.parametrize("convention", list(Convention))
+@BY_CONVENTION
 @pytest.mark.parametrize("m", [1, 2, 101, 2001])
 def test_dephase_curve_equals_bloch_sum_per_point(convention, m):
     phi_l = 1e-2

@@ -41,7 +41,7 @@ def test_submodule_import_binds_the_module():
     [
         ("gravclock", ["gravclock"]),
         ("gravclock.core", ["gravclock", "gravclock.core"]),
-        ("gravclock.dephasing", ["gravclock", "gravclock.dephasing"]),
+        ("gravclock.dephasing", ["gravclock", "gravclock.core", "gravclock.dephasing"]),
     ],
 )
 def test_leaf_modules_load_nothing_else(module, loaded):
@@ -49,12 +49,11 @@ def test_leaf_modules_load_nothing_else(module, loaded):
 
 
 def test_scenario_loads_no_domain_module():
-    # The key table reads its defaults from core, so parsing a scenario loads
-    # neither the solvers nor the budget.
+    # The key table reads its defaults, and the phase-rate conventions, from
+    # core, so parsing a scenario loads no solver, layer sum or budget.
     assert _loaded_after("import gravclock.scenario") == [
         "gravclock",
         "gravclock.core",
-        "gravclock.dephasing",
         "gravclock.emit",
         "gravclock.scenario",
     ]

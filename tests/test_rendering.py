@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gravclock import cli, emit
-from gravclock.dephasing import Convention
+from gravclock.core import CONVENTIONS, Convention
 from gravclock.scenario import Scenario
 
 _NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
@@ -49,7 +49,7 @@ def _reference_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[s
 
     phi_l, t_grid = scenario.dephase_phi_l, scenario.dephase_t_grid
     t_cells = [fmt_float(t) for t in t_grid]
-    phi_l_cell, convention = fmt_float(phi_l), scenario.convention.value
+    phi_l_cell, convention = fmt_float(phi_l), scenario.convention
     lines: list[str] = []
     for n_site in scenario.dephase_sizes:
         middle = f",{n_site},{phi_l_cell},{convention},"
@@ -68,7 +68,7 @@ def _reference_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[s
 def _reference_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
     """The previous stability-sweep renderer: one formatted line per point."""
     fmt_float = _reference_fmt_float
-    family, convention = scenario.sweep_family, scenario.convention.value
+    family, convention = scenario.sweep_family, scenario.convention
     points = cli.sweep(
         family,
         scenario.sweep_sizes,
@@ -118,7 +118,7 @@ def _increasing(values) -> tuple[float, ...]:
     return tuple(sorted(set(values)))
 
 
-_CONVENTIONS = st.sampled_from(list(Convention))
+_CONVENTIONS = st.sampled_from(CONVENTIONS)
 # A laser phase phi_l t that is 0 everywhere, underflows over the grid's
 # leading rows (a subnormal phi_l), or passes the arcsine fold at pi/2.
 _PHI_L = st.one_of(

@@ -8,8 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from gravclock import core, scenario as scenario_module
 from gravclock.cli import main
-from gravclock.core import DEFAULT_PHI_L_GRID, MAX_GRID_POINTS, default_size_grid
-from gravclock.dephasing import Convention
+from gravclock.core import (
+    CONVENTIONS,
+    DEFAULT_PHI_L_GRID,
+    MAX_GRID_POINTS,
+    Convention,
+    default_size_grid,
+)
 from gravclock.scenario import (
     Scenario,
     ScenarioError,
@@ -23,7 +28,7 @@ PRESETS = Path(__file__).resolve().parent.parent / "presets"
 def test_minimal_scenario_fills_defaults():
     scenario = parse_scenario("species = Yb\nbudget.n_site = 100\n")
     assert scenario.constants_g == 9.80665
-    assert scenario.convention is Convention.PHYSICAL
+    assert scenario.convention == Convention.PHYSICAL
     assert scenario.budget_n_site == 100
     assert scenario.geometry_layer_spacing is None
     assert scenario.layer_spacing() == pytest.approx(759.356e-9 / 2, rel=1e-15)
@@ -218,14 +223,14 @@ def test_refused_text_is_echoed_whole_up_to_80_characters():
 
 
 def test_convention_parse():
-    assert parse_scenario("convention = paper-figure\n").convention is Convention.PAPER_FIGURE
+    assert parse_scenario("convention = paper-figure\n").convention == Convention.PAPER_FIGURE
     with pytest.raises(ScenarioError, match="convention"):
         parse_scenario("convention = sideways\n")
 
 
 def _random_scenario(rng: random.Random) -> Scenario:
     scenario = Scenario(
-        convention=rng.choice(list(Convention)),
+        convention=rng.choice(CONVENTIONS),
         interrogation_tau=rng.uniform(1e-3, 1e3),
         interrogation_xi_w_sq=rng.uniform(1e-6, 1.0),
         dephase_phi_l=rng.uniform(0.0, 1e-2),
@@ -280,7 +285,7 @@ def _scenarios(draw, **overrides) -> Scenario:
         "species_magic_wavelength": override,
         "constants_g": _POSITIVE,
         "constants_c": _POSITIVE,
-        "convention": st.sampled_from(Convention),
+        "convention": st.sampled_from(CONVENTIONS),
         "geometry_layer_spacing": st.none() | _POSITIVE,
         "interrogation_tau": _POSITIVE,
         "interrogation_xi_w_sq": st.floats(0.0, 1.0, exclude_min=True),
@@ -344,7 +349,7 @@ def test_cubic_stability_preset_matches_default_grids():
     assert scenario.sweep_family == "cubic"
     assert scenario.sweep_sizes == default_size_grid()
     assert scenario.sweep_phi_l == DEFAULT_PHI_L_GRID
-    assert scenario.convention is Convention.PAPER_FIGURE
+    assert scenario.convention == Convention.PAPER_FIGURE
 
 
 def test_dephase_preset_matches_reference_grid():

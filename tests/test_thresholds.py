@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from gravclock import sweep as sweep_module, thresholds
 from gravclock.cli import main
-from gravclock.core import PhysicalConstants, YB, geomspace, per_layer_phase_rate
+from gravclock.core import CONVENTIONS, PhysicalConstants, YB, geomspace, per_layer_phase_rate
 from gravclock.dephasing import Convention, dirichlet, effective_phase_rate
 from gravclock.thresholds import (
     TauMaxProblem,
@@ -133,7 +133,7 @@ def test_tau_max_zero_phi_l_uses_contrast_criterion():
     # equals the per-layer SQL.
     m = problem.layer_count
     loss = 1.0 - math.hypot(*explicit_layer_sum(0.0, problem.phi_g, m, result.tau_s)) / m
-    assert loss == pytest.approx(problem.threshold, rel=1e-3)
+    assert loss == pytest.approx(result.threshold, rel=1e-3)
 
 
 def test_bisection_out_of_iterations_is_not_converged(monkeypatch):
@@ -183,7 +183,7 @@ _PROBLEMS = st.builds(
     atoms_per_layer=st.one_of(st.integers(1, 10**6), st.integers(1, 10**44)),
     phi_l=st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e)),
     phi_g=st.one_of(st.just(PHI_G), st.just(0.0), st.floats(-12.0, 2.0).map(lambda e: 10.0**e)),
-    convention=st.sampled_from(Convention),
+    convention=st.sampled_from(CONVENTIONS),
 )
 
 
@@ -197,7 +197,8 @@ def test_root_lies_in_the_full_scan_bracket(problem):
     # A converged tau lies in the bracket of the plain scan and meets the
     # residual tolerance.
     error = _error_at(problem)
-    i = _reference_bracket([error(t) for t in _SCAN_GRID], problem.threshold)
+    threshold = 1.0 / math.sqrt(problem.atoms_per_layer)
+    i = _reference_bracket([error(t) for t in _SCAN_GRID], threshold)
     result = solve_tau_max(problem)
     assert result.bracketed == (i is not None)
     if result.converged:
@@ -263,7 +264,7 @@ def _oracle_points(seed):
         m = round(10 ** rng.uniform(0.0, 4.0))
         phi_g = 10 ** rng.uniform(-10.0, 0.0)
         phi_l = rng.choice([0.0, 5e-324, 10 ** rng.uniform(-8.0, 0.0), 0.5 * m * phi_g])
-        problem = _problem(m, 100, phi_l, phi_g, rng.choice(list(Convention)))
+        problem = _problem(m, 100, phi_l, phi_g, rng.choice(CONVENTIONS))
         t_end = _t_end(problem)
         t_top = t_end if t_end < math.inf else 1e9
         # Half the points past the fold, phi_l t > pi / 2, where it is in reach.
@@ -302,7 +303,7 @@ def test_single_atom_layers_end_at_t_end(problem, bracketed):
     # t_end), so tau = t_end exactly; the contrast loss never exceeds 1.
     error, t_end = _error_at(problem), _t_end(problem)
     result = solve_tau_max(problem)
-    assert problem.threshold == 1.0
+    assert result.threshold == 1.0
     assert (result.bracketed, result.converged) == (bracketed, bracketed)
     if bracketed:
         assert result.tau_s == t_end
@@ -341,7 +342,7 @@ def test_safeguard_converges_where_illinois_stalls(monkeypatch):
     problem = TauMaxProblem(3, 4, 0.0, 0.0)
     for floor in (0.0, -1e-16):
 
-        def stalling(m, phi_l, rate, t, thr=problem.threshold, floor=floor):
+        def stalling(m, phi_l, rate, t, thr=1.0 / math.sqrt(4), floor=floor):
             return thr * math.exp(min(700.0, 1e5 * (t / 60.0 - 1.0))) + floor
 
         solve = _counting_solver(monkeypatch, stalling)
@@ -421,7 +422,7 @@ def _family_tau(family, size, phi_l, convention, atoms_per_layer):
     size=st.integers(1, 1500),
     step=st.integers(1, 300),
     phi_l=_PHI_L,
-    convention=st.sampled_from(Convention),
+    convention=st.sampled_from(CONVENTIONS),
     atoms_per_layer=st.integers(1, 10**5),
 )
 def test_tau_max_monotone_in_size_property(
@@ -438,7 +439,7 @@ def test_tau_max_monotone_in_size_property(
     size=st.integers(1, 1500),
     phi_l=_PHI_L,
     decades=st.floats(0.0, 2.0),
-    convention=st.sampled_from(Convention),
+    convention=st.sampled_from(CONVENTIONS),
     atoms_per_layer=st.integers(1, 10**5),
 )
 def test_tau_max_monotone_in_phi_l_property(
@@ -461,8 +462,9 @@ def test_tau_max_contrast_limit_continuity():
 
 def test_tau_max_slab_uses_atoms_per_layer_threshold():
     problem = _problem(50, 10_000, 1e-4, PHI_G, Convention.PAPER_FIGURE)
-    assert problem.threshold == pytest.approx(0.01)
-    assert solve_tau_max(problem).bracketed
+    result = solve_tau_max(problem)
+    assert result.threshold == pytest.approx(0.01)
+    assert result.bracketed
 
 
 def test_problem_validation():
