@@ -57,9 +57,9 @@ def sweep(
     are checked once (check_cells); cells go to solve_tau_max as plain
     tuples. A non-bracketable tau search (laser never limits) yields a
     flagged point evaluated at the tau cap instead of aborting. A bracketed
-    search whose root finder (Illinois regula falsi with a bisection
-    safeguard) used its 192 steps before narrowing tau_max to 1e-12 relative
-    with the error within 1e-4 of the SQL is flagged non-converged.
+    search whose root finder (secant steps with a bisection schedule) used
+    its 192 steps before narrowing tau_max to 1e-12 relative with the error
+    within 1e-4 of the SQL is flagged non-converged.
     """
     if family not in ("cubic", "slab"):
         raise ValueError(f"family must be 'cubic' or 'slab', got {family!r}")
@@ -68,6 +68,7 @@ def sweep(
             f"sweep.atoms_per_layer = {_magnitude(atoms_per_layer)} is out of float range"
         )
     phi_g = per_layer_phase_rate(consts, species, layer_spacing)
+    omega0 = species.omega0
     points = []
     for size in sizes:
         if family == "cubic":
@@ -83,12 +84,13 @@ def sweep(
         check_cells(layer_count, atoms, phi_l_grid[:1] if points else phi_l_grid, rate)
         root_atoms = math.sqrt(atoms)
         for phi_l in phi_l_grid:
-            result = solve_tau_max((layer_count, atoms, phi_l, rate))
-            flag = "" if result.converged else (
-                FLAG_NON_CONVERGED if result.bracketed else FLAG_NON_BRACKETABLE
+            tau, _, _, bracketed, converged, _, _ = solve_tau_max(
+                (layer_count, atoms, phi_l, rate)
             )
-            tau = result.tau_s
-            denominator = species.omega0 * tau * root_atoms
+            flag = "" if converged else (
+                FLAG_NON_CONVERGED if bracketed else FLAG_NON_BRACKETABLE
+            )
+            denominator = omega0 * tau * root_atoms
             sigma_at_tau = 1.0 / denominator if denominator else math.inf
             sigma_at_1s = sigma_at_tau * math.sqrt(tau)
             if not max(sigma_at_tau, sigma_at_1s) < math.inf:

@@ -5,7 +5,7 @@ must be before the gravitational phase spread across it reaches the quantum
 projection noise (closed-form algebra). solve_tau_max asks how long a given
 ensemble can be interrogated before the dephasing-induced error in the
 measured phase reaches the per-layer standard quantum limit (a closed-form
-bracket, then Illinois regula falsi with a bisection safeguard on the
+bracket and first step, then secant steps with a bisection schedule on the
 layer-sum model).
 """
 
@@ -19,14 +19,17 @@ from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
 from .dephasing import effective_phase_rate, phase_ratio
 
 TAU_CAP_S = 1e9
-# The safeguard halves the bracket at least every 3 steps, and 64 halvings
-# narrow [0, hi] below _ROOT_REL_TOL * tau wherever hi / tau <= 2^64 * 1e-12
-# ~ 1.8e7. hi / tau <= K = max(pi, 1.61 / sqrt(threshold)), since at t = hi / K
+# The search bisects whenever the bracket is wider than hi 2^(31.5 - k / 2)
+# after k steps, hi its first width; the first 64 steps are free of it. Any
+# other step keeps the bracket no wider and a bisection halves it, so by
+# induction it is at most hi 2^(32 - k / 2) wide: after 192 steps 2^-64 hi,
+# below _ROOT_REL_TOL * tau wherever hi / tau <= 2^64 * 1e-12 ~ 1.8e7.
+# hi / tau <= K = max(pi, 1.61 / sqrt(threshold)), since at t = hi / K
 # the error is at most (1 - c) tan(a) / a < (pi^2 / 6) tan(1) / K^2 <= threshold
 # (a <= pi / K <= 1, theta <= 2 pi / (m K), 1 - c <= (m^2 - 1) theta^2 / 24).
 # That covers every threshold >= 7.6e-15; below ~1e-12 the error's rounding
 # (~1e-16) misses _RESIDUAL_REL_TOL anyway.
-_ROOT_MAX_STEPS = 3 * 64
+_ROOT_MAX_STEPS = 192
 _ROOT_REL_TOL = 1e-12
 _RESIDUAL_REL_TOL = 1e-4
 # The phi_g of TauMaxProblem.cubic: Yb at its magic-wavelength spacing [rad/s].
@@ -128,6 +131,8 @@ class TauMaxResult(NamedTuple):
     both its width and residual tolerances; it is False for an unbracketed
     search and for one that ran out of steps. criterion records whether the
     phase-ratio error or the phi_l = 0 contrast fallback was used.
+    evaluations counts the error evaluations the search made, the one at
+    TAU_CAP_S included; no output file reads it.
     """
 
     tau_s: float
@@ -136,6 +141,7 @@ class TauMaxResult(NamedTuple):
     bracketed: bool
     converged: bool
     criterion: str
+    evaluations: int
 
 
 def _error(m: int, phi_l: float, rate: float, t: float) -> float:
@@ -151,28 +157,47 @@ def _error(m: int, phi_l: float, rate: float, t: float) -> float:
     return 1.0 - abs(d) / m if ratio is None else abs(1.0 - ratio)
 
 
-def _bracket(m: int, atoms: int, phi_l: float, rate: float) -> tuple[float, float, float]:
-    """(thr, t_end, first_step): the per-layer SQL 1/sqrt(atoms), the first
-    time _error reaches 1, and the search's closed-form first step.
+def _bracket(m: int, atoms: int, phi_l: float, rate: float) -> tuple[float, float, float, bool]:
+    """(thr, t_end, first_step, wrap): the per-layer SQL 1/sqrt(atoms), the
+    first time _error reaches 1, the search's closed-form first step, and
+    whether the phase-wrap root set it.
 
     t_end = min(pi / phi_l, 2 pi / (m phi_g')), the first term only for
     phi_l > 0 and the second only for m > 1 and phi_g' > 0 (D_1 = 1 never
     vanishes): there the laser phase reaches pi or D_m its first zero, and
-    error(t_end) = 1. first_step is the smaller of the phase-wrap point,
-    pi / a - 1 = 1 - thr, and the small-angle dephasing root,
-    (m^2 - 1) theta^2 / 24 = thr, each under the same condition as its
-    t_end term. Both are inf when neither term applies.
+    error(t_end) = 1. With s = (m^2 - 1) phi_g'^2 / 24 (0 without the second
+    term), first_step is the dephasing root where that term applies and it
+    falls at a = phi_l t < 1.2 (always for phi_l = 0), else the phase-wrap
+    root for phi_l > 0, else inf. The dephasing root solves 1 - c =
+    (m^2 - 1) theta^2 / 24 (1 - (3 m^2 - 7) theta^2 / 240) = thr to second
+    order, then for phi_l > 0 once more with thr a / tan(a) in place of
+    thr, as the phase ratio's error is about (1 - c) tan(a) / a. Near the
+    fold, with b = pi / 2 - a, the error is about (sqrt(2 (1 - c) + b^2) -
+    b) / a, which is thr where 1 - c = thr a (b + thr a / 2); with 1 - c =
+    s t^2 that gives the phase-wrap root pi / ((2 - thr) phi_l +
+    2 s / (thr phi_l)), exact for s = 0, as past the fold the error of
+    layers in phase (c = 1) is (2 a - pi) / a.
     """
     thr = 1.0 / math.sqrt(atoms)
     t_end = first_step = math.inf
-    if phi_l:
-        t_end = math.pi / phi_l
-        first_step = math.pi * (1.0 + 0.5 * thr) / (2.0 * phi_l)
+    s = 0.0  # 1 - c ~ s t^2
     if m > 1 and rate:
         # Divided in turn: m phi_g' and m^2 can overflow.
-        t_end = min(t_end, math.tau / m / rate)
-        first_step = min(first_step, math.sqrt(24.0 * thr / (m - 1) / (m + 1)) / rate)
-    return thr, t_end, first_step
+        t_end = math.tau / m / rate
+        scale = 24.0 / (m - 1) / (m + 1)
+        bend = 0.3 - scale / 60.0  # (3 m^2 - 7) / (10 (m^2 - 1))
+        first_step = math.sqrt(scale * thr / (1.0 - bend * thr)) / rate
+        a = phi_l * first_step
+        if 0.0 < a < 1.2:
+            loss = thr * (a / math.tan(a))
+            first_step = math.sqrt(scale * loss / (1.0 - bend * loss)) / rate
+        s = rate * rate * (m - 1) * (m + 1) / 24.0
+    wrap = phi_l > 0.0 and not phi_l * first_step < 1.2
+    if phi_l:
+        t_end = min(t_end, math.pi / phi_l)
+    if wrap:
+        first_step = math.pi / ((2.0 - thr) * phi_l + 2.0 * s / thr / phi_l)
+    return thr, t_end, first_step, wrap
 
 
 def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
@@ -196,78 +221,85 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     1 = error(t_end): a phase ratio turns negative past t_end, so its error
     exceeds 1 and tau = t_end exactly, while the contrast loss never does.
 
-    Regula falsi with the Illinois modification (Dowell & Jarratt, BIT 11,
-    168, 1971) then runs on f = sqrt(error) - sqrt(threshold), which has the
-    same root and is nearly linear in t where the error grows as t^2: where
-    two falsi steps in a row keep the same end, its value is halved. A
-    falsi step stays half the width tolerance inside the bracket. As a
-    safeguard, the step after two steps in a row that each failed to halve
-    the bracket bisects it; bisection steps leave the Illinois bookkeeping
-    alone. The first step goes instead to _bracket's closed-form
-    root estimate, if strictly inside the bracket. It takes a falsi step's
-    place and counts like one toward the safeguard, so the step budget
-    holds. The search converges once the bracket is no wider than 1e-12 of
-    its lower end and the last error is within 1e-4 of the threshold, and
-    gives up after 192 steps.
-    Deterministic: no grid, no randomness.
+    The first step goes to _bracket's closed-form root estimate, if strictly
+    inside the bracket. Secant steps through the last two points follow, on
+    a function with the error's root that is nearly linear in t near it:
+    error - threshold where the phase-wrap root set the first step, as near
+    the fold the error grows about linearly (as 2 - pi / a past it), and
+    otherwise sqrt(error) - sqrt(threshold), as the error grows as t^2. The
+    first anchor is the far end of the bracket for the former and the origin
+    (error(0) = 0) for the latter. A secant step that leaves the bracket is
+    a regula falsi step instead. Every step stays half the width tolerance
+    inside the bracket, whose ends are the last points on either side: a
+    step that would move less than that crosses the root by exactly that
+    much, so that the next evaluation closes the bracket. A step at least
+    half as long as the one before last bisects instead (Brent's rule), and
+    so does any step while the bracket is wider than hi 2^(31.5 - k / 2)
+    after k steps, hi its first upper end, which keeps the step budget
+    (_ROOT_MAX_STEPS). The search converges once the bracket is no wider
+    than 1e-12 of its lower end and the last error is within 1e-4 of the
+    threshold, and gives up after 192 steps. Deterministic: no grid, no
+    randomness.
     """
     m, _, phi_l, rate = problem
-    thr, t_end, guess = _bracket(*problem)
+    thr, t_end, guess, wrap = _bracket(*problem)
     criterion = "contrast" if phi_l == 0.0 else "phase-ratio"
+    evaluations = 0
     if t_end > TAU_CAP_S:
-        tau = TAU_CAP_S
+        tau, evaluations = TAU_CAP_S, 1
         e_tau = _error(m, phi_l, rate, tau)
         if not e_tau > thr:
-            return TauMaxResult(tau, e_tau, thr, False, False, criterion)
+            return TauMaxResult(tau, e_tau, thr, False, False, criterion, 1)
     elif thr < 1.0:
         tau, e_tau = t_end, 1.0
     else:  # one atom per layer: thr = 1 = error(t_end)
         bracketed = criterion == "phase-ratio"
         tau = t_end if bracketed else TAU_CAP_S
         e_tau = _error(m, phi_l, rate, tau)
-        return TauMaxResult(tau, e_tau, thr, bracketed, bracketed, criterion)
-    root_thr = math.sqrt(thr)
+        return TauMaxResult(tau, e_tau, thr, bracketed, bracketed, criterion, 1)
+    target = thr if wrap else math.sqrt(thr)
     lo, hi = 0.0, tau
     # error(0) = 0: no dephasing before any time has passed.
-    f_lo, f_hi = -root_thr, math.sqrt(e_tau) - root_thr
+    f_lo, f_hi = -target, (e_tau if wrap else math.sqrt(e_tau)) - target
+    # The secant runs through (x0, f0) and the last point (x1, f1), an end of
+    # the bracket; before the first step, (x1, f1) is the anchor.
+    x0, f0, x1, f1 = (lo, f_lo, hi, f_hi) if wrap else (hi, f_hi, lo, f_lo)
     guess = guess if lo < guess < hi else 0.0  # 0: no estimate step
-    # The end the last falsi step kept (-1 lo, 1 hi, 0 none yet), and the
-    # steps in a row that failed to halve the bracket.
-    kept = slow = 0
+    width, allowed = hi, hi * 2.0**31.5
+    last = before_last = math.inf  # step lengths
+    residual_tol = _RESIDUAL_REL_TOL * thr
     converged = False
-    width, residual_tol = hi - lo, _RESIDUAL_REL_TOL * thr
-    for _ in range(_ROOT_MAX_STEPS):
+    for evaluations in range(evaluations + 1, evaluations + 1 + _ROOT_MAX_STEPS):
         if guess:
-            tau, falsi, guess = guess, False, 0.0
-        elif slow < 2:
-            # Held inside the bracket by half the width tolerance, so that
-            # a step beside an end already at the root crosses the root.
+            tau, guess = guess, 0.0
+        elif width > allowed:
+            tau = lo + 0.5 * width
+        else:
+            tau = x1 - f1 * ((x1 - x0) / (f1 - f0)) if f1 != f0 else x1
+            if not lo < tau < hi:
+                tau = lo + width * (f_lo / (f_lo - f_hi)) if f_lo != f_hi else lo
+            # Half the width tolerance inside: the step that closes the bracket.
             margin = 0.5 * _ROOT_REL_TOL * lo
             low, high = lo + margin, hi - margin
-            step = lo + width * (f_lo / (f_lo - f_hi))
-            step = low if step < low else high if step > high else step
-            falsi = lo < step < hi
-            tau = step if falsi else lo + 0.5 * width
-        else:
-            tau, falsi = lo + 0.5 * width, False
+            tau = low if tau < low else high if tau > high else tau
+            # Brent's rule; a bracket too narrow for the margins is bisected.
+            if not lo < tau < hi or abs(tau - x1) >= 0.5 * before_last:
+                tau = lo + 0.5 * width
+        before_last, last = last, abs(tau - x1)
+        allowed *= 0.5**0.5
         e_tau = _error(m, phi_l, rate, tau)
-        # The contrast form 1 - |D| / m can round to just below 0.
-        f_tau = (math.sqrt(e_tau) if e_tau > 0.0 else 0.0) - root_thr
+        if wrap:
+            f_tau = e_tau - target
+        else:
+            # The contrast form 1 - |D| / m can round to just below 0.
+            f_tau = (math.sqrt(e_tau) if e_tau > 0.0 else 0.0) - target
+        x0, f0, x1, f1 = x1, f1, tau, f_tau
         if e_tau > thr:
             hi, f_hi = tau, f_tau
-            if falsi:
-                if kept < 0:
-                    f_lo *= 0.5
-                kept = -1
         else:
             lo, f_lo = tau, f_tau
-            if falsi:
-                if kept > 0:
-                    f_hi *= 0.5
-                kept = 1
-        previous, width = width, hi - lo
-        slow = slow + 1 if width > 0.5 * previous else 0
+        width = hi - lo
         if width <= _ROOT_REL_TOL * lo and abs(e_tau - thr) <= residual_tol:
             converged = True
             break
-    return TauMaxResult(tau, e_tau, thr, True, converged, criterion)
+    return TauMaxResult(tau, e_tau, thr, True, converged, criterion, evaluations)

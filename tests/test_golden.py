@@ -41,20 +41,20 @@ GOLDEN = {
         "run_record.json": "10f4bdb22c2346249ab0430d8800ebcc58c28055011311ae65b23f0b50bbad8d",
     },
     ("stability-sweep", "stability_cubic.cfg", "physical"): {
-        "run_record.json": "3ccd7ed5a447d6e0e6c720ada4b2095c9b58392c94527f174fcdf502c130c8de",
-        "stability_sweep.csv": "f433e90e6ab778f0ee7f8b34d5ffde6637d8c923828a755217136588597d399a",
+        "run_record.json": "2741e27f6df7f8956b01b6e50fe52628a38c6a0d7ef68131856d2eef0c7f9867",
+        "stability_sweep.csv": "4aa2d7d5752cdc8e40e3110312c1013538914bc6e621f144fbe553f4a7cb0849",
     },
     ("stability-sweep", "stability_cubic.cfg", "paper-figure"): {
-        "run_record.json": "e0b5770d1d7f4967473e76df4775d894c8243b066a1b2d1360b6ce1e5127d1ad",
-        "stability_sweep.csv": "4f50c76025c5be623bbc9600d08494f7f3b41ea5f2d7d846ae0cfb876908b919",
+        "run_record.json": "71df47dd391b2d0687b2931044c78376a969d95f2c054a0214a48979b6117aa0",
+        "stability_sweep.csv": "697fbc38de97f60e1ae2c3d4965af18f8fe85000c19abce31fde7583498f4cea",
     },
     ("stability-sweep", "stability_slab.cfg", "physical"): {
-        "run_record.json": "aecb4141ecd75e17692416089dc6746167916cb36848556d6895f0a7ca7b0a09",
-        "stability_sweep.csv": "1d1b87a43846186366cc30e5b9dc50aff1d4e341400ea72c8cb53be4ce19ff43",
+        "run_record.json": "e91c39a320ba6bba8715ec4513026f26c67f347cab2a4aefb90677d3430a04c2",
+        "stability_sweep.csv": "932594ffb9dfce7753fe3ad84613da1f43086c3863575f7f8d7d95581b19e432",
     },
     ("stability-sweep", "stability_slab.cfg", "paper-figure"): {
-        "run_record.json": "682597fe172eab762e2e1a796fe64b89b8f9d3a7c0765d810c5252a6a5afce5a",
-        "stability_sweep.csv": "575f256891f3ba94cf1a566e7f6e28074bc542fd7147bc0a2bb5abf5f3f4492d",
+        "run_record.json": "d0a1ac55fba569e786f8fda268d9fcddb0feaedee8ad2e6cb34746d40b7c77ad",
+        "stability_sweep.csv": "e13f586a0ea889892c527bedd11f527b017cd61f887e648d387aae5afb9d06bf",
     },
     ("budget", "budget.cfg", "physical"): {
         "budget.json": "45ad53b9a3af915c4022df67100d2856f34a74c107cf75f55c78c320fe785ff0",

@@ -313,6 +313,23 @@ def test_single_atom_layers_end_at_t_end(problem, bracketed):
     assert result.error_at_tau == error(result.tau_s)
 
 
+@pytest.mark.parametrize("atoms", [4, 100, 10**4, 10**6])
+def test_first_step_solves_its_closed_forms(atoms):
+    # The phase-wrap root is exact where every layer stays in phase (one
+    # layer), and the dephasing root of the contrast loss is good to second
+    # order: the error there is off by about 0.047 thr^3, where the
+    # first-order root's is off by about 0.3 thr^2.
+    for phi_l in (1e-6, 1e-2, 3.0):
+        thr, _, step, wrap = thresholds._bracket(1, atoms, phi_l, PHI_G)
+        assert wrap
+        assert thresholds._error(1, phi_l, PHI_G, step) == pytest.approx(thr, abs=1e-13)
+    for m in (2, 3, 101, 10**5):
+        thr, _, step, wrap = thresholds._bracket(m, atoms, 0.0, 1e-3)
+        assert not wrap
+        error = thresholds._error(m, 0.0, 1e-3, step)
+        assert error == pytest.approx(thr, rel=0.06 * thr**2 + 1e-12)
+
+
 def _counting_solver(monkeypatch, error=thresholds._error):
     """solve_tau_max, also returning the error evaluations it made."""
     calls = []
@@ -356,10 +373,11 @@ def test_safeguard_converges_where_illinois_stalls(monkeypatch):
 
 
 def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
-    # Every error evaluation per bracketed cell, the bracket's included;
-    # phi_g' is resolved once per size by the sweep, never by the search; and
-    # each cell is one call of gravclock.sweep.solve_tau_max on plain values,
-    # with no TauMaxProblem built.
+    # Every error evaluation per bracketed cell, the bracket's included, as
+    # the result reports it and as a count of _error calls; phi_g' is
+    # resolved once per size by the sweep, never by the search; and each cell
+    # is one call of gravclock.sweep.solve_tau_max on plain values, with no
+    # TauMaxProblem built.
     solve = _counting_solver(monkeypatch)
     counts = []
     solved = []
@@ -369,8 +387,9 @@ def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
     def counted_solve(problem):
         solved.append(problem)
         result, evaluations = solve(problem)
+        assert result.evaluations == evaluations
         if result.bracketed:
-            counts.append(evaluations)
+            counts.append(result.evaluations)
         return result
 
     build = TauMaxProblem.__new__
@@ -401,8 +420,93 @@ def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert len(solved) == len(counts) == 4 * 185
     assert built == [] and all(type(cell) is tuple for cell in solved)
-    assert sum(counts) / len(counts) <= 8.5
+    assert sum(counts) / len(counts) <= 6.5
     assert max(counts) <= 1 + thresholds._ROOT_MAX_STEPS
+
+
+def _bench_shaped_cells():
+    """The cells of the benchmark's sweep deck shape, single-atom layers left out.
+
+    Cubic and slab under both conventions, 7 sizes log-spaced from 1 to
+    3,000, phi_l in {0, 1e-6, 1e-4, 1e-2}, 10,000 atoms per slab layer.
+    """
+    sizes = [round(3000 ** (i / 6)) for i in range(7)]
+    for convention in CONVENTIONS:
+        for size in sizes:
+            for layers, atoms in ((size + 1, size * size), (size, 10_000)):
+                rate = effective_phase_rate(PHI_G, layers, convention)
+                for phi_l in (0.0, 1e-6, 1e-4, 1e-2):
+                    if atoms > 1:
+                        yield layers, atoms, phi_l, rate
+
+
+def test_root_evaluations_per_bench_shaped_cell():
+    # The search's cost where the benchmark spends it, against the 7.2 error
+    # evaluations that Illinois regula falsi needs on these cells.
+    counts = []
+    for cell in _bench_shaped_cells():
+        result = solve_tau_max(cell)
+        assert result.converged == result.bracketed
+        if result.bracketed:
+            counts.append(result.evaluations)
+    assert len(counts) == 102
+    assert sum(counts) / len(counts) <= 5.5
+    assert max(counts) <= 1 + thresholds._ROOT_MAX_STEPS
+
+
+def _error_reaches_1(m, phi_l, rate):
+    """The first time the laser phase reaches pi or, for more than one layer,
+    the layers' phases spread over 2 pi: there the error is 1."""
+    end = math.pi / phi_l if phi_l else math.inf
+    return min(end, 2 * math.pi / m / rate) if m > 1 and rate else end
+
+
+def _bisected_root(cell):
+    """The root of _error - threshold by plain bisection to 1e-14 relative."""
+    m, atoms, phi_l, rate = cell
+    thr = 1.0 / math.sqrt(atoms)
+    lo, hi = 0.0, _error_reaches_1(m, phi_l, rate)
+    while hi - lo > 1e-14 * lo:
+        mid = 0.5 * (lo + hi)
+        if thresholds._error(m, phi_l, rate, mid) > thr:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_cells(seed, count):
+    """Seeded cells with a threshold of at least 1e-3 and a bracket end below
+    the cap: m from 1 to 1e4, phi_l = 0 or from 1e-8 to 1 rad/s, phi_g' that
+    of Yb under either convention or from 1e-10 to 1 rad/s."""
+    rng = random.Random(seed)
+    while count:
+        m = round(10 ** rng.uniform(0.0, 4.0))
+        atoms = round(10 ** rng.uniform(math.log10(2.0), 6.0))
+        phi_l = rng.choice([0.0, 10 ** rng.uniform(-8.0, 0.0)])
+        rate = rng.choice([PHI_G, PHI_G * (m - 1), 10 ** rng.uniform(-10.0, 0.0)])
+        if _error_reaches_1(m, phi_l, rate) <= thresholds.TAU_CAP_S:
+            count -= 1
+            yield m, atoms, phi_l, rate
+
+
+def test_tau_matches_a_plain_bisection():
+    # The secant steps, their closing step and the bisection schedule against
+    # nothing but halving: every cell converges, to the same root. A
+    # phase-wrap first step lands within 10% of it (400-odd cells here),
+    # where pi / ((2 - thr) phi_l), blind to the dephasing, misses 46 of
+    # them by more.
+    wraps = 0
+    for cell in _reference_cells(2020, 2000):
+        result = solve_tau_max(cell)
+        assert result.converged, cell
+        want = _bisected_root(cell)
+        assert abs(result.tau_s - want) <= 2e-12 * want, cell
+        _, _, step, wrap = thresholds._bracket(*cell)
+        if wrap:
+            wraps += 1
+            assert abs(step - want) <= 0.1 * want, cell
+    assert wraps >= 400
 
 
 _PHI_L = st.one_of(st.just(0.0), st.floats(-7.0, -1.0).map(lambda e: 10.0**e))
