@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from itertools import chain
+from itertools import chain, takewhile
 
 from . import __version__, cmdline
 from .core import CONVENTIONS, per_layer_phase_rate, per_layer_sql, qpn_stability
@@ -88,24 +88,25 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
     phi_g = per_layer_phase_rate(consts, species, scenario.layer_spacing())
 
     # The t cells, formatted once, are joined with each size's row tail into
-    # its template, and its block is one % over its (ratio, contrast) pairs.
-    # The rows whose ratio is None (phi_l t == 0) lead the grid, as |phi_l t|
-    # grows with t; "%.0s" leaves their cell empty, and a None anywhere else
-    # fails the format. The convention is applied once per size.
+    # its template, and its block is one % over its two columns interleaved.
+    # The None ratios (phi_l t == 0) lead, as |phi_l t| grows with t: "%.0s"
+    # leaves their cells empty. The finiteness check runs in row order, and a
+    # None after them fails it. The convention is applied once per size.
     phi_l, t_grid, sizes = scenario.dephase_phi_l, scenario.dephase_t_grid, scenario.dephase_sizes
     t_cells = fmt_floats(t_grid)
     phi_l_cell, convention = fmt_float(phi_l), scenario.convention
     blocks = []
     for n_site in sizes:
         rate = effective_phase_rate(phi_g, n_site + 1, convention)
-        curve = dephase_curve(phi_l, rate, n_site + 1, t_grid)
-        empty = next((i for i, (ratio, _) in enumerate(curve) if ratio is not None), len(curve))
-        cells = tuple(chain.from_iterable(curve))
-        check_finite(cells[1 : 2 * empty : 2])
-        check_finite(cells[2 * empty :])
+        ratios, contrasts = dephase_curve(phi_l, rate, n_site + 1, t_grid)
+        empty = len(list(takewhile(lambda ratio: ratio is None, ratios)))
+        check_finite(contrasts[:empty])
+        check_finite(ratios[empty:], contrasts[empty:])
+        cells = ratios * 2
+        cells[::2], cells[1::2] = ratios, contrasts
         tail = f",{n_site},{phi_l_cell},{convention},{FLOAT},{FLOAT}"
         template = f"{tail}\n".join(t_cells) + tail
-        blocks.append(template.replace(f"{FLOAT},", "%.0s,", empty) % cells)
+        blocks.append(template.replace(f"{FLOAT},", "%.0s,", empty) % tuple(cells))
     header = ["t_s", "n_site", "phi_l", "convention", "ratio", "contrast"]
     files = {scenario.output_dephase_curve: csv_text(header, blocks)}
     text = f"dephase-curve: {len(t_cells) * len(sizes)} rows ({len(sizes)} sizes)\n"
@@ -164,15 +165,9 @@ def _budget_table(budget) -> str:
         ]
         for entry in budget.entries
     ]
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines.extend("  ".join(row[i].ljust(widths[i]) for i in range(len(row))) for row in rows)
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    table = [headers, ["-" * width for width in widths], *rows]
+    return "\n".join("  ".join(map(str.ljust, row, widths)) for row in table) + "\n"
 
 
 def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:

@@ -7,8 +7,9 @@ the true accumulated laser phase phi_l * t. The layer sum is evaluated in
 closed form by the range-reduced Dirichlet kernel; the explicit summation
 over layers is kept only in the tests, as the oracle for the kernel.
 phase_ratio is the one production form of the clamped arcsine ratio: each
-dephase_curve row and each tau_max error is built from it. bloch_sum, the
-full BlochSummary of one point, forms the same by its own float operations.
+dephase_curve row (it returns two columns, ratios and contrasts) and each
+tau_max error is built from it. bloch_sum, the full BlochSummary of one
+point, forms the same by its own float operations.
 effective_phase_rate is where a phase-rate convention, one of the strings in
 core.CONVENTIONS, turns phi_g into the phi_g' that the layer sums take.
 """
@@ -16,6 +17,7 @@ core.CONVENTIONS, turns phi_g into the phi_g' that the layer sums take.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
@@ -160,9 +162,9 @@ def _check_grid(t_grid: Sequence[float]) -> None:
     """Refuse the first t that is negative, not finite or not above the last."""
     for i, t in enumerate(t_grid):
         if not (t >= 0 and math.isfinite(t)):
-            raise ValueError(f"t_grid[{i}] must be >= 0 and finite, got {t!r}") from None
+            raise ValueError(f"t_grid[{i}] must be >= 0 and finite, got {t!r}")
         if i > 0 and not t > t_grid[i - 1]:
-            raise ValueError(f"t_grid must be strictly increasing at index {i}") from None
+            raise ValueError(f"t_grid must be strictly increasing at index {i}")
 
 
 def dephase_curve(
@@ -170,44 +172,36 @@ def dephase_curve(
     phi_g: float,
     layer_count: int,
     t_grid: Sequence[float],
-) -> list[tuple[Optional[float], float]]:
-    """(ratio, contrast) at each t of a strictly increasing, nonnegative grid.
+) -> tuple[list[Optional[float]], list[float]]:
+    """(ratios, contrasts): two lists, one entry per t of a strictly increasing, nonnegative grid.
 
     phi_g is phi_g', the convention already applied (effective_phase_rate).
     ratio = phi_eff / (phi_l t), None where phi_l t == 0, and contrast =
     |D| / layer_count: each row equals bloch_sum's ratio and length /
-    layer_count at that point, by the same float operations. One pass over
-    the grid checks each t and evaluates its row with one phase_ratio call.
-    The inputs are checked once per call, also for an empty grid, with
-    DephasingInput's messages. A layer count, or a laser phase phi_l t at
-    the last time (so also a non-finite phi_l), out of float range is
-    refused, naming its keys. A bad grid is named before anything it makes
-    fail, such as a row before it whose phase overflows.
+    layer_count at that point, by the same float operations, with one
+    phase_ratio call. The grid is checked first, in one pass in C, and only a
+    bad one is walked by _check_grid to name its first bad index, before
+    anything it makes fail. Then, also for an empty grid, a layer count or a
+    laser phase phi_l t at the last time (so also a non-finite phi_l) out of
+    float range is refused by its keys, and the rates with DephasingInput's
+    messages.
     """
-    try:
-        if layer_count > sys.float_info.max:
-            raise OverflowError(
-                f"dephase.sizes: a layer count of {len(str(layer_count))} digits"
-                " is out of float range"
-            )
-        t_end = t_grid[-1] if len(t_grid) else 0.0
-        if not abs(phi_l * t_end) < math.inf:
-            raise OverflowError(
-                f"laser phase phi_l t = {phi_l!r} rad/s x {t_end!r} s is out of float range;"
-                " it is set by dephase.phi_l and dephase.t_grid"
-            )
-        _check_rates(phi_l, phi_g, layer_count)
-        m = layer_count
-        rows = []
-        # t > previous holds at index 0 for every t >= 0, -0.0 included.
-        previous = -math.ulp(0.0)
-        for t in t_grid:
-            if not previous < t < math.inf:
-                _check_grid(t_grid)
-            previous = t
-            ratio, d = phase_ratio(m, phi_l, phi_g, t)
-            rows.append((ratio, abs(d) / m))
-        return rows
-    except (ValueError, OverflowError):
+    if len(t_grid) and not (
+        t_grid[0] >= 0 and t_grid[-1] < math.inf and all(map(operator.lt, t_grid, t_grid[1:]))
+    ):
         _check_grid(t_grid)
-        raise
+    if layer_count > sys.float_info.max:
+        raise OverflowError(
+            f"dephase.sizes: a layer count of {len(str(layer_count))} digits"
+            " is out of float range"
+        )
+    t_end = t_grid[-1] if len(t_grid) else 0.0
+    if not abs(phi_l * t_end) < math.inf:
+        raise OverflowError(
+            f"laser phase phi_l t = {phi_l!r} rad/s x {t_end!r} s is out of float range;"
+            " it is set by dephase.phi_l and dephase.t_grid"
+        )
+    _check_rates(phi_l, phi_g, layer_count)
+    m = layer_count
+    rows = [phase_ratio(m, phi_l, phi_g, t) for t in t_grid]
+    return [ratio for ratio, _ in rows], [abs(d) / m for _, d in rows]

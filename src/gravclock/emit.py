@@ -37,10 +37,10 @@ def fmt_float(value: float) -> str:
 
 
 def check_finite(*columns) -> None:
-    """fmt_float's refusal of the first value, row by row over zip(*columns),
-    that is not finite; one pass in C per column while every value is."""
+    """fmt_float's refusal of the first value, row by row over zip(*columns,
+    strict=True), that is not finite; one pass in C per column while every value is."""
     if not all([all(map(math.isfinite, column)) for column in columns]):
-        for row in zip(*columns):
+        for row in zip(*columns, strict=True):
             for value in row:
                 fmt_float(value)
 

@@ -260,7 +260,7 @@ def parse_scenario(text: str) -> Scenario:
         except (ValueError, OverflowError) as exc:  # a grid bound past float range overflows
             raise ScenarioError(f"invalid value for {key!r}: {exc}", lineno) from None
     scenario = Scenario._make(values.values())
-    _check_distinct_outputs(values, seen)
+    _check_outputs(values, seen)
     try:
         scenario.species_obj()
     except ValueError as exc:
@@ -268,9 +268,10 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _check_distinct_outputs(values: dict[str, object], seen: dict[str, int]) -> None:
+def _check_outputs(values: dict[str, object], seen: dict[str, int]) -> None:
     """Each output key (values: key -> value) names its own file; a clash is
-    reported at the later line (defaults count as line 0)."""
+    reported at the later line (defaults count as line 0). Then each name is
+    one a file system can hold: NAME_MAX, 255 bytes in UTF-8 on Linux."""
     owners: dict[str, str] = {}
     for key in sorted(_OUTPUT_KEYS, key=lambda k: seen.get(k, 0)):
         name = values[key]
@@ -281,6 +282,11 @@ def _check_distinct_outputs(values: dict[str, object], seen: dict[str, int]) -> 
                 seen.get(key),
             )
         owners[name] = key
+    for name, key in owners.items():
+        size = len(name.encode())
+        if size > 255:
+            message = f"must be at most 255 bytes in UTF-8, not {size}: {echo(name)}"
+            raise ScenarioError(f"invalid value for {key!r}: {message}", seen.get(key))
 
 
 def _format(value) -> str:

@@ -35,10 +35,11 @@ def make_input(phi_l, phi_g, layer_count, t):
     return DephasingInput(phi_l=phi_l, phi_g=phi_g, layer_count=layer_count, t=t)
 
 
-def bloch_row(phi_l, m, t, convention):
-    """The dephase_curve row (ratio, contrast) that bloch_sum gives at t."""
-    summary = bloch_sum(make_input(phi_l, effective_phase_rate(PHI_G, m, convention), m, t))
-    return summary.ratio, summary.length / m
+def bloch_columns(phi_l, m, grid, convention):
+    """The dephase_curve columns (ratios, contrasts) that bloch_sum gives over grid."""
+    rate = effective_phase_rate(PHI_G, m, convention)
+    summaries = [bloch_sum(make_input(phi_l, rate, m, t)) for t in grid]
+    return [s.ratio for s in summaries], [s.length / m for s in summaries]
 
 
 def test_effective_rate_compares_conventions_by_value():
@@ -263,10 +264,10 @@ def test_subnormal_laser_phase_takes_the_small_angle_ratio(convention):
     # round the ratio to 1: each row is bloch_sum's, with ratio D / m.
     m, phi_l, grid = 854, 5e-324, [0.0, 1.0, 10.0, 100.0]
     rate = effective_phase_rate(PHI_G, m, convention)
-    rows = dephase_curve(phi_l, rate, m, grid)
-    assert rows == [bloch_row(phi_l, m, t, convention) for t in grid]
-    assert rows[0] == (None, 1.0)
-    for t, (ratio, _) in zip(grid[1:], rows[1:]):
+    ratios, contrasts = dephase_curve(phi_l, rate, m, grid)
+    assert (ratios, contrasts) == bloch_columns(phi_l, m, grid, convention)
+    assert (ratios[0], contrasts[0]) == (None, 1.0)
+    for t, ratio in zip(grid[1:], ratios[1:]):
         assert ratio == dirichlet(m, rate * t) / m < 1.0
 
 
@@ -293,15 +294,16 @@ def test_input_validation():
 def test_dephase_curve_rows():
     grid = [0.0, 50.0, 100.0, 200.0]
     rate = effective_phase_rate(PHI_G, 101, Convention.PAPER_FIGURE)
-    rows = dephase_curve(1e-5, rate, 101, grid)
-    assert rows == [bloch_row(1e-5, 101, t, Convention.PAPER_FIGURE) for t in grid]
-    assert rows[0] == (None, 1.0)  # t = 0: no nominal phase, every layer in phase
-    for ratio, _ in rows[1:]:
+    ratios, contrasts = dephase_curve(1e-5, rate, 101, grid)
+    assert (ratios, contrasts) == bloch_columns(1e-5, 101, grid, Convention.PAPER_FIGURE)
+    # t = 0: no nominal phase, every layer in phase
+    assert (ratios[0], contrasts[0]) == (None, 1.0)
+    for ratio in ratios[1:]:
         assert abs(ratio - 1.0) < 2e-2
 
 
 def test_dephase_curve_empty_grid():
-    assert dephase_curve(1e-5, PHI_G, 101, []) == []
+    assert dephase_curve(1e-5, PHI_G, 101, []) == ([], [])
 
 
 def test_dephase_curve_rejects_bad_grid():
@@ -318,11 +320,54 @@ def test_dephase_curve_names_a_bad_grid_before_what_it_breaks():
     assert str(excinfo.value) == "t_grid must be strictly increasing at index 1"
 
 
+@settings(max_examples=300)
+@given(
+    grid=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=20, unique=True).map(sorted),
+    defect=st.sampled_from(["equal", "smaller", "negative first", "nan", "inf", "-inf"]),
+    data=st.data(),
+    phi_l=st.sampled_from([1e-5, sys.float_info.max]),
+    layer_count=st.integers(1, 10**4),
+    sequence=st.sampled_from([list, tuple]),
+)
+def test_dephase_curve_names_the_one_defect_of_a_grid(
+    grid, defect, data, phi_l, layer_count, sequence
+):
+    # One defect at a drawn index of an otherwise valid grid: the one C-level
+    # check catches it and _check_grid names it, also where phi_l t = inf at
+    # row 0 (phi_l at float max) would fail a row first.
+    if defect in ("equal", "smaller"):
+        assume(len(grid) > 1)
+        i = data.draw(st.integers(1, len(grid) - 1))
+        fraction = 1.0 if defect == "equal" else data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        grid[i] = grid[i - 1] * fraction
+        expected = f"t_grid must be strictly increasing at index {i}"
+    else:
+        if defect == "negative first":
+            i, value = 0, -data.draw(st.floats(5e-324, 1e300))
+        else:
+            i, value = data.draw(st.integers(0, len(grid) - 1)), float(defect)
+        grid[i] = value
+        expected = f"t_grid[{i}] must be >= 0 and finite, got {value!r}"
+    with pytest.raises(ValueError) as excinfo:
+        dephase_curve(phi_l, PHI_G, layer_count, sequence(grid))
+    assert str(excinfo.value) == expected
+    with pytest.raises(ValueError) as named:
+        dephasing._check_grid(grid)
+    assert str(named.value) == expected
+
+
+def test_dephase_curve_accepts_a_negative_zero_first_point():
+    ratios, contrasts = dephase_curve(1e-5, PHI_G, 101, [-0.0, 1.0])
+    assert ratios[0] is None and contrasts[0] == 1.0 and len(ratios) == len(contrasts) == 2
+    with pytest.raises(ValueError, match=r"^t_grid must be strictly increasing at index 1$"):
+        dephase_curve(1e-5, PHI_G, 101, [-0.0, 0.0])
+
+
 def test_dephase_curve_matches_single_evaluation():
     rate = effective_phase_rate(PHI_G, 501, Convention.PAPER_FIGURE)
-    rows = dephase_curve(1e-5, rate, 501, [100.0])
+    columns = dephase_curve(1e-5, rate, 501, [100.0])
     direct = bloch_sum(make_input(1e-5, rate, 501, 100.0))
-    assert rows == [(direct.ratio, direct.length / 501)]
+    assert columns == ([direct.ratio], [direct.length / 501])
 
 
 @BY_CONVENTION
@@ -336,14 +381,15 @@ def test_dephase_curve_equals_bloch_sum_per_point(convention, m):
     if rate:
         grid.add(math.tau / rate)
     grid = sorted(grid)
-    rows = dephase_curve(phi_l, rate, m, grid)
-    assert rows == [bloch_row(phi_l, m, t, convention) for t in grid]
-    by_t = dict(zip(grid, rows))
+    ratios, contrasts = dephase_curve(phi_l, rate, m, grid)
+    assert (ratios, contrasts) == bloch_columns(phi_l, m, grid, convention)
+    by_t = dict(zip(grid, zip(ratios, contrasts)))
     assert by_t[0.0][0] is None
     assert by_t[1000.0][0] < (math.pi / 2) / (phi_l * 1000.0)  # folded
     if rate:
         assert by_t[math.tau / rate][1] == pytest.approx(1.0, rel=1e-9)
-    assert all(type(row) is tuple and len(row) == 2 for row in rows)
+    assert type(ratios) is list and type(contrasts) is list
+    assert len(ratios) == len(contrasts) == len(grid)
 
 
 # dephase_curve checks its inputs once per call, also for an empty grid.

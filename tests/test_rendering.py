@@ -54,10 +54,10 @@ def _reference_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[s
     for n_site in scenario.dephase_sizes:
         middle = f",{n_site},{phi_l_cell},{convention},"
         rate = cli.effective_phase_rate(phi_g, n_site + 1, scenario.convention)
-        curve = cli.dephase_curve(phi_l, rate, n_site + 1, t_grid)
+        ratios, contrasts = cli.dephase_curve(phi_l, rate, n_site + 1, t_grid)
         lines += [
             f"{t_cell}{middle}{'' if ratio is None else fmt_float(ratio)},{fmt_float(contrast)}"
-            for t_cell, (ratio, contrast) in zip(t_cells, curve)
+            for t_cell, ratio, contrast in zip(t_cells, ratios, contrasts)
         ]
     header = ["t_s", "n_site", "phi_l", "convention", "ratio", "contrast"]
     files = {scenario.output_dephase_curve: _reference_csv_text(header, lines)}
@@ -210,12 +210,10 @@ def test_curve_refuses_a_non_finite_cell_like_the_reference(scenario, data):
     row = data.draw(st.integers(0, len(scenario.dephase_t_grid) - 1))
     column, value = data.draw(st.integers(0, 1)), data.draw(_NON_FINITE)
 
-    def poison(call, rows):
+    def poison(call, columns):
         if call == size_index:
-            cells = list(rows[row])
-            cells[column] = value
-            rows[row] = tuple(cells)
-        return rows
+            columns[column][row] = value
+        return columns
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         new, old = _refusals(
@@ -226,6 +224,37 @@ def test_curve_refuses_a_non_finite_cell_like_the_reference(scenario, data):
             (cli._run_dephase_curve, _reference_dephase_curve),
         )
     assert new == old and old.startswith("not a finite number: ")
+
+
+# (row, value) pairs put into the contrast column. The rows whose ratio is
+# None lead the grid, so a bad contrast among them is first in row order; the
+# last row's contrast lies past the end of the ratio column cut at those rows,
+# so a check that paired the two columns unaligned would miss it.
+@pytest.mark.parametrize(
+    "poisoned",
+    [((0, math.inf), (-1, math.nan)), ((-1, -math.inf),), ((3, math.nan), (4, math.inf))],
+    ids=["None row and last row", "last row", "last None row and the next"],
+)
+@pytest.mark.parametrize(
+    "scenario",
+    [_SUBNORMAL_CURVE, _SUBNORMAL_CURVE._replace(dephase_phi_l=0.0)],
+    ids=["leading None ratios", "every ratio None"],
+)
+def test_curve_refuses_a_non_finite_contrast_in_row_order(poisoned, scenario):
+    def poison(call, columns):
+        for row, value in poisoned:
+            columns[1][row] = value
+        return columns
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        new, old = _refusals(
+            monkeypatch,
+            "dephase_curve",
+            poison,
+            scenario,
+            (cli._run_dephase_curve, _reference_dephase_curve),
+        )
+    assert new == old == f"not a finite number: {poisoned[0][1]!r}"
 
 
 @settings(max_examples=30)

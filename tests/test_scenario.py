@@ -222,6 +222,47 @@ def test_refused_text_is_echoed_whole_up_to_80_characters():
         )
 
 
+# output key -> the command that writes it
+_WRITERS = {
+    "output.threshold": "threshold",
+    "output.dephase_curve": "dephase-curve",
+    "output.stability_sweep": "stability-sweep",
+    "output.budget_json": "budget",
+    "output.budget_text": "budget",
+}
+_SMALL_SWEEP = "sweep.sizes = 10\nsweep.phi_l = 1e-3\n"
+
+
+@pytest.mark.parametrize("key", _WRITERS)
+@pytest.mark.parametrize("name", ["x" * 251 + ".out", "é" * 127 + "x"], ids=["ascii", "utf-8"])
+def test_output_name_of_255_bytes_is_written(tmp_path, capsys, key, name):
+    assert len(name.encode()) == 255
+    scenario = tmp_path / "names.cfg"
+    scenario.write_text(f"{_SMALL_SWEEP}{key} = {name}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([_WRITERS[key], "--scenario", str(scenario), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / name).is_file()
+
+
+@pytest.mark.parametrize("key", _WRITERS)
+@pytest.mark.parametrize(
+    "name", ["x" * 256, "é" * 128, "x" * 5000], ids=["256 ascii", "256 utf-8", "5000 ascii"]
+)
+def test_output_name_over_255_bytes_is_refused_at_its_line(tmp_path, capsys, key, name):
+    scenario = tmp_path / "names.cfg"
+    scenario.write_text(f"{_SMALL_SWEEP}{key} = {name}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([_WRITERS[key], "--scenario", str(scenario), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and len(captured.err) < 250
+    assert captured.err == (
+        f"gravclock: error: line 3: invalid value for {key!r}: must be at most 255 bytes"
+        f" in UTF-8, not {len(name.encode())}: {name[:80]!r}... ({len(name)} characters)\n"
+    )
+    assert not out.exists()
+
+
 def test_convention_parse():
     assert parse_scenario("convention = paper-figure\n").convention == Convention.PAPER_FIGURE
     with pytest.raises(ScenarioError, match="convention"):

@@ -589,3 +589,36 @@ def test_error_takes_the_contrast_limit_where_phi_l_t_underflows():
     tiny, zero = (_error_at(TauMaxProblem(101, 100, phi_l, PHI_G)) for phi_l in (5e-324, 0.0))
     for t in (0.25, 3.0, 1e3):
         assert tiny(t) == zero(t) > 0.0
+
+
+def _scaling_cells(seed, count):
+    """Seeded cells: m log-uniform from 2 to 1e5 or one of 1, 2 and 3, atoms
+    per layer from 1 to 1e12, phi_l = 0 or from 1e-8 to 1 rad/s, phi_g' from
+    1e-12 to 1e-6 rad/s."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.choice([1, 2, 3, round(10 ** rng.uniform(math.log10(2.0), 5.0))])
+        atoms = round(10 ** rng.uniform(0.0, 12.0))
+        phi_l = rng.choice([0.0, 10 ** rng.uniform(-8.0, 0.0)])
+        yield m, atoms, phi_l, 10 ** rng.uniform(-12.0, -6.0)
+
+
+def test_tau_max_is_equivariant_under_power_of_two_rate_scaling():
+    # Scaling phi_l and phi_g' by 2^k is exact, and so is every step of the
+    # search after it: tau_s scales by exactly 2^-k, with the same evaluations.
+    # TAU_CAP_S is the one absolute time, so both bracket ends stay below it.
+    checked, cap = 0, thresholds.TAU_CAP_S
+    for cell in _scaling_cells(2, 1000):
+        base = solve_tau_max(cell)
+        if not base.bracketed or thresholds._bracket(*cell)[1] >= cap:
+            continue
+        m, atoms, phi_l, rate = cell
+        for k in (-3, -1, 1, 2, 5):
+            scaled_cell = (m, atoms, math.ldexp(phi_l, k), math.ldexp(rate, k))
+            if thresholds._bracket(*scaled_cell)[1] >= cap:
+                continue
+            scaled = solve_tau_max(scaled_cell)
+            assert scaled.tau_s == math.ldexp(base.tau_s, -k), (cell, k)
+            assert scaled[1:] == base[1:], (cell, k)  # the error, flags and evaluations
+            checked += 1
+    assert checked >= 3000
