@@ -20,7 +20,7 @@ import sys
 from itertools import chain, takewhile
 
 from . import __version__, cmdline
-from .core import CONVENTIONS, per_layer_phase_rate, per_layer_sql, qpn_stability
+from .core import CONVENTIONS, echo, per_layer_phase_rate, per_layer_sql, qpn_stability
 from .dephasing import dephase_curve, effective_phase_rate
 from .emit import FLOAT, RUN_RECORD_NAME, check_finite, csv_text, fmt_float, fmt_floats
 from .emit import json_text, run_record, write_outputs
@@ -115,16 +115,7 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
 
 def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
     family, convention = scenario.sweep_family, scenario.convention
-    points = sweep(
-        family,
-        scenario.sweep_sizes,
-        scenario.sweep_phi_l,
-        convention,
-        scenario.sweep_atoms_per_layer,
-        scenario.species_obj(),
-        scenario.consts_obj(),
-        scenario.layer_spacing(),
-    )
+    points = sweep(scenario)
     header = [
         "geometry",
         "size",
@@ -171,18 +162,7 @@ def _budget_table(budget) -> str:
 
 
 def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
-    # Each budget.X key is the keyword X of assemble_budget.
-    conditions = {
-        name.removeprefix("budget_"): value
-        for name, value in zip(scenario._fields, scenario)
-        if name.startswith("budget_")
-    }
-    budget = assemble_budget(
-        species=scenario.species_obj(),
-        consts=scenario.consts_obj(),
-        layer_spacing=scenario.layer_spacing(),
-        **conditions,
-    )
+    budget = assemble_budget(scenario)
     document = {
         "convention": scenario.convention,
         "n_site": scenario.budget_n_site,
@@ -309,7 +289,13 @@ def main(argv: list[str] | None = None) -> int:
         runner, _ = _COMMANDS[command]
         files, flags, text = runner(scenario)
         files[RUN_RECORD_NAME] = json_text(run_record(scenario_text, __version__, files))
-        write_outputs(options.get("--out", "out"), files)
+        out = options.get("--out", "out")
+        try:
+            write_outputs(out, files)
+        except OSError as exc:  # a failure to make out, or a parent of it, names that path
+            if exc.filename is None or not out.startswith(exc.filename):
+                raise
+            raise OSError(f"cannot make --out {echo(out)}: {exc.strerror}") from None
         _emit(sys.stdout, "stdout", text)
     except (ScenarioError, OSError, ValueError, ArithmeticError) as exc:
         _report(f"gravclock: error: {exc}")

@@ -3,13 +3,13 @@
 Everything is carried in SI units: heights in m, rates in rad/s, times in s.
 Fractional frequency shifts and Allan-deviation contributions are
 dimensionless. Atom counts are exact Python integers. The grid helpers
-(linspace, geomspace, default_size_grid) and the defaults of a run (the sweep
-grids, the budget's calibration linewidth and wall-disk radius) live here too,
-so that every module that needs them, the scenario key table included,
-imports them from this leaf module. So do ECHO_CAP, the length up to which
-a refusal repeats the text or integer it refuses, with echo and echo_int that
-cut it there, and the two phase-rate conventions, which are their scenario
-text: CONVENTIONS lists them, and dephasing applies them.
+(linspace, geomspace, default_size_grid) live here too, so that every module
+that needs them, the scenario key table included, imports them from this
+leaf module. So do ECHO_CAP, the length up to which a refusal repeats the
+text or integer it refuses, with echo and echo_int that cut it there, and
+the two phase-rate conventions, which are their scenario text: CONVENTIONS
+lists them, and dephasing applies them. The defaults of a run are not
+here: each is written once, in the scenario key table.
 """
 
 from __future__ import annotations
@@ -121,19 +121,7 @@ YB = ClockSpecies(
 
 _SPECIES_PRESETS = {"Yb": YB}
 
-DEFAULT_PHI_L_GRID: tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 MAX_GRID_POINTS = 10**7  # a larger linspace or logspace grid is refused unbuilt
-DEFAULT_SLAB_ATOMS_PER_LAYER = 10_000
-
-# Natural linewidth of the 3P2 calibration line from its 14 s lifetime;
-# taken as the resolution floor of the gradient calibration.
-P2_NATURAL_LINEWIDTH_HZ = 1.0 / (2.0 * math.pi * 14.0)
-
-# Disk radius tuned so the default chamber (walls 5 cm away at 293 K and
-# 294 K, 37.97 um ensemble) shows a BBR field-ratio difference of 1.04e-5.
-# The wall geometry behind that figure is otherwise unconstrained; the
-# radius is an exposed, configurable assumption.
-DEFAULT_BBR_DISK_RADIUS = 0.06323438300601451
 
 
 def species_by_name(name: str) -> ClockSpecies:

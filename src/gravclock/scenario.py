@@ -17,11 +17,7 @@ from collections import namedtuple
 from typing import Optional
 
 from .core import (
-    DEFAULT_BBR_DISK_RADIUS,
-    DEFAULT_PHI_L_GRID,
-    DEFAULT_SLAB_ATOMS_PER_LAYER,
     MAX_GRID_POINTS,
-    P2_NATURAL_LINEWIDTH_HZ,
     ClockSpecies,
     Convention,
     PhysicalConstants,
@@ -159,7 +155,9 @@ def _file_name(text: str) -> str:
     return text
 
 
-# scenario key -> (default, parser of its text value), in serialization order
+# scenario key -> (default, parser of its text value), in serialization order.
+# This is the one home of every default: the commands, sweep and
+# assemble_budget read the resolved Scenario, never a default of their own.
 _KEYS = {
     "species": ("Yb", str),
     "species.omega0": (None, _positive),
@@ -175,20 +173,27 @@ _KEYS = {
     "dephase.t_grid": (linspace(0.0, 200.0, 201), _times),
     "sweep.family": ("cubic", _family),
     "sweep.sizes": (default_size_grid(), _sizes),
-    "sweep.phi_l": (DEFAULT_PHI_L_GRID, _float_grid),
-    "sweep.atoms_per_layer": (DEFAULT_SLAB_ATOMS_PER_LAYER, _positive_int),
+    "sweep.phi_l": ((1e-6, 1e-5, 1e-4, 1e-3, 1e-2), _float_grid),  # rad/s
+    "sweep.atoms_per_layer": (10_000, _positive_int),  # slab family only
     "budget.n_site": (100, _positive_int),
-    "budget.wall_distance": (0.05, _positive),
-    "budget.disk_radius": (DEFAULT_BBR_DISK_RADIUS, _positive),
-    "budget.base_temperature": (293.0, _positive),
-    "budget.example_temperature_step": (1.0, _float),
-    "budget.delta_t": (0.010, _nonnegative),
-    "budget.beam_waist": (170e-6, _positive),
-    "budget.beam_separation": (None, _positive),
-    "budget.bias_field": (1.0, _nonnegative),
-    "budget.e_gradient": (1e4, _nonnegative),
-    "budget.baseline_e_field": (0.0, _nonnegative),
-    "budget.p2_linewidth": (P2_NATURAL_LINEWIDTH_HZ, _positive),
+    "budget.wall_distance": (0.05, _positive),  # m, ensemble center to each chamber wall
+    # m, tuned so the default chamber (walls 5 cm away at 293 K and 294 K,
+    # 37.97 um ensemble) shows a BBR field-ratio difference of 1.04e-5. The
+    # wall geometry behind that figure is otherwise unconstrained; the radius
+    # is an exposed, configurable assumption.
+    "budget.disk_radius": (0.06323438300601451, _positive),
+    "budget.base_temperature": (293.0, _positive),  # K
+    "budget.example_temperature_step": (1.0, _float),  # K, the worked two-wall example
+    "budget.delta_t": (0.010, _nonnegative),  # K, assumed achieved chamber uniformity
+    "budget.beam_waist": (170e-6, _positive),  # m
+    "budget.beam_separation": (None, _positive),  # m; None -> 100 lattice wavelengths
+    "budget.bias_field": (1.0, _nonnegative),  # G, upper bound for the quadratic Zeeman term
+    "budget.e_gradient": (1e4, _nonnegative),  # (V/m)/m residual behind shield and coatings
+    "budget.baseline_e_field": (0.0, _nonnegative),  # V/m
+    # Hz, 3P2 calibration resolution: the natural linewidth of the 3P2
+    # calibration line from its 14 s lifetime, taken as the resolution floor
+    # of the gradient calibration.
+    "budget.p2_linewidth": (1.0 / (2.0 * math.pi * 14.0), _positive),
     "output.threshold": ("threshold.json", _file_name),
     "output.dephase_curve": ("dephase_curve.csv", _file_name),
     "output.stability_sweep": ("stability_sweep.csv", _file_name),

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .core import ClockSpecies, PhysicalConstants, per_layer_phase_rate
+from .core import per_layer_phase_rate
 from .dephasing import effective_phase_rate
+from .scenario import Scenario
 from .thresholds import check_cells, solve_tau_max
 
 FLAG_NON_BRACKETABLE = "non-bracketable"
@@ -39,38 +40,34 @@ def _magnitude(n: int) -> str:
     return f"{digits[0]}.{digits[1:4].ljust(3, '0')}e+{len(digits) - 1:02d}"
 
 
-def sweep(
-    family: str,
-    sizes: Sequence[int],
-    phi_l_grid: Sequence[float],
-    convention: str,
-    atoms_per_layer: int,
-    species: ClockSpecies,
-    consts: PhysicalConstants,
-    layer_spacing: float,
-) -> list[StabilityPoint]:
-    """Stability of every (size, phi_l) cell at 1 s integration, size-major.
+def sweep(scenario: Scenario) -> list[StabilityPoint]:
+    """Stability of every (size, phi_l) cell of the scenario's sweep.sizes and
+    sweep.phi_l grids at 1 s integration, size-major.
 
-    A cubic size n sums n + 1 layers of n^2 atoms; a slab size n sums n
-    layers of atoms_per_layer atoms. The convention is applied once per
-    size, where its layer count meets phi_g. Each size and the phi_l grid
-    are checked once (check_cells); cells go to solve_tau_max as plain
-    tuples. A non-bracketable tau search (laser never limits) yields a
-    flagged point evaluated at the tau cap instead of aborting. A bracketed
-    search whose root finder (secant steps with a bisection schedule) used
-    its 192 steps before narrowing tau_max to 1e-12 relative with the error
-    within 1e-4 of the SQL is flagged non-converged.
+    sweep.family picks the ensemble: a cubic size n sums n + 1 layers of n^2
+    atoms; a slab size n sums n layers of sweep.atoms_per_layer atoms. The
+    scenario's species, constants and layer spacing give phi_g; its
+    convention is applied once per size, where its layer count meets phi_g.
+    Each size and the phi_l grid are checked once (check_cells); cells go to
+    solve_tau_max as plain tuples. A non-bracketable tau search (laser never
+    limits) yields a flagged point evaluated at the tau cap instead of
+    aborting. A bracketed search whose root finder (secant steps with a
+    bisection schedule) used its 192 steps before narrowing tau_max to 1e-12
+    relative with the error within 1e-4 of the SQL is flagged non-converged.
     """
+    family, phi_l_grid = scenario.sweep_family, scenario.sweep_phi_l
+    atoms_per_layer, convention = scenario.sweep_atoms_per_layer, scenario.convention
     if family not in ("cubic", "slab"):
-        raise ValueError(f"family must be 'cubic' or 'slab', got {family!r}")
+        raise ValueError(f"sweep.family must be 'cubic' or 'slab', got {family!r}")
     if family == "slab" and atoms_per_layer > sys.float_info.max:
         raise OverflowError(
             f"sweep.atoms_per_layer = {_magnitude(atoms_per_layer)} is out of float range"
         )
-    phi_g = per_layer_phase_rate(consts, species, layer_spacing)
+    species = scenario.species_obj()
+    phi_g = per_layer_phase_rate(scenario.consts_obj(), species, scenario.layer_spacing())
     omega0 = species.omega0
     points = []
-    for size in sizes:
+    for size in scenario.sweep_sizes:
         if family == "cubic":
             layer_count, atoms = size + 1, size * size
         else:

@@ -14,15 +14,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .core import (
-    DEFAULT_BBR_DISK_RADIUS,
-    P2_NATURAL_LINEWIDTH_HZ,
-    REDSHIFT_KEYS,
-    ClockSpecies,
-    PhysicalConstants,
-    YB,
-    relative_redshift,
-)
+from .core import ClockSpecies, relative_redshift
+from .scenario import Scenario
 
 
 # Shift coefficients of the Yb clock transition and its calibration line.
@@ -128,11 +121,9 @@ def lattice_intensity_ratio(z_r: float, separation: float) -> IntensityRatioResu
     changes = (delta * s / (1.0 + u_neg * u_neg), delta * s / (1.0 + u_pos * u_pos))
     if not (separation > 0 and z_r < math.inf and changes[1] < math.inf):
         raise ValueError(
-            f"peak intensity change at layer separation / Rayleigh range pi w^2 / wavelength ="
-            f" {separation!r} m / {z_r!r} m is out of float range; it needs a positive"
-            " separation and a finite Rayleigh range, set by budget.beam_waist,"
-            " species.magic_wavelength and budget.beam_separation"
-            " (default 100 species.magic_wavelength)"
+            f"peak intensity change at layer separation / Rayleigh range = {separation!r} m /"
+            f" {z_r!r} m is out of float range; they are set by budget.beam_separation,"
+            " budget.beam_waist and species.magic_wavelength"
         )
     residual = max(abs(u * u + u * delta - 1.0) / max(1.0, u * u) for u in (u_pos, u_neg))
     return IntensityRatioResult(
@@ -247,78 +238,67 @@ _NEGLIGIBLE_EFFECTS = (
 )
 
 
-def assemble_budget(
-    n_site: int = 100,
-    species: ClockSpecies = YB,
-    consts: PhysicalConstants = PhysicalConstants(),
-    layer_spacing: float | None = None,
-    *,
-    wall_distance: float = 0.05,  # m, ensemble center to each chamber wall
-    disk_radius: float = DEFAULT_BBR_DISK_RADIUS,  # m
-    base_temperature: float = 293.0,  # K
-    example_temperature_step: float = 1.0,  # K, the worked two-wall example
-    delta_t: float = 0.010,  # K, assumed achieved chamber uniformity
-    beam_waist: float = 170e-6,  # m
-    beam_separation: float | None = None,  # m; None -> 100 lattice wavelengths
-    bias_field: float = 1.0,  # G, upper bound taken for the quadratic Zeeman term
-    e_gradient: float = 1e4,  # (V/m)/m residual behind shield and coatings
-    baseline_e_field: float = 0.0,  # V/m
-    p2_linewidth: float = P2_NATURAL_LINEWIDTH_HZ,  # Hz, 3P2 calibration resolution
-) -> Budget:
+def assemble_budget(scenario: Scenario = Scenario()) -> Budget:
     """Evaluate every systematic against the redshift signal at one lattice size.
 
-    The keyword-only arguments are the experimental conditions, each named
-    as its `budget.` scenario key; each entry's note records the one it used,
-    and a refusal names the keys behind the value it refuses. Zero-valued
-    entries carry the physical reason the effect has no height-linear
-    component; they are listed so the budget is exhaustive rather than
-    silently omitting them.
+    The experimental conditions are the scenario's `budget.` keys, with its
+    species, constants and layer spacing; each entry's note records the one
+    it used, and a refusal names the keys behind the value it refuses.
+    Zero-valued entries carry the physical reason the effect has no
+    height-linear component; they are listed so the budget is exhaustive
+    rather than silently omitting them.
     """
-    spacing = species.default_layer_spacing if layer_spacing is None else layer_spacing
-    delta_z = n_site * spacing if n_site <= sys.float_info.max else math.inf
+    species, t1 = scenario.species_obj(), scenario.budget_base_temperature
+    n_site, wall_distance = scenario.budget_n_site, scenario.budget_wall_distance
+    disk_radius, delta_t = scenario.budget_disk_radius, scenario.budget_delta_t
+    e0, e_gradient = scenario.budget_baseline_e_field, scenario.budget_e_gradient
+    bias, linewidth = scenario.budget_bias_field, scenario.budget_p2_linewidth
+    delta_z = n_site * scenario.layer_spacing() if n_site <= sys.float_info.max else math.inf
     if not 0 < delta_z < wall_distance:
         raise ValueError(
             f"ensemble extent delta_z = {delta_z!r} m must lie in (0, budget.wall_distance ="
             f" {wall_distance!r} m); delta_z is budget.n_site times geometry.layer_spacing"
             " (default species.magic_wavelength / 2)"
         )
-    t2 = base_temperature + example_temperature_step
+    t2 = t1 + scenario.budget_example_temperature_step
     if not t2 > 0:
         raise ValueError(
             f"second wall temperature budget.base_temperature + budget.example_temperature_step"
             f" = {t2!r} K must be positive"
         )
-    fractional = relative_redshift(consts, delta_z)
+    fractional = relative_redshift(scenario.consts_obj(), delta_z)
     delta_nu = species.frequency * fractional
 
     b_gradient = allowed_b_gradient(delta_nu, delta_z)
     p2_shift = p2_calibration_shift(b_gradient, delta_z)
-    e_allowed = allowed_e_gradient(delta_nu, delta_z, baseline_e_field)
+    e_allowed = allowed_e_gradient(delta_nu, delta_z, e0)
 
     # First-order Zeeman: the gradient itself is calibrated out via the 3P2
     # line; what survives is the calibration resolution, one linewidth of
     # gradient uncertainty mapped back onto the clock transition.
-    zeeman1_residual = ZEEMAN1 * p2_linewidth / P2_ZEEMAN
+    zeeman1_residual = ZEEMAN1 * linewidth / P2_ZEEMAN
 
-    e_top = baseline_e_field + e_gradient * delta_z
+    e_top = e0 + e_gradient * delta_z
     if not e_top < math.sqrt(sys.float_info.max):
         raise OverflowError(
             f"DC Stark field budget.baseline_e_field + budget.e_gradient * delta_z = {e_top!r} V/m"
             " is out of range: its square overflows"
         )
-    e_shift = DC_STARK * abs(e_top**2 - baseline_e_field**2)
+    e_shift = DC_STARK * abs(e_top**2 - e0**2)
 
-    separation = 100.0 * species.magic_wavelength if beam_separation is None else beam_separation
+    separation = scenario.budget_beam_separation
+    if separation is None:
+        separation = 100.0 * species.magic_wavelength
     intensity = lattice_intensity_ratio(
-        rayleigh_range(beam_waist, species.magic_wavelength), separation
+        rayleigh_range(scenario.budget_beam_waist, species.magic_wavelength), separation
     )
 
     near, far = wall_solid_angles(wall_distance, delta_z, disk_radius)
     try:
-        example = bbr_field_excess(base_temperature, t2, near, far)
-        uniform = bbr_field_excess(base_temperature, base_temperature + delta_t, near, far)
+        example = bbr_field_excess(t1, t2, near, far)
+        uniform = bbr_field_excess(t1, t1 + delta_t, near, far)
         temperature_limit = bbr_temperature_limit(
-            fractional, wall_distance, base_temperature, delta_z, disk_radius
+            fractional, wall_distance, t1, delta_z, disk_radius
         )
     except (ArithmeticError, ValueError):
         # T^4 overflows, or T^4 W underflows to 0/0.
@@ -331,8 +311,9 @@ def assemble_budget(
         )
     if temperature_limit == math.inf:
         raise ValueError(
-            "no wall temperature difference brings the BBR differential up to the"
-            f" redshift signal g dz/c^2 = {fractional!r}; it is set by {REDSHIFT_KEYS}"
+            "no wall temperature lifts the BBR differential up to the redshift signal g dz/c^2"
+            f" = {fractional:.3e}: budget.wall_distance and budget.disk_radius cap it;"
+            " constants.g, constants.c, budget.n_site and geometry.layer_spacing set the signal"
         )
 
     rows = [
@@ -340,12 +321,12 @@ def assemble_budget(
             "first-order-zeeman-calibration",
             zeeman1_residual,
             f"gradient calibrated against the 3P2 line to one linewidth"
-            f" ({p2_linewidth:.3e} Hz); residual is linewidth-limited",
+            f" ({linewidth:.3e} Hz); residual is linewidth-limited",
         ),
         (
             "second-order-zeeman",
-            second_order_zeeman_shift(b_gradient, bias_field, delta_z),
-            f"field gradient {b_gradient:.3e} G/m on a {bias_field:.3g} G bias",
+            second_order_zeeman_shift(b_gradient, bias, delta_z),
+            f"field gradient {b_gradient:.3e} G/m on a {bias:.3g} G bias",
         ),
         (
             "dc-stark",

@@ -15,8 +15,6 @@ from layer_sum_oracle import explicit_layer_sum
 
 from gravclock.cli import main
 from gravclock.core import (
-    DEFAULT_BBR_DISK_RADIUS,
-    DEFAULT_SLAB_ATOMS_PER_LAYER,
     PhysicalConstants,
     YB,
     default_size_grid,
@@ -63,16 +61,14 @@ def announce(criterion: int, message: str) -> None:
 
 def yb_sweep(family: str, sizes, phi_l_grid):
     """A paper-figure sweep of Yb at its magic-wavelength spacing, slab layers
-    of DEFAULT_SLAB_ATOMS_PER_LAYER atoms."""
+    of the default sweep.atoms_per_layer atoms."""
     return sweep(
-        family,
-        sizes,
-        phi_l_grid,
-        PF,
-        DEFAULT_SLAB_ATOMS_PER_LAYER,
-        YB,
-        CONSTS,
-        YB.default_layer_spacing,
+        Scenario(
+            convention=PF,
+            sweep_family=family,
+            sweep_sizes=tuple(sizes),
+            sweep_phi_l=tuple(phi_l_grid),
+        )
     )
 
 
@@ -112,7 +108,7 @@ def test_criterion_2_redshift_anchors():
     shift = relative_redshift(CONSTS, 0.01)
     assert shift == pytest.approx(1.09e-18, rel=0.005)
 
-    signal = assemble_budget(100)
+    signal = assemble_budget(Scenario(budget_n_site=100))
     assert signal.delta_z == pytest.approx(37.97e-6, rel=0.005)
     assert signal.delta_nu == pytest.approx(2.145e-6, rel=0.005)
 
@@ -191,7 +187,7 @@ def test_criterion_5_scaling_exponents():
 
 
 def test_criterion_6_systematics_anchors():
-    signal = assemble_budget(100)
+    signal = assemble_budget(Scenario(budget_n_site=100))
 
     gradient = allowed_b_gradient(signal.delta_nu, signal.delta_z)
     assert gradient == pytest.approx(2.69e-4, rel=0.10)
@@ -199,7 +195,7 @@ def test_criterion_6_systematics_anchors():
     p2 = p2_calibration_shift(2.69e-4, signal.delta_z)
     assert p2 == pytest.approx(0.0214, rel=0.05)
 
-    omega_near, omega_far = wall_solid_angles(0.05, signal.delta_z, DEFAULT_BBR_DISK_RADIUS)
+    omega_near, omega_far = wall_solid_angles(0.05, signal.delta_z, Scenario().budget_disk_radius)
     ratio_minus_one = bbr_field_excess(293.0, 294.0, omega_near, omega_far)
     shift_fractional = BBR_FRACTIONAL * ratio_minus_one
     assert ratio_minus_one == pytest.approx(1.04e-5, rel=0.50)

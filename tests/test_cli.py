@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -168,6 +169,45 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert blocker.read_text() == "keep\n"
     assert [p.name for p in tmp_path.iterdir()] == ["not_a_dir"]
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["name", "nested"])
+def test_out_name_too_long_is_one_line_naming_out(tmp_path, capsys, nested):
+    # A failure to make --out names the option, cuts the path as a refused
+    # text is cut, and gives the reason the OS gave.
+    name = "y" * 300
+    out = str(tmp_path / "a" / name / "b") if nested else str(tmp_path / name)
+    assert main(["threshold", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gravclock: error: cannot make --out ")
+    assert f"... ({len(out)} characters): " in captured.err
+    assert captured.err.endswith(f": {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 250
+    assert not any(path.name == name for path in tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "budget.wall_distance = 1000",
+        "budget.beam_waist = 1e-320",
+        "species.magic_wavelength = 1e-320",
+    ],
+)
+def test_budget_refusal_is_one_short_line_naming_its_key(tmp_path, capsys, text):
+    # A wall too far to lift the BBR differential to the signal, and a
+    # Rayleigh range that underflows to 0 or overflows to inf.
+    scenario = tmp_path / "budget.cfg"
+    scenario.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert main(["budget", "--scenario", str(scenario), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gravclock: error: ")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 250
+    assert text.split(" = ")[0] in captured.err
+    assert not out.exists()
 
 
 # The argv contract. Line wrapping is not part of it (it follows $COLUMNS and

@@ -12,15 +12,16 @@ and encodes every text that write_outputs receives, so both CSV commands
 must assemble their text in one cli.csv_text call and every command must
 hand write_outputs str values.
 
-The benchmark calls assemble_budget() with no arguments, so each budget
-default is written both as a `budget.` scenario key and as a keyword default
-of assemble_budget; the last test keeps the two equal.
+The benchmark calls assemble_budget() with no arguments. Its one parameter
+defaults to Scenario(), so every budget default is the scenario key table's.
+The last tests check that this call is the built-in scenario's budget, and
+that assemble_budget and sweep read each `budget.` and `sweep.` key of the
+table.
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
 import math
 import os
 import subprocess
@@ -31,9 +32,11 @@ import pytest
 from layer_sum_oracle import explicit_layer_sum
 
 from gravclock import cli, emit
+from gravclock import scenario as scenario_module
 from gravclock.core import PhysicalConstants, YB, per_layer_phase_rate
 from gravclock.dephasing import Convention, DephasingInput, bloch_sum, effective_phase_rate
 from gravclock.scenario import Scenario
+from gravclock.sweep import sweep
 from gravclock.systematics import assemble_budget
 from gravclock.thresholds import TauMaxProblem, solve_tau_max
 
@@ -167,11 +170,42 @@ def test_budget_with_no_arguments_agrees_with_closed_form():
     assert assemble_budget().intensity.closed_form_agrees
 
 
-def test_budget_keyword_defaults_match_scenario_defaults():
-    parameters = inspect.signature(assemble_budget).parameters
-    scenario = Scenario()
-    keys = [name for name in Scenario._fields if name.startswith("budget_")]
-    assert len(keys) == 12
-    for name in keys:
-        default = parameters[name.removeprefix("budget_")].default
-        assert default == getattr(scenario, name), name
+# key -> another valid value, as scenario text, for each key that
+# assemble_budget or sweep reads
+_OTHER_VALUES = {
+    "budget.n_site": "200",
+    "budget.wall_distance": "0.1",
+    "budget.disk_radius": "0.1",
+    "budget.base_temperature": "300",
+    "budget.example_temperature_step": "2",
+    "budget.delta_t": "0.02",
+    "budget.beam_waist": "200e-6",
+    "budget.beam_separation": "1e-4",
+    "budget.bias_field": "2",
+    "budget.e_gradient": "2e4",
+    "budget.baseline_e_field": "1",
+    "budget.p2_linewidth": "0.1",
+    "sweep.family": "slab",
+    "sweep.sizes": "2,3,5",
+    "sweep.phi_l": "1e-3",
+    "sweep.atoms_per_layer": "20000",
+}
+
+
+def test_budget_with_no_arguments_is_the_default_scenario():
+    assert assemble_budget() == assemble_budget(Scenario())
+
+
+@pytest.mark.parametrize(
+    "key", [key for key in scenario_module._KEYS if key.startswith(("budget.", "sweep."))]
+)
+def test_every_budget_and_sweep_key_is_read(key):
+    # Each key set alone to another valid value changes the result; the
+    # slab family is the one that reads sweep.atoms_per_layer.
+    default, parse = scenario_module._KEYS[key]
+    value = parse(_OTHER_VALUES[key])
+    assert value != default
+    base = Scenario(sweep_family="slab") if key == "sweep.atoms_per_layer" else Scenario()
+    changed = base._replace(**{key.replace(".", "_"): value})
+    run = assemble_budget if key.startswith("budget.") else sweep
+    assert run(changed) != run(base)

@@ -69,16 +69,7 @@ def _reference_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list
     """The previous stability-sweep renderer: one formatted line per point."""
     fmt_float = _reference_fmt_float
     family, convention = scenario.sweep_family, scenario.convention
-    points = cli.sweep(
-        family,
-        scenario.sweep_sizes,
-        scenario.sweep_phi_l,
-        scenario.convention,
-        scenario.sweep_atoms_per_layer,
-        scenario.species_obj(),
-        scenario.consts_obj(),
-        scenario.layer_spacing(),
-    )
+    points = cli.sweep(scenario)
     header = [
         "geometry",
         "size",

@@ -10,7 +10,6 @@ from gravclock import core, scenario as scenario_module
 from gravclock.cli import main
 from gravclock.core import (
     CONVENTIONS,
-    DEFAULT_PHI_L_GRID,
     MAX_GRID_POINTS,
     Convention,
     default_size_grid,
@@ -389,7 +388,7 @@ def test_cubic_stability_preset_matches_default_grids():
     scenario = parse_scenario((PRESETS / "stability_cubic.cfg").read_text())
     assert scenario.sweep_family == "cubic"
     assert scenario.sweep_sizes == default_size_grid()
-    assert scenario.sweep_phi_l == DEFAULT_PHI_L_GRID
+    assert scenario.sweep_phi_l == Scenario().sweep_phi_l
     assert scenario.convention == Convention.PAPER_FIGURE
 
 

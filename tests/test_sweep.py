@@ -8,26 +8,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gravclock import sweep as sweep_module
-from gravclock.core import (
-    DEFAULT_PHI_L_GRID,
-    DEFAULT_SLAB_ATOMS_PER_LAYER,
-    PhysicalConstants,
-    YB,
-    default_size_grid,
-    geomspace,
-    linspace,
-)
+from gravclock.core import default_size_grid, geomspace, linspace
 from gravclock.dephasing import Convention
+from gravclock.scenario import Scenario
 from gravclock.sweep import scaling_exponent, split_at_minimum, sweep
 
 PF = Convention.PAPER_FIGURE
 
 
-def yb_sweep(family, sizes, phi_l_grid, atoms_per_layer=DEFAULT_SLAB_ATOMS_PER_LAYER):
+def yb_sweep(family, sizes, phi_l_grid, atoms_per_layer=Scenario().sweep_atoms_per_layer):
     """A paper-figure sweep of Yb at its magic-wavelength spacing."""
-    consts = PhysicalConstants()
     return sweep(
-        family, sizes, phi_l_grid, PF, atoms_per_layer, YB, consts, YB.default_layer_spacing
+        Scenario(
+            convention=PF,
+            sweep_family=family,
+            sweep_sizes=tuple(sizes),
+            sweep_phi_l=tuple(phi_l_grid),
+            sweep_atoms_per_layer=atoms_per_layer,
+        )
     )
 
 
@@ -119,7 +117,7 @@ def test_laser_regime_point_n2():
 def test_sigma_monotone_in_phi_l():
     for size in (10, 100, 500):
         sigmas = [
-            point.sigma_at_1s for point in yb_sweep("cubic", (size,), DEFAULT_PHI_L_GRID)
+            point.sigma_at_1s for point in yb_sweep("cubic", (size,), Scenario().sweep_phi_l)
         ]
         assert all(b >= a * (1 - 1e-12) for a, b in zip(sigmas, sigmas[1:]))
 
@@ -257,11 +255,14 @@ def test_sweep_refuses_before_solving_a_bad_cell(
     monkeypatch.setattr(sweep_module, "solve_tau_max", counted)
     if rate is not None:
         monkeypatch.setattr(sweep_module, "per_layer_phase_rate", lambda *args: rate)
-    spacing = YB.default_layer_spacing if spacing is None else spacing
+    scenario = Scenario(
+        sweep_family=family,
+        sweep_sizes=sizes,
+        sweep_phi_l=grid,
+        sweep_atoms_per_layer=atoms_per_layer,
+        geometry_layer_spacing=spacing,
+    )
     error = OverflowError if message is _SIZE_OVERFLOW else ValueError
     with pytest.raises(error, match="^" + re.escape(message)):
-        sweep(
-            family, sizes, grid, Convention.PHYSICAL, atoms_per_layer, YB,
-            PhysicalConstants(), spacing,
-        )
+        sweep(scenario)
     assert len(cells) == solved

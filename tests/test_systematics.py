@@ -10,7 +10,8 @@ import pytest
 from scipy.optimize import brentq
 
 from gravclock import systematics
-from gravclock.core import DEFAULT_BBR_DISK_RADIUS, P2_NATURAL_LINEWIDTH_HZ, YB
+from gravclock.core import YB
+from gravclock.scenario import Scenario
 from gravclock.systematics import (
     BBR_FRACTIONAL,
     DC_STARK,
@@ -29,9 +30,10 @@ from gravclock.systematics import (
     wall_solid_angles,
 )
 
-DISK = DEFAULT_BBR_DISK_RADIUS
+DEFAULTS = Scenario()
+DISK = DEFAULTS.budget_disk_radius
 # The redshift signal across a 100-site cube: extent, shift in Hz, fractional.
-BUDGET_100 = assemble_budget(n_site=100)
+BUDGET_100 = assemble_budget(Scenario(budget_n_site=100))
 DELTA_Z, DELTA_NU, FRACTIONAL = BUDGET_100.delta_z, BUDGET_100.delta_nu, BUDGET_100.fractional
 
 
@@ -42,7 +44,7 @@ def test_signal_anchor_n100():
 
 
 def test_signal_linearity():
-    double = assemble_budget(n_site=200)
+    double = assemble_budget(Scenario(budget_n_site=200))
     assert double.delta_z == pytest.approx(2 * DELTA_Z, rel=1e-15)
     assert double.delta_nu == pytest.approx(2 * DELTA_NU, rel=1e-15)
 
@@ -322,7 +324,8 @@ def test_bbr_temperature_limit_linearity():
 @pytest.mark.parametrize("base_temperature", [4.0, 77.0, 293.0, 400.0])
 def test_bbr_temperature_limit_matches_brentq(wall_distance, base_temperature):
     for n_site in (1, 100, 1000):
-        budget = assemble_budget(n_site, wall_distance=wall_distance)
+        scenario = Scenario(budget_n_site=n_site, budget_wall_distance=wall_distance)
+        budget = assemble_budget(scenario)
         omega_near, omega_far = wall_solid_angles(wall_distance, budget.delta_z, DISK)
 
         def excess(delta_t):
@@ -346,7 +349,8 @@ def test_bbr_temperature_limit_matches_exact_arithmetic(wall_distance, base_temp
     # and the fourth root in 60-digit decimals, from the same float inputs.
     k = Fraction(BBR_FRACTIONAL)
     for n_site in (1, 100, 1000):
-        budget = assemble_budget(n_site, wall_distance=wall_distance)
+        scenario = Scenario(budget_n_site=n_site, budget_wall_distance=wall_distance)
+        budget = assemble_budget(scenario)
         near, far = map(Fraction, wall_solid_angles(wall_distance, budget.delta_z, DISK))
         r = Fraction(budget.fractional) / k
         eps = r * (near + far) / (near - far - r * far)
@@ -369,17 +373,17 @@ def test_bbr_geometry_validation():
     # The checks the scenario parser cannot make: the ensemble inside the
     # walls, a positive second wall, and wall weights T^4 W in float range.
     with pytest.raises(ValueError, match="budget.wall_distance"):
-        assemble_budget(wall_distance=1e-5)
+        assemble_budget(Scenario(budget_wall_distance=1e-5))
     with pytest.raises(ValueError, match="budget.example_temperature_step"):
-        assemble_budget(example_temperature_step=-293.0)
+        assemble_budget(Scenario(budget_example_temperature_step=-293.0))
     with pytest.raises(OverflowError, match="budget.base_temperature"):
-        assemble_budget(base_temperature=1e300)
+        assemble_budget(Scenario(budget_base_temperature=1e300))
     with pytest.raises(OverflowError, match="budget.disk_radius"):
-        assemble_budget(disk_radius=1e-300)
+        assemble_budget(Scenario(budget_disk_radius=1e-300))
 
 
 def test_default_budget_all_pass():
-    budget = assemble_budget(n_site=100)
+    budget = assemble_budget(Scenario(budget_n_site=100))
     names = [entry.name for entry in budget.entries]
     assert names[:5] == [
         "first-order-zeeman-calibration",
@@ -394,7 +398,7 @@ def test_default_budget_all_pass():
 
 
 def test_budget_entry_fractional_consistency():
-    budget = assemble_budget(n_site=100)
+    budget = assemble_budget(Scenario(budget_n_site=100))
     for entry in budget.entries:
         assert entry.fractional == pytest.approx(
             entry.differential_shift_hz / YB.frequency, rel=1e-12, abs=1e-40
@@ -404,7 +408,7 @@ def test_budget_entry_fractional_consistency():
 
 
 def test_budget_fixed_entries_fail_without_signal():
-    residual = ZEEMAN1 * P2_NATURAL_LINEWIDTH_HZ / P2_ZEEMAN
+    residual = ZEEMAN1 * DEFAULTS.budget_p2_linewidth / P2_ZEEMAN
     assert residual > 0.0
     # The assumption-scale entries have fixed shifts; against a zero signal
     # every one of them fails the strict comparison.
@@ -413,7 +417,8 @@ def test_budget_fixed_entries_fail_without_signal():
 
 
 def test_budget_assumptions_are_configurable():
-    budget = assemble_budget(n_site=100, delta_t=10.0)  # 10 K chamber imbalance
+    # A 10 K chamber imbalance.
+    budget = assemble_budget(Scenario(budget_n_site=100, budget_delta_t=10.0))
     bbr = next(e for e in budget.entries if e.name == "bbr-differential")
     assert not bbr.passes
     assert not budget.all_pass
@@ -421,8 +426,8 @@ def test_budget_assumptions_are_configurable():
 
 def test_budget_requires_extent():
     with pytest.raises(ValueError, match="budget.n_site"):
-        assemble_budget(n_site=0)
+        assemble_budget(Scenario(budget_n_site=0))
 
 
 def test_default_disk_radius_is_physical():
-    assert 0.01 < DEFAULT_BBR_DISK_RADIUS < 0.5
+    assert 0.01 < DISK < 0.5
