@@ -8,8 +8,9 @@ that needs them, the scenario key table included, imports them from this
 leaf module. So do ECHO_CAP, the length up to which a refusal repeats the
 text or integer it refuses, with echo and echo_int that cut it there, and
 the two phase-rate conventions, which are their scenario text: CONVENTIONS
-lists them, and dephasing applies them. The defaults of a run are not
-here: each is written once, in the scenario key table.
+lists them, and dephasing applies them. No default of a run is here, not
+even of PhysicalConstants or default_size_grid: each is written once, in
+the scenario key table (Scenario().consts_obj(), Scenario().sweep_sizes).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "g c")):
 
     __slots__ = ()
 
-    def __new__(cls, g: float = 9.80665, c: float = 2.99792458e8):
+    def __new__(cls, g: float, c: float):
         if not (g > 0 and math.isfinite(g)):
             raise ValueError(f"g must be positive and finite, got {g!r}")
         if not (c > 0 and math.isfinite(c)):
@@ -133,11 +134,12 @@ def species_by_name(name: str) -> ClockSpecies:
         raise ValueError(f"unknown species {echo(name)}; built-in presets: {known}") from None
 
 
-# The scenario keys behind g dh/c^2, named when it leaves float range.
+# The scenario keys behind g d/c^2, and behind phi_g = omega0 g d/c^2, named
+# when a quantity made from them leaves float range.
 REDSHIFT_KEYS = (
-    "constants.g, constants.c and the height dh: geometry.layer_spacing"
-    " (default species.magic_wavelength / 2), times budget.n_site in the budget"
+    "constants.g, constants.c and geometry.layer_spacing (default species.magic_wavelength / 2)"
 )
+PHI_G_KEYS = f"species.omega0, {REDSHIFT_KEYS}"
 
 
 def relative_redshift(consts: PhysicalConstants, delta_h: float) -> float:
@@ -170,8 +172,7 @@ def per_layer_phase_rate(
     rate = species.omega0 * relative_redshift(consts, layer_spacing)
     if not math.isfinite(rate):
         raise OverflowError(
-            f"per-layer phase rate omega0 g d/c^2 is out of float range; it is set by"
-            f" species.omega0, {REDSHIFT_KEYS}"
+            f"per-layer phase rate omega0 g d/c^2 is out of float range; it is set by {PHI_G_KEYS}"
         )
     return rate
 
@@ -247,7 +248,7 @@ def geomspace(a: float, b: float, n: int) -> tuple[float, ...]:
     return (float(a), *(10.0**y for y in inner), float(b))
 
 
-def default_size_grid(lo: int = 2, hi: int = 1000, points: int = 40) -> tuple[int, ...]:
+def default_size_grid(lo: int, hi: int, points: int) -> tuple[int, ...]:
     """Log-spaced integer sizes: geomspace rounded half to even, deduplicated
     and ascending."""
     if lo < 1 or hi < lo or points < 1:

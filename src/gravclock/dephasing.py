@@ -22,18 +22,13 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
-from .core import Convention, check_convention
+from .core import PHI_G_KEYS, Convention, check_convention, echo_int
 
 # pi = _PI_HI + _PI_LO to ~1e-26, with j * _PI_HI exact for |j| < 2**20.
 _PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
 _PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
 _HALF_PI = 0.5 * math.pi
 SMALL_ANGLE = 2.0**-26  # |phi_l t| below which the phase ratio is its limit D / m
-# The scenario keys behind phi_g, named when a rate or phase spread leaves float range.
-PHI_G_KEYS = (
-    "species.omega0, constants.g, constants.c and geometry.layer_spacing"
-    " (default species.magic_wavelength / 2)"
-)
 
 
 def effective_phase_rate(phi_g: float, layer_count: int, convention: str) -> float:
@@ -192,8 +187,7 @@ def dephase_curve(
         _check_grid(t_grid)
     if layer_count > sys.float_info.max:
         raise OverflowError(
-            f"dephase.sizes: a layer count of {len(str(layer_count))} digits"
-            " is out of float range"
+            f"dephase.sizes: the layer count is {echo_int(layer_count)}, out of float range"
         )
     t_end = t_grid[-1] if len(t_grid) else 0.0
     if not abs(phi_l * t_end) < math.inf:

@@ -8,6 +8,8 @@ written with fixed field order and no environment-dependent content.
 from __future__ import annotations
 
 import contextlib
+# hashlib's SHA-256: its OpenSSL digest costs more to import than the built-in
+# _sha256 but hashes about 5x faster, which a large curve repays.
 import hashlib
 import math
 import os
@@ -133,12 +135,6 @@ def csv_text(header: list[str], blocks: list[str]) -> str:
     return "\n".join([",".join(header), *blocks, ""])
 
 
-def sha256_hex(text: str) -> str:
-    """hashlib's SHA-256. Its OpenSSL digest costs more to import than the
-    built-in _sha256 but hashes about 5x faster, which a large curve repays."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def write_outputs(out_dir: str, files: dict[str, str]) -> None:
     """Single-writer emission of pre-rendered texts, LF regardless of platform.
 
@@ -146,7 +142,8 @@ def write_outputs(out_dir: str, files: dict[str, str]) -> None:
     regular file; a directory this call made holds none. Every text goes to
     a temporary file inside out_dir first; the temporaries then replace their
     targets, RUN_RECORD_NAME last, so a manifest is only ever written after
-    every file it lists. On any failure the temporary files are removed.
+    every file it lists. On any failure the temporary files are removed, and
+    on a failure to make out_dir so are the parents made for it, while empty.
     """
     targets = {name: os.path.join(out_dir, name) for name in files}
     existing = targets.values()  # the targets that out_dir may already hold
@@ -154,7 +151,19 @@ def write_outputs(out_dir: str, files: dict[str, str]) -> None:
         os.mkdir(out_dir or os.curdir)
         existing = ()
     except FileNotFoundError:  # a parent is missing
-        os.makedirs(out_dir, exist_ok=True)
+        # os.makedirs makes the ancestors that os.path.exists denies, up to a
+        # root (which dirname keeps); a directory that existed is never made.
+        made, missing = [], out_dir
+        while missing and missing not in made and not os.path.exists(missing):
+            made.append(missing)
+            missing = os.path.dirname(missing)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError:
+            for directory in made:  # deepest first; rmdir keeps a non-empty one
+                with contextlib.suppress(OSError):
+                    os.rmdir(directory)
+            raise
     except OSError:  # as os.makedirs: EEXIST may yield to EACCES or EROFS
         if not os.path.isdir(out_dir or os.curdir):
             raise
@@ -187,7 +196,7 @@ def write_outputs(out_dir: str, files: dict[str, str]) -> None:
 def run_record(scenario_text: str, version: str, files: dict[str, str]) -> dict:
     """Manifest tying outputs to the scenario digest and tool version."""
     return {
-        "scenario_sha256": sha256_hex(scenario_text),
+        "scenario_sha256": hashlib.sha256(scenario_text.encode("utf-8")).hexdigest(),
         "version": version,
         "outputs": [
             {"name": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}

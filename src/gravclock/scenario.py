@@ -172,7 +172,7 @@ _KEYS = {
     "dephase.sizes": ((100, 200, 300, 400, 500), _sizes),
     "dephase.t_grid": (linspace(0.0, 200.0, 201), _times),
     "sweep.family": ("cubic", _family),
-    "sweep.sizes": (default_size_grid(), _sizes),
+    "sweep.sizes": (default_size_grid(2, 1000, 40), _sizes),
     "sweep.phi_l": ((1e-6, 1e-5, 1e-4, 1e-3, 1e-2), _float_grid),  # rad/s
     "sweep.atoms_per_layer": (10_000, _positive_int),  # slab family only
     "budget.n_site": (100, _positive_int),
@@ -215,20 +215,12 @@ class Scenario(
     __slots__ = ()
 
     def species_obj(self) -> ClockSpecies:
-        if self.species_omega0 is not None and self.species_magic_wavelength is not None:
-            return ClockSpecies(
-                name=self.species,
-                omega0=self.species_omega0,
-                magic_wavelength=self.species_magic_wavelength,
-            )
-        base = species_by_name(self.species)
-        omega0 = base.omega0 if self.species_omega0 is None else self.species_omega0
-        wavelength = (
-            base.magic_wavelength
-            if self.species_magic_wavelength is None
-            else self.species_magic_wavelength
-        )
-        return ClockSpecies(name=base.name, omega0=omega0, magic_wavelength=wavelength)
+        """The species with its overrides; the preset of its name fills an unset one."""
+        fields = (self.species_omega0, self.species_magic_wavelength)
+        if None in fields:
+            preset = species_by_name(self.species)
+            fields = [p if f is None else f for f, p in zip(fields, preset[1:])]
+        return ClockSpecies(self.species, *fields)
 
     def consts_obj(self) -> PhysicalConstants:
         return PhysicalConstants(g=self.constants_g, c=self.constants_c)

@@ -6,6 +6,7 @@ per-layer SQL at that time is evaluated, and the result is converted to a
 1/(omega0 tau n_site); slab sweeps report 1/(omega0 tau sqrt(atoms_per_layer)).
 Reporting the per-layer SQL (not the whole-ensemble QPN) is what makes the
 laser-limited branch scale as 1/size for cubes and stay flat for slabs.
+The tests, not this module, fit the paper's -1, +0.25 and +1 slopes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .core import per_layer_phase_rate
+from .core import echo_int, per_layer_phase_rate
 from .dephasing import effective_phase_rate
 from .scenario import Scenario
 from .thresholds import check_cells, solve_tau_max
@@ -32,12 +33,6 @@ class StabilityPoint(NamedTuple):
     sigma_at_tau: float
     sigma_at_1s: float
     flag: str = ""
-
-
-def _magnitude(n: int) -> str:
-    """An int of any size in 4-digit scientific notation, truncated."""
-    digits = str(n)
-    return f"{digits[0]}.{digits[1:4].ljust(3, '0')}e+{len(digits) - 1:02d}"
 
 
 def sweep(scenario: Scenario) -> list[StabilityPoint]:
@@ -61,7 +56,7 @@ def sweep(scenario: Scenario) -> list[StabilityPoint]:
         raise ValueError(f"sweep.family must be 'cubic' or 'slab', got {family!r}")
     if family == "slab" and atoms_per_layer > sys.float_info.max:
         raise OverflowError(
-            f"sweep.atoms_per_layer = {_magnitude(atoms_per_layer)} is out of float range"
+            f"sweep.atoms_per_layer is {echo_int(atoms_per_layer)}, out of float range"
         )
     species = scenario.species_obj()
     phi_g = per_layer_phase_rate(scenario.consts_obj(), species, scenario.layer_spacing())
@@ -74,8 +69,8 @@ def sweep(scenario: Scenario) -> list[StabilityPoint]:
             layer_count, atoms = size, atoms_per_layer
         if max(layer_count, atoms) > sys.float_info.max:
             raise OverflowError(
-                f"sweep.sizes: a {family} ensemble of size {_magnitude(size)} has a layer"
-                " or atom count out of float range"
+                f"sweep.sizes: a {family} ensemble has a layer or atom count out of float"
+                f" range; its size is {echo_int(size)}"
             )
         rate = effective_phase_rate(phi_g, layer_count, convention)
         check_cells(layer_count, atoms, phi_l_grid[:1] if points else phi_l_grid, rate)
@@ -92,49 +87,9 @@ def sweep(scenario: Scenario) -> list[StabilityPoint]:
             sigma_at_1s = sigma_at_tau * math.sqrt(tau)
             if not max(sigma_at_tau, sigma_at_1s) < math.inf:
                 raise OverflowError(
-                    f"SQL 1/(omega0 tau_max sqrt(N)) at size {_magnitude(size)}, phi_l {phi_l!r},"
+                    f"SQL 1/(omega0 tau_max sqrt(N)) at size {echo_int(size)}, phi_l {phi_l!r},"
                     f" tau_max {tau!r} s is out of float range; it is set by species.omega0,"
                     " sweep.sizes and, for slabs, sweep.atoms_per_layer"
                 )
             points.append(StabilityPoint(size, phi_l, tau, sigma_at_tau, sigma_at_1s, flag))
     return points
-
-
-def split_at_minimum(
-    points: list[StabilityPoint],
-) -> tuple[list[StabilityPoint], list[StabilityPoint]]:
-    """Split one curve (single phi_l, ascending sizes) at its sigma_at_1s argmin.
-
-    Returns (small, large): sizes strictly below and strictly above the
-    minimum. The minimum point itself belongs to neither regime.
-    """
-    if not points:
-        raise ValueError("empty curve")
-    phis = {p.phi_l for p in points}
-    if len(phis) != 1:
-        raise ValueError(f"curve must hold a single phi_l, got {sorted(phis)}")
-    if any(b.size <= a.size for a, b in zip(points, points[1:])):
-        raise ValueError("curve sizes must be strictly increasing")
-    idx = min(range(len(points)), key=lambda i: points[i].sigma_at_1s)
-    return points[:idx], points[idx + 1:]
-
-
-def scaling_exponent(points: list[StabilityPoint], regime: str) -> float:
-    """Least-squares slope of log(sigma_at_1s) vs log(size) in one regime.
-
-    regime 'small' takes the sizes below the curve's stability minimum,
-    'large' the sizes above it. Requires at least 3 unflagged points.
-    """
-    if regime not in ("small", "large"):
-        raise ValueError(f"regime must be 'small' or 'large', got {regime!r}")
-    small, large = split_at_minimum(points)
-    slice_ = small if regime == "small" else large
-    if any(p.flag for p in slice_):
-        raise ValueError("regime slice contains flagged points")
-    if len(slice_) < 3:
-        raise ValueError(f"need >= 3 points in the {regime} regime, got {len(slice_)}")
-    import statistics  # a few ms of import that no CLI command needs
-
-    x = [math.log(p.size) for p in slice_]
-    y = [math.log(p.sigma_at_1s) for p in slice_]
-    return statistics.linear_regression(x, y).slope

@@ -168,12 +168,12 @@ def bbr_field_excess(t1: float, t2: float, omega_near: float, omega_far: float) 
 
 
 def bbr_temperature_limit(
-    fractional: float, wall_distance: float, t1: float, extent: float, disk_radius: float
+    fractional: float, t1: float, omega_near: float, omega_far: float
 ) -> float:
     """Wall temperature difference [K] at which the BBR differential between
-    the ends of an ensemble spanning extent, one wall at t1 and the other
-    warmer, equals the fractional redshift signal; inf when no imbalance can
-    reach it.
+    the ends of an ensemble, one wall at t1 and the other warmer, equals the
+    fractional redshift signal; inf when no imbalance can reach it. The
+    walls subtend W+ = omega_near and W- = omega_far (wall_solid_angles).
 
     With r = fractional / BBR_FRACTIONAL, BBR_FRACTIONAL * excess = fractional
     solves for (t2/t1)^4 = 1 + eps, eps = r (W+ + W-) / (W+ - W- - r W-), so
@@ -181,7 +181,6 @@ def bbr_temperature_limit(
     saturates at W+/W- - 1 as t2 grows, so the limit is inf unless
     W+ - W- - r W- > 0.
     """
-    omega_near, omega_far = wall_solid_angles(wall_distance, extent, disk_radius)
     r = fractional / BBR_FRACTIONAL
     room = omega_near - omega_far - r * omega_far
     if not room > 0:
@@ -297,9 +296,7 @@ def assemble_budget(scenario: Scenario = Scenario()) -> Budget:
     try:
         example = bbr_field_excess(t1, t2, near, far)
         uniform = bbr_field_excess(t1, t1 + delta_t, near, far)
-        temperature_limit = bbr_temperature_limit(
-            fractional, wall_distance, t1, delta_z, disk_radius
-        )
+        temperature_limit = bbr_temperature_limit(fractional, t1, near, far)
     except (ArithmeticError, ValueError):
         # T^4 overflows, or T^4 W underflows to 0/0.
         example = uniform = math.nan

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
 from .dephasing import effective_phase_rate, phase_ratio
+from .scenario import Scenario
 
 TAU_CAP_S = 1e9
 # The search bisects whenever the bracket is wider than hi 2^(31.5 - k / 2)
@@ -33,7 +34,7 @@ _ROOT_MAX_STEPS = 192
 _ROOT_REL_TOL = 1e-12
 _RESIDUAL_REL_TOL = 1e-4
 # The phi_g of TauMaxProblem.cubic: Yb at its magic-wavelength spacing [rad/s].
-_YB_PHI_G = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
+_YB_PHI_G = per_layer_phase_rate(Scenario().consts_obj(), YB, YB.default_layer_spacing)
 # The scenario keys behind c^2/(omega0 tau g d), named when a size overflows.
 SIZE_KEYS = (
     "constants.c, constants.g, species.omega0, interrogation.tau and"

@@ -12,12 +12,11 @@ import math
 import numpy as np
 import pytest
 from layer_sum_oracle import explicit_layer_sum
+from regime_fit import scaling_exponent
 
 from gravclock.cli import main
 from gravclock.core import (
-    PhysicalConstants,
     YB,
-    default_size_grid,
     per_layer_phase_rate,
     per_layer_sql,
     qpn_stability,
@@ -31,7 +30,7 @@ from gravclock.dephasing import (
     effective_phase_rate,
 )
 from gravclock.scenario import Scenario, parse_scenario, serialize_scenario
-from gravclock.sweep import scaling_exponent, sweep
+from gravclock.sweep import sweep
 from gravclock.systematics import (
     BBR_FRACTIONAL,
     ac_stark_shift,
@@ -50,7 +49,7 @@ from gravclock.thresholds import (
     solve_tau_max,
 )
 
-CONSTS = PhysicalConstants()
+CONSTS = Scenario().consts_obj()
 PHI_G = per_layer_phase_rate(CONSTS, YB, YB.default_layer_spacing)
 PF = Convention.PAPER_FIGURE
 
@@ -74,12 +73,12 @@ def yb_sweep(family: str, sizes, phi_l_grid):
 
 @functools.lru_cache(maxsize=None)
 def cubic_curve(phi_l: float):
-    return tuple(yb_sweep("cubic", default_size_grid(), (phi_l,)))
+    return tuple(yb_sweep("cubic", Scenario().sweep_sizes, (phi_l,)))
 
 
 @functools.lru_cache(maxsize=None)
 def slab_curve(phi_l: float):
-    return tuple(yb_sweep("slab", default_size_grid(), (phi_l,)))
+    return tuple(yb_sweep("slab", Scenario().sweep_sizes, (phi_l,)))
 
 
 def test_criterion_1_threshold_reproduction():

@@ -33,7 +33,7 @@ from layer_sum_oracle import explicit_layer_sum
 
 from gravclock import cli, emit
 from gravclock import scenario as scenario_module
-from gravclock.core import PhysicalConstants, YB, per_layer_phase_rate
+from gravclock.core import YB, per_layer_phase_rate
 from gravclock.dephasing import Convention, DephasingInput, bloch_sum, effective_phase_rate
 from gravclock.scenario import Scenario
 from gravclock.sweep import sweep
@@ -43,7 +43,7 @@ from gravclock.thresholds import TauMaxProblem, solve_tau_max
 SRC = Path(__file__).resolve().parent.parent / "src"
 BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
-PHI_G = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
+PHI_G = per_layer_phase_rate(Scenario().consts_obj(), YB, YB.default_layer_spacing)
 
 
 def _traced() -> tuple[tuple[str, str, str], ...]:

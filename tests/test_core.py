@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from gravclock.core import (
+    PhysicalConstants,
     YB,
     ClockSpecies,
-    PhysicalConstants,
     per_layer_phase_rate,
     per_layer_sql,
     qpn_stability,
     relative_redshift,
     species_by_name,
 )
+from gravclock.scenario import Scenario
 
-CONSTS = PhysicalConstants()
+CONSTS = Scenario().consts_obj()
 
 
 def test_default_constants():
@@ -26,9 +27,9 @@ def test_default_constants():
 
 def test_constants_validation():
     with pytest.raises(ValueError):
-        PhysicalConstants(g=-1.0)
+        PhysicalConstants(g=-1.0, c=CONSTS.c)
     with pytest.raises(ValueError):
-        PhysicalConstants(c=0.0)
+        PhysicalConstants(g=CONSTS.g, c=0.0)
 
 
 def test_yb_preset():
@@ -81,6 +82,20 @@ def test_redshift_rejects_non_finite():
         relative_redshift(CONSTS, math.nan)
     with pytest.raises(ValueError):
         relative_redshift(CONSTS, math.inf)
+
+
+def test_redshift_refusal_fits_one_line_at_the_longest_float_reprs():
+    # dh and c^2 each take the longest repr of their sign (24 and 23
+    # characters); the CLI line "gravclock: error: " + message stays under 250.
+    consts = PhysicalConstants(g=1.7976931348623157e308, c=4.963480696735527e-150)
+    delta_h, c_sq = -1.2345678901234569e-200, consts.c * consts.c
+    assert (len(repr(delta_h)), len(repr(c_sq))) == (24, 23)
+    with pytest.raises(OverflowError) as excinfo:
+        relative_redshift(consts, delta_h)
+    message = str(excinfo.value)
+    assert f"dh = {delta_h!r} m" in message and f"(c^2 = {c_sq!r})" in message
+    assert all(key in message for key in ("constants.g", "constants.c", "geometry.layer_spacing"))
+    assert len("gravclock: error: " + message) < 250
 
 
 def test_per_layer_phase_rate_yb():

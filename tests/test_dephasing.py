@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from layer_sum_oracle import explicit_dirichlet, explicit_layer_sum
 
 from gravclock import cli, dephasing, emit
-from gravclock.core import CONVENTIONS, PhysicalConstants, YB, per_layer_phase_rate
+from gravclock.core import CONVENTIONS, YB, per_layer_phase_rate
 from gravclock.dephasing import (
     BlochSummary,
     Convention,
@@ -21,9 +21,9 @@ from gravclock.dephasing import (
     dirichlet,
     effective_phase_rate,
 )
-from gravclock.scenario import parse_scenario
+from gravclock.scenario import Scenario, parse_scenario
 
-PHI_G = per_layer_phase_rate(PhysicalConstants(), YB, YB.default_layer_spacing)
+PHI_G = per_layer_phase_rate(Scenario().consts_obj(), YB, YB.default_layer_spacing)
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 # Each convention, its test id naming its constant.
 BY_CONVENTION = pytest.mark.parametrize(

@@ -8,12 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gravclock import core, scenario as scenario_module
 from gravclock.cli import main
-from gravclock.core import (
-    CONVENTIONS,
-    MAX_GRID_POINTS,
-    Convention,
-    default_size_grid,
-)
+from gravclock.core import CONVENTIONS, MAX_GRID_POINTS, YB, ClockSpecies, Convention
 from gravclock.scenario import (
     Scenario,
     ScenarioError,
@@ -31,7 +26,7 @@ def test_minimal_scenario_fills_defaults():
     assert scenario.budget_n_site == 100
     assert scenario.geometry_layer_spacing is None
     assert scenario.layer_spacing() == pytest.approx(759.356e-9 / 2, rel=1e-15)
-    assert scenario.sweep_sizes == default_size_grid()
+    assert scenario.sweep_sizes == Scenario().sweep_sizes
 
 
 def test_empty_text_is_all_defaults():
@@ -88,12 +83,38 @@ def test_custom_species_via_overrides():
     assert obj.omega0 == 2.7e15
 
 
+_OVERRIDES = {"omega0": 2.7e15, "magic_wavelength": 813.4e-9}
+
+
+@pytest.mark.parametrize("species", ["Yb", "Sr"])
+@pytest.mark.parametrize("omega0", [False, True], ids=["preset_omega0", "omega0"])
+@pytest.mark.parametrize("wavelength", [False, True], ids=["preset_wavelength", "wavelength"])
+def test_species_resolution_on_every_branch(species, omega0, wavelength):
+    # A preset takes any overrides; another name needs both, and without
+    # them is refused at its species line.
+    overrides = {
+        name: value
+        for (name, value), given in zip(_OVERRIDES.items(), (omega0, wavelength))
+        if given
+    }
+    text = "".join(f"species.{name} = {value!r}\n" for name, value in overrides.items())
+    text += f"species = {species}\n"
+    if species == "Yb":
+        assert parse_scenario(text).species_obj() == YB._replace(**overrides)
+    elif len(overrides) == 2:
+        assert parse_scenario(text).species_obj() == ClockSpecies("Sr", **overrides)
+    else:
+        line = len(overrides) + 1
+        with pytest.raises(ScenarioError, match=f"^line {line}: invalid value for 'species': unk"):
+            parse_scenario(text)
+
+
 def test_grid_expansion():
     scenario = parse_scenario(
         "dephase.t_grid = linspace:0:10:11\nsweep.sizes = logspace:2:1000:40\n"
     )
     assert scenario.dephase_t_grid == tuple(float(v) for v in range(11))
-    assert scenario.sweep_sizes == default_size_grid()
+    assert scenario.sweep_sizes == Scenario().sweep_sizes
 
 
 def test_explicit_lists():
@@ -387,7 +408,7 @@ def test_preset_files_parse():
 def test_cubic_stability_preset_matches_default_grids():
     scenario = parse_scenario((PRESETS / "stability_cubic.cfg").read_text())
     assert scenario.sweep_family == "cubic"
-    assert scenario.sweep_sizes == default_size_grid()
+    assert scenario.sweep_sizes == Scenario().sweep_sizes
     assert scenario.sweep_phi_l == Scenario().sweep_phi_l
     assert scenario.convention == Convention.PAPER_FIGURE
 

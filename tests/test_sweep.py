@@ -6,12 +6,13 @@ import re
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from regime_fit import scaling_exponent
 
 from gravclock import sweep as sweep_module
 from gravclock.core import default_size_grid, geomspace, linspace
 from gravclock.dephasing import Convention
 from gravclock.scenario import Scenario
-from gravclock.sweep import scaling_exponent, split_at_minimum, sweep
+from gravclock.sweep import sweep
 
 PF = Convention.PAPER_FIGURE
 
@@ -30,7 +31,7 @@ def yb_sweep(family, sizes, phi_l_grid, atoms_per_layer=Scenario().sweep_atoms_p
 
 
 def cubic_curve(phi_l, sizes=None):
-    return yb_sweep("cubic", sizes or default_size_grid(), (phi_l,))
+    return yb_sweep("cubic", sizes or Scenario().sweep_sizes, (phi_l,))
 
 
 def cubic_point(size, phi_l):
@@ -39,7 +40,7 @@ def cubic_point(size, phi_l):
 
 
 def test_default_size_grid():
-    sizes = default_size_grid()
+    sizes = Scenario().sweep_sizes
     assert sizes[0] == 2 and sizes[-1] == 1000
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
     assert 30 <= len(sizes) <= 40
@@ -140,12 +141,12 @@ def test_cubic_gravity_slope_near_plus_quarter():
 
 
 def test_slab_gravity_slope_near_plus_one():
-    slab = yb_sweep("slab", default_size_grid(), (1e-6,))
+    slab = yb_sweep("slab", Scenario().sweep_sizes, (1e-6,))
     assert scaling_exponent(slab, "large") == pytest.approx(1.0, abs=0.15)
 
 
 def test_slab_flat_then_rising():
-    points = yb_sweep("slab", default_size_grid(), (1e-2,))
+    points = yb_sweep("slab", Scenario().sweep_sizes, (1e-2,))
     sigmas = [p.sigma_at_1s for p in points]
     # Laser-limited plateau at small layer counts.
     assert sigmas[1] == pytest.approx(sigmas[0], rel=1e-3)
@@ -154,9 +155,9 @@ def test_slab_flat_then_rising():
 
 
 def test_slab_monotone_in_gravity_regime():
-    _, large = split_at_minimum(yb_sweep("slab", default_size_grid(), (1e-6,)))
-    sigmas = [p.sigma_at_1s for p in large]
-    assert all(b > a for a, b in zip(sigmas, sigmas[1:]))
+    sigmas = [p.sigma_at_1s for p in yb_sweep("slab", Scenario().sweep_sizes, (1e-6,))]
+    large = sigmas[sigmas.index(min(sigmas)) + 1:]
+    assert all(b > a for a, b in zip(large, large[1:]))
 
 
 def test_sweep_row_order_is_size_major():
@@ -178,44 +179,14 @@ def test_flagged_point_capped_at_tau_limit():
     assert point.sigma_at_1s == point.sigma_at_tau * math.sqrt(1e9)
 
 
-def test_scaling_exponent_rejects_flagged_points():
-    good = cubic_curve(1e-2, sizes=(25, 50, 100, 200, 400, 800))
-    tainted = [p._replace(flag="non-bracketable") if p.size == 50 else p for p in good]
-    with pytest.raises(ValueError, match="flagged"):
-        scaling_exponent(tainted, "small")
-
-
-def test_scaling_exponent_needs_three_points():
-    curve = cubic_curve(1e-2, sizes=(100, 200, 300))
-    with pytest.raises(ValueError):
-        scaling_exponent(curve, "large")
-    with pytest.raises(ValueError):
-        scaling_exponent(curve, "sideways")
-
-
-def test_split_requires_single_phi_l():
-    with pytest.raises(ValueError, match="single phi_l"):
-        split_at_minimum(yb_sweep("cubic", (3, 7), (1e-4, 1e-2)))
-
-
-def test_split_requires_ascending_sizes():
-    # The regimes are the sizes below and above the minimum, so the curve
-    # must be in ascending size order for the split to mean that.
-    curve = cubic_curve(1e-2, sizes=(25, 50, 100, 200, 400, 800))
-    for bad in (curve[::-1], curve[:3] + curve[2:]):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            split_at_minimum(bad)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            scaling_exponent(bad, "large")
-
-
 def test_sweep_rejects_unknown_family():
     with pytest.raises(ValueError, match="cubic' or 'slab'"):
         yb_sweep("pyramid", (5,), (1e-3,))
 
 
 _SIZE_OVERFLOW = (
-    "sweep.sizes: a cubic ensemble of size 1.000e+400 has a layer or atom count out of float range"
+    "sweep.sizes: a cubic ensemble has a layer or atom count out of float range;"
+    " its size is an integer of 401 digits"
 )
 _PHI_L = "phi_l must be >= 0 and finite, got "
 _PHI_G = "phi_g must be >= 0 and finite, got "

@@ -314,9 +314,10 @@ def test_bbr_relabeling_symmetry_exact():
 
 
 def test_bbr_temperature_limit_linearity():
-    limit = bbr_temperature_limit(FRACTIONAL, 0.05, 293.0, DELTA_Z, DISK)
+    walls = wall_solid_angles(0.05, DELTA_Z, DISK)
+    limit = bbr_temperature_limit(FRACTIONAL, 293.0, *walls)
     assert 0.010 <= limit <= 1.0
-    half = bbr_temperature_limit(0.5 * FRACTIONAL, 0.05, 293.0, DELTA_Z, DISK)
+    half = bbr_temperature_limit(0.5 * FRACTIONAL, 293.0, *walls)
     assert half == pytest.approx(0.5 * limit, rel=1e-3)
 
 
@@ -336,7 +337,7 @@ def test_bbr_temperature_limit_matches_brentq(wall_distance, base_temperature):
 
         oracle = brentq(excess, 0.0, 1e6, xtol=1e-12, rtol=1e-14)
         limit = bbr_temperature_limit(
-            budget.fractional, wall_distance, base_temperature, budget.delta_z, DISK
+            budget.fractional, base_temperature, omega_near, omega_far
         )
         # brentq stops within xtol = 1e-12 of a sign change.
         assert abs(limit - oracle) <= 2e-12
@@ -359,14 +360,17 @@ def test_bbr_temperature_limit_matches_exact_arithmetic(wall_distance, base_temp
             one_plus = Decimal(eps.numerator + eps.denominator) / Decimal(eps.denominator)
             exact = Decimal(base_temperature) * (one_plus.sqrt().sqrt() - 1)
         limit = bbr_temperature_limit(
-            budget.fractional, wall_distance, base_temperature, budget.delta_z, DISK
+            budget.fractional,
+            base_temperature,
+            *wall_solid_angles(wall_distance, budget.delta_z, DISK),
         )
         assert limit == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_bbr_temperature_limit_unreachable_signal_is_inf():
     # The field ratio saturates at W+/W- as t2 grows, far below this signal.
-    assert bbr_temperature_limit(1e-10, 0.05, 293.0, DELTA_Z, DISK) == math.inf
+    walls = wall_solid_angles(0.05, DELTA_Z, DISK)
+    assert bbr_temperature_limit(1e-10, 293.0, *walls) == math.inf
 
 
 def test_bbr_geometry_validation():

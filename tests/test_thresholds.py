@@ -12,8 +12,9 @@ from scipy.optimize import brentq
 
 from gravclock import sweep as sweep_module, thresholds
 from gravclock.cli import main
-from gravclock.core import CONVENTIONS, PhysicalConstants, YB, geomspace, per_layer_phase_rate
+from gravclock.core import CONVENTIONS, YB, geomspace, per_layer_phase_rate
 from gravclock.dephasing import Convention, dirichlet, effective_phase_rate
+from gravclock.scenario import Scenario
 from gravclock.thresholds import (
     TauMaxProblem,
     decoherence_atom_count,
@@ -22,7 +23,7 @@ from gravclock.thresholds import (
 )
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
-CONSTS = PhysicalConstants()
+CONSTS = Scenario().consts_obj()
 SPACING = YB.default_layer_spacing
 PHI_G = per_layer_phase_rate(CONSTS, YB, SPACING)
 
