@@ -6,10 +6,12 @@ arcsine phase estimate phi_eff = asin(S_y / m) systematically underestimate
 the true accumulated laser phase phi_l * t. The layer sum is evaluated in
 closed form by the range-reduced Dirichlet kernel; the explicit summation
 over layers is kept only in the tests, as the oracle for the kernel.
-phase_ratio is the one production form of the clamped arcsine ratio: each
-dephase_curve row (it returns two columns, ratios and contrasts) and each
-tau_max error is built from it. bloch_sum, the full BlochSummary of one
-point, forms the same by its own float operations.
+phase_ratio is the clamped arcsine ratio at one point: each tau_max error is
+built from it, and so is each edge row of dephase_curve (it returns two
+columns, ratios and contrasts). The curve's bulk rows, where neither
+phase_ratio nor dirichlet branches, repeat its float operations in one fused
+loop, which the tests pin to phase_ratio bit for bit. bloch_sum, the full
+BlochSummary of one point, forms the same by its own float operations.
 effective_phase_rate is where a phase-rate convention, one of the strings in
 core.CONVENTIONS, turns phi_g into the phi_g' that the layer sums take.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_left
 from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
@@ -172,14 +175,23 @@ def dephase_curve(
 
     phi_g is phi_g', the convention already applied (effective_phase_rate).
     ratio = phi_eff / (phi_l t), None where phi_l t == 0, and contrast =
-    |D| / layer_count: each row equals bloch_sum's ratio and length /
-    layer_count at that point, by the same float operations, with one
-    phase_ratio call. The grid is checked first, in one pass in C, and only a
-    bad one is walked by _check_grid to name its first bad index, before
-    anything it makes fail. Then, also for an empty grid, a layer count or a
-    laser phase phi_l t at the last time (so also a non-finite phi_l) out of
-    float range is refused by its keys, and the rates with DephasingInput's
-    messages.
+    |D| / layer_count: each row equals phase_ratio's ratio and |d| /
+    layer_count at that point, and so bloch_sum's ratio and length /
+    layer_count, bit for bit. The grid is checked first, in one pass in C,
+    and only a bad one is walked by _check_grid to name its first bad index,
+    before anything it makes fail. Then, also for an empty grid, a layer
+    count or a laser phase phi_l t at the last time (so also a non-finite
+    phi_l) out of float range is refused by its keys, and the rates with
+    DephasingInput's messages.
+
+    As t >= 0 increases, |phi_l t| and x = |phi_g' t| / 2 never decrease, so
+    the rows where phase_ratio branches form a prefix (|phi_l t| < 2^-26 or
+    x == 0, t = 0 among them) and a suffix (x >= pi/2, where dirichlet
+    reduces its argument and refuses a non-finite one). Those edge rows,
+    found by bisection, go through phase_ratio. The bulk rows between them
+    take one loop that performs the float operations of phase_ratio and of
+    dirichlet's fast path, in the same order; the tests pin each row, and
+    the row a refusal comes from, to phase_ratio's.
     """
     if len(t_grid) and not (
         t_grid[0] >= 0 and t_grid[-1] < math.inf and all(map(operator.lt, t_grid, t_grid[1:]))
@@ -196,6 +208,29 @@ def dephase_curve(
             " it is set by dephase.phi_l and dephase.t_grid"
         )
     _check_rates(phi_l, phi_g, layer_count)
-    m = layer_count
-    rows = [phase_ratio(m, phi_l, phi_g, t) for t in t_grid]
-    return [ratio for ratio, _ in rows], [abs(d) / m for _, d in rows]
+    m, ratios, contrasts = layer_count, [], []
+
+    def edge_rows(times: Sequence[float]) -> None:
+        for t in times:
+            ratio, d = phase_ratio(m, phi_l, phi_g, t)
+            ratios.append(ratio)
+            contrasts.append(abs(d) / m)
+
+    # t > 0 past the prefix, where |phi_g' t| == |phi_g'| t exactly.
+    rate, fm = abs(phi_g), float(m)
+    lo = bisect_left(
+        t_grid, True, key=lambda t: abs(phi_l * t) >= SMALL_ANGLE and 0.5 * (rate * t) > 0.0
+    )
+    hi = bisect_left(t_grid, True, lo, key=lambda t: 0.5 * (rate * t) >= _HALF_PI)
+    edge_rows(t_grid[:lo])
+    sin, asin = math.sin, math.asin
+    ratio_append, contrast_append = ratios.append, contrasts.append
+    for t in t_grid[lo:hi]:
+        x = 0.5 * (rate * t)
+        d = sin(fm * x) / sin(x)
+        contrast_append(abs(d) / fm)
+        nominal = phi_l * t
+        y = sin(nominal) * d / fm
+        ratio_append(asin(1.0 if y > 1.0 else -1.0 if y < -1.0 else y) / nominal)
+    edge_rows(t_grid[hi:])
+    return ratios, contrasts

@@ -143,37 +143,36 @@ def write_outputs(out_dir: str, files: dict[str, str]) -> None:
     a temporary file inside out_dir first; the temporaries then replace their
     targets, RUN_RECORD_NAME last, so a manifest is only ever written after
     every file it lists. On any failure the temporary files are removed, and
-    on a failure to make out_dir so are the parents made for it, while empty.
+    so are out_dir and the parents made for it, while empty.
     """
     targets = {name: os.path.join(out_dir, name) for name in files}
     existing = targets.values()  # the targets that out_dir may already hold
+    made: list[str] = []  # the directories this call made, deepest first
     try:
         os.mkdir(out_dir or os.curdir)
-        existing = ()
+        existing, made = (), [out_dir]
     except FileNotFoundError:  # a parent is missing
         # os.makedirs makes the ancestors that os.path.exists denies, up to a
         # root (which dirname keeps); a directory that existed is never made.
-        made, missing = [], out_dir
+        missing = out_dir
         while missing and missing not in made and not os.path.exists(missing):
             made.append(missing)
             missing = os.path.dirname(missing)
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError:
-            for directory in made:  # deepest first; rmdir keeps a non-empty one
-                with contextlib.suppress(OSError):
-                    os.rmdir(directory)
+            _remove_empty(made)
             raise
     except OSError:  # as os.makedirs: EEXIST may yield to EACCES or EROFS
         if not os.path.isdir(out_dir or os.curdir):
             raise
-    for target in existing:
-        if os.path.lexists(target) and not os.path.isfile(target):
-            raise FileExistsError(f"{target} exists and is not a regular file")
     order = sorted(files, key=lambda name: name == RUN_RECORD_NAME)
-    tag = os.urandom(8).hex()
     pending: dict[str, str] = {}
     try:
+        for target in existing:
+            if os.path.lexists(target) and not os.path.isfile(target):
+                raise FileExistsError(f"{target} exists and is not a regular file")
+        tag = os.urandom(8).hex()
         for i, name in enumerate(order):
             temporary = os.path.join(out_dir, f".gravclock-{tag}-{i}.tmp")
             fd = os.open(temporary, _CREATE_NEW, 0o666)
@@ -187,10 +186,19 @@ def write_outputs(out_dir: str, files: dict[str, str]) -> None:
         for name in order:
             os.replace(pending[name], targets[name])
             del pending[name]
-    finally:
+    except BaseException:
         for temporary in pending.values():
             with contextlib.suppress(OSError):
                 os.unlink(temporary)
+        _remove_empty(made)
+        raise
+
+
+def _remove_empty(directories: list[str]) -> None:
+    """rmdir each directory in turn; rmdir keeps a non-empty one."""
+    for directory in directories:
+        with contextlib.suppress(OSError):
+            os.rmdir(directory)
 
 
 def run_record(scenario_text: str, version: str, files: dict[str, str]) -> dict:

@@ -12,6 +12,7 @@ grids expanded, every non-default-able option written out).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 from typing import Optional
@@ -127,15 +128,16 @@ def _float_grid(text: str) -> tuple[float, ...]:
             values = geomspace(a, b, n)
     else:
         values = tuple(_float(v.strip()) for v in text.split(","))
-    bad = [v for v in values if not 0 <= v < math.inf]
-    if bad:
-        raise ValueError(f"values must be finite and >= 0, got {bad[0]!r}")
+    # One pass in C each; the values are walked only to name the first bad one.
+    if not (all(map(math.isfinite, values)) and min(values) >= 0):
+        bad = next(v for v in values if not 0 <= v < math.inf)
+        raise ValueError(f"values must be finite and >= 0, got {bad!r}")
     return values
 
 
 def _times(text: str) -> tuple[float, ...]:
     values = _float_grid(text)
-    if any(b <= a for a, b in zip(values, values[1:])):
+    if not all(map(operator.lt, values, values[1:])):
         raise ValueError("must be strictly increasing")
     return values
 

@@ -1137,7 +1137,9 @@ def test_write_outputs_lands_every_byte_of_short_writes(tmp_path, monkeypatch):
     assert read_tree(tmp_path) == {name: _TEXTS[name].encode("utf-8") for name in sorted(_TEXTS)}
 
 
-def test_write_outputs_failing_second_temporary_leaves_nothing(tmp_path, monkeypatch):
+def _fail_second_temporary(monkeypatch) -> list[str]:
+    """Make emit's write to its second temporary fail with ENOSPC; returns
+    the paths that emit opens, in order."""
     real_open, real_write = os.open, os.write
     opened: list[str] = []
 
@@ -1152,10 +1154,32 @@ def test_write_outputs_failing_second_temporary_leaves_nothing(tmp_path, monkeyp
 
     monkeypatch.setattr(emit.os, "open", open_)
     monkeypatch.setattr(emit.os, "write", write)
+    return opened
+
+
+def test_write_outputs_failing_second_temporary_leaves_nothing(tmp_path, monkeypatch):
+    opened = _fail_second_temporary(monkeypatch)
     out = tmp_path / "out"
     with pytest.raises(OSError, match="No space left"):
         emit.write_outputs(str(out), _TEXTS)
-    assert len(opened) == 2 and list(out.iterdir()) == []
+    assert len(opened) == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("existing", ["", "kept", "kept/also"])
+def test_write_outputs_failing_nested_out_removes_only_what_it_made(
+    tmp_path, monkeypatch, existing
+):
+    # The parents made for a nested out go with it, deepest first; those
+    # that existed before the run, and an out that existed, are kept.
+    if existing:
+        (tmp_path / existing).mkdir(parents=True)
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    opened = _fail_second_temporary(monkeypatch)
+    for out in (tmp_path / existing / "a" / "b" / "out", tmp_path / existing):
+        with pytest.raises(OSError, match="No space left"):
+            emit.write_outputs(str(out), _TEXTS)
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+        opened.clear()
 
 
 @pytest.mark.parametrize("kind", ["dangling symlink", "directory"])

@@ -20,6 +20,7 @@ from gravclock.dephasing import (
     dephase_curve,
     dirichlet,
     effective_phase_rate,
+    phase_ratio,
 )
 from gravclock.scenario import Scenario, parse_scenario
 
@@ -392,6 +393,68 @@ def test_dephase_curve_equals_bloch_sum_per_point(convention, m):
     assert len(ratios) == len(contrasts) == len(grid)
 
 
+def _phase_ratio_rows(phi_l, phi_g, m, grid):
+    """dephase_curve's columns by one phase_ratio call per row."""
+    rows = [phase_ratio(m, phi_l, phi_g, t) for t in grid]
+    return [ratio for ratio, _ in rows], [abs(d) / m for _, d in rows]
+
+
+def _outcome(curve, *args):
+    """curve(*args) as its columns by .hex(), or its refusal's type and message."""
+    try:
+        ratios, contrasts = curve(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [r if r is None else r.hex() for r in ratios], [c.hex() for c in contrasts]
+
+
+_FLOAT_MAX_INT = int(sys.float_info.max)
+
+
+@settings(max_examples=400)
+@given(
+    m=st.sampled_from([1, 2, 3, 101, 2**53 + 1, 2**60, _FLOAT_MAX_INT]) | st.integers(1, 10**6),
+    phi_l=st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, -1e-310, 3e-5, -3e-5])
+    | st.floats(-10.0, 10.0),
+    phi_g=st.sampled_from([0.0, 5e-324, -1e-300, 1e-7]) | st.floats(-1e3, 1e3),
+    points=st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.floats(0.0, 2.0) | st.integers(-8, 8).map(lambda k: 1.0 + k * 2.0**-52),
+        ),
+        max_size=14,
+    ),
+)
+# phi_g' = 0: every row is an edge row.
+@example(m=101, phi_l=1e-3, phi_g=0.0, points=[(0, 0.0), (0, 1.0), (0, 10.0)])
+# A subnormal phi_g' t: x = 0 through t = 1, the bulk from t = 2.
+@example(m=7, phi_l=1e-3, phi_g=5e-324, points=[(0, 1.0), (0, 2.0), (0, 3.0), (0, 7.0)])
+# m x overflows in the bulk at t = 1.5, and sin refuses it.
+@example(m=_FLOAT_MAX_INT, phi_l=1e-3, phi_g=2.0, points=[(0, 0.5), (0, 1.0), (0, 1.5), (0, 1.6)])
+# phi_g' t overflows at t = 1e10, refused by dirichlet in the suffix.
+@example(m=5, phi_l=1e-3, phi_g=1e300, points=[(0, 0.0), (0, 1e-300), (0, 1e10)])
+def test_dephase_curve_equals_phase_ratio_per_row(m, phi_l, phi_g, points):
+    # Each grid point is a factor times an anchor: 1 s, or where |phi_l t|
+    # crosses 2^-26, or x = |phi_g' t| / 2 crosses pi/2, pi or 2 pi, so the
+    # edge rows and the fused bulk meet mid-grid. Every prefix of the grid,
+    # the empty and one-point ones too, gives phase_ratio's rows bit for
+    # bit, or the refusal of its first refused row.
+    anchors = [1.0] + [
+        crossing / abs(rate) if rate else math.inf
+        for crossing, rate in [
+            (dephasing.SMALL_ANGLE, phi_l),
+            (math.pi, phi_g),
+            (math.tau, phi_g),
+            (2 * math.tau, phi_g),
+        ]
+    ]
+    grid = sorted({anchors[i] * f for i, f in points if anchors[i] * f < math.inf})
+    assume(not grid or abs(phi_l * grid[-1]) < math.inf)
+    for k in range(len(grid) + 1):
+        expected = _outcome(_phase_ratio_rows, phi_l, phi_g, m, grid[:k])
+        assert _outcome(dephase_curve, phi_l, phi_g, m, grid[:k]) == expected
+
+
 # dephase_curve checks its inputs once per call, also for an empty grid.
 # A non-finite phi_l is refused as an out-of-range laser phase, by its keys.
 @pytest.mark.parametrize(
@@ -454,6 +517,7 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "dephase_curve", counting("curves", dephase_curve))
     monkeypatch.setattr(cli, "effective_phase_rate", counting("rates", effective_phase_rate))
     monkeypatch.setattr(dephasing, "dirichlet", counting("dirichlet", dirichlet))
+    monkeypatch.setattr(dephasing, "phase_ratio", counting("phase_ratio", phase_ratio))
     # Per row, no Python function formats a float: the t column is formatted
     # once, and each size's rows through one % over its row template.
     for module in (cli, emit):
@@ -463,12 +527,13 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
         counts.clear()
         argv = ["dephase-curve", "--scenario", str(preset), "--convention", convention]
         assert cli.main(argv + ["--out", str(tmp_path / convention)]) == 0
-        rows = sizes * grid
         assert counts["curves"] == sizes
         assert counts["inputs"] <= sizes
         assert counts["summaries"] == 0
         assert counts["rates"] == sizes
-        assert counts["dirichlet"] == rows
+        # The t = 0 row of each size is the only edge row; the other rows of
+        # the preset take dephase_curve's fused loop, which calls neither.
+        assert grid > 1 and counts["phase_ratio"] == counts["dirichlet"] == sizes
         assert counts["fmt_float"] <= 1
         assert counts["fmt_floats"] == 1
     capsys.readouterr()

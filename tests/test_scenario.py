@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -126,6 +127,43 @@ def test_explicit_lists():
 def test_t_grid_must_increase():
     with pytest.raises(ScenarioError, match="strictly increasing"):
         parse_scenario("dephase.t_grid = 0,5,5\n")
+
+
+@pytest.mark.parametrize("key", ["dephase.t_grid", "sweep.phi_l"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        # The first bad value in text order is named: the values are walked
+        # only once the one-pass check has failed.
+        ("1, -2, 3, -4", "values must be finite and >= 0, got -2.0"),
+        ("linspace:0:-1:3", "values must be finite and >= 0, got -0.5"),
+        # A span past float range: 0 * inf = nan leads, then inf.
+        ("linspace:-1.7e308:1.7e308:3", "values must be finite and >= 0, got nan"),
+        # A listed nan or inf is refused as it is read, before any range check.
+        ("1, -2, nan", "must be finite: 'nan'"),
+        ("1, inf, -2", "must be finite: 'inf'"),
+        ("1, -inf", "must be finite: '-inf'"),
+    ],
+)
+def test_float_grid_names_its_first_bad_value(key, value, message):
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(f"{key} = {value}\n")
+    assert str(excinfo.value) == f"line 1: invalid value for '{key}': {message}"
+
+
+def test_float_grid_accepts_negative_zero():
+    scenario = parse_scenario("dephase.t_grid = -0.0, 1\nsweep.phi_l = -0.0\n")
+    assert [math.copysign(1.0, v) for v in scenario.dephase_t_grid] == [-1.0, 1.0]
+    assert math.copysign(1.0, scenario.sweep_phi_l[0]) == -1.0
+
+
+@pytest.mark.parametrize("value", ["0, 1, 1", "-0.0, 0", "0, 2, 1", "linspace:1:1:2"])
+def test_t_grid_refuses_equal_or_falling_neighbours(value):
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(f"dephase.t_grid = {value}\n")
+    assert str(excinfo.value) == (
+        "line 1: invalid value for 'dephase.t_grid': must be strictly increasing"
+    )
 
 
 @pytest.mark.parametrize(
