@@ -19,10 +19,8 @@ core.CONVENTIONS, turns phi_g into the phi_g' that the layer sums take.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from bisect import bisect_left
-from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
 from .core import PHI_G_KEYS, Convention, check_convention, echo_int
@@ -51,7 +49,7 @@ def effective_phase_rate(phi_g: float, layer_count: int, convention: str) -> flo
     return rate
 
 
-class DephasingInput(namedtuple("DephasingInput", "phi_l phi_g layer_count t")):
+class DephasingInput(NamedTuple):
     """One evaluation point of the layer sum.
 
     phi_l and phi_g in rad/s, where phi_g is phi_g', the rate between
@@ -59,25 +57,10 @@ class DephasingInput(namedtuple("DephasingInput", "phi_l phi_g layer_count t")):
     (effective_phase_rate); layer_count >= 1, t >= 0 s.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, phi_l: float, phi_g: float, layer_count: int, t: float):
-        _check_rates(phi_l, phi_g, layer_count)
-        if not (t >= 0 and math.isfinite(t)):
-            raise ValueError(f"t must be >= 0 and finite, got {t!r}")
-        return super().__new__(cls, phi_l, phi_g, layer_count, t)
-
-    # namedtuple's _make, and so _replace, would skip __new__ and its checks.
-    _make = classmethod(lambda cls, values: cls(*values))
-
-
-def _check_rates(phi_l: float, phi_g: float, layer_count: int) -> None:
-    if not math.isfinite(phi_l):
-        raise ValueError(f"phi_l must be finite, got {phi_l!r}")
-    if not math.isfinite(phi_g):
-        raise ValueError(f"phi_g must be finite, got {phi_g!r}")
-    if layer_count < 1:
-        raise ValueError(f"layer_count must be >= 1, got {layer_count}")
+    phi_l: float
+    phi_g: float
+    layer_count: int
+    t: float
 
 
 class BlochSummary(NamedTuple):
@@ -156,15 +139,6 @@ def phase_ratio(m: int, phi_l: float, phi_g: float, t: float) -> tuple[Optional[
     return math.asin(1.0 if x > 1.0 else -1.0 if x < -1.0 else x) / nominal, d
 
 
-def _check_grid(t_grid: Sequence[float]) -> None:
-    """Refuse the first t that is negative, not finite or not above the last."""
-    for i, t in enumerate(t_grid):
-        if not (t >= 0 and math.isfinite(t)):
-            raise ValueError(f"t_grid[{i}] must be >= 0 and finite, got {t!r}")
-        if i > 0 and not t > t_grid[i - 1]:
-            raise ValueError(f"t_grid must be strictly increasing at index {i}")
-
-
 def dephase_curve(
     phi_l: float,
     phi_g: float,
@@ -177,12 +151,10 @@ def dephase_curve(
     ratio = phi_eff / (phi_l t), None where phi_l t == 0, and contrast =
     |D| / layer_count: each row equals phase_ratio's ratio and |d| /
     layer_count at that point, and so bloch_sum's ratio and length /
-    layer_count, bit for bit. The grid is checked first, in one pass in C,
-    and only a bad one is walked by _check_grid to name its first bad index,
-    before anything it makes fail. Then, also for an empty grid, a layer
-    count or a laser phase phi_l t at the last time (so also a non-finite
-    phi_l) out of float range is refused by its keys, and the rates with
-    DephasingInput's messages.
+    layer_count, bit for bit. The grid is taken as dephase.t_grid's parser
+    accepts it, finite, >= 0 and strictly increasing, and is not checked
+    again. A layer count or a laser phase phi_l t at the last time out of
+    float range is refused by its keys, also for an empty grid.
 
     As t >= 0 increases, |phi_l t| and x = |phi_g' t| / 2 never decrease, so
     the rows where phase_ratio branches form a prefix (|phi_l t| < 2^-26 or
@@ -193,10 +165,6 @@ def dephase_curve(
     dirichlet's fast path, in the same order; the tests pin each row, and
     the row a refusal comes from, to phase_ratio's.
     """
-    if len(t_grid) and not (
-        t_grid[0] >= 0 and t_grid[-1] < math.inf and all(map(operator.lt, t_grid, t_grid[1:]))
-    ):
-        _check_grid(t_grid)
     if layer_count > sys.float_info.max:
         raise OverflowError(
             f"dephase.sizes: the layer count is {echo_int(layer_count)}, out of float range"
@@ -207,7 +175,6 @@ def dephase_curve(
             f"laser phase phi_l t = {phi_l!r} rad/s x {t_end!r} s is out of float range;"
             " it is set by dephase.phi_l and dephase.t_grid"
         )
-    _check_rates(phi_l, phi_g, layer_count)
     m, ratios, contrasts = layer_count, [], []
 
     def edge_rows(times: Sequence[float]) -> None:

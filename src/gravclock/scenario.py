@@ -108,9 +108,16 @@ def _sizes(text: str) -> tuple[int, ...]:
     return values
 
 
+def _grid_value(value: float) -> float:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"values must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _float_grid(text: str) -> tuple[float, ...]:
     """`linspace:a:b:n`, `logspace:a:b:n`, or a comma-separated float list,
-    every value finite and >= 0 (a linspace span can overflow)."""
+    every value finite and >= 0 (a linspace span can overflow). The first
+    bad value in text order is named."""
     if text.startswith("linspace:") or text.startswith("logspace:"):
         parts = text.split(":")
         if len(parts) != 4:
@@ -126,13 +133,13 @@ def _float_grid(text: str) -> tuple[float, ...]:
             raise ValueError("logspace endpoints must be positive")
         else:
             values = geomspace(a, b, n)
-    else:
-        values = tuple(_float(v.strip()) for v in text.split(","))
-    # One pass in C each; the values are walked only to name the first bad one.
-    if not (all(map(math.isfinite, values)) and min(values) >= 0):
-        bad = next(v for v in values if not 0 <= v < math.inf)
-        raise ValueError(f"values must be finite and >= 0, got {bad!r}")
-    return values
+        # One pass in C each; the values are walked only to name the first bad one.
+        if not (all(map(math.isfinite, values)) and min(values) >= 0):
+            for value in values:
+                _grid_value(value)
+        return values
+    # Each listed value is checked as it is read.
+    return tuple(_grid_value(_float(v.strip())) for v in text.split(","))
 
 
 def _times(text: str) -> tuple[float, ...]:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .core import echo_int, per_layer_phase_rate
 from .dephasing import effective_phase_rate
 from .scenario import Scenario
-from .thresholds import check_cells, solve_tau_max
+from .thresholds import solve_tau_max
 
 FLAG_NON_BRACKETABLE = "non-bracketable"
 FLAG_NON_CONVERGED = "non-converged"
@@ -43,7 +43,7 @@ def sweep(scenario: Scenario) -> list[StabilityPoint]:
     atoms; a slab size n sums n layers of sweep.atoms_per_layer atoms. The
     scenario's species, constants and layer spacing give phi_g; its
     convention is applied once per size, where its layer count meets phi_g.
-    Each size and the phi_l grid are checked once (check_cells); cells go to
+    The grids are taken as their keys' parsers accept them, and cells go to
     solve_tau_max as plain tuples. A non-bracketable tau search (laser never
     limits) yields a flagged point evaluated at the tau cap instead of
     aborting. A bracketed search whose root finder (secant steps with a
@@ -52,8 +52,6 @@ def sweep(scenario: Scenario) -> list[StabilityPoint]:
     """
     family, phi_l_grid = scenario.sweep_family, scenario.sweep_phi_l
     atoms_per_layer, convention = scenario.sweep_atoms_per_layer, scenario.convention
-    if family not in ("cubic", "slab"):
-        raise ValueError(f"sweep.family must be 'cubic' or 'slab', got {family!r}")
     if family == "slab" and atoms_per_layer > sys.float_info.max:
         raise OverflowError(
             f"sweep.atoms_per_layer is {echo_int(atoms_per_layer)}, out of float range"
@@ -73,7 +71,6 @@ def sweep(scenario: Scenario) -> list[StabilityPoint]:
                 f" range; its size is {echo_int(size)}"
             )
         rate = effective_phase_rate(phi_g, layer_count, convention)
-        check_cells(layer_count, atoms, phi_l_grid[:1] if points else phi_l_grid, rate)
         root_atoms = math.sqrt(atoms)
         for phi_l in phi_l_grid:
             tau, _, _, bracketed, converged, _, _ = solve_tau_max(

@@ -12,7 +12,6 @@ layer-sum model).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple
 
 from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
@@ -55,9 +54,8 @@ def decoherence_sizes(
     documented critical size (165), not a stated formula, and outputs label
     it as such. No phase-rate convention enters.
     """
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    if not (layer_spacing > 0 and math.isfinite(layer_spacing)):
+    # d is parsed positive, but a subnormal species.magic_wavelength halves to 0.
+    if not layer_spacing > 0:
         raise ValueError(
             f"layer_spacing must be positive, got {layer_spacing!r}; it is set by"
             " geometry.layer_spacing (default species.magic_wavelength / 2)"
@@ -77,25 +75,10 @@ def decoherence_atom_count(n: int) -> int:
     The cube shorthand n^3 differs from this by a factor (n+1)/n, about 0.6%
     at n = 165; this function is always n^2 (n + 1).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     return n * n * (n + 1)
 
 
-def check_cells(layer_count: int, atoms_per_layer: int, phi_l_grid, phi_g: float) -> None:
-    """TauMaxProblem(layer_count, atoms_per_layer, phi_l, phi_g)'s refusals, phi_l by phi_l."""
-    for phi_l in phi_l_grid:
-        if layer_count < 1:
-            raise ValueError(f"layer_count must be >= 1, got {layer_count}")
-        if atoms_per_layer < 1:
-            raise ValueError(f"atoms_per_layer must be >= 1, got {atoms_per_layer}")
-        if not (phi_l >= 0 and math.isfinite(phi_l)):
-            raise ValueError(f"phi_l must be >= 0 and finite, got {phi_l!r}")
-        if not (phi_g >= 0 and math.isfinite(phi_g)):
-            raise ValueError(f"phi_g must be >= 0 and finite, got {phi_g!r}")
-
-
-class TauMaxProblem(namedtuple("TauMaxProblem", "layer_count atoms_per_layer phi_l phi_g")):
+class TauMaxProblem(NamedTuple):
     """Ensemble and laser for the maximum-interrogation-time search.
 
     layer_count is the number of summed layers, atoms_per_layer sets the
@@ -104,20 +87,14 @@ class TauMaxProblem(namedtuple("TauMaxProblem", "layer_count atoms_per_layer phi
     (effective_phase_rate).
     """
 
-    __slots__ = ()
-
-    def __new__(cls, layer_count: int, atoms_per_layer: int, phi_l: float, phi_g: float):
-        check_cells(layer_count, atoms_per_layer, (phi_l,), phi_g)
-        return super().__new__(cls, layer_count, atoms_per_layer, phi_l, phi_g)
-
-    # namedtuple's _make, and so _replace, would skip __new__ and its checks.
-    _make = classmethod(lambda cls, values: cls(*values))
+    layer_count: int
+    atoms_per_layer: int
+    phi_l: float
+    phi_g: float
 
     @classmethod
     def cubic(cls, n_site: int, phi_l: float, convention: str) -> "TauMaxProblem":
         """A Yb cube of side n_site: n_site + 1 layers of n_site^2 atoms."""
-        if n_site < 1:
-            raise ValueError(f"n_site must be >= 1, got {n_site}")
         rate = effective_phase_rate(_YB_PHI_G, n_site + 1, convention)
         return cls(n_site + 1, n_site * n_site, phi_l, rate)
 
@@ -204,9 +181,10 @@ def _bracket(m: int, atoms: int, phi_l: float, rate: float) -> tuple[float, floa
 def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     """Largest tau with dephasing error at or below the per-layer SQL.
 
-    problem is a TauMaxProblem or the same four values, already checked
-    (check_cells). The error, _error, rises monotonically from 0 to 1 on
-    [0, t_end] (_bracket). With theta = phi_g' t, a = phi_l t and c = D_m / m:
+    problem is a TauMaxProblem or the same four values, as the scenario
+    keys give them: counts >= 1, phi_l and phi_g' finite and >= 0. The
+    error, _error, rises monotonically from 0 to 1 on [0, t_end]
+    (_bracket). With theta = phi_g' t, a = phi_l t and c = D_m / m:
     (1) c is the mean of the cos(k theta) over |k| <= (m-1)/2. On theta in
     [0, 2 pi / m] each term is non-increasing, and c >= 0 with c = 0 at
     2 pi / m. (2) For c in [0, 1], h(a) = asin(c sin a) is concave on

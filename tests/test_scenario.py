@@ -139,8 +139,8 @@ def test_t_grid_must_increase():
         ("linspace:0:-1:3", "values must be finite and >= 0, got -0.5"),
         # A span past float range: 0 * inf = nan leads, then inf.
         ("linspace:-1.7e308:1.7e308:3", "values must be finite and >= 0, got nan"),
-        # A listed nan or inf is refused as it is read, before any range check.
-        ("1, -2, nan", "must be finite: 'nan'"),
+        # Each listed value is checked as it is read, nan and inf included.
+        ("1, -2, nan", "values must be finite and >= 0, got -2.0"),
         ("1, inf, -2", "must be finite: 'inf'"),
         ("1, -inf", "must be finite: '-inf'"),
     ],
