@@ -140,7 +140,7 @@ def test_t_grid_must_increase():
         # A span past float range: 0 * inf = nan leads, then inf.
         ("linspace:-1.7e308:1.7e308:3", "values must be finite and >= 0, got nan"),
         # Each listed value is checked as it is read, nan and inf included.
-        ("1, -2, nan", "values must be finite and >= 0, got -2.0"),
+        pytest.param("1, -2, nan", "values must be finite and >= 0, got -2.0", id="nan after -2"),
         ("1, inf, -2", "must be finite: 'inf'"),
         ("1, -inf", "must be finite: '-inf'"),
     ],
