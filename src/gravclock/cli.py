@@ -20,14 +20,15 @@ import sys
 from itertools import chain, takewhile
 
 from . import __version__, cmdline
-from .core import CONVENTIONS, echo, per_layer_phase_rate, per_layer_sql, qpn_stability
+from .core import CONVENTIONS, SIZE_RATIO_KEYS, echo, per_layer_phase_rate, per_layer_sql
+from .core import qpn_stability
 from .dephasing import dephase_curve, effective_phase_rate
 from .emit import FLOAT, RUN_RECORD_NAME, check_finite, csv_text, fmt_float, fmt_floats
 from .emit import json_text, run_record, write_outputs
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
 from .sweep import sweep
 from .systematics import REFERENCE_INTENSITY_CHANGE, assemble_budget
-from .thresholds import SIZE_KEYS, decoherence_atom_count, decoherence_sizes
+from .thresholds import decoherence_atom_count, decoherence_sizes
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -61,13 +62,13 @@ def _run_threshold(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
         n = round(n_star)
         if n < 1:
             raise ValueError(
-                f"{name}: size n* = {n_star:.3e} rounds to n = 0; n is set by {SIZE_KEYS}"
+                f"{name}: size n* = {n_star:.3e} rounds to n = 0; n is set by {SIZE_RATIO_KEYS}"
             )
         atoms = decoherence_atom_count(n)
         if atoms > sys.float_info.max:
             raise OverflowError(
                 f"{name}: total atom count n^2 (n+1) at n = {n:.3e} is out of float range;"
-                f" n is set by {SIZE_KEYS}"
+                f" n is set by {SIZE_RATIO_KEYS}"
             )
         document[name] = {
             "n_star": n_star,

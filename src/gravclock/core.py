@@ -8,9 +8,12 @@ that needs them, the scenario key table included, imports them from this
 leaf module. So do ECHO_CAP, the length up to which a refusal repeats the
 text or integer it refuses, with echo and echo_int that cut it there, and
 the two phase-rate conventions, which are their scenario text: CONVENTIONS
-lists them, and dephasing applies them. No default of a run is here, not
-even of PhysicalConstants or default_size_grid: each is written once, in
-the scenario key table (Scenario().consts_obj(), Scenario().sweep_sizes).
+lists them, and dephasing applies them. So does the one block of key lists
+(SPACING_KEYS to SIGNAL_KEYS): the scenario keys behind each derived value
+that more than one refusal names, which every such refusal formats from
+here. No default of a run is here, not even of PhysicalConstants or
+default_size_grid: each is written once, in the scenario key table
+(Scenario().consts_obj(), Scenario().sweep_sizes).
 """
 
 from __future__ import annotations
@@ -111,12 +114,18 @@ def species_by_name(name: str) -> ClockSpecies:
         raise ValueError(f"unknown species {echo(name)}; built-in presets: {known}") from None
 
 
-# The scenario keys behind g d/c^2, and behind phi_g = omega0 g d/c^2, named
-# when a quantity made from them leaves float range.
-REDSHIFT_KEYS = (
-    "constants.g, constants.c and geometry.layer_spacing (default species.magic_wavelength / 2)"
-)
+# The scenario keys behind each derived value that more than one refusal
+# names, each list built from the ones above it: the layer spacing d, the
+# redshift g d/c^2, phi_g = omega0 g d/c^2, the size ratio c^2/(omega0 tau g d),
+# the fractional signal g dz/c^2 over dz = budget.n_site d, and the signal
+# delta_nu = (omega0 / 2 pi) g dz/c^2. A refusal of one of these values
+# formats its keys from here.
+SPACING_KEYS = "geometry.layer_spacing (default species.magic_wavelength / 2)"
+REDSHIFT_KEYS = f"constants.g, constants.c and {SPACING_KEYS}"
 PHI_G_KEYS = f"species.omega0, {REDSHIFT_KEYS}"
+SIZE_RATIO_KEYS = f"interrogation.tau, {PHI_G_KEYS}"
+FRACTIONAL_KEYS = f"budget.n_site, {REDSHIFT_KEYS}"
+SIGNAL_KEYS = f"species.omega0, {FRACTIONAL_KEYS}"
 
 
 def relative_redshift(consts: PhysicalConstants, delta_h: float) -> float:

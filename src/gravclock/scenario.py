@@ -157,8 +157,8 @@ def _family(text: str) -> str:
 
 def _file_name(text: str) -> str:
     """An output name: a plain file name, so every output lands inside --out."""
-    if text in ("", ".", "..") or "/" in text or "\\" in text:
-        raise ValueError(f"must be a plain file name without a directory, got {echo(text)}")
+    if text in ("", ".", "..") or "/" in text or "\\" in text or "\0" in text:
+        raise ValueError(f"must be a plain file name without a directory or NUL, got {echo(text)}")
     if text == RUN_RECORD_NAME:
         raise ValueError(f"{RUN_RECORD_NAME!r} is reserved for the run manifest")
     return text

@@ -14,7 +14,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .core import ClockSpecies, relative_redshift
+from .core import FRACTIONAL_KEYS, SIGNAL_KEYS, SPACING_KEYS, ClockSpecies, relative_redshift
 from .scenario import Scenario
 
 
@@ -62,8 +62,8 @@ def second_order_zeeman_shift(gradient: float, bias_field: float, delta_z: float
     shift = abs(ZEEMAN2) * abs(b_top * b_top - bias_field * bias_field)
     if not shift < math.inf:
         raise OverflowError(
-            f"second-order Zeeman shift at B = {b_top!r} G is out of float range; B is"
-            " budget.bias_field plus the allowed gradient across delta_z"
+            f"second-order Zeeman shift at B = {b_top:.3g} G overflows; B is budget.bias_field"
+            f" plus a gradient set by {SIGNAL_KEYS}"
         )
     return shift
 
@@ -248,6 +248,10 @@ def assemble_budget(scenario: Scenario = Scenario()) -> Budget:
     rather than silently omitting them.
     """
     species, t1 = scenario.species_obj(), scenario.budget_base_temperature
+    if not species.frequency > 0:
+        raise ValueError(
+            f"frequency omega0 / 2 pi underflows to 0 Hz at species.omega0 = {species.omega0!r}"
+        )
     n_site, wall_distance = scenario.budget_n_site, scenario.budget_wall_distance
     disk_radius, delta_t = scenario.budget_disk_radius, scenario.budget_delta_t
     e0, e_gradient = scenario.budget_baseline_e_field, scenario.budget_e_gradient
@@ -256,8 +260,7 @@ def assemble_budget(scenario: Scenario = Scenario()) -> Budget:
     if not 0 < delta_z < wall_distance:
         raise ValueError(
             f"ensemble extent delta_z = {delta_z!r} m must lie in (0, budget.wall_distance ="
-            f" {wall_distance!r} m); delta_z is budget.n_site times geometry.layer_spacing"
-            " (default species.magic_wavelength / 2)"
+            f" {wall_distance!r} m); delta_z is budget.n_site times {SPACING_KEYS}"
         )
     t2 = t1 + scenario.budget_example_temperature_step
     if not t2 > 0:
@@ -276,6 +279,10 @@ def assemble_budget(scenario: Scenario = Scenario()) -> Budget:
     # line; what survives is the calibration resolution, one linewidth of
     # gradient uncertainty mapped back onto the clock transition.
     zeeman1_residual = ZEEMAN1 * linewidth / P2_ZEEMAN
+    if zeeman1_residual == math.inf:
+        raise OverflowError(
+            f"first-order Zeeman residual overflows at budget.p2_linewidth = {linewidth!r} Hz"
+        )
 
     e_top = e0 + e_gradient * delta_z
     if not e_top < math.sqrt(sys.float_info.max):
@@ -308,9 +315,8 @@ def assemble_budget(scenario: Scenario = Scenario()) -> Budget:
         )
     if temperature_limit == math.inf:
         raise ValueError(
-            "no wall temperature lifts the BBR differential up to the redshift signal g dz/c^2"
-            f" = {fractional:.3e}: budget.wall_distance and budget.disk_radius cap it;"
-            " constants.g, constants.c, budget.n_site and geometry.layer_spacing set the signal"
+            f"no wall lifts the BBR differential up to the redshift signal of {FRACTIONAL_KEYS}:"
+            " budget.wall_distance and budget.disk_radius cap it"
         )
 
     rows = [

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import ClockSpecies, PhysicalConstants, YB, per_layer_phase_rate
+from .core import SIZE_RATIO_KEYS, SPACING_KEYS, YB, ClockSpecies, PhysicalConstants
+from .core import per_layer_phase_rate
 from .dephasing import effective_phase_rate, phase_ratio
 from .scenario import Scenario
 
@@ -34,11 +35,6 @@ _ROOT_REL_TOL = 1e-12
 _RESIDUAL_REL_TOL = 1e-4
 # The phi_g of TauMaxProblem.cubic: Yb at its magic-wavelength spacing [rad/s].
 _YB_PHI_G = per_layer_phase_rate(Scenario().consts_obj(), YB, YB.default_layer_spacing)
-# The scenario keys behind c^2/(omega0 tau g d), named when a size overflows.
-SIZE_KEYS = (
-    "constants.c, constants.g, species.omega0, interrogation.tau and"
-    " geometry.layer_spacing (default species.magic_wavelength / 2)"
-)
 
 
 def decoherence_sizes(
@@ -57,14 +53,14 @@ def decoherence_sizes(
     # d is parsed positive, but a subnormal species.magic_wavelength halves to 0.
     if not layer_spacing > 0:
         raise ValueError(
-            f"layer_spacing must be positive, got {layer_spacing!r}; it is set by"
-            " geometry.layer_spacing (default species.magic_wavelength / 2)"
+            f"layer_spacing must be positive, got {layer_spacing!r}; it is set by {SPACING_KEYS}"
         )
     denominator = species.omega0 * tau * consts.g * layer_spacing
     k = consts.c * consts.c / denominator if denominator > 0 else math.inf
     if not math.sqrt(2.0) * k < math.inf:
         raise OverflowError(
-            f"size ratio c^2/(omega0 tau g d) = {k!r} is out of range; it is set by {SIZE_KEYS}"
+            f"size ratio c^2/(omega0 tau g d) = {k!r} is out of range; it is set by"
+            f" {SIZE_RATIO_KEYS}"
         )
     return math.sqrt(k), (math.sqrt(2.0) * k) ** 0.4
 
