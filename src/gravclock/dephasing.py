@@ -7,10 +7,10 @@ the true accumulated laser phase phi_l * t. The layer sum is evaluated in
 closed form by the range-reduced Dirichlet kernel; the explicit summation
 over layers is kept only in the tests, as the oracle for the kernel.
 phase_ratio is the clamped arcsine ratio at one point: each tau_max error is
-built from it, and so is each edge row of dephase_curve (it returns two
-columns, ratios and contrasts). The curve's bulk rows, where neither
-phase_ratio nor dirichlet branches, repeat its float operations in one fused
-loop, which the tests pin to phase_ratio bit for bit. bloch_sum, the full
+built from it. dephase_curve returns two columns, ratios and contrasts; a
+row where phase_ratio or dirichlet would branch makes one phase_ratio call,
+and every other row repeats their float operations inline, which the tests
+pin to phase_ratio bit for bit. bloch_sum, the full
 BlochSummary of one point, forms the same by its own float operations.
 effective_phase_rate is where a phase-rate convention, one of the strings in
 core.CONVENTIONS, turns phi_g into the phi_g' that the layer sums take.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from typing import NamedTuple, Optional, Sequence
 
 from .core import PHI_G_KEYS, Convention, check_convention, echo_int
@@ -156,14 +155,13 @@ def dephase_curve(
     again. A layer count or a laser phase phi_l t at the last time out of
     float range is refused by its keys, also for an empty grid.
 
-    As t >= 0 increases, |phi_l t| and x = |phi_g' t| / 2 never decrease, so
-    the rows where phase_ratio branches form a prefix (|phi_l t| < 2^-26 or
-    x == 0, t = 0 among them) and a suffix (x >= pi/2, where dirichlet
-    reduces its argument and refuses a non-finite one). Those edge rows,
-    found by bisection, go through phase_ratio. The bulk rows between them
-    take one loop that performs the float operations of phase_ratio and of
-    dirichlet's fast path, in the same order; the tests pin each row, and
-    the row a refusal comes from, to phase_ratio's.
+    Each row chooses its path alone. With x = |phi_g' t| / 2, a row where
+    0 < x < pi/2 and |phi_l t| >= 2^-26, where neither phase_ratio nor
+    dirichlet branches, performs their float operations inline, in the same
+    order. Any other row (t = 0, a subnormal laser phase, or x >= pi/2,
+    where dirichlet reduces its argument and refuses a non-finite one) makes
+    one phase_ratio call. The tests pin each row, and the row a refusal
+    comes from, to phase_ratio's.
     """
     if layer_count > sys.float_info.max:
         raise OverflowError(
@@ -175,29 +173,18 @@ def dephase_curve(
             f"laser phase phi_l t = {phi_l!r} rad/s x {t_end!r} s is out of float range;"
             " it is set by dephase.phi_l and dephase.t_grid"
         )
-    m, ratios, contrasts = layer_count, [], []
-
-    def edge_rows(times: Sequence[float]) -> None:
-        for t in times:
-            ratio, d = phase_ratio(m, phi_l, phi_g, t)
-            ratios.append(ratio)
-            contrasts.append(abs(d) / m)
-
-    # t > 0 past the prefix, where |phi_g' t| == |phi_g'| t exactly.
-    rate, fm = abs(phi_g), float(m)
-    lo = bisect_left(
-        t_grid, True, key=lambda t: abs(phi_l * t) >= SMALL_ANGLE and 0.5 * (rate * t) > 0.0
-    )
-    hi = bisect_left(t_grid, True, lo, key=lambda t: 0.5 * (rate * t) >= _HALF_PI)
-    edge_rows(t_grid[:lo])
-    sin, asin = math.sin, math.asin
+    fm, rate = float(layer_count), abs(phi_g)
+    sin, asin, ratios, contrasts = math.sin, math.asin, [], []
     ratio_append, contrast_append = ratios.append, contrasts.append
-    for t in t_grid[lo:hi]:
-        x = 0.5 * (rate * t)
-        d = sin(fm * x) / sin(x)
+    for t in t_grid:
+        # For t >= 0, |phi_g' t| == |phi_g'| t exactly, so x is dirichlet's.
+        x, nominal = 0.5 * (rate * t), phi_l * t
+        if 0.0 < x < _HALF_PI and abs(nominal) >= SMALL_ANGLE:
+            d = sin(fm * x) / sin(x)
+            y = sin(nominal) * d / fm
+            ratio_append(asin(1.0 if y > 1.0 else -1.0 if y < -1.0 else y) / nominal)
+        else:
+            ratio, d = phase_ratio(layer_count, phi_l, phi_g, t)
+            ratio_append(ratio)
         contrast_append(abs(d) / fm)
-        nominal = phi_l * t
-        y = sin(nominal) * d / fm
-        ratio_append(asin(1.0 if y > 1.0 else -1.0 if y < -1.0 else y) / nominal)
-    edge_rows(t_grid[hi:])
     return ratios, contrasts

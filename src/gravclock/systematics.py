@@ -356,6 +356,14 @@ def assemble_budget(scenario: Scenario = Scenario()) -> Budget:
         BudgetEntry(name, shift, shift / species.frequency, delta_nu, shift < delta_nu, note)
         for name, shift, note in rows
     )
+    for entry in entries:
+        # A subnormal frequency is above 0 but still overflows the quotient.
+        if not abs(entry.fractional) < math.inf:
+            raise OverflowError(
+                f"fractional {entry.name} shift {entry.differential_shift_hz!r} Hz /"
+                f" {species.frequency!r} Hz is out of float range; the clock frequency"
+                " omega0 / 2 pi is set by species.omega0"
+            )
     return Budget(
         delta_z=delta_z,
         delta_nu=delta_nu,

@@ -21,6 +21,7 @@ from test_hostile_text import _SMALL
 KEYS = tuple(scenario_module._KEYS)
 EXTREMES = (
     "5e-324",
+    "1e-320",
     "1e-300",
     "1e-30",
     "1e-10",

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from scipy.optimize import brentq
+from bisection_oracle import bisect_root
 
 from gravclock import systematics
 from gravclock.core import YB
@@ -228,13 +228,14 @@ def _excess_slope(u: float, delta: float, h: float = 1e-5) -> float:
 
 @pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 6.35e-4, 1e-2, 0.1, 0.3, 1.0, 3.0])
 def test_closed_form_extrema_match_brentq_on_excess_slope(delta):
-    # The closed-form extrema against brentq's sign change of the numeric
-    # slope. The slope is a centred difference with h = 1e-5, so its rounding
-    # noise (~eps/h ~ 2e-11) blurs the sign change over ~1e-11 in u; brentq
-    # may stop anywhere inside that band, not within its xtol.
+    # The closed-form extrema against a bisected sign change of the numeric
+    # slope, stopped at the xtol and rtol the brentq oracle used. The slope is
+    # a centred difference with h = 1e-5, so its rounding noise (~eps/h ~
+    # 2e-11) blurs the sign change over ~1e-11 in u; the bisection may stop
+    # anywhere inside that band, not within its xtol.
     result = lattice_intensity_ratio(1.0, delta)  # z_R = 1: z is u
     for ours, (lo, hi) in zip(result.z_extrema_m, ((1e-12, 2.0), (-delta - 2.0, -1.0))):
-        oracle = brentq(_excess_slope, lo, hi, args=(delta,), xtol=1e-13, rtol=1e-15)
+        oracle = bisect_root(lambda u: _excess_slope(u, delta), lo, hi, xtol=1e-13, rtol=1e-15)
         assert lo <= ours <= hi
         assert abs(ours - oracle) <= 1e-10
         assert abs(ours * ours + ours * delta - 1.0) <= 1e-9
@@ -335,11 +336,11 @@ def test_bbr_temperature_limit_matches_brentq(wall_distance, base_temperature):
             )
             return BBR_FRACTIONAL * field_excess - budget.fractional
 
-        oracle = brentq(excess, 0.0, 1e6, xtol=1e-12, rtol=1e-14)
+        oracle = bisect_root(excess, 0.0, 1e6, xtol=1e-12, rtol=1e-14)
         limit = bbr_temperature_limit(
             budget.fractional, base_temperature, omega_near, omega_far
         )
-        # brentq stops within xtol = 1e-12 of a sign change.
+        # The bisection stops within xtol = 1e-12 of a sign change.
         assert abs(limit - oracle) <= 2e-12
 
 

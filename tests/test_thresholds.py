@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from bisection_oracle import bisect_root
 from layer_sum_oracle import explicit_layer_sum
-from scipy.optimize import brentq
 
 from gravclock import sweep as sweep_module, thresholds
 from gravclock.cli import main
@@ -53,7 +53,7 @@ def test_halves_matches_numeric_root():
         rhs = CONSTS.g * n * YB.default_layer_spacing / CONSTS.c**2
         return lhs - rhs
 
-    oracle = brentq(residual, 1.0, 1e6, xtol=1e-9)
+    oracle = bisect_root(residual, 1.0, 1e6, xtol=1e-9)
     assert decoherence_sizes(YB, CONSTS, 30.0, SPACING)[1] == pytest.approx(oracle, rel=1e-9)
 
 
@@ -451,6 +451,22 @@ def test_root_evaluations_per_bench_shaped_cell():
     assert len(counts) == 102
     assert sum(counts) / len(counts) <= 5.5
     assert max(counts) <= 1 + thresholds._ROOT_MAX_STEPS
+
+
+def test_root_evaluations_over_a_wide_seeded_corpus():
+    # m log-uniform from 2 to 1e5, atoms per layer from 1e2 to 1e12, phi_l =
+    # 0 or from 1e-8 to 1 rad/s, phi_g' from 1e-12 to 1e-6 rad/s. The mean is
+    # 5.05695 evaluations per cell, pinned to its third decimal rounded up.
+    # A regula falsi fallback that clamps to the bracket's lower end instead
+    # of interpolating still converges, but raises the mean to 6.09.
+    rng = random.Random(20000)
+    evaluations = 0
+    for _ in range(20000):
+        m = round(10 ** rng.uniform(math.log10(2.0), 5.0))
+        atoms = round(10 ** rng.uniform(2.0, 12.0))
+        phi_l = rng.choice([0.0, 10 ** rng.uniform(-8.0, 0.0)])
+        evaluations += solve_tau_max((m, atoms, phi_l, 10 ** rng.uniform(-12.0, -6.0))).evaluations
+    assert evaluations / 20000 <= 5.057
 
 
 def _error_reaches_1(m, phi_l, rate):
