@@ -88,11 +88,10 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
     consts = scenario.consts_obj()
     phi_g = per_layer_phase_rate(consts, species, scenario.layer_spacing())
 
-    # The t cells, formatted once, are joined with each size's row tail into
-    # its template, and its block is one % over its two columns interleaved.
-    # The None ratios (phi_l t == 0) lead, as |phi_l t| grows with t: "%.0s"
-    # leaves their cells empty. The finiteness check runs in row order, and a
-    # None after them fails it. The convention is applied once per size.
+    # The t cells are formatted once; each size's block fills its row templates
+    # with t cells, ratios and contrasts interleaved. The None ratios (phi_l t
+    # == 0) lead, as |phi_l t| grows with t, and "%.0s" leaves their cells
+    # empty; the finiteness check runs in row order, so a None after them fails it.
     phi_l, t_grid, sizes = scenario.dephase_phi_l, scenario.dephase_t_grid, scenario.dephase_sizes
     t_cells = fmt_floats(t_grid)
     phi_l_cell, convention = fmt_float(phi_l), scenario.convention
@@ -103,11 +102,11 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
         empty = len(list(takewhile(lambda ratio: ratio is None, ratios)))
         check_finite(contrasts[:empty])
         check_finite(ratios[empty:], contrasts[empty:])
-        cells = ratios * 2
-        cells[::2], cells[1::2] = ratios, contrasts
-        tail = f",{n_site},{phi_l_cell},{convention},{FLOAT},{FLOAT}"
-        template = f"{tail}\n".join(t_cells) + tail
-        blocks.append(template.replace(f"{FLOAT},", "%.0s,", empty) % tuple(cells))
+        cells = [None] * (3 * len(t_cells))
+        cells[::3], cells[1::3], cells[2::3] = t_cells, ratios, contrasts
+        row = f"%s,{n_site},{phi_l_cell},{convention},{FLOAT},{FLOAT}"
+        blank = f"%s,{n_site},{phi_l_cell},{convention},%.0s,{FLOAT}"
+        blocks.append(([blank] * empty + [row] * (len(t_cells) - empty), cells))
     header = ["t_s", "n_site", "phi_l", "convention", "ratio", "contrast"]
     files = {scenario.output_dephase_curve: csv_text(header, blocks)}
     text = f"dephase-curve: {len(t_cells) * len(sizes)} rows ({len(sizes)} sizes)\n"
@@ -115,7 +114,7 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
 
 
 def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
-    family, convention = scenario.sweep_family, scenario.convention
+    family, convention, sizes = scenario.sweep_family, scenario.convention, scenario.sweep_sizes
     points = sweep(scenario)
     header = [
         "geometry",
@@ -127,21 +126,19 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
         "sigma_at_1s",
         "flag",
     ]
-    # Each phi_l cell is formatted once and written into the row templates,
-    # which repeat per size as the points are size-major; a point's other
-    # cells pass through one % over all points.
+    # Each phi_l cell is formatted once into its row template, repeated per
+    # size as the points are size-major; a point's other cells fill them.
     cells = list(chain.from_iterable(points))
     del cells[1::6]  # phi_l: size, tau_max_s, sigma_at_tau, sigma_at_1s, flag remain
     check_finite(cells[1::5], cells[2::5], cells[3::5])
     phi_l_cells = fmt_floats(scenario.sweep_phi_l)
     rows = [f"{family},%s,{cell},{convention},{FLOAT},{FLOAT},{FLOAT},%s" for cell in phi_l_cells]
-    text = "\n".join(rows * len(scenario.sweep_sizes)) % tuple(cells)
     flags = [
         f"{family}:{point.size}:phi_l={fmt_float(point.phi_l)}: {point.flag}"
         for point in points
         if point.flag
     ]
-    files = {scenario.output_stability_sweep: csv_text(header, [text])}
+    files = {scenario.output_stability_sweep: csv_text(header, [(rows * len(sizes), cells)])}
     return files, flags, f"stability-sweep: {len(points)} rows, {len(flags)} flagged\n"
 
 

@@ -173,13 +173,13 @@ def dephase_curve(
             f"laser phase phi_l t = {phi_l!r} rad/s x {t_end!r} s is out of float range;"
             " it is set by dephase.phi_l and dephase.t_grid"
         )
-    fm, rate = float(layer_count), abs(phi_g)
+    fm, rate, half_pi, small = float(layer_count), abs(phi_g), _HALF_PI, SMALL_ANGLE
     sin, asin, ratios, contrasts = math.sin, math.asin, [], []
     ratio_append, contrast_append = ratios.append, contrasts.append
     for t in t_grid:
         # For t >= 0, |phi_g' t| == |phi_g'| t exactly, so x is dirichlet's.
         x, nominal = 0.5 * (rate * t), phi_l * t
-        if 0.0 < x < _HALF_PI and abs(nominal) >= SMALL_ANGLE:
+        if 0.0 < x < half_pi and (nominal >= small or nominal <= -small):
             d = sin(fm * x) / sin(x)
             y = sin(nominal) * d / fm
             ratio_append(asin(1.0 if y > 1.0 else -1.0 if y < -1.0 else y) / nominal)

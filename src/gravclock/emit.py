@@ -120,19 +120,20 @@ def json_text(value) -> str:
         raise ValueError(f"{path or 'value'}: {refusal}") from None
 
 
-def csv_text(header: list[str], blocks: list[str]) -> str:
-    """CSV with a mandatory header row; a block is rows of pre-formatted cells
-    joined by commas, the rows by newlines. No cell holds either, so each
-    block's commas are counted once against its rows; a wider and a narrower
-    row could cancel, but rows from templates of the header's width, as both
-    CSV commands render, can only be wider."""
-    commas = len(header) - 1
-    for block in blocks:
-        if block.count(",") != commas * (block.count("\n") + 1):
-            widths = (line.count(",") + 1 for line in block.split("\n"))
-            width = next(width for width in widths if width != len(header))
-            raise ValueError(f"row width {width} != header width {len(header)}")
-    return "\n".join([",".join(header), *blocks, ""])
+def csv_text(header: list[str], blocks: list[tuple[Sequence[str], Sequence]]) -> str:
+    """CSV with a mandatory header row, then each block (row templates, one per
+    row; cells) as one % over its templates joined by newlines. No cell holds a
+    comma or a newline, so each distinct template is checked once, in row order:
+    the first that holds a newline or is not as wide as the header is refused."""
+    width, texts = len(header), [",".join(header)]
+    for templates, cells in blocks:
+        for template in dict.fromkeys(templates):
+            if "\n" in template:
+                raise ValueError(f"row template holds a newline: {template!r}")
+            if template.count(",") + 1 != width:
+                raise ValueError(f"row width {template.count(',') + 1} != header width {width}")
+        texts.append("\n".join(templates) % tuple(cells))
+    return "\n".join(texts) + "\n"
 
 
 def write_outputs(out_dir: str, files: dict[str, str]) -> None:

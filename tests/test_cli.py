@@ -765,13 +765,33 @@ def test_json_refusal_matches_the_reference_serializer(value):
         ("1,2,3\n1,2\n5,6,7", 2),
         ("1,2\n1,2,3,4,5", 2),
         ("1,2,3,4,5\n1,2", 5),
+        ("1,2,3,4\n1,2", 4),
     ],
-    ids=["wider", "narrower", "wider in block", "narrower in block", "narrower 1st", "wider 1st"],
+    ids=[
+        "wider",
+        "narrower",
+        "wider in block",
+        "narrower in block",
+        "narrower 1st",
+        "wider 1st",
+        "wider and narrower",
+    ],
 )
 def test_csv_text_refuses_a_row_of_another_width(line, width):
+    # Each line is a row template with no cells. In the last case the widths,
+    # 4 and 2, sum to two rows of the header's, so a count of the block's
+    # commas cannot tell them from two good rows.
+    blocks = [(["x,y,z"], ()), (line.split("\n"), ())]
     with pytest.raises(ValueError) as excinfo:
-        emit.csv_text(["a", "b", "c"], ["x,y,z", line])
+        emit.csv_text(["a", "b", "c"], blocks)
     assert str(excinfo.value) == f"row width {width} != header width 3"
+
+
+def test_csv_text_refuses_a_template_holding_a_newline():
+    # As wide as the header by its commas, but two rows.
+    with pytest.raises(ValueError) as excinfo:
+        emit.csv_text(["a", "b", "c"], [(["%s,%s,%s", "1,2\n3,4"], (1, 2, 3, 4))])
+    assert str(excinfo.value) == "row template holds a newline: '1,2\\n3,4'"
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS.glob("*.cfg")), ids=lambda path: path.stem)

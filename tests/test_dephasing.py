@@ -367,20 +367,23 @@ _FLOAT_MAX_INT = int(sys.float_info.max)
         max_size=14,
     ),
 )
-# phi_g' = 0: every row is an edge row.
+# phi_g' = 0: x = 0, so every row calls phase_ratio.
 @example(m=101, phi_l=1e-3, phi_g=0.0, points=[(0, 0.0), (0, 1.0), (0, 10.0)])
-# A subnormal phi_g' t: x = 0 through t = 1, the bulk from t = 2.
+# A subnormal phi_g' t: x = 0 through t = 1, so those rows call phase_ratio;
+# the rows from t = 2 run its operations inline.
 @example(m=7, phi_l=1e-3, phi_g=5e-324, points=[(0, 1.0), (0, 2.0), (0, 3.0), (0, 7.0)])
-# m x overflows in the bulk at t = 1.5, and sin refuses it.
+# m x overflows on an inline row at t = 1.5, and sin refuses it.
 @example(m=_FLOAT_MAX_INT, phi_l=1e-3, phi_g=2.0, points=[(0, 0.5), (0, 1.0), (0, 1.5), (0, 1.6)])
-# phi_g' t overflows at t = 1e10, refused by dirichlet in the suffix.
+# phi_g' t overflows at t = 1e10, a row that calls phase_ratio, whose dirichlet
+# refuses it.
 @example(m=5, phi_l=1e-3, phi_g=1e300, points=[(0, 0.0), (0, 1e-300), (0, 1e10)])
 def test_dephase_curve_equals_phase_ratio_per_row(m, phi_l, phi_g, points):
     # Each grid point is a factor times an anchor: 1 s, or where |phi_l t|
-    # crosses 2^-26, or x = |phi_g' t| / 2 crosses pi/2, pi or 2 pi, so the
-    # edge rows and the fused bulk meet mid-grid. Every prefix of the grid,
-    # the empty and one-point ones too, gives phase_ratio's rows bit for
-    # bit, or the refusal of its first refused row.
+    # crosses 2^-26, or x = |phi_g' t| / 2 crosses pi/2, pi or 2 pi, so rows
+    # that call phase_ratio and rows that run its operations inline meet
+    # mid-grid. Every prefix of the grid, the empty and one-point ones too,
+    # gives phase_ratio's rows bit for bit, or the refusal of its first
+    # refused row.
     anchors = [1.0] + [
         crossing / abs(rate) if rate else math.inf
         for crossing, rate in [
@@ -448,7 +451,7 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(dephasing, "dirichlet", counting("dirichlet", dirichlet))
     monkeypatch.setattr(dephasing, "phase_ratio", counting("phase_ratio", phase_ratio))
     # Per row, no Python function formats a float: the t column is formatted
-    # once, and each size's rows through one % over its row template.
+    # once, and each size's rows through csv_text's one % over its templates.
     for module in (cli, emit):
         monkeypatch.setattr(module, "fmt_float", counting("fmt_float", emit.fmt_float))
     monkeypatch.setattr(cli, "fmt_floats", counting("fmt_floats", emit.fmt_floats))
@@ -460,8 +463,9 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
         assert counts["inputs"] <= sizes
         assert counts["summaries"] == 0
         assert counts["rates"] == sizes
-        # The t = 0 row of each size is the only edge row; the other rows of
-        # the preset take dephase_curve's fused loop, which calls neither.
+        # The t = 0 row of each size is the only row that calls phase_ratio;
+        # every other row of the preset runs its float operations inline,
+        # which call neither.
         assert grid > 1 and counts["phase_ratio"] == counts["dirichlet"] == sizes
         assert counts["fmt_float"] <= 1
         assert counts["fmt_floats"] == 1

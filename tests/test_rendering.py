@@ -295,5 +295,8 @@ def test_bulk_check_refuses_the_first_bad_value_row_by_row():
 )
 def test_csv_block_equals_its_rows_as_lines(rows):
     header = ["a", "b", "c"]
-    assert emit.csv_text(header, ["\n".join(rows)]) == _reference_csv_text(header, rows)
-    assert emit.csv_text(header, rows) == _reference_csv_text(header, rows)
+    expected = _reference_csv_text(header, rows)
+    assert emit.csv_text(header, [(rows, ())]) == expected
+    assert emit.csv_text(header, [([row], ()) for row in rows]) == expected
+    cells = [cell for row in rows for cell in row.split(",")]
+    assert emit.csv_text(header, [(["%s,%s,%s"] * len(rows), cells)]) == expected
