@@ -149,7 +149,7 @@ def _budget_table(budget) -> str:
             entry.name,
             f"{entry.differential_shift_hz:.3e}",
             f"{entry.fractional:.3e}",
-            f"{entry.reference_signal_hz:.3e}",
+            f"{budget.delta_nu:.3e}",
             "pass" if entry.passes else "FAIL",
         ]
         for entry in budget.entries
@@ -225,7 +225,9 @@ def _load_scenario(path: str | None) -> tuple[Scenario, str]:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
-        raise ValueError(f"scenario file {path!r} is not UTF-8 text: {exc}") from None
+        raise ValueError(f"scenario file {echo(path)} is not UTF-8 text: {exc}") from None
+    except OSError as exc:  # missing, a directory, a name too long, unreadable
+        raise OSError(f"cannot read --scenario {echo(path)}: {exc.strerror}") from None
     return parse_scenario(text), text
 
 

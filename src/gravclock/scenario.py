@@ -243,12 +243,13 @@ class Scenario(
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario, applying defaults for absent keys.
 
+    One leading byte-order mark (U+FEFF), as some editors save, is dropped.
     Raises ScenarioError with the offending line number on malformed lines,
     unknown keys, duplicate keys, or out-of-range values.
     """
     values = {key: default for key, (default, _) in _KEYS.items()}
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -35,12 +35,11 @@ AC_STARK_ANCHOR_SHIFT = 1e-19
 
 
 class BudgetEntry(NamedTuple):
-    """One systematic effect compared against the gravitational signal."""
+    """One systematic effect compared against the gravitational signal, Budget.delta_nu."""
 
     name: str
     differential_shift_hz: float
     fractional: float
-    reference_signal_hz: float
     passes: bool
     note: str
 
@@ -85,22 +84,20 @@ def rayleigh_range(waist: float, wavelength: float) -> float:
 
 
 class IntensityRatioResult(NamedTuple):
-    """Extrema of the beam-area ratio w^2(z)/w^2(z + separation).
+    """Peak of the beam-area ratio w^2(z)/w^2(z + separation).
 
     With u = z/z_R and delta = separation/z_R, the stationarity condition
     u^2 + u delta - 1 = 0 has the roots u+ = 2/(delta + s) and
-    u- = -(delta + s)/2, s = hypot(delta, 2); z_extrema_m holds u+ z_R and
-    u- z_R, and changes the |ratio - 1| there. z_star is u- z_R, where the
-    change peaks. stationarity_residual is max |u^2 + u delta - 1| / max(1, u^2)
-    at the emitted points, relative so it stays at rounding level for any
-    delta; closed_form_agrees is the floating-point self-check
+    u- = -(delta + s)/2, s = hypot(delta, 2). The change |ratio - 1| peaks
+    at u-: z_star is u- z_R and max_change the change there.
+    stationarity_residual is max |u^2 + u delta - 1| / max(1, u^2) over both
+    roots, relative so it stays at rounding level for any delta;
+    closed_form_agrees is the floating-point self-check
     stationarity_residual <= 1e-12.
     """
 
     z_star: float
     max_change: float
-    z_extrema_m: tuple[float, float]
-    changes: tuple[float, float]
     stationarity_residual: float
     closed_form_agrees: bool
 
@@ -118,8 +115,8 @@ def lattice_intensity_ratio(z_r: float, separation: float) -> IntensityRatioResu
     delta = separation / z_r if z_r > 0 else math.inf
     s = math.hypot(delta, 2.0)
     u_pos, u_neg = 2.0 / (delta + s), -0.5 * (delta + s)
-    changes = (delta * s / (1.0 + u_neg * u_neg), delta * s / (1.0 + u_pos * u_pos))
-    if not (separation > 0 and z_r < math.inf and changes[1] < math.inf):
+    max_change = delta * s / (1.0 + u_pos * u_pos)
+    if not (separation > 0 and z_r < math.inf and max_change < math.inf):
         raise ValueError(
             f"peak intensity change at layer separation / Rayleigh range = {separation!r} m /"
             f" {z_r!r} m is out of float range; they are set by budget.beam_separation,"
@@ -128,9 +125,7 @@ def lattice_intensity_ratio(z_r: float, separation: float) -> IntensityRatioResu
     residual = max(abs(u * u + u * delta - 1.0) / max(1.0, u * u) for u in (u_pos, u_neg))
     return IntensityRatioResult(
         z_star=u_neg * z_r,
-        max_change=changes[1],
-        z_extrema_m=(u_pos * z_r, u_neg * z_r),
-        changes=changes,
+        max_change=max_change,
         stationarity_residual=residual,
         closed_form_agrees=residual <= 1e-12,
     )
@@ -353,7 +348,7 @@ def assemble_budget(scenario: Scenario = Scenario()) -> Budget:
         *((name, 0.0, note) for name, note in _NEGLIGIBLE_EFFECTS),
     ]
     entries = tuple(
-        BudgetEntry(name, shift, shift / species.frequency, delta_nu, shift < delta_nu, note)
+        BudgetEntry(name, shift, shift / species.frequency, shift < delta_nu, note)
         for name, shift, note in rows
     )
     for entry in entries:

@@ -174,11 +174,11 @@ def _bracket(m: int, atoms: int, phi_l: float, rate: float) -> tuple[float, floa
     return thr, t_end, first_step, wrap
 
 
-def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
+def solve_tau_max(cell: tuple[int, int, float, float]) -> TauMaxResult:
     """Largest tau with dephasing error at or below the per-layer SQL.
 
-    problem is a TauMaxProblem or the same four values, as the scenario
-    keys give them: counts >= 1, phi_l and phi_g' finite and >= 0. The
+    cell is the four values (layer_count, atoms_per_layer, phi_l, phi_g') as
+    the scenario keys give them: counts >= 1, phi_l and phi_g' finite and >= 0. The
     error, _error, rises monotonically from 0 to 1 on [0, t_end]
     (_bracket). With theta = phi_g' t, a = phi_l t and c = D_m / m:
     (1) c is the mean of the cos(k theta) over |k| <= (m-1)/2. On theta in
@@ -188,7 +188,7 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     and h(0) = 0, so the ratio h(a) / a is non-increasing in a; it is also
     non-decreasing in c. (3) Therefore the ratio falls from 1 to 0 and the
     error rises from 0 to 1. For phi_l = 0 the error is 1 - c. The
-    convention only changes the constant phi_g', which the problem holds.
+    convention only changes the constant phi_g', which the cell holds.
 
     So [0, min(t_end, TAU_CAP_S)] brackets the root: the error is 1 at
     t_end <= TAU_CAP_S, and otherwise one evaluation at the cap decides
@@ -216,8 +216,8 @@ def solve_tau_max(problem: TauMaxProblem) -> TauMaxResult:
     threshold, and gives up after 192 steps. Deterministic: no grid, no
     randomness.
     """
-    m, _, phi_l, rate = problem
-    thr, t_end, guess, wrap = _bracket(*problem)
+    m, _, phi_l, rate = cell
+    thr, t_end, guess, wrap = _bracket(*cell)
     criterion = "contrast" if phi_l == 0.0 else "phase-ratio"
     evaluations = 0
     if t_end > TAU_CAP_S:

@@ -20,6 +20,7 @@ from test_scenario import _scenarios
 
 from gravclock import emit, thresholds
 from gravclock.cli import main
+from gravclock.core import echo
 from gravclock.scenario import serialize_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,10 +108,45 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     assert "line 1: invalid value for 'budget.n_site'" in err
 
 
+def _scenario_refusal(tmp_path, capsys, path: str) -> str:
+    """The stderr of a run on --scenario path, which must exit 2 with one
+    line under 250 characters and make nothing under --out."""
+    assert main(["threshold", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 250
+    assert not (tmp_path / "o").exists()
+    return captured.err
+
+
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
-    missing = tmp_path / "nope.cfg"
-    assert main(["threshold", "--scenario", str(missing), "--out", str(tmp_path / "o")]) == 2
-    capsys.readouterr()
+    # The refusal names the option, cuts the path as a refused text is cut,
+    # and gives the reason the OS gave.
+    missing = str(tmp_path / ("d" * 250) / "nope.cfg")
+    assert _scenario_refusal(tmp_path, capsys, missing) == (
+        f"gravclock: error: cannot read --scenario {echo(missing)}:"
+        f" {os.strerror(errno.ENOENT)}\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["directory", "name too long", "not UTF-8"])
+def test_unreadable_scenario_is_one_line_naming_it(tmp_path, capsys, kind):
+    folder = tmp_path / ("d" * 250)
+    folder.mkdir()
+    (folder / "bad.cfg").write_bytes(b"\xff\n")
+    path = {
+        "directory": folder,
+        "name too long": tmp_path / ("x" * 300),
+        "not UTF-8": folder / "bad.cfg",
+    }[kind]
+    shown = echo(str(path))
+    reason = {
+        "directory": f"cannot read --scenario {shown}: {os.strerror(errno.EISDIR)}",
+        "name too long": f"cannot read --scenario {shown}: {os.strerror(errno.ENAMETOOLONG)}",
+        "not UTF-8": f"scenario file {shown} is not UTF-8 text: 'utf-8' codec can't decode"
+        " byte 0xff in position 0: invalid start byte",
+    }[kind]
+    assert _scenario_refusal(tmp_path, capsys, str(path)) == f"gravclock: error: {reason}\n"
 
 
 def test_non_utf8_scenario_file_exits_2_naming_it(tmp_path, capsys):
@@ -119,8 +155,28 @@ def test_non_utf8_scenario_file_exits_2_naming_it(tmp_path, capsys):
     assert main(["threshold", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gravclock: error:")
-    assert str(bad) in err and "UTF-8" in err
+    assert echo(str(bad)) in err and "UTF-8" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_byte_order_mark_changes_only_the_scenario_digest(tmp_path, capsys):
+    # A scenario saved with a leading BOM gives the same files; run_record.json
+    # hashes the text as read, so only its scenario_sha256 differs.
+    text = (PRESETS / "budget.cfg").read_bytes()
+    trees = []
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        scenario = tmp_path / f"{name}.cfg"
+        scenario.write_bytes(data)
+        out = tmp_path / f"{name}-out"
+        assert main(["budget", "--scenario", str(scenario), "--out", str(out)]) == 0
+        record = json.loads((out / emit.RUN_RECORD_NAME).read_text())
+        assert record.pop("scenario_sha256") == hashlib.sha256(data).hexdigest()
+        trees.append((read_tree(out), record))
+    capsys.readouterr()
+    (plain, plain_record), (bom, bom_record) = trees
+    assert plain_record == bom_record
+    del plain[emit.RUN_RECORD_NAME], bom[emit.RUN_RECORD_NAME]
+    assert plain == bom
 
 
 _LONG = "x" * 3000

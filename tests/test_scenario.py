@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -441,6 +442,28 @@ def test_serialized_form_is_stable():
 def test_preset_files_parse():
     for preset in sorted(PRESETS.glob("*.cfg")):
         parse_scenario(preset.read_text())
+
+
+@pytest.mark.parametrize("preset", sorted(p.name for p in PRESETS.glob("*.cfg")))
+def test_leading_byte_order_mark_is_dropped(preset):
+    # Some editors save UTF-8 with a byte-order mark; one leading U+FEFF is
+    # not part of the first key.
+    text = (PRESETS / preset).read_text(encoding="utf-8")
+    assert parse_scenario("\ufeff" + text) == parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "text, line, shown",
+    [
+        ("\ufeff\ufeffinterrogation.tau = 30\n", 1, "'\\ufeffinterrogation.tau'"),
+        ("species = Yb\n\ufeffinterrogation.tau = 30\n", 2, "'\\ufeffinterrogation.tau'"),
+        ("species = Yb\ninterrogation.\ufefftau = 30\n", 2, "'interrogation.\\ufefftau'"),
+    ],
+    ids=["second leading", "second line", "inside a key"],
+)
+def test_byte_order_mark_elsewhere_is_refused_at_its_line(text, line, shown):
+    with pytest.raises(ScenarioError, match=f"^line {line}: unknown key {re.escape(shown)}$"):
+        parse_scenario(text)
 
 
 def test_cubic_stability_preset_matches_default_grids():

@@ -141,8 +141,10 @@ def test_intensity_ratio_self_check_holds_from_1e_minus_8_to_1e3():
         result = lattice_intensity_ratio(1.0, delta)
         assert result.stationarity_residual <= 1e-12, delta
         assert result.closed_form_agrees
-        assert result.z_star == result.z_extrema_m[1]
-        assert result.max_change == max(result.changes)
+        # The change peaks at u- (z_R = 1: z_star is u-): the change at
+        # u+ = -1/u-, delta s / (1 + u-^2), is not above it.
+        u_neg = result.z_star
+        assert result.max_change >= delta * math.hypot(delta, 2.0) / (1.0 + u_neg * u_neg)
 
 
 def test_wrong_root_fails_the_closed_form_self_check():
@@ -175,9 +177,10 @@ def test_intensity_ratio_stationarity_oracle():
     for separation in (1e-4 * z_r, 1e-2 * z_r, 0.3 * z_r):
         result = lattice_intensity_ratio(Z_R, separation)
         delta = separation / z_r
-        for z in result.z_extrema_m:
-            u = z / z_r
-            assert abs(u * u + u * delta - 1.0) <= 1e-6
+        u = result.z_star / z_r
+        assert abs(u * u + u * delta - 1.0) <= 1e-6
+        # u+ < 1, so its term of the relative residual is its absolute one.
+        assert result.stationarity_residual <= 1e-6
 
 
 @pytest.mark.parametrize("delta", [1.0, 10.0, 1e3])
@@ -187,16 +190,14 @@ def test_intensity_ratio_closed_form_agrees_at_large_separation(delta):
     result = lattice_intensity_ratio(Z_R, delta * Z_R)
     assert result.closed_form_agrees
     s = math.sqrt(delta * delta + 4.0)
-    u_pos, u_neg = (z / Z_R for z in result.z_extrema_m)
-    assert u_pos == pytest.approx(2.0 / (delta + s), rel=1e-3)
-    assert u_neg == pytest.approx(-(delta + s) / 2.0, rel=1e-3)
+    assert result.z_star / Z_R == pytest.approx(-(delta + s) / 2.0, rel=1e-3)
 
 
 def test_intensity_ratio_extrema_near_rayleigh_range_for_small_separation():
     z_r = Z_R
     result = lattice_intensity_ratio(Z_R, 1e-6 * z_r)
-    assert result.z_extrema_m[0] == pytest.approx(z_r, rel=1e-3)
-    assert result.z_extrema_m[1] == pytest.approx(-z_r, rel=1e-3)
+    assert result.z_star == pytest.approx(-z_r, rel=1e-3)
+    assert result.closed_form_agrees
 
 
 def test_intensity_ratio_change_vanishes_with_separation():
@@ -209,10 +210,9 @@ def test_intensity_ratio_change_matches_direct_quotient():
     # The conditioned change profile must agree with the raw area ratio.
     z_r = Z_R
     result = lattice_intensity_ratio(Z_R, 0.2 * z_r)
-    for z, change in zip(result.z_extrema_m, result.changes):
-        u = z / z_r
-        direct = abs((1 + u**2) / (1 + (u + 0.2) ** 2) - 1.0)
-        assert change == pytest.approx(direct, rel=1e-9)
+    u = result.z_star / z_r
+    direct = abs((1 + u**2) / (1 + (u + 0.2) ** 2) - 1.0)
+    assert result.max_change == pytest.approx(direct, rel=1e-9)
 
 
 def _area_ratio_excess(u: float, delta: float) -> float:
@@ -232,15 +232,18 @@ def test_closed_form_extrema_match_brentq_on_excess_slope(delta):
     # slope, stopped at the xtol and rtol the brentq oracle used. The slope is
     # a centred difference with h = 1e-5, so its rounding noise (~eps/h ~
     # 2e-11) blurs the sign change over ~1e-11 in u; the bisection may stop
-    # anywhere inside that band, not within its xtol.
+    # anywhere inside that band, not within its xtol. The result holds u-,
+    # where the change peaks; u+ is checked through the residual (u+ < 1, so
+    # its term is absolute).
     result = lattice_intensity_ratio(1.0, delta)  # z_R = 1: z is u
-    for ours, (lo, hi) in zip(result.z_extrema_m, ((1e-12, 2.0), (-delta - 2.0, -1.0))):
-        oracle = bisect_root(lambda u: _excess_slope(u, delta), lo, hi, xtol=1e-13, rtol=1e-15)
-        assert lo <= ours <= hi
-        assert abs(ours - oracle) <= 1e-10
-        assert abs(ours * ours + ours * delta - 1.0) <= 1e-9
-    for z, change in zip(result.z_extrema_m, result.changes):
-        assert change == pytest.approx(delta * abs(_area_ratio_excess(z, delta)), rel=1e-14)
+    ours, lo, hi = result.z_star, -delta - 2.0, -1.0
+    oracle = bisect_root(lambda u: _excess_slope(u, delta), lo, hi, xtol=1e-13, rtol=1e-15)
+    assert lo <= ours <= hi
+    assert abs(ours - oracle) <= 1e-10
+    assert abs(ours * ours + ours * delta - 1.0) <= 1e-9
+    assert result.stationarity_residual <= 1e-9
+    expected = delta * abs(_area_ratio_excess(ours, delta))
+    assert result.max_change == pytest.approx(expected, rel=1e-14)
 
 
 def test_ac_stark_anchor_exact():
@@ -409,7 +412,7 @@ def test_budget_entry_fractional_consistency():
             entry.differential_shift_hz / YB.frequency, rel=1e-12, abs=1e-40
         )
         assert entry.fractional >= 0.0
-        assert entry.passes == (entry.differential_shift_hz < entry.reference_signal_hz)
+        assert entry.passes == (entry.differential_shift_hz < budget.delta_nu)
 
 
 def test_budget_fixed_entries_fail_without_signal():
