@@ -103,6 +103,9 @@ YB = ClockSpecies(
 _SPECIES_PRESETS = {"Yb": YB}
 
 MAX_GRID_POINTS = 10**7  # a larger linspace or logspace grid is refused unbuilt
+# A larger size or atom count is refused as it is read: up to it a count is exact
+# as a float, and m times dirichlet's reduced angle is finite for any finite phi_g' t.
+MAX_COUNT = 2**53
 
 
 def species_by_name(name: str) -> ClockSpecies:

@@ -19,10 +19,9 @@ core.CONVENTIONS, turns phi_g into the phi_g' that the layer sums take.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple, Optional, Sequence
 
-from .core import PHI_G_KEYS, Convention, check_convention, echo_int
+from .core import PHI_G_KEYS, Convention, check_convention
 
 # pi = _PI_HI + _PI_LO to ~1e-26, with j * _PI_HI exact for |j| < 2**20.
 _PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
@@ -39,7 +38,7 @@ def effective_phase_rate(phi_g: float, layer_count: int, convention: str) -> flo
     """
     if check_convention(convention) == Convention.PHYSICAL:
         return phi_g
-    rate = phi_g * (layer_count - 1) if layer_count <= sys.float_info.max else math.inf
+    rate = phi_g * (layer_count - 1)
     if not abs(rate) < math.inf:
         raise OverflowError(
             "paper-figure rate phi_g' = phi_g (m - 1) is out of float range; phi_g is set by"
@@ -152,8 +151,8 @@ def dephase_curve(
     layer_count at that point, and so bloch_sum's ratio and length /
     layer_count, bit for bit. The grid is taken as dephase.t_grid's parser
     accepts it, finite, >= 0 and strictly increasing, and is not checked
-    again. A layer count or a laser phase phi_l t at the last time out of
-    float range is refused by its keys, also for an empty grid.
+    again. A laser phase phi_l t at the last time out of float range is
+    refused by its keys, also for an empty grid.
 
     Each row chooses its path alone. With x = |phi_g' t| / 2, a row where
     0 < x < pi/2 and |phi_l t| >= 2^-26, where neither phase_ratio nor
@@ -163,10 +162,6 @@ def dephase_curve(
     one phase_ratio call. The tests pin each row, and the row a refusal
     comes from, to phase_ratio's.
     """
-    if layer_count > sys.float_info.max:
-        raise OverflowError(
-            f"dephase.sizes: the layer count is {echo_int(layer_count)}, out of float range"
-        )
     t_end = t_grid[-1] if len(t_grid) else 0.0
     if not abs(phi_l * t_end) < math.inf:
         raise OverflowError(

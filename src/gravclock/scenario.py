@@ -18,6 +18,7 @@ from collections import namedtuple
 from typing import Optional
 
 from .core import (
+    MAX_COUNT,
     MAX_GRID_POINTS,
     ClockSpecies,
     Convention,
@@ -85,26 +86,34 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _count(value: int, name: str) -> int:
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} must be at most 2^53 = {MAX_COUNT}, got {echo_int(value)}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = _int(text)
     if value < 1:
         raise ValueError(f"must be >= 1, got {echo_int(value)}")
-    return value
+    return _count(value, "count")
 
 
 def _sizes(text: str) -> tuple[int, ...]:
     """Either `logspace:lo:hi:n` (log-spaced, rounded, deduplicated) or a
-    comma-separated ascending list of sizes >= 1."""
+    comma-separated ascending list of sizes, each in [1, MAX_COUNT]."""
     if text.startswith("logspace:"):
         parts = text.split(":")
         if len(parts) != 4:
             raise ValueError(f"expected logspace:lo:hi:n, got {echo(text)}")
-        return default_size_grid(_int(parts[1]), _int(parts[2]), _int(parts[3]))
+        lo, hi, points = map(_int, parts[1:])
+        return default_size_grid(lo, _count(hi, "logspace hi"), points)
     values = tuple(_int(v.strip()) for v in text.split(","))
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("integer list must be strictly increasing")
     if values[0] < 1:
         raise ValueError(f"sizes must be >= 1, got {echo_int(values[0])}")
+    _count(values[-1], "sizes")
     return values
 
 

@@ -238,6 +238,7 @@ def assemble_budget(scenario: Scenario = Scenario()) -> Budget:
     The experimental conditions are the scenario's `budget.` keys, with its
     species, constants and layer spacing; each entry's note records the one
     it used, and a refusal names the keys behind the value it refuses.
+    budget.n_site is taken as its parser bounds it, at most core.MAX_COUNT.
     Zero-valued entries carry the physical reason the effect has no
     height-linear component; they are listed so the budget is exhaustive
     rather than silently omitting them.
@@ -251,7 +252,7 @@ def assemble_budget(scenario: Scenario = Scenario()) -> Budget:
     disk_radius, delta_t = scenario.budget_disk_radius, scenario.budget_delta_t
     e0, e_gradient = scenario.budget_baseline_e_field, scenario.budget_e_gradient
     bias, linewidth = scenario.budget_bias_field, scenario.budget_p2_linewidth
-    delta_z = n_site * scenario.layer_spacing() if n_site <= sys.float_info.max else math.inf
+    delta_z = n_site * scenario.layer_spacing()
     if not 0 < delta_z < wall_distance:
         raise ValueError(
             f"ensemble extent delta_z = {delta_z!r} m must lie in (0, budget.wall_distance ="

@@ -156,7 +156,7 @@ def _bracket(m: int, atoms: int, phi_l: float, rate: float) -> tuple[float, floa
     t_end = first_step = math.inf
     s = 0.0  # 1 - c ~ s t^2
     if m > 1 and rate:
-        # Divided in turn: m phi_g' and m^2 can overflow.
+        # Divided in turn: m phi_g' can overflow.
         t_end = math.tau / m / rate
         scale = 24.0 / (m - 1) / (m + 1)
         bend = 0.3 - scale / 60.0  # (3 m^2 - 7) / (10 (m^2 - 1))

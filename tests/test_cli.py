@@ -15,13 +15,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_scenario import _scenarios
 
 from gravclock import emit, thresholds
 from gravclock.cli import main
 from gravclock.core import echo
-from gravclock.scenario import serialize_scenario
+from gravclock.scenario import Scenario, serialize_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
@@ -488,11 +488,14 @@ _BARE_MESSAGES = (
 # g d/c^2 out of range: c^2 underflows to 0, or g d overflows.
 _TINY_C = "constants.c = 1e-200"
 _HUGE_GD = "constants.g = 1e300\ngeometry.layer_spacing = 1e10"
-# A finite phi_g whose paper-figure phi_g' = phi_g (m - 1) overflows at m ~ 1e20.
+# A finite phi_g whose paper-figure phi_g' = phi_g (m - 1) overflows at m ~ 1e15,
+# a size below the 2^53 count bound.
 _HUGE_RATE = (
     "species.omega0 = 1e300\nconstants.c = 1\nconvention = paper-figure\n"
-    f"dephase.sizes = {10**20}\nsweep.sizes = {10**20}\nsweep.family = slab"
+    f"dephase.sizes = {10**15}\nsweep.sizes = {10**15}\nsweep.family = slab"
 )
+# A count past 2^53 is refused as it is read, naming the bound.
+_PAST_COUNT = "must be at most 2^53 = 9007199254740992, got an integer of"
 # A size n* small enough to pass, with omega0 tau n below float range.
 _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacing = 1.4e16"
 
@@ -513,7 +516,7 @@ _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacin
         ("budget", "budget.bias_field = 1e300", "second-order Zeeman shift"),
         ("budget", "budget.n_site = 1000000\nspecies.magic_wavelength = 1e303", "extent delta_z"),
         ("budget", "species.magic_wavelength = 5e-324", "extent delta_z"),
-        ("budget", f"budget.n_site = {_HUGE_INT}", "extent delta_z"),
+        ("budget", f"budget.n_site = {_HUGE_INT}", f"{_PAST_COUNT} 401 digits"),
         ("budget", "budget.beam_waist = 1e-311", "Rayleigh range"),
         ("budget", "budget.beam_separation = 1e300", "peak intensity change"),
         (
@@ -527,22 +530,30 @@ _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacin
         ("dephase-curve", "species.omega0 = 1e300\nconstants.c = 1e-100", "omega0 g d/c^2"),
         ("stability-sweep", _TINY_C, "redshift g dh/c^2"),
         ("stability-sweep", _HUGE_GD, "redshift g dh/c^2"),
-        ("stability-sweep", f"sweep.sizes = 1,{_HUGE_INT}", "size is an integer of 401 digits"),
-        ("stability-sweep", f"sweep.sizes = 1,{10**155}", "size is an integer of 156 digits"),
+        ("stability-sweep", f"sweep.sizes = 1,{_HUGE_INT}", f"{_PAST_COUNT} 401 digits"),
+        ("stability-sweep", f"sweep.sizes = 1,{10**155}", f"{_PAST_COUNT} 156 digits"),
         (
             "stability-sweep",
             f"sweep.sizes = 1,{10**320}\nsweep.family = slab",
-            "size is an integer of 321 digits",
+            f"{_PAST_COUNT} 321 digits",
         ),
         (
             "stability-sweep",
             f"sweep.atoms_per_layer = {10**320}\nsweep.family = slab",
-            "an integer of 321 digits, out of float range",
+            f"{_PAST_COUNT} 321 digits",
+        ),
+        ("dephase-curve", f"dephase.sizes = {_HUGE_INT}", f"{_PAST_COUNT} 401 digits"),
+        # Under paper-figure, m x in dirichlet would overflow at these sizes,
+        # and sin refuse it as a keyless math domain error.
+        (
+            "dephase-curve",
+            f"dephase.sizes = {10**200}\nconvention = paper-figure",
+            f"{_PAST_COUNT} 201 digits",
         ),
         (
             "dephase-curve",
-            f"dephase.sizes = {_HUGE_INT}",
-            "layer count is an integer of 401 digits",
+            f"dephase.sizes = {15 * 10**307}\nconvention = paper-figure",
+            f"{_PAST_COUNT} 309 digits",
         ),
         ("dephase-curve", "dephase.phi_l = 1e300\ndephase.t_grid = 0,1e10", "phi_l t"),
         ("dephase-curve", "constants.g = 1e300\ndephase.t_grid = 0,1e300", "phi_g' t"),
@@ -578,6 +589,8 @@ _HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacin
         "sweep_sizes_slab",
         "sweep_atoms_per_layer_slab",
         "dephase_sizes",
+        "dephase_sizes_paper_figure",
+        "dephase_sizes_paper_figure_near_max",
         "dephase_phi_l",
         "dephase_g",
         "dephase_paper_figure_rate",
@@ -639,17 +652,21 @@ def _refuse_constant(name: str):
 
 
 _WIDE_COUNT = st.integers(1, 10**400)
+_WIDE_SIZES = st.lists(_WIDE_COUNT, min_size=1, max_size=6, unique=True).map(
+    lambda sizes: tuple(sorted(sizes))
+)
 
 
 @settings(max_examples=300)
 @given(
     scenario=_scenarios(
-        sweep_sizes=st.lists(_WIDE_COUNT, min_size=1, max_size=6, unique=True).map(
-            lambda sizes: tuple(sorted(sizes))
-        ),
+        dephase_sizes=_WIDE_SIZES,
+        sweep_sizes=_WIDE_SIZES,
         sweep_atoms_per_layer=_WIDE_COUNT,
     )
 )
+# Past the 2^53 count bound, dirichlet's m x can overflow under paper-figure.
+@example(scenario=Scenario(convention="paper-figure", dephase_sizes=(10**200,)))
 def test_every_command_ends_in_finite_output_or_a_refusal(scenario):
     # Any valid scenario, magnitudes up to the float range and counts beyond
     # it: each command exits 0, 2 or 3 without an escaping exception; a

@@ -33,6 +33,7 @@ EXTREMES = (
     "1.7976931348623157e308",
     "-1e300",
     str(10**300),
+    str(2**53 + 1),
     "9" * 350,
     "a\x00b",
     "linspace:0:1e300:3",

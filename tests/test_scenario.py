@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gravclock import core, scenario as scenario_module
 from gravclock.cli import main
-from gravclock.core import CONVENTIONS, MAX_GRID_POINTS, YB, ClockSpecies, Convention
+from gravclock.core import CONVENTIONS, MAX_COUNT, MAX_GRID_POINTS, YB, ClockSpecies, Convention
 from gravclock.scenario import (
     Scenario,
     ScenarioError,
@@ -210,7 +210,11 @@ _NEGATIVE = "a negative integer of 4000 digits"
         ("sweep.sizes = -" + _NINES, "sweep.sizes", f"sizes must be >= 1, got {_NEGATIVE}"),
         ("sweep.phi_l = linspace:0:1:-" + _NINES, "sweep.phi_l", f"1 point, got {_NEGATIVE}"),
         ("sweep.sizes = logspace:1:-" + _NINES + ":3", "sweep.sizes", f"(1, {_NEGATIVE}, 3)"),
-        ("sweep.sizes = logspace:1:" + "9" * 400 + ":3", "sweep.sizes", "too large"),
+        (
+            "sweep.sizes = logspace:1:" + "9" * 400 + ":3",
+            "sweep.sizes",
+            "logspace hi must be at most 2^53 = 9007199254740992, got an integer of 400 digits",
+        ),
         ("sweep.sizes = logspace:3:2:" + "9" * 81, "sweep.sizes", "2, an integer of 81 digits"),
     ],
     ids=["atoms_per_layer", "sizes", "grid_points", "grid_bound", "grid_overflow", "grid_81"],
@@ -261,6 +265,48 @@ def test_refused_integer_is_echoed_whole_up_to_80_characters():
         parse_scenario(f"budget.n_site = {at_cap}\n")
     with pytest.raises(ScenarioError, match="got a negative integer of 80 digits$"):
         parse_scenario(f"budget.n_site = {past_cap}\n")
+
+
+# Each count key, with the text its count is written into and the name its
+# refusal gives that count.
+_COUNT_LINES = {
+    "dephase.sizes": ("dephase.sizes = 1,{}", "sizes"),
+    "sweep.sizes": ("sweep.sizes = {}", "sizes"),
+    "sweep.sizes logspace": ("sweep.sizes = logspace:2:{}:3", "logspace hi"),
+    "sweep.atoms_per_layer": ("sweep.atoms_per_layer = {}", "count"),
+    "budget.n_site": ("budget.n_site = {}", "count"),
+}
+
+
+@pytest.mark.parametrize("line", [line for line, _ in _COUNT_LINES.values()], ids=_COUNT_LINES)
+def test_count_is_accepted_up_to_2_53(line):
+    key = line.split(" = ")[0]
+    value = getattr(parse_scenario(line.format(MAX_COUNT) + "\n"), key.replace(".", "_"))
+    assert (value[-1] if isinstance(value, tuple) else value) == MAX_COUNT == 2**53
+
+
+@pytest.mark.parametrize("command", ["threshold", "dephase-curve", "stability-sweep", "budget"])
+@pytest.mark.parametrize("line, name", _COUNT_LINES.values(), ids=_COUNT_LINES)
+def test_count_past_2_53_is_refused_at_its_line(tmp_path, capsys, line, name, command):
+    # Refused as it is read, under every command, before any kernel sees it.
+    key = line.split(" = ")[0]
+    scenario = tmp_path / "count.cfg"
+    scenario.write_text("# a count past the bound\n" + line.format(2**53 + 1) + "\n")
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"gravclock: error: line 2: invalid value for {key!r}: {name} must be at most"
+        " 2^53 = 9007199254740992, got 9007199254740993\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@settings(max_examples=200)
+@given(lo=st.integers(1, MAX_COUNT), points=st.integers(1, 60))
+def test_logspace_up_to_the_bound_stays_within_it(lo, points):
+    # Only hi is checked before the grid is built: no rounded size passes it.
+    assert max(scenario_module._sizes(f"logspace:{lo}:{MAX_COUNT}:{points}")) <= MAX_COUNT
 
 
 def test_refused_text_is_echoed_whole_up_to_80_characters():

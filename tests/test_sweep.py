@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from regime_fit import scaling_exponent
 
 from gravclock import sweep as sweep_module
+from gravclock.cli import main
 from gravclock.core import default_size_grid, geomspace, linspace
 from gravclock.dephasing import Convention
 from gravclock.scenario import Scenario, ScenarioError, parse_scenario
@@ -187,20 +188,14 @@ def test_sweep_rejects_unknown_family():
     )
 
 
-_SIZE_OVERFLOW = (
-    "sweep.sizes: a cubic ensemble has a layer or atom count out of float range;"
-    " its size is an integer of 401 digits"
-)
-
-
 @pytest.mark.parametrize(
-    "sizes, solved",
-    [((10**400, 2), 0), ((2, 10**400), 2)],
-    ids=["first size", "second size"],
+    "sizes", [f"{2**53 + 1}", f"2,{2**53 + 1}"], ids=["first size", "second size"]
 )
-def test_sweep_refuses_before_solving_a_bad_cell(monkeypatch, sizes, solved):
-    # A size whose ensemble leaves float range is refused before any of its
-    # cells is solved, and after the cells of the sizes before it.
+def test_sweep_size_past_the_bound_is_refused_before_any_cell_is_solved(
+    monkeypatch, tmp_path, capsys, sizes
+):
+    # A size past 2^53 is refused as sweep.sizes is read: no cell is solved,
+    # not even one of the sizes before it.
     cells = []
     real_solve = sweep_module.solve_tau_max
 
@@ -209,8 +204,13 @@ def test_sweep_refuses_before_solving_a_bad_cell(monkeypatch, sizes, solved):
         return real_solve(cell)
 
     monkeypatch.setattr(sweep_module, "solve_tau_max", counted)
-    scenario = Scenario(sweep_family="cubic", sweep_sizes=sizes, sweep_phi_l=(1e-3, 0.0))
-    with pytest.raises(OverflowError) as excinfo:
-        sweep(scenario)
-    assert str(excinfo.value) == _SIZE_OVERFLOW
-    assert len(cells) == solved
+    scenario = tmp_path / "sizes.cfg"
+    scenario.write_text(f"sweep.sizes = {sizes}\nsweep.phi_l = 1e-3,0\n")
+    out = tmp_path / "out"
+    assert main(["stability-sweep", "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "gravclock: error: line 1: invalid value for 'sweep.sizes': sizes must be at most"
+        " 2^53 = 9007199254740992, got 9007199254740993\n"
+    )
+    assert cells == []
+    assert not out.exists()
