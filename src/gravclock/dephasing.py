@@ -19,6 +19,7 @@ core.CONVENTIONS, turns phi_g into the phi_g' that the layer sums take.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional, Sequence
 
 from .core import PHI_G_KEYS, Convention, check_convention
@@ -38,7 +39,7 @@ def effective_phase_rate(phi_g: float, layer_count: int, convention: str) -> flo
     """
     if check_convention(convention) == Convention.PHYSICAL:
         return phi_g
-    rate = phi_g * (layer_count - 1)
+    rate = phi_g * (layer_count - 1) if layer_count <= sys.float_info.max else math.inf
     if not abs(rate) < math.inf:
         raise OverflowError(
             "paper-figure rate phi_g' = phi_g (m - 1) is out of float range; phi_g is set by"

@@ -60,9 +60,9 @@ def test_effective_rate_scaling():
     assert effective_phase_rate(1e300, 10**400, Convention.PHYSICAL) == 1e300
 
 
-@pytest.mark.parametrize("phi_g, layer_count", [(1e300, 10**20)])
+@pytest.mark.parametrize("phi_g, layer_count", [(1e300, 10**20), (1.0, 10**400)])
 def test_effective_rate_refuses_out_of_range(phi_g, layer_count):
-    # phi_g (m - 1) past float range names its keys.
+    # phi_g (m - 1) past float range, or m itself beyond it, names its keys.
     with pytest.raises(OverflowError) as excinfo:
         effective_phase_rate(phi_g, layer_count, Convention.PAPER_FIGURE)
     message = str(excinfo.value)
