@@ -93,8 +93,8 @@ def dirichlet(m: int, theta: float) -> float:
         return float(m) if s == 0.0 else math.sin(m * x) / s
     if not math.isfinite(theta):
         raise ValueError(
-            f"layer phase spread phi_g' t must be finite, got {theta!r}; phi_g is set by"
-            f" {PHI_G_KEYS}, times the layer gaps under the paper-figure convention"
+            f"layer phase spread phi_g' t must be finite, got {theta!r}; phi_g (times m - 1"
+            f" under paper-figure) is set by {PHI_G_KEYS}"
         )
     j = round(x / math.pi)
     x = (x - j * _PI_HI) - j * _PI_LO

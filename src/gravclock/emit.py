@@ -53,22 +53,10 @@ def fmt_floats(values: Sequence[float]) -> list[str]:
     return (f"{FLOAT}\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
-class _Refusal(ValueError):
-    """fmt_float's refusal inside a document; keys collects its key path as the
-    recursion unwinds: innermost first, dict keys as str, list indices as int."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.keys: list[int | str] = []
-
-
 def _to_json(value, indent: int) -> str:
     """value as indented JSON; strings and keys are quoted as json.dumps does."""
     if isinstance(value, float):
-        try:
-            return fmt_float(value)
-        except ValueError as exc:
-            raise _Refusal(str(exc)) from None
+        return fmt_float(value)
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, bool):
@@ -83,22 +71,14 @@ def _to_json(value, indent: int) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        try:
-            for key, item in value.items():
-                items.append(f"{child_pad}{_quote(str(key))}: {_to_json(item, inner)}")
-        except _Refusal as refusal:
-            refusal.keys.append(str(key))
-            raise
+        for key, item in value.items():
+            items.append(f"{child_pad}{_quote(str(key))}: {_to_json(item, inner)}")
         return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        try:
-            for item in value:
-                items.append(child_pad + _to_json(item, inner))
-        except _Refusal as refusal:
-            refusal.keys.append(len(items))
-            raise
+        for item in value:
+            items.append(child_pad + _to_json(item, inner))
         return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -106,18 +86,9 @@ def _to_json(value, indent: int) -> str:
 def json_text(value) -> str:
     """Deterministic JSON document, insertion-ordered keys, LF line endings.
 
-    A non-finite float raises ValueError naming its key path ("a.b[2].c").
+    A non-finite float raises fmt_float's ValueError.
     """
-    try:
-        return _to_json(value, 0) + "\n"
-    except _Refusal as refusal:
-        path = ""
-        for key in reversed(refusal.keys):
-            if isinstance(key, int):
-                path += f"[{key}]"
-            else:
-                path = f"{path}.{key}" if path else key
-        raise ValueError(f"{path or 'value'}: {refusal}") from None
+    return _to_json(value, 0) + "\n"
 
 
 def csv_text(header: list[str], blocks: list[tuple[Sequence[str], Sequence]]) -> str:

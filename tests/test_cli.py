@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from refusal_cases import SCENARIO_KEY, one_short_line
 from test_scenario import _scenarios
 
 from gravclock import emit, thresholds
@@ -100,35 +101,6 @@ def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
     assert read_tree(out_a) == read_tree(out_b)
 
 
-def test_invalid_scenario_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("budget.n_site = 0\n")
-    assert main(["threshold", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "line 1: invalid value for 'budget.n_site'" in err
-
-
-def _scenario_refusal(tmp_path, capsys, path: str) -> str:
-    """The stderr of a run on --scenario path, which must exit 2 with one
-    line under 250 characters and make nothing under --out."""
-    assert main(["threshold", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and len(captured.err) < 250
-    assert not (tmp_path / "o").exists()
-    return captured.err
-
-
-def test_missing_scenario_file_exits_2(tmp_path, capsys):
-    # The refusal names the option, cuts the path as a refused text is cut,
-    # and gives the reason the OS gave.
-    missing = str(tmp_path / ("d" * 250) / "nope.cfg")
-    assert _scenario_refusal(tmp_path, capsys, missing) == (
-        f"gravclock: error: cannot read --scenario {echo(missing)}:"
-        f" {os.strerror(errno.ENOENT)}\n"
-    )
-
-
 @pytest.mark.parametrize("kind", ["directory", "name too long", "not UTF-8"])
 def test_unreadable_scenario_is_one_line_naming_it(tmp_path, capsys, kind):
     folder = tmp_path / ("d" * 250)
@@ -146,17 +118,53 @@ def test_unreadable_scenario_is_one_line_naming_it(tmp_path, capsys, kind):
         "not UTF-8": f"scenario file {shown} is not UTF-8 text: 'utf-8' codec can't decode"
         " byte 0xff in position 0: invalid start byte",
     }[kind]
-    assert _scenario_refusal(tmp_path, capsys, str(path)) == f"gravclock: error: {reason}\n"
+    assert main(["threshold", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"gravclock: error: {reason}\n")
+    assert one_short_line(captured.err) and not (tmp_path / "o").exists()
+
+
+# The refusal table runs from relative paths; these three echo an absolute one.
+def test_missing_scenario_file_exits_2(tmp_path, capsys):
+    # The refusal names the option, cuts the path as a refused text is cut,
+    # and gives the reason the OS gave.
+    missing = str(tmp_path / ("d" * 250) / "nope.cfg")
+    assert main(["threshold", "--scenario", missing, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and one_short_line(captured.err)
+    assert captured.err == (
+        f"gravclock: error: cannot read --scenario {echo(missing)}:"
+        f" {os.strerror(errno.ENOENT)}\n"
+    )
+    assert f"... ({len(missing)} characters): " in captured.err
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_utf8_scenario_file_exits_2_naming_it(tmp_path, capsys):
+    # A path short enough to echo whole appears whole in the refusal.
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"\xff\n")
     assert main(["threshold", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("gravclock: error:")
-    assert echo(str(bad)) in err and "UTF-8" in err
+    captured = capsys.readouterr()
+    assert captured.out == "" and one_short_line(captured.err)
+    assert captured.err.startswith(f"gravclock: error: scenario file '{bad}' is not UTF-8 text: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["name", "nested"])
+def test_out_name_too_long_is_one_line_naming_out(tmp_path, capsys, nested):
+    # A failure to make --out names the option, cuts the path as a refused
+    # text is cut, and gives the reason the OS gave.
+    name = "y" * 300
+    out = str(tmp_path / "a" / name / "b") if nested else str(tmp_path / name)
+    assert main(["threshold", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gravclock: error: cannot make --out ")
+    assert f"... ({len(out)} characters): " in captured.err
+    assert captured.err.endswith(f": {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert one_short_line(captured.err)
+    assert not any(path.name == name for path in tmp_path.rglob("*"))
 
 
 def test_byte_order_mark_changes_only_the_scenario_digest(tmp_path, capsys):
@@ -179,43 +187,6 @@ def test_byte_order_mark_changes_only_the_scenario_digest(tmp_path, capsys):
     assert plain == bom
 
 
-_LONG = "x" * 3000
-
-
-@pytest.mark.parametrize(
-    "command, line, refusal, shown",
-    [
-        ("dephase-curve", "interrogation.tau = x" + "0" * 5000, "'interrogation.tau'", 5001),
-        ("stability-sweep", "sweep.phi_l = linspace:0:1:" + _LONG, "'sweep.phi_l'", 3000),
-        ("stability-sweep", "sweep.sizes = logspace:" + _LONG, "'sweep.sizes'", 3009),
-        ("stability-sweep", "sweep.family = " + _LONG, "'sweep.family'", 3000),
-        ("threshold", "convention = " + _LONG, "'convention'", 3000),
-        ("threshold", "species = " + _LONG, "'species'", 3000),
-        ("budget", "output.budget_text = a/" + _LONG, "'output.budget_text'", 3002),
-        (
-            "budget",
-            f"output.budget_text = {_LONG}\noutput.budget_json = {_LONG}",
-            "'output.budget_json'",
-            3000,
-        ),
-        ("threshold", _LONG + " = 1", "unknown key", 3000),
-        ("threshold", _LONG, "expected key = value", 3000),
-    ],
-)
-def test_long_refused_text_is_cut_not_echoed(tmp_path, capsys, command, line, refusal, shown):
-    # The refusal names the line and the key and shows a prefix of the
-    # refused text with its length, in one short line.
-    scenario = tmp_path / "long.cfg"
-    scenario.write_text("# a long value\n" + line + "\n")
-    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("gravclock: error: line ")
-    assert refusal in captured.err and f"... ({shown} characters)" in captured.err
-    assert captured.err.count("\n") == 1 and len(captured.err) < 250
-    assert not (tmp_path / "o").exists()
-
-
 def test_unwritable_out_exits_2(tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("keep\n")
@@ -228,22 +199,6 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["not_a_dir"]
 
 
-@pytest.mark.parametrize("nested", [False, True], ids=["name", "nested"])
-def test_out_name_too_long_is_one_line_naming_out(tmp_path, capsys, nested):
-    # A failure to make --out names the option, cuts the path as a refused
-    # text is cut, and gives the reason the OS gave.
-    name = "y" * 300
-    out = str(tmp_path / "a" / name / "b") if nested else str(tmp_path / name)
-    assert main(["threshold", "--out", out]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("gravclock: error: cannot make --out ")
-    assert f"... ({len(out)} characters): " in captured.err
-    assert captured.err.endswith(f": {os.strerror(errno.ENAMETOOLONG)}\n")
-    assert captured.err.count("\n") == 1 and len(captured.err) < 250
-    assert not any(path.name == name for path in tmp_path.rglob("*"))
-
-
 @pytest.mark.parametrize("parent", ["", "kept"])
 def test_failed_nested_out_removes_the_directories_it_made(tmp_path, capsys, parent):
     # A --out that cannot be made leaves none of the parents made for it;
@@ -254,51 +209,6 @@ def test_failed_nested_out_removes_the_directories_it_made(tmp_path, capsys, par
     assert main(["threshold", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("gravclock: error: cannot make --out ")
     assert [p.name for p in tmp_path.rglob("*")] == ([parent] if parent else [])
-
-
-_REDSHIFT_OVERFLOW = (
-    "constants.c = 1e-200\ngeometry.layer_spacing = 3.1234567890123457e-07\nbudget.n_site = 123\n"
-)
-
-
-@pytest.mark.parametrize("command", ["budget", "stability-sweep", "dephase-curve"])
-def test_redshift_refusal_is_one_short_line_naming_its_keys(tmp_path, capsys, command):
-    # c^2 underflows to 0; the refusal names the keys of g dh/c^2 and no key
-    # that the command does not read.
-    scenario = tmp_path / "redshift.cfg"
-    scenario.write_text(_REDSHIFT_OVERFLOW)
-    out = tmp_path / "out"
-    assert main([command, "--scenario", str(scenario), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
-    err = captured.err
-    assert err.startswith("gravclock: error: redshift g dh/c^2 over dh = ")
-    assert err.count("\n") == 1 and len(err) < 250
-    assert all(key in err for key in ("constants.g", "constants.c", "geometry.layer_spacing"))
-    assert command == "budget" or "budget.n_site" not in err
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "budget.wall_distance = 1000",
-        "budget.beam_waist = 1e-320",
-        "species.magic_wavelength = 1e-320",
-    ],
-)
-def test_budget_refusal_is_one_short_line_naming_its_key(tmp_path, capsys, text):
-    # A wall too far to lift the BBR differential to the signal, and a
-    # Rayleigh range that underflows to 0 or overflows to inf.
-    scenario = tmp_path / "budget.cfg"
-    scenario.write_text(text + "\n")
-    out = tmp_path / "out"
-    assert main(["budget", "--scenario", str(scenario), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("gravclock: error: ")
-    assert captured.err.count("\n") == 1 and len(captured.err) < 250
-    assert text.split(" = ")[0] in captured.err
-    assert not out.exists()
 
 
 # The argv contract. Line wrapping is not part of it (it follows $COLUMNS and
@@ -474,179 +384,6 @@ def test_commands_run_without_numpy_or_scipy(tmp_path):
         assert result.returncode == 0, (argv, result.stderr)
 
 
-_HUGE_INT = "1" + "0" * 400
-
-
-# Python's own overflow messages, which name no quantity and no key.
-_BARE_MESSAGES = (
-    "Numerical result out of range",
-    "cannot convert float infinity to integer",
-    "int too large to convert to float",
-    "float division by zero",
-    "math domain error",
-)
-# g d/c^2 out of range: c^2 underflows to 0, or g d overflows.
-_TINY_C = "constants.c = 1e-200"
-_HUGE_GD = "constants.g = 1e300\ngeometry.layer_spacing = 1e10"
-# A finite phi_g whose paper-figure phi_g' = phi_g (m - 1) overflows at m ~ 1e15,
-# a size below the 2^53 count bound.
-_HUGE_RATE = (
-    "species.omega0 = 1e300\nconstants.c = 1\nconvention = paper-figure\n"
-    f"dephase.sizes = {10**15}\nsweep.sizes = {10**15}\nsweep.family = slab"
-)
-# A count past 2^53 is refused as it is read, naming the bound.
-_PAST_COUNT = "must be at most 2^53 = 9007199254740992, got an integer of"
-# A size n* small enough to pass, with omega0 tau n below float range.
-_HUGE_GD_SQL = "constants.c = 1.6e-69\nconstants.g = 8e14\ngeometry.layer_spacing = 1.4e16"
-
-
-@pytest.mark.parametrize(
-    "command, text, quantity",
-    [
-        ("threshold", "interrogation.tau = 1e-320", "c^2/(omega0 tau g d)"),
-        ("threshold", "constants.c = 1e200", "c^2/(omega0 tau g d)"),
-        ("threshold", "species.magic_wavelength = 1e-300", "total atom count n^2 (n+1)"),
-        ("threshold", _TINY_C, "size n* = 0.000e+00 rounds to n = 0"),
-        ("threshold", "species.magic_wavelength = 5e-324", "layer_spacing must be positive"),
-        ("threshold", f"species.omega0 = 5e-324\n{_HUGE_GD_SQL}", "QPN Allan deviation"),
-        ("budget", "budget.base_temperature = 1e300", "BBR field weights T^4 W"),
-        ("budget", "budget.delta_t = 1e300", "BBR field weights T^4 W"),
-        ("budget", "budget.e_gradient = 1e300", "DC Stark field"),
-        ("budget", "budget.baseline_e_field = 1e300", "DC Stark field"),
-        ("budget", "budget.bias_field = 1e300", "second-order Zeeman shift"),
-        ("budget", "budget.n_site = 1000000\nspecies.magic_wavelength = 1e303", "extent delta_z"),
-        ("budget", "species.magic_wavelength = 5e-324", "extent delta_z"),
-        ("budget", f"budget.n_site = {_HUGE_INT}", f"{_PAST_COUNT} 401 digits"),
-        ("budget", "budget.beam_waist = 1e-311", "Rayleigh range"),
-        ("budget", "budget.beam_separation = 1e300", "peak intensity change"),
-        (
-            "budget",
-            "species.magic_wavelength = 1e307\ngeometry.layer_spacing = 1e-9",
-            "layer separation / Rayleigh range",
-        ),
-        ("budget", _TINY_C, "redshift g dh/c^2"),
-        ("dephase-curve", _TINY_C, "redshift g dh/c^2"),
-        ("dephase-curve", _HUGE_GD, "redshift g dh/c^2"),
-        ("dephase-curve", "species.omega0 = 1e300\nconstants.c = 1e-100", "omega0 g d/c^2"),
-        ("stability-sweep", _TINY_C, "redshift g dh/c^2"),
-        ("stability-sweep", _HUGE_GD, "redshift g dh/c^2"),
-        ("stability-sweep", f"sweep.sizes = 1,{_HUGE_INT}", f"{_PAST_COUNT} 401 digits"),
-        ("stability-sweep", f"sweep.sizes = 1,{10**155}", f"{_PAST_COUNT} 156 digits"),
-        (
-            "stability-sweep",
-            f"sweep.sizes = 1,{10**320}\nsweep.family = slab",
-            f"{_PAST_COUNT} 321 digits",
-        ),
-        (
-            "stability-sweep",
-            f"sweep.atoms_per_layer = {10**320}\nsweep.family = slab",
-            f"{_PAST_COUNT} 321 digits",
-        ),
-        ("dephase-curve", f"dephase.sizes = {_HUGE_INT}", f"{_PAST_COUNT} 401 digits"),
-        # Under paper-figure, m x in dirichlet would overflow at these sizes,
-        # and sin refuse it as a keyless math domain error.
-        (
-            "dephase-curve",
-            f"dephase.sizes = {10**200}\nconvention = paper-figure",
-            f"{_PAST_COUNT} 201 digits",
-        ),
-        (
-            "dephase-curve",
-            f"dephase.sizes = {15 * 10**307}\nconvention = paper-figure",
-            f"{_PAST_COUNT} 309 digits",
-        ),
-        ("dephase-curve", "dephase.phi_l = 1e300\ndephase.t_grid = 0,1e10", "phi_l t"),
-        ("dephase-curve", "constants.g = 1e300\ndephase.t_grid = 0,1e300", "phi_g' t"),
-        ("dephase-curve", _HUGE_RATE, "phi_g' = phi_g (m - 1)"),
-        ("stability-sweep", _HUGE_RATE, "phi_g' = phi_g (m - 1)"),
-    ],
-    ids=[
-        "tau",
-        "c",
-        "magic_wavelength",
-        "c_threshold_underflow",
-        "magic_wavelength_threshold_underflow",
-        "omega0_threshold_sql_overflow",
-        "base_temperature",
-        "delta_t",
-        "e_gradient",
-        "baseline_e_field",
-        "bias_field",
-        "n_site_extent_overflow",
-        "magic_wavelength_extent_underflow",
-        "n_site_beyond_float_range",
-        "beam_waist_underflow",
-        "beam_separation_overflow",
-        "magic_wavelength_separation_overflow",
-        "c_budget_underflow",
-        "c_dephase_underflow",
-        "gd_dephase_overflow",
-        "omega0_dephase_overflow",
-        "c_sweep_underflow",
-        "gd_sweep_overflow",
-        "sweep_sizes",
-        "sweep_sizes_cubic_atoms",
-        "sweep_sizes_slab",
-        "sweep_atoms_per_layer_slab",
-        "dephase_sizes",
-        "dephase_sizes_paper_figure",
-        "dephase_sizes_paper_figure_near_max",
-        "dephase_phi_l",
-        "dephase_g",
-        "dephase_paper_figure_rate",
-        "sweep_paper_figure_rate",
-    ],
-)
-def test_overflow_exits_2_without_traceback(tmp_path, capsys, command, text, quantity):
-    scenario = tmp_path / "overflow.cfg"
-    scenario.write_text(text + "\n")
-    out = tmp_path / "out"
-    assert main([command, "--scenario", str(scenario), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("gravclock: error:")
-    assert "Traceback" not in err
-    assert not out.exists()
-    # The message names the quantity that overflowed and the key that fed it.
-    assert quantity in err
-    assert text.split(" = ")[0] in err
-    assert not any(bare in err for bare in _BARE_MESSAGES)
-
-
-@pytest.mark.parametrize(
-    "command, text, quantity",
-    [
-        ("budget", "budget.beam_waist = 1e300", "Rayleigh range"),
-        ("budget", "constants.c = 1e-100", "BBR differential up to the redshift signal"),
-        (
-            "stability-sweep",
-            "species.omega0 = 1e-320\nsweep.sizes = 2",
-            "SQL 1/(omega0 tau_max sqrt(N)) at size 2, phi_l 1e-06",
-        ),
-    ],
-    ids=["beam_waist", "c", "omega0"],
-)
-def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys, command, text, quantity):
-    # A result out of float range (z_star, the BBR temperature limit, a sweep
-    # sigma) is refused where it forms, naming the quantity and its key.
-    scenario = tmp_path / "non_finite.cfg"
-    scenario.write_text(text + "\n")
-    out = tmp_path / "out"
-    assert main([command, "--scenario", str(scenario), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("gravclock: error:")
-    assert quantity in captured.err
-    assert text.split(" = ")[0] in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
-# Every refusal names at least one scenario key.
-_SCENARIO_KEY = re.compile(
-    r"(species|constants|geometry|interrogation|dephase|sweep|budget)\.[a-z0-9_]+"
-)
-
-
 def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
@@ -688,7 +425,7 @@ def test_every_command_ends_in_finite_output_or_a_refusal(scenario):
                 code = main([command, "--scenario", str(path), "--out", str(out)])
             assert code in (0, 2, 3), command
             if code == 2:
-                assert _SCENARIO_KEY.search(err.getvalue()), (command, err.getvalue())
+                assert SCENARIO_KEY.search(err.getvalue()), (command, err.getvalue())
                 assert not out.exists(), command
                 continue
             for name in [*json_names, emit.RUN_RECORD_NAME]:
@@ -710,13 +447,13 @@ def test_fmt_float_refuses_non_finite(value):
         emit.fmt_float(value)
 
 
-def test_json_refusal_names_its_key_path():
-    with pytest.raises(ValueError, match=r"^lattice_intensity\.changes\[1\]: not a finite"):
+def test_json_text_refuses_a_nested_inf_as_fmt_float_does():
+    with pytest.raises(ValueError, match=r"^not a finite number: inf$"):
         emit.json_text({"lattice_intensity": {"changes": [0.5, math.inf]}})
 
 
-def _reference_to_json(value, indent: int, path: str) -> str:
-    """The serializer json_text replaced, kept verbatim as its byte reference."""
+def _reference_to_json(value, indent: int) -> str:
+    """The serializer json_text replaced, kept as its byte reference."""
     pad = " " * indent
     child_pad = " " * (indent + 2)
     if value is None:
@@ -726,26 +463,19 @@ def _reference_to_json(value, indent: int, path: str) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        try:
-            return emit.fmt_float(value)
-        except ValueError as exc:
-            raise ValueError(f"{path or 'value'}: {exc}") from None
+        return emit.fmt_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = ",\n".join(
-            child_pad + _reference_to_json(v, indent + 2, f"{path}[{i}]")
-            for i, v in enumerate(value)
-        )
+        items = ",\n".join(child_pad + _reference_to_json(v, indent + 2) for v in value)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = ",\n".join(
-            f"{child_pad}{json.dumps(str(k))}: "
-            + _reference_to_json(v, indent + 2, f"{path}.{k}" if path else str(k))
+            f"{child_pad}{json.dumps(str(k))}: {_reference_to_json(v, indent + 2)}"
             for k, v in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
@@ -753,7 +483,7 @@ def _reference_to_json(value, indent: int, path: str) -> str:
 
 
 def _reference_json_text(value) -> str:
-    return _reference_to_json(value, 0, "") + "\n"
+    return _reference_to_json(value, 0) + "\n"
 
 
 _JSON_STRINGS = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t .[]aé€\U0001f600') | st.characters())
@@ -1158,30 +888,6 @@ def test_budget_accepts_separation_beyond_1e3_rayleigh_ranges(tmp_path, capsys):
     capsys.readouterr()
     intensity = json.loads((out / "budget.json").read_text())["lattice_intensity"]
     assert intensity["closed_form_agrees"] is True
-
-
-@pytest.mark.parametrize(
-    "text, line, message",
-    [
-        ("output.threshold = t.json\noutput.budget_json = /tmp/b.json\n", 2, "plain file"),
-        ("output.budget_json = sub/budget.json\n", 1, "plain file"),
-        ("output.budget_json = sub\\budget.json\n", 1, "plain file"),
-        ("output.budget_json = .\n", 1, "plain file"),
-        ("output.budget_json = ..\n", 1, "plain file"),
-        ("output.budget_json =\n", 1, "plain file"),
-        ("output.threshold = run_record.json\n", 1, "reserved"),
-        ("output.budget_json = budget.txt\n", 1, "already the name of 'output.budget_text'"),
-        ("output.budget_text = a\n# note\noutput.budget_json = a\n", 3, "already the name"),
-    ],
-)
-def test_bad_output_name_exits_2(tmp_path, capsys, text, line, message):
-    scenario = tmp_path / "names.cfg"
-    scenario.write_text(text)
-    out = tmp_path / "out"
-    assert main(["budget", "--scenario", str(scenario), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"line {line}: " in err and message in err
-    assert not out.exists()
 
 
 def test_non_file_target_replaces_nothing(tmp_path, capsys):

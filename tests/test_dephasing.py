@@ -238,9 +238,9 @@ def test_dirichlet_refuses_a_non_finite_phase_spread(theta):
     with pytest.raises(ValueError) as excinfo:
         dirichlet(5, theta)
     assert str(excinfo.value) == (
-        f"layer phase spread phi_g' t must be finite, got {theta!r}; phi_g is set by"
-        " species.omega0, constants.g, constants.c and geometry.layer_spacing (default"
-        " species.magic_wavelength / 2), times the layer gaps under the paper-figure convention"
+        f"layer phase spread phi_g' t must be finite, got {theta!r}; phi_g (times m - 1 under"
+        " paper-figure) is set by species.omega0, constants.g, constants.c and"
+        " geometry.layer_spacing (default species.magic_wavelength / 2)"
     )
 
 

@@ -14,9 +14,10 @@ import io
 import tempfile
 from pathlib import Path
 
-from gravclock import cli, core, scenario as scenario_module
-from test_cli import _SCENARIO_KEY
+from refusal_cases import SCENARIO_KEY, one_short_line
 from test_hostile_text import _SMALL
+
+from gravclock import cli, core, scenario as scenario_module
 
 KEYS = tuple(scenario_module._KEYS)
 EXTREMES = (
@@ -65,12 +66,12 @@ def test_every_refusal_of_one_extreme_key_names_that_key():
     assert refusals
     unlocated = [(k, v, c, e) for k, v, c, e in refusals if k not in e]
     assert unlocated == []
-    assert [e for _, _, _, e in refusals if len(e) >= 250] == []
+    assert [e for _, _, _, e in refusals if not one_short_line(e)] == []
 
 
 def test_the_core_key_lists_name_only_scenario_keys():
     lists = {name: text for name, text in vars(core).items() if name.endswith("_KEYS")}
     assert lists
     for name, text in lists.items():
-        named = [match.group(0) for match in _SCENARIO_KEY.finditer(text)]
+        named = [match.group(0) for match in SCENARIO_KEY.finditer(text)]
         assert named and set(named) <= set(KEYS), name
