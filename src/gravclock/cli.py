@@ -20,7 +20,7 @@ import sys
 from itertools import chain, takewhile
 
 from . import __version__, cmdline
-from .core import CONVENTIONS, SIZE_RATIO_KEYS, echo, per_layer_phase_rate, per_layer_sql
+from .core import SIZE_RATIO_KEYS, echo, per_layer_phase_rate, per_layer_sql
 from .core import qpn_stability
 from .dephasing import dephase_curve, effective_phase_rate
 from .emit import FLOAT, RUN_RECORD_NAME, check_finite, csv_text, fmt_float, fmt_floats
@@ -253,19 +253,13 @@ def _report(line: str) -> None:
         _emit(sys.stderr, "stderr", line + "\n")
 
 
-# option -> (metavar, choices, help), a None metavar marking a flag. Every
-# command takes every option; cmdline reads argv and renders --help from
-# this table and _COMMANDS.
+# option -> (metavar, help), a None metavar marking a flag. Every command
+# takes every option; cmdline reads argv and renders --help from this table
+# and _COMMANDS.
 _OPTIONS = {
-    "--scenario": ("FILE", None, "scenario file (defaults apply)"),
-    "--out": ("DIR", None, "output directory"),
-    "--convention": (
-        "{" + ",".join(CONVENTIONS) + "}",
-        CONVENTIONS,
-        "override the scenario's phase-rate convention",
-    ),
+    "--scenario": ("FILE", "scenario file (defaults apply)"),
+    "--out": ("DIR", "output directory"),
     "--allow-flags": (
-        None,
         None,
         "exit 0 even when a solver flags non-bracketable or non-converged points",
     ),
@@ -283,9 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(EXIT_VALIDATION if usage.misuse else EXIT_OK) from None
     try:
         scenario, scenario_text = _load_scenario(options.get("--scenario"))
-        if "--convention" in options:
-            scenario = scenario._replace(convention=options["--convention"])
-            scenario_text = serialize_scenario(scenario)
         runner, _ = _COMMANDS[command]
         files, flags, text = runner(scenario)
         files[RUN_RECORD_NAME] = json_text(run_record(scenario_text, __version__, files))

@@ -14,9 +14,9 @@ from __future__ import annotations
 from . import __version__
 
 _DESCRIPTION = "Gravitational-redshift dephasing toolkit for optical lattice clocks"
-_HELP = (None, None, "show this help message and exit")
+_HELP = (None, "show this help message and exit")
 # The options read before the command.
-_TOP = {"--help": _HELP, "--version": (None, None, "show program's version number and exit")}
+_TOP = {"--help": _HELP, "--version": (None, "show program's version number and exit")}
 
 
 class UsageExit(Exception):
@@ -35,7 +35,7 @@ def _invocation(option: str, metavar: str | None) -> str:
 def _usage(commands: dict, command: str | None, level: dict) -> str:
     spelled = " ".join(
         "[-h]" if option == "--help" else f"[{_invocation(option, metavar)}]"
-        for option, (metavar, _, _) in level.items()
+        for option, (metavar, _) in level.items()
     )
     if command is None:
         return f"usage: gravclock {spelled} {{{','.join(commands)}}} ..."
@@ -46,7 +46,7 @@ def _help(commands: dict, command: str | None, level: dict) -> str:
     sections = {
         "options": [
             ("-h, --help" if option == "--help" else _invocation(option, metavar), text)
-            for option, (metavar, _, text) in level.items()
+            for option, (metavar, text) in level.items()
         ]
     }
     if command is None:
@@ -78,8 +78,8 @@ def _option(name: str, level: dict) -> str | None:
 def parse(argv: list[str], commands: dict, options: dict) -> tuple[str, dict[str, str | bool]]:
     """The command and the options given after it, {option: value, or True
     for a flag}. commands maps each command to (runner, help line), options
-    each option to (metavar, choices, help), a None metavar marking a flag;
-    every command takes every option."""
+    each option to (metavar, help), a None metavar marking a flag; every
+    command takes every option."""
     command: str | None = None
     level = _TOP
     given: dict[str, str | bool] = {}
@@ -98,10 +98,10 @@ def parse(argv: list[str], commands: dict, options: dict) -> tuple[str, dict[str
             elif arg in commands:
                 command, level = arg, {"--help": _HELP, **options}
             else:
-                choices = ", ".join(map(repr, commands))
-                raise misuse(f"argument command: invalid choice: {arg!r} (choose from {choices})")
+                names = ", ".join(map(repr, commands))
+                raise misuse(f"argument command: invalid choice: {arg!r} (choose from {names})")
             continue
-        metavar, choices, _ = level[option]
+        metavar, _ = level[option]
         if metavar is None:
             if equals:
                 raise misuse(f"argument {option}: ignored explicit argument {value!r}")
@@ -115,9 +115,6 @@ def parse(argv: list[str], commands: dict, options: dict) -> tuple[str, dict[str
             value = next(args, None)
             if value is None or not _is_value(value):
                 raise misuse(f"argument {option}: expected one argument")
-        if choices is not None and value not in choices:
-            shown = ", ".join(map(repr, choices))
-            raise misuse(f"argument {option}: invalid choice: {value!r} (choose from {shown})")
         given[option] = value
     if command is None:
         raise misuse("the following arguments are required: command")

@@ -152,22 +152,27 @@ def dephase_curve(
     layer_count at that point, and so bloch_sum's ratio and length /
     layer_count, bit for bit. The grid is taken as dephase.t_grid's parser
     accepts it, finite, >= 0 and strictly increasing, and is not checked
-    again. A laser phase phi_l t at the last time out of float range is
-    refused by its keys, also for an empty grid.
+    again. A laser phase phi_l t or a layer phase spread phi_g' t at the last
+    time out of float range is refused by its keys, also for an empty grid,
+    so no row reaches dirichlet's refusal.
 
     Each row chooses its path alone. With x = |phi_g' t| / 2, a row where
     0 < x < pi/2 and |phi_l t| >= 2^-26, where neither phase_ratio nor
     dirichlet branches, performs their float operations inline, in the same
     order. Any other row (t = 0, a subnormal laser phase, or x >= pi/2,
-    where dirichlet reduces its argument and refuses a non-finite one) makes
-    one phase_ratio call. The tests pin each row, and the row a refusal
-    comes from, to phase_ratio's.
+    where dirichlet reduces its argument) makes one phase_ratio call. The
+    tests pin each row, and the row a refusal comes from, to phase_ratio's.
     """
     t_end = t_grid[-1] if len(t_grid) else 0.0
     if not abs(phi_l * t_end) < math.inf:
         raise OverflowError(
             f"laser phase phi_l t = {phi_l!r} rad/s x {t_end!r} s is out of float range;"
             " it is set by dephase.phi_l and dephase.t_grid"
+        )
+    if not abs(phi_g) * t_end < math.inf:
+        raise OverflowError(
+            f"layer phase phi_g' t is out of float range; it is set by {PHI_G_KEYS},"
+            " dephase.sizes under paper-figure and dephase.t_grid"
         )
     fm, rate, half_pi, small = float(layer_count), abs(phi_g), _HALF_PI, SMALL_ANGLE
     sin, asin, ratios, contrasts = math.sin, math.asin, [], []

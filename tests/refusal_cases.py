@@ -166,7 +166,8 @@ CASES = (
          f"convention = paper-figure\ndephase.sizes = {15 * 10**307}",
          "line 2: invalid value for 'dephase.sizes'", f"{_PAST_COUNT} 309 digits"),
     _keyed("dephase_phi_l", CURVE, "dephase.phi_l = 1e300\ndephase.t_grid = 0,1e10", "phi_l t"),
-    _keyed("dephase_g", CURVE, "constants.g = 1e300\ndephase.t_grid = 0,1e300", "phi_g' t"),
+    _keyed("dephase_g", CURVE, "constants.g = 1e300\ndephase.t_grid = 0,1e300", "phi_g' t",
+           "dephase.t_grid"),
     _keyed("dephase_paper_figure_rate", CURVE, _HUGE_RATE, "phi_g' = phi_g (m - 1)"),
     _keyed("sweep_paper_figure_rate", SWEEP, _HUGE_RATE, "phi_g' = phi_g (m - 1)"),
     # A result out of float range (z_star, the BBR temperature limit, a sweep

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from refusal_cases import SCENARIO_KEY, one_short_line
 from test_scenario import _scenarios
 
-from gravclock import emit, thresholds
+from gravclock import cli, emit, thresholds
 from gravclock.cli import main
 from gravclock.core import echo
 from gravclock.scenario import Scenario, serialize_scenario
@@ -51,13 +51,14 @@ def test_threshold_default_scenario(tmp_path, capsys):
     assert document["per_layer"]["total_atoms"] == 123010482
 
 
-def test_threshold_convention_is_metadata(tmp_path, capsys):
+def test_threshold_convention_is_metadata(tmp_path, capsys, preset_under):
     # The size equation uses the physical per-layer redshift directly, so the
     # convention changes only the label.
     blocks = []
     for convention in ("physical", "paper-figure"):
         out = tmp_path / convention
-        assert main(["threshold", "--convention", convention, "--out", str(out)]) == 0
+        scenario = str(preset_under("threshold.cfg", convention))
+        assert main(["threshold", "--scenario", scenario, "--out", str(out)]) == 0
         document = json.loads((out / "threshold.json").read_text())
         assert document["convention"] == convention
         blocks.append((document["per_layer"], document["halves"]))
@@ -222,7 +223,6 @@ _COMMAND_HELP = {
 _OPTION_HELP = {
     "--scenario FILE": "scenario file (defaults apply)",
     "--out DIR": "output directory",
-    "--convention {physical,paper-figure}": "override the scenario's phase-rate convention",
     "--allow-flags": "exit 0 even when a solver flags non-bracketable or non-converged points",
 }
 
@@ -259,6 +259,20 @@ def test_command_help_lists_every_option(capsys, command, flag):
     text = _squeezed(out)
     for invocation, help_text in _OPTION_HELP.items():
         assert _squeezed(invocation + help_text) in text
+    options = out.partition("\noptions:\n")[2].splitlines()
+    listed = [re.split(r"\s{2,}", line.strip())[0] for line in options if line.startswith("  -")]
+    assert listed == ["-h, --help", *_OPTION_HELP]
+
+
+def test_readme_synopsis_names_every_option_and_no_other():
+    # README's CLI synopsis spells each option of cli._OPTIONS as its usage
+    # line does, and names no option beyond them, -h|--help and --version.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.partition("## CLI\n\n```\n")[2].partition("```")[0]
+    named = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", synopsis))
+    assert named == {"-h", "--help", "--version", *cli._OPTIONS}
+    for option, (metavar, _) in cli._OPTIONS.items():
+        assert (f"[{option}]" if metavar is None else f"[{option} {metavar}]") in synopsis
 
 
 @pytest.mark.parametrize("flag", ["--version", "--vers"])
@@ -269,20 +283,22 @@ def test_version(capsys, flag):
 @pytest.mark.parametrize(
     "options",
     [
-        ["--scenario", "{preset}", "--convention", "paper-figure", "--out", "{out}"],
-        ["--scenario={preset}", "--convention=paper-figure", "--out={out}"],
-        ["--scen", "{preset}", "--conv=paper-figure", "--o", "{out}"],
+        ["--scenario", "{preset}", "--out", "{out}"],
+        ["--scenario={preset}", "--out={out}"],
+        ["--scen", "{preset}", "--o", "{out}"],
         # The last occurrence of a repeated option wins.
-        ["--convention", "physical", "--out", "{other}", "--convention=paper-figure",
-         "--scenario", "{preset}", "--out", "{out}"],
+        ["--scenario", "{missing}", "--out", "{other}", "--scenario={preset}", "--out", "{out}"],
     ],
     ids=["separate", "joined", "prefixes", "repeated"],
 )
 def test_option_spellings_run_alike(tmp_path, capsys, options):
+    # The preset sets convention = paper-figure, which threshold.json records,
+    # so the file read is the one named last.
     fields = {
-        "preset": str(PRESETS / "threshold.cfg"),
+        "preset": str(PRESETS / "dephase_curve.cfg"),
         "out": str(tmp_path / "out"),
         "other": str(tmp_path / "other"),
+        "missing": str(tmp_path / "missing.cfg"),
     }
     assert main(["threshold", *(option.format(**fields) for option in options)]) == 0
     capsys.readouterr()
@@ -310,7 +326,10 @@ def test_allow_flags_by_its_prefix(tmp_path, capsys, flag):
         (["threshold", "stray"], "stray"),
         (["threshold", "--out"], "--out"),
         (["threshold", "--scenario", "--out", "x"], "--scenario"),
-        (["threshold", "--convention", "sideways"], "'sideways'"),
+        (
+            ["threshold", "--convention", "physical"],
+            "unrecognized arguments: --convention physical",
+        ),
         (["threshold", "--allow-flags=1"], "--allow-flags"),
         (["--allow-flags", "threshold"], "--allow-flags"),
         (["threshold", "--version"], "--version"),
@@ -322,7 +341,7 @@ def test_allow_flags_by_its_prefix(tmp_path, capsys, flag):
         "stray_argument",
         "missing_value",
         "option_as_value",
-        "bad_convention",
+        "convention_option",
         "value_for_flag",
         "option_before_command",
         "version_after_command",
@@ -344,7 +363,7 @@ def test_fresh_process_usage_exit_codes(tmp_path):
         (["--help"], 0, "stdout"),
         (["threshold", "-h"], 0, "stdout"),
         (["--version"], 0, "stdout"),
-        (["threshold", "--convention", "sideways"], 2, "stderr"),
+        (["threshold", "--convention", "physical"], 2, "stderr"),
         ([], 2, "stderr"),
     ):
         result = _fresh_python(_MAIN, *argv)
@@ -794,14 +813,6 @@ def test_non_converged_sweep_exits_3_unless_allowed(tmp_path, capsys, monkeypatc
     assert "non-converged" in capsys.readouterr().err
     assert main(args + ["--allow-flags"]) == 0
     capsys.readouterr()
-
-
-def test_convention_override_flag(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["threshold", "--out", str(out), "--convention", "paper-figure"]) == 0
-    capsys.readouterr()
-    document = json.loads((out / "threshold.json").read_text())
-    assert document["convention"] == "paper-figure"
 
 
 def test_dephase_curve_output(tmp_path, capsys):

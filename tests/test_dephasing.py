@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from layer_sum_oracle import explicit_dirichlet, explicit_layer_sum
 
 from gravclock import cli, dephasing, emit
-from gravclock.core import CONVENTIONS, MAX_COUNT, YB, per_layer_phase_rate
+from gravclock.core import CONVENTIONS, MAX_COUNT, PHI_G_KEYS, YB, per_layer_phase_rate
 from gravclock.dephasing import (
     BlochSummary,
     Convention,
@@ -388,8 +388,8 @@ _FLOAT_MAX_INT = int(sys.float_info.max)
 @example(m=7, phi_l=1e-3, phi_g=5e-324, points=[(0, 1.0), (0, 2.0), (0, 3.0), (0, 7.0)])
 # m x overflows on an inline row at t = 1.5, and sin refuses it.
 @example(m=_FLOAT_MAX_INT, phi_l=1e-3, phi_g=2.0, points=[(0, 0.5), (0, 1.0), (0, 1.5), (0, 1.6)])
-# phi_g' t overflows at t = 1e10, a row that calls phase_ratio, whose dirichlet
-# refuses it.
+# phi_g' t overflows at t = 1e10, where phase_ratio's dirichlet would refuse
+# it; dephase_curve refuses the grid up front.
 @example(m=5, phi_l=1e-3, phi_g=1e300, points=[(0, 0.0), (0, 1e-300), (0, 1e10)])
 def test_dephase_curve_equals_phase_ratio_per_row(m, phi_l, phi_g, points):
     # Each grid point is a factor times an anchor: 1 s, or where |phi_l t|
@@ -397,7 +397,7 @@ def test_dephase_curve_equals_phase_ratio_per_row(m, phi_l, phi_g, points):
     # that call phase_ratio and rows that run its operations inline meet
     # mid-grid. Every prefix of the grid, the empty and one-point ones too,
     # gives phase_ratio's rows bit for bit, or the refusal of its first
-    # refused row.
+    # refused row; a prefix whose last phi_g' t overflows is refused up front.
     anchors = [1.0] + [
         crossing / abs(rate) if rate else math.inf
         for crossing, rate in [
@@ -410,8 +410,13 @@ def test_dephase_curve_equals_phase_ratio_per_row(m, phi_l, phi_g, points):
     grid = sorted({anchors[i] * f for i, f in points if anchors[i] * f < math.inf})
     assume(not grid or abs(phi_l * grid[-1]) < math.inf)
     for k in range(len(grid) + 1):
-        expected = _outcome(_phase_ratio_rows, phi_l, phi_g, m, grid[:k])
-        assert _outcome(dephase_curve, phi_l, phi_g, m, grid[:k]) == expected
+        outcome = _outcome(dephase_curve, phi_l, phi_g, m, grid[:k])
+        if k and not abs(phi_g) * grid[k - 1] < math.inf:
+            assert outcome[0] is OverflowError and "layer phase phi_g' t" in outcome[1]
+            with pytest.raises(ValueError, match="phi_g' t must be finite"):
+                _phase_ratio_rows(phi_l, phi_g, m, grid[:k])
+        else:
+            assert outcome == _outcome(_phase_ratio_rows, phi_l, phi_g, m, grid[:k])
 
 
 # The laser phase phi_l t at the last time is checked once per call, also for
@@ -439,13 +444,17 @@ def test_dephase_curve_refuses_bad_inputs(phi_l, phi_g, layer_count, grid, error
 
 
 def test_dephase_curve_refuses_overflowing_layer_phase():
+    # Refused up front under either convention, by the keys of phi_g, m and t.
     for convention, phi_g in ((Convention.PHYSICAL, 1e300), (Convention.PAPER_FIGURE, 1e299)):
-        with pytest.raises(ValueError, match="phi_g' t must be finite, got inf") as excinfo:
+        with pytest.raises(OverflowError) as excinfo:
             dephase_curve(0.0, effective_phase_rate(phi_g, 5, convention), 5, [0.0, 1e10])
-        assert "species.omega0, constants.g" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            f"layer phase phi_g' t is out of float range; it is set by {PHI_G_KEYS},"
+            " dephase.sizes under paper-figure and dephase.t_grid"
+        )
 
 
-def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
+def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys, preset_under):
     preset = PRESETS / "dephase_curve.cfg"
     scenario = parse_scenario(preset.read_text())
     sizes, grid = len(scenario.dephase_sizes), len(scenario.dephase_t_grid)
@@ -470,8 +479,8 @@ def test_curve_work_per_preset_row(monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(module, "fmt_float", counting("fmt_float", emit.fmt_float))
     monkeypatch.setattr(cli, "fmt_floats", counting("fmt_floats", emit.fmt_floats))
     for convention in ("physical", "paper-figure"):
+        argv = ["dephase-curve", "--scenario", str(preset_under(preset.name, convention))]
         counts.clear()
-        argv = ["dephase-curve", "--scenario", str(preset), "--convention", convention]
         assert cli.main(argv + ["--out", str(tmp_path / convention)]) == 0
         assert counts["curves"] == sizes
         assert counts["inputs"] <= sizes

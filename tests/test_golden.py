@@ -1,7 +1,8 @@
 """Golden digests: every preset and default-scenario output, byte for byte.
 
 The SHA-256 of every file the CLI writes, run_record.json included, for the
-5 presets under both conventions and for the 4 commands on the built-in
+5 presets under both conventions (each preset's convention key set, and the
+text written in normal form) and for the 4 commands on the built-in
 default scenario. A refactor that is meant to keep the outputs identical
 must pass this test unchanged; a change that moves a digest on purpose
 updates it here and says why in CHANGES.md.
@@ -20,8 +21,6 @@ from pathlib import Path
 import pytest
 
 from gravclock.cli import main
-
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 GOLDEN = {
     ("threshold", "threshold.cfg", "physical"): {
@@ -69,9 +68,9 @@ GOLDEN = {
 }
 
 # Each of these presets differs from the defaults at most in its convention,
-# so under --convention physical (which writes the scenario text in normal
-# form) it writes the default scenario's bytes, and the default runs are
-# checked against those entries.
+# so set to physical and written in normal form (preset_under) it gives the
+# default scenario's bytes, and the default runs are checked against those
+# entries.
 DEFAULT_RUNS = {
     "threshold": ("threshold", "threshold.cfg", "physical"),
     "dephase-curve": ("dephase-curve", "dephase_curve.cfg", "physical"),
@@ -87,8 +86,8 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("command, preset, convention", sorted(GOLDEN))
-def test_preset_outputs_are_golden(tmp_path, capsys, command, preset, convention):
-    argv = [command, "--scenario", str(PRESETS / preset), "--convention", convention]
+def test_preset_outputs_are_golden(tmp_path, capsys, preset_under, command, preset, convention):
+    argv = [command, "--scenario", str(preset_under(preset, convention))]
     assert _digests(argv, tmp_path, capsys) == GOLDEN[command, preset, convention]
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,7 +21,6 @@ from gravclock.thresholds import (
     solve_tau_max,
 )
 
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
 CONSTS = Scenario().consts_obj()
 SPACING = YB.default_layer_spacing
 PHI_G = per_layer_phase_rate(CONSTS, YB, SPACING)
@@ -371,7 +369,7 @@ def test_safeguard_converges_where_illinois_stalls(monkeypatch):
         assert evaluations <= 1 + 3 * 64 == 1 + thresholds._ROOT_MAX_STEPS
 
 
-def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
+def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys, preset_under):
     # Every error evaluation per bracketed cell, the bracket's included, as
     # the result reports it and as a count of _error calls; phi_g' is
     # resolved once per size by the sweep, never by the search; and each cell
@@ -412,9 +410,9 @@ def test_root_evaluations_per_preset_cell(monkeypatch, tmp_path, capsys):
     for preset in ("stability_cubic.cfg", "stability_slab.cfg"):
         for convention in ("physical", "paper-figure"):
             rates.update(sweep=0, thresholds=0)
-            argv = ["stability-sweep", "--scenario", str(PRESETS / preset)]
+            argv = ["stability-sweep", "--scenario", str(preset_under(preset, convention))]
             out = tmp_path / f"{preset}-{convention}"
-            assert main(argv + ["--convention", convention, "--out", str(out)]) == 0
+            assert main(argv + ["--out", str(out)]) == 0
             assert rates == {"sweep": 37, "thresholds": 0}  # 37 sizes x 5 phi_l
     capsys.readouterr()
     assert len(solved) == len(counts) == 4 * 185
