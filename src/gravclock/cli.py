@@ -1,15 +1,17 @@
 """Command-line front end: threshold, dephase-curve, stability-sweep, budget.
 
 Every run reads one scenario file (or the built-in defaults), computes in
-memory, then writes all outputs plus a run_record.json manifest from a
-single writer. Exit codes: 0 success (--help and --version included), 2
-misuse of the command line (raised as SystemExit after a usage line), or a
-scenario/validation failure (an input whose arithmetic overflows, or a
-failing stdout, included), 3 a solver flagged a point (non-bracketable or
-non-converged) and --allow-flags was not given. A failing stderr does not
-change the exit code. The _COMMANDS and _OPTIONS tables declare the
-command line; cmdline parses argv and renders the usage and --help text
-from them.
+memory, then writes its outputs, each under the one fixed name of its
+command, plus a run_record.json manifest from a single writer. The
+manifest's scenario_sha256 hashes the scenario file's bytes as read (BOM
+and CR LF kept), or the defaults' normal form. Exit codes: 0 success
+(--help and --version included), 2 misuse of the command line (raised as
+SystemExit after a usage line), or a scenario/validation failure (an input
+whose arithmetic overflows, or a failing stdout, included), 3 a solver
+flagged a point (non-bracketable or non-converged) and --allow-flags was
+not given. A failing stderr does not change the exit code. The _COMMANDS
+and _OPTIONS tables declare the command line; cmdline parses argv and
+renders the usage and --help text from them.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _run_threshold(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
         }
         lines.append(f"{name:<15} n* = {n_star:.3f}  n = {n}  N = {atoms}")
     text = "\n".join(lines) + "\n"
-    return {scenario.output_threshold: json_text(document)}, [], text
+    return {"threshold.json": json_text(document)}, [], text
 
 
 def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
@@ -108,7 +110,7 @@ def _run_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[str], s
         blank = f"%s,{n_site},{phi_l_cell},{convention},%.0s,{FLOAT}"
         blocks.append(([blank] * empty + [row] * (len(t_cells) - empty), cells))
     header = ["t_s", "n_site", "phi_l", "convention", "ratio", "contrast"]
-    files = {scenario.output_dephase_curve: csv_text(header, blocks)}
+    files = {"dephase_curve.csv": csv_text(header, blocks)}
     text = f"dephase-curve: {len(t_cells) * len(sizes)} rows ({len(sizes)} sizes)\n"
     return files, [], text
 
@@ -138,7 +140,7 @@ def _run_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list[str],
         for point in points
         if point.flag
     ]
-    files = {scenario.output_stability_sweep: csv_text(header, [(rows * len(sizes), cells)])}
+    files = {"stability_sweep.csv": csv_text(header, [(rows * len(sizes), cells)])}
     return files, flags, f"stability-sweep: {len(points)} rows, {len(flags)} flagged\n"
 
 
@@ -201,10 +203,7 @@ def _run_budget(scenario: Scenario) -> tuple[dict[str, str], list[str], str]:
         "all_pass": budget.all_pass,
     }
     table = _budget_table(budget)
-    files = {
-        scenario.output_budget_json: json_text(document),
-        scenario.output_budget_text: table,
-    }
+    files = {"budget.json": json_text(document), "budget.txt": table}
     return files, [], table
 
 
@@ -222,7 +221,7 @@ def _load_scenario(path: str | None) -> tuple[Scenario, str]:
         scenario = Scenario()
         return scenario, serialize_scenario(scenario)
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"scenario file {echo(path)} is not UTF-8 text: {exc}") from None

@@ -1,12 +1,13 @@
 """Scenario configuration: a flat key-value format with dotted sections.
 
 One file drives every subcommand. Lines are `key = value`, `#` starts a
-comment, unknown keys are rejected, and every default is explicit. Each key
-is declared once, in the `_KEYS` table, with its default and the parser of
-its text value, range checks included. `Scenario` is the named tuple of the
-keys in table order; a field is its key with the `.` written as `_`. Parsing a serialized
-scenario returns the identical scenario (serialization is the normal form:
-grids expanded, every non-default-able option written out).
+comment, unknown keys are rejected, and every default is explicit. No key
+names an output file: each command writes fixed names. Each key is declared
+once, in the `_KEYS` table, with its default and the parser of its text
+value, range checks included. `Scenario` is the named tuple of the keys in
+table order; a field is its key with the `.` written as `_`. Parsing a
+serialized scenario returns the identical scenario (serialization is the
+normal form: grids expanded, every non-default-able option written out).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
     linspace,
     species_by_name,
 )
-from .emit import RUN_RECORD_NAME, fmt_float
+from .emit import fmt_float
 
 
 class ScenarioError(ValueError):
@@ -164,15 +165,6 @@ def _family(text: str) -> str:
     return text
 
 
-def _file_name(text: str) -> str:
-    """An output name: a plain file name, so every output lands inside --out."""
-    if text in ("", ".", "..") or "/" in text or "\\" in text or "\0" in text:
-        raise ValueError(f"must be a plain file name without a directory or NUL, got {echo(text)}")
-    if text == RUN_RECORD_NAME:
-        raise ValueError(f"{RUN_RECORD_NAME!r} is reserved for the run manifest")
-    return text
-
-
 # scenario key -> (default, parser of its text value), in serialization order.
 # This is the one home of every default: the commands, sweep and
 # assemble_budget read the resolved Scenario, never a default of their own.
@@ -212,13 +204,7 @@ _KEYS = {
     # calibration line from its 14 s lifetime, taken as the resolution floor
     # of the gradient calibration.
     "budget.p2_linewidth": (1.0 / (2.0 * math.pi * 14.0), _positive),
-    "output.threshold": ("threshold.json", _file_name),
-    "output.dephase_curve": ("dephase_curve.csv", _file_name),
-    "output.stability_sweep": ("stability_sweep.csv", _file_name),
-    "output.budget_json": ("budget.json", _file_name),
-    "output.budget_text": ("budget.txt", _file_name),
 }
-_OUTPUT_KEYS = tuple(key for key in _KEYS if key.startswith("output."))
 
 
 class Scenario(
@@ -276,33 +262,11 @@ def parse_scenario(text: str) -> Scenario:
         except (ValueError, OverflowError) as exc:  # a grid bound past float range overflows
             raise ScenarioError(f"invalid value for {key!r}: {exc}", lineno) from None
     scenario = Scenario._make(values.values())
-    _check_outputs(values, seen)
     try:
         scenario.species_obj()
     except ValueError as exc:
         raise ScenarioError(f"invalid value for 'species': {exc}", seen.get("species")) from None
     return scenario
-
-
-def _check_outputs(values: dict[str, object], seen: dict[str, int]) -> None:
-    """Each output key (values: key -> value) names its own file; a clash is
-    reported at the later line (defaults count as line 0). Then each name is
-    one a file system can hold: NAME_MAX, 255 bytes in UTF-8 on Linux."""
-    owners: dict[str, str] = {}
-    for key in sorted(_OUTPUT_KEYS, key=lambda k: seen.get(k, 0)):
-        name = values[key]
-        if name in owners:
-            raise ScenarioError(
-                f"invalid value for {key!r}: {echo(name)} is already the name of"
-                f" {owners[name]!r}",
-                seen.get(key),
-            )
-        owners[name] = key
-    for name, key in owners.items():
-        size = len(name.encode())
-        if size > 255:
-            message = f"must be at most 255 bytes in UTF-8, not {size}: {echo(name)}"
-            raise ScenarioError(f"invalid value for {key!r}: {message}", seen.get(key))
 
 
 def _format(value) -> str:

@@ -207,29 +207,11 @@ CASES = (
     _long("long_family", SWEEP, "sweep.family = " + _LONG, "'sweep.family'", 3000),
     _long("long_convention", THRESHOLD, "convention = " + _LONG, "'convention'", 3000),
     _long("long_species", THRESHOLD, "species = " + _LONG, "'species'", 3000),
-    _long("long_budget_text", BUDGET, "output.budget_text = a/" + _LONG, "'output.budget_text'",
-          3002),
-    _long("long_budget_json_taken", BUDGET,
-          f"output.budget_text = {_LONG}\noutput.budget_json = {_LONG}", "'output.budget_json'",
-          3000),
     _long("long_key", THRESHOLD, _LONG + " = 1", "unknown key", 3000),
     _long("long_line", THRESHOLD, _LONG, "expected key = value", 3000),
-    # An output name that is not a plain file name, or is reserved or taken.
-    _run("name_absolute", BUDGET, "output.threshold = t.json\noutput.budget_json = /tmp/b.json",
-         "line 2: ", "plain file"),
-    _run("name_in_directory", BUDGET, "output.budget_json = sub/budget.json", "line 1: ",
-         "plain file"),
-    _run("name_backslash", BUDGET, "output.budget_json = sub\\budget.json", "line 1: ",
-         "plain file"),
-    _run("name_dot", BUDGET, "output.budget_json = .", "line 1: ", "plain file"),
-    _run("name_dot_dot", BUDGET, "output.budget_json = ..", "line 1: ", "plain file"),
-    _run("name_empty", BUDGET, "output.budget_json =", "line 1: ", "plain file"),
-    _run("name_nul", THRESHOLD, "output.threshold = a\x00b", "line 1: ", "plain file"),
-    _run("name_reserved", BUDGET, "output.threshold = run_record.json", "line 1: ", "reserved"),
-    _run("name_taken", BUDGET, "output.budget_json = budget.txt", "line 1: ",
-         "already the name of 'output.budget_text'"),
-    _run("name_taken_after_comment", BUDGET,
-         "output.budget_text = a\n# note\noutput.budget_json = a", "line 3: ", "already the name"),
+    # A former key that only renamed an output file.
+    _run("output_key_unknown", THRESHOLD, "output.threshold = t.json",
+         "line 1: unknown key 'output.threshold'"),
     # A --scenario that cannot be read, and a --out that cannot be made: its
     # parents are removed again when a 300-byte component cannot be made.
     Case("scenario_not_utf8", (THRESHOLD, "--scenario", SCENARIO, "--out", OUT), b"\xff\n",

@@ -168,12 +168,13 @@ def test_out_name_too_long_is_one_line_naming_out(tmp_path, capsys, nested):
     assert not any(path.name == name for path in tmp_path.rglob("*"))
 
 
-def test_byte_order_mark_changes_only_the_scenario_digest(tmp_path, capsys):
-    # A scenario saved with a leading BOM gives the same files; run_record.json
-    # hashes the text as read, so only its scenario_sha256 differs.
+def _only_the_scenario_digest_differs(tmp_path, capsys, variant) -> None:
+    """The budget preset and variant(its bytes) give the same files;
+    run_record.json hashes each file's bytes, so only its scenario_sha256
+    differs."""
     text = (PRESETS / "budget.cfg").read_bytes()
     trees = []
-    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+    for name, data in (("plain", text), ("variant", variant(text))):
         scenario = tmp_path / f"{name}.cfg"
         scenario.write_bytes(data)
         out = tmp_path / f"{name}-out"
@@ -182,10 +183,21 @@ def test_byte_order_mark_changes_only_the_scenario_digest(tmp_path, capsys):
         assert record.pop("scenario_sha256") == hashlib.sha256(data).hexdigest()
         trees.append((read_tree(out), record))
     capsys.readouterr()
-    (plain, plain_record), (bom, bom_record) = trees
-    assert plain_record == bom_record
-    del plain[emit.RUN_RECORD_NAME], bom[emit.RUN_RECORD_NAME]
-    assert plain == bom
+    (plain, plain_record), (other, other_record) = trees
+    assert plain_record == other_record
+    del plain[emit.RUN_RECORD_NAME], other[emit.RUN_RECORD_NAME]
+    assert plain == other
+
+
+def test_byte_order_mark_changes_only_the_scenario_digest(tmp_path, capsys):
+    _only_the_scenario_digest_differs(tmp_path, capsys, lambda text: b"\xef\xbb\xbf" + text)
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_line_ends_change_only_the_scenario_digest(tmp_path, capsys, end):
+    # The digest is of the file's bytes, its CR LF or CR line ends included,
+    # so it matches sha256sum of the file.
+    _only_the_scenario_digest_differs(tmp_path, capsys, lambda text: text.replace(b"\n", end))
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -429,10 +441,10 @@ def test_every_command_ends_in_finite_output_or_a_refusal(scenario):
     # refusal names a scenario key and writes nothing, and every number
     # written is finite.
     outputs = {
-        "threshold": ([scenario.output_threshold], []),
-        "dephase-curve": ([], [scenario.output_dephase_curve]),
-        "stability-sweep": ([], [scenario.output_stability_sweep]),
-        "budget": ([scenario.output_budget_json], []),
+        "threshold": (["threshold.json"], []),
+        "dephase-curve": ([], ["dephase_curve.csv"]),
+        "stability-sweep": ([], ["stability_sweep.csv"]),
+        "budget": (["budget.json"], []),
     }
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.cfg"

@@ -15,17 +15,20 @@ hand write_outputs str values.
 The benchmark calls assemble_budget() with no arguments. Its one parameter
 defaults to Scenario(), so every budget default is the scenario key table's.
 The last tests check that this call is the built-in scenario's budget, and
-that assemble_budget and sweep read each `budget.` and `sweep.` key of the
-table.
+that each key of the table but `species` changes some command's files: no
+key is one that nothing reads.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -35,8 +38,7 @@ from gravclock import cli, emit
 from gravclock import scenario as scenario_module
 from gravclock.core import YB, per_layer_phase_rate
 from gravclock.dephasing import Convention, DephasingInput, bloch_sum, effective_phase_rate
-from gravclock.scenario import Scenario
-from gravclock.sweep import sweep
+from gravclock.scenario import Scenario, serialize_scenario
 from gravclock.systematics import assemble_budget
 from gravclock.thresholds import TauMaxProblem, solve_tau_max
 
@@ -170,9 +172,20 @@ def test_budget_with_no_arguments_agrees_with_closed_form():
     assert assemble_budget().intensity.closed_form_agrees
 
 
-# key -> another valid value, as scenario text, for each key that
-# assemble_budget or sweep reads
+# key -> another valid value, as scenario text, for each key but species,
+# whose one valid value is its default
 _OTHER_VALUES = {
+    "species.omega0": "3e15",
+    "species.magic_wavelength": "800e-9",
+    "constants.g": "9.8",
+    "constants.c": "3e8",
+    "convention": "paper-figure",
+    "geometry.layer_spacing": "400e-9",
+    "interrogation.tau": "10",
+    "interrogation.xi_w_sq": "0.5",
+    "dephase.phi_l": "1e-4",
+    "dephase.sizes": "100,200",
+    "dephase.t_grid": "0,1,2",
     "budget.n_site": "200",
     "budget.wall_distance": "0.1",
     "budget.disk_radius": "0.1",
@@ -196,16 +209,30 @@ def test_budget_with_no_arguments_is_the_default_scenario():
     assert assemble_budget() == assemble_budget(Scenario())
 
 
-@pytest.mark.parametrize(
-    "key", [key for key in scenario_module._KEYS if key.startswith(("budget.", "sweep."))]
-)
-def test_every_budget_and_sweep_key_is_read(key):
-    # Each key set alone to another valid value changes the result; the
-    # slab family is the one that reads sweep.atoms_per_layer.
+def _files(scenario: Scenario) -> dict[str, dict[str, bytes]]:
+    """command -> the files it writes for scenario, run_record.json aside."""
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.cfg"
+        path.write_text(serialize_scenario(scenario), encoding="utf-8")
+        for command in cli._COMMANDS:
+            out = Path(tmp) / command
+            with contextlib.redirect_stdout(io.StringIO()):
+                argv = [command, "--scenario", str(path), "--out", str(out), "--allow-flags"]
+                assert cli.main(argv) == 0, command
+            files[command] = {
+                p.name: p.read_bytes() for p in out.iterdir() if p.name != emit.RUN_RECORD_NAME
+            }
+    return files
+
+
+@pytest.mark.parametrize("key", [key for key in scenario_module._KEYS if key != "species"])
+def test_every_key_changes_some_output(key):
+    # Each key set alone to another valid value changes the files of some
+    # command; the slab family is the one that reads sweep.atoms_per_layer.
     default, parse = scenario_module._KEYS[key]
     value = parse(_OTHER_VALUES[key])
     assert value != default
     base = Scenario(sweep_family="slab") if key == "sweep.atoms_per_layer" else Scenario()
     changed = base._replace(**{key.replace(".", "_"): value})
-    run = assemble_budget if key.startswith("budget.") else sweep
-    assert run(changed) != run(base)
+    assert _files(changed) != _files(base)

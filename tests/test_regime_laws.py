@@ -2,12 +2,15 @@
 
 tests/regime_laws.py holds the gravity law tau_G and the laser law tau_L.
 Far from their crossover a cell's tau_max lies on the smaller law; this
-checks that on the two stability presets and the default sweep.
+checks that on the two stability presets, the default sweep and a seeded
+deck of each family: sizes log-uniform in [2, 10^5] and phi_l log-uniform
+in [1e-8, 1] rad/s.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,8 @@ from gravclock.scenario import Scenario, parse_scenario
 from gravclock.sweep import sweep
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
-SWEEPS = ["stability_cubic.cfg", "stability_slab.cfg", "defaults"]
+SWEEPS = ["stability_cubic.cfg", "stability_slab.cfg", "defaults", "seeded-cubic", "seeded-slab"]
+SEED = 39
 
 # A cell is checked when its laws lie more than CROSSOVER apart; nearer the
 # crossover both regimes shape tau_max, and cells lie up to ~27% below the
@@ -41,8 +45,21 @@ NEAR = 5e-3
 ABOVE = 0.1
 
 
+def _seeded(family: str) -> Scenario:
+    """40 draws of size and 6 of phi_l, each log-uniform, from SEED."""
+    rng = random.Random(SEED)
+    sizes = {round(10 ** rng.uniform(math.log10(2), 5)) for _ in range(40)}
+    phi_l = sorted(10 ** rng.uniform(-8, 0) for _ in range(6))
+    return Scenario(sweep_family=family, sweep_sizes=tuple(sorted(sizes)), sweep_phi_l=tuple(phi_l))
+
+
 def _scenario(name: str, convention: str) -> Scenario:
-    scenario = Scenario() if name == "defaults" else parse_scenario((PRESETS / name).read_text())
+    if name.startswith("seeded-"):
+        scenario = _seeded(name.removeprefix("seeded-"))
+    elif name == "defaults":
+        scenario = Scenario()
+    else:
+        scenario = parse_scenario((PRESETS / name).read_text())
     return scenario._replace(convention=convention)
 
 

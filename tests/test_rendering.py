@@ -60,7 +60,7 @@ def _reference_dephase_curve(scenario: Scenario) -> tuple[dict[str, str], list[s
             for t_cell, ratio, contrast in zip(t_cells, ratios, contrasts)
         ]
     header = ["t_s", "n_site", "phi_l", "convention", "ratio", "contrast"]
-    files = {scenario.output_dephase_curve: _reference_csv_text(header, lines)}
+    files = {"dephase_curve.csv": _reference_csv_text(header, lines)}
     text = f"dephase-curve: {len(lines)} rows ({len(scenario.dephase_sizes)} sizes)\n"
     return files, [], text
 
@@ -100,7 +100,7 @@ def _reference_stability_sweep(scenario: Scenario) -> tuple[dict[str, str], list
         for point in points
         if point.flag
     ]
-    files = {scenario.output_stability_sweep: _reference_csv_text(header, lines)}
+    files = {"stability_sweep.csv": _reference_csv_text(header, lines)}
     text = f"stability-sweep: {len(lines)} rows, {len(flags)} flagged\n"
     return files, flags, text
 

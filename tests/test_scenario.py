@@ -328,47 +328,6 @@ def test_refused_text_is_echoed_whole_up_to_80_characters():
         )
 
 
-# output key -> the command that writes it
-_WRITERS = {
-    "output.threshold": "threshold",
-    "output.dephase_curve": "dephase-curve",
-    "output.stability_sweep": "stability-sweep",
-    "output.budget_json": "budget",
-    "output.budget_text": "budget",
-}
-_SMALL_SWEEP = "sweep.sizes = 10\nsweep.phi_l = 1e-3\n"
-
-
-@pytest.mark.parametrize("key", _WRITERS)
-@pytest.mark.parametrize("name", ["x" * 251 + ".out", "é" * 127 + "x"], ids=["ascii", "utf-8"])
-def test_output_name_of_255_bytes_is_written(tmp_path, capsys, key, name):
-    assert len(name.encode()) == 255
-    scenario = tmp_path / "names.cfg"
-    scenario.write_text(f"{_SMALL_SWEEP}{key} = {name}\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert main([_WRITERS[key], "--scenario", str(scenario), "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert (out / name).is_file()
-
-
-@pytest.mark.parametrize("key", _WRITERS)
-@pytest.mark.parametrize(
-    "name", ["x" * 256, "é" * 128, "x" * 5000], ids=["256 ascii", "256 utf-8", "5000 ascii"]
-)
-def test_output_name_over_255_bytes_is_refused_at_its_line(tmp_path, capsys, key, name):
-    scenario = tmp_path / "names.cfg"
-    scenario.write_text(f"{_SMALL_SWEEP}{key} = {name}\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert main([_WRITERS[key], "--scenario", str(scenario), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and one_short_line(captured.err)
-    assert captured.err == (
-        f"gravclock: error: line 3: invalid value for {key!r}: must be at most 255 bytes"
-        f" in UTF-8, not {len(name.encode())}: {name[:80]!r}... ({len(name)} characters)\n"
-    )
-    assert not out.exists()
-
-
 def test_convention_parse():
     assert parse_scenario("convention = paper-figure\n").convention == Convention.PAPER_FIGURE
     with pytest.raises(ScenarioError, match="convention"):
@@ -412,11 +371,9 @@ _ANY = st.floats(allow_nan=False, allow_infinity=False)
 _SIZES = st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True).map(
     lambda sizes: tuple(sorted(sizes))
 )
-# Output names that pass validation: plain file names, free of the format's
-# own syntax ('#' starts a comment, values are stripped).
-_NAME = st.text("abcxyzABC019_-.", min_size=1, max_size=12).filter(
-    lambda name: name not in (".", "..", "run_record.json")
-)
+# Species names free of the format's own syntax ('#' starts a comment,
+# values are stripped).
+_NAME = st.text("abcxyzABC019_-.", min_size=1, max_size=12)
 
 
 @st.composite
@@ -424,7 +381,6 @@ def _scenarios(draw, **overrides) -> Scenario:
     """A valid Scenario; overrides replace the strategy of the named fields."""
     custom = draw(st.booleans())
     override = _POSITIVE if custom else st.none() | _POSITIVE
-    outputs = draw(st.lists(_NAME, min_size=5, max_size=5, unique=True))
     # One strategy per Scenario field: a key added without one fails here.
     strategies = {
         "species": _NAME if custom else st.just("Yb"),
@@ -457,11 +413,6 @@ def _scenarios(draw, **overrides) -> Scenario:
         "budget_e_gradient": _NONNEGATIVE,
         "budget_baseline_e_field": _NONNEGATIVE,
         "budget_p2_linewidth": _POSITIVE,
-        "output_threshold": st.just(outputs[0]),
-        "output_dephase_curve": st.just(outputs[1]),
-        "output_stability_sweep": st.just(outputs[2]),
-        "output_budget_json": st.just(outputs[3]),
-        "output_budget_text": st.just(outputs[4]),
     }
     strategies.update(overrides)
     assert set(strategies) == set(Scenario._fields)
